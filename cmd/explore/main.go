@@ -19,7 +19,7 @@
 // nothing. Restrict the space with the register/policy flags and
 // repeatable -axis flags (only the named axes stay free):
 //
-//	explore -strategy hillclimb -budget 64 -cache sweep-cache.json
+//	explore -strategy hillclimb -budget 64 -cache sweep-cache
 //	explore -budget 200 -strategy halving -axis ros=32,64,128,256 -axis l1d=8,16,32
 //	explore -policies conv,extended -int-regs 40,48,56,64 -fp-regs 64,72,79
 //
@@ -69,7 +69,7 @@ func main() {
 		intRegsF   = flag.String("int-regs", "", "integer file size dimension (empty = Figure 11 sizes)")
 		fpRegsF    = flag.String("fp-regs", "", "FP size dimension (empty = tied to int)")
 		parallel   = flag.Int("parallel", 0, "local simulation workers (0 = GOMAXPROCS)")
-		cachePath  = flag.String("cache", "", "persistent result cache: a JSON file, or a directory for the segment-log store")
+		cachePath  = flag.String("cache", "", "persistent result cache: a segment-store directory, created if absent")
 		remote     = flag.String("remote", "", "sweepd coordinator URL: run the job on its /explore routes")
 		remoteC    = flag.String("remote-cache", "", "sweepd coordinator URL: search locally over its shared cache")
 		jsonPath   = flag.String("json", "", "write the frontier JSON to this file (\"-\" = stdout)")

@@ -23,7 +23,7 @@
 // -frontier-seed; also not part of -all.
 //
 // Use -scale to trade fidelity for time and -quick for a fast smoke run.
-// With -cache FILE, results persist across runs: a repeated invocation
+// With -cache DIR, results persist across runs: a repeated invocation
 // only simulates points whose configuration changed. -stats-json FILE
 // records the run's cache statistics (the CI tier-2 smoke asserts a
 // warm rerun is 100% hits).
@@ -67,7 +67,7 @@ func main() {
 		scale   = flag.Int("scale", 300_000, "dynamic instructions per workload")
 		quick   = flag.Bool("quick", false, "smaller scale and size axis")
 		check   = flag.Bool("check", false, "enable invariant checking")
-		cache   = flag.String("cache", "", "persistent sweep-result cache — a JSON file or a store directory (repeated runs only simulate new points)")
+		cache   = flag.String("cache", "", "persistent sweep-result cache — a store directory, created if absent (repeated runs only simulate new points)")
 		remote  = flag.String("remote", "", "sweepd coordinator URL: farm every driver grid out for federated execution")
 		remoteC = flag.String("remote-cache", "", "sweepd coordinator URL: run locally over its shared result cache")
 		statsJ  = flag.String("stats-json", "", "write cache statistics to this file")

@@ -5,14 +5,13 @@
 // Table 2 machine).
 //
 //	sweep -workloads tomcatv,swim -policies conv,extended -int-regs 40,48,64
-//	sweep -cache sweep-cache.json -scale 300000        # incremental reruns
+//	sweep -cache sweep-cache -scale 300000        # incremental reruns
 //
-// A -cache that names a directory (existing, or with a trailing slash)
-// selects the sharded segment-log store (DESIGN.md §4.7) instead of the
-// monolithic JSON file — same results, but saves append instead of
-// rewriting the corpus. Cache maintenance verbs run against either
-// format and exit: -export streams the corpus as NDJSON, -import merges
-// an export (skipping present keys unless -import-overwrite), -compact
+// -cache names a directory holding the sharded segment-log store
+// (DESIGN.md §4.7), created on first use; each new result is appended,
+// never rewritten with the corpus. Cache maintenance verbs run against
+// it and exit: -export streams the corpus as NDJSON, -import merges an
+// export (skipping present keys unless -import-overwrite), -compact
 // rewrites store segments that have decayed below the live-ratio
 // threshold:
 //
@@ -25,7 +24,7 @@
 // -axes lists the available axes:
 //
 //	sweep -axis ros=32,64,0,256 -axis issue=2,4,0 -workloads tomcatv
-//	sweep -axis lsq=16,0 -axis bpred=10,0 -cache sweep-cache.json
+//	sweep -axis lsq=16,0 -axis bpred=10,0 -cache sweep-cache
 //
 // With -json the full outcomes (every Result field) are printed;
 // otherwise a compact IPC table. -stats-json FILE writes the run and
@@ -45,7 +44,7 @@
 // save) — results are byte-identical in every mode:
 //
 //	sweep -remote http://coordinator:8080 -workloads tomcatv -int-regs 40,48,64
-//	sweep -remote-cache http://coordinator:8080 -cache local.json -axis ros=32,0
+//	sweep -remote-cache http://coordinator:8080 -cache local-cache -axis ros=32,0
 package main
 
 import (
@@ -95,7 +94,7 @@ func main() {
 		batch      = flag.Int("batch", 0, "lockstep batch width for points sharing a trace (0 = auto, 1 = scalar)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile after the run to this file")
-		cachePath  = flag.String("cache", "", "persistent result cache: a JSON file, or a directory for the segment-log store")
+		cachePath  = flag.String("cache", "", "persistent result cache: a segment-store directory, created if absent")
 		exportF    = flag.String("export", "", "write the -cache corpus as NDJSON to FILE (\"-\" = stdout) and exit")
 		importF    = flag.String("import", "", "merge an NDJSON export from FILE (\"-\" = stdin) into the -cache and exit")
 		importOver = flag.Bool("import-overwrite", false, "with -import, replace existing entries instead of skipping them")
@@ -156,7 +155,7 @@ func main() {
 
 	// Federated submission runs nothing locally, so a local cache or
 	// cache tier would be silently dead weight — reject the combination
-	// instead of letting -cache files quietly stop filling.
+	// instead of letting a -cache store quietly stop filling.
 	if *remote != "" && (*cachePath != "" || *remoteC != "") {
 		log.Fatal("-remote submits the grid to the coordinator (which owns the cache); " +
 			"it cannot be combined with -cache or -remote-cache")

@@ -7,7 +7,7 @@
 //
 // Coordinator (the default role):
 //
-//	sweepd -addr :8080 -cache sweep-cache.json
+//	sweepd -addr :8080 -cache sweep-cache
 //	sweepd -role coordinator -local-workers 0        # pure coordinator
 //	sweepd -state /var/lib/sweepd                    # durable: survives restarts
 //
@@ -54,7 +54,7 @@ func main() {
 	var (
 		role         = flag.String("role", "coordinator", "coordinator or worker")
 		addr         = flag.String("addr", ":8080", "coordinator listen address")
-		cachePath    = flag.String("cache", "", "persistent result cache: a JSON file or a store directory (empty = in-memory, or <state>/cache with -state)")
+		cachePath    = flag.String("cache", "", "persistent result cache: a store directory (empty = in-memory, or <state>/cache with -state)")
 		stateDir     = flag.String("state", "", "coordinator state directory: journal + snapshots for crash-resume (empty = memory only)")
 		parallel     = flag.Int("parallel", 0, "simulations per worker engine (0 = GOMAXPROCS)")
 		batch        = flag.Int("batch", 0, "lockstep batch width for shard points sharing a trace (0 = auto, 1 = scalar)")
@@ -116,10 +116,7 @@ func runCoordinator(addr, cachePath, stateDir string, parallel, batch, localWork
 	leaseTTL time.Duration, shardPoints, retainJobs int, registry *tenant.Registry,
 	enablePprof, logRequests bool) {
 	if cachePath == "" && stateDir != "" {
-		// The state dir's cache defaults to the segment-log store.
-		// OpenCache's migration picks up the pre-store layout (a
-		// <state>/cache.json beside the directory) on first open.
-		cachePath = filepath.Join(stateDir, "cache") + string(filepath.Separator)
+		cachePath = filepath.Join(stateDir, "cache")
 	}
 	cache := sweep.NewCache()
 	if cachePath != "" {

@@ -31,7 +31,7 @@ func resumeConfig(dir string) ServerConfig {
 
 // openResumeServer opens a durable server on dir with a fresh
 // in-memory cache — cold on purpose, so everything a restarted server
-// knows provably came out of the journal, not a surviving cache file.
+// knows provably came out of the journal, not a surviving cache.
 func openResumeServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
 	srv, err := OpenServerWith(resumeConfig(dir))
@@ -127,6 +127,17 @@ func runResumeScenario(t *testing.T, nShards int, crash func(srv *Server, ts *ht
 	id := postGrid(t, ts1, g)
 	if id != "sw-1" {
 		t.Fatalf("sweep id %q, want sw-1", id)
+	}
+
+	// POST /sweep answers before the job's goroutine has queued its
+	// shards; the coordinator queues them all in one step, so wait for
+	// the first one before leasing.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv1.Coordinator().Status().PendingShards == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sw-1 queued no shards")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	client := sweep.NewClient(ts1.URL)

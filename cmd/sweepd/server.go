@@ -411,7 +411,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Expand exactly once: the same slice validates the grid, prices
-	// the admission decision, and (pre-expanded) feeds RunLabeled.
+	// the admission decision, and (pre-expanded) feeds RunJob.
 	points := g.Expand()
 	if len(points) == 0 {
 		writeError(w, http.StatusBadRequest, "grid expands to no points")
@@ -463,7 +463,7 @@ func requestTraceID(r *http.Request) string {
 func (s *Server) runJob(job *sweepJob, g sweep.Grid, points []sweep.Point, adm *tenant.Admission) {
 	defer adm.Done()
 	meta, _ := json.Marshal(g)
-	res, err := s.coord.RunTraced(job.TraceID, job.ID, meta, points, func(p sweep.Progress) {
+	res, err := s.coord.RunJob(job.TraceID, job.ID, meta, points, func(p sweep.Progress) {
 		s.mu.Lock()
 		job.Progress = p
 		s.mu.Unlock()

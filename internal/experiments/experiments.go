@@ -25,7 +25,7 @@ type Options struct {
 	Parallel int  // concurrent simulations (0 = GOMAXPROCS)
 
 	// Cache overrides the process-wide shared result cache — e.g. a
-	// persistent sweep.OpenCache file so repeated figure runs are
+	// persistent sweep.OpenCache directory so repeated figure runs are
 	// incremental across processes (optionally layered over a remote
 	// tier with Cache.SetRemote). Nil uses the shared in-memory cache.
 	Cache *sweep.Cache

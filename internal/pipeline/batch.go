@@ -202,11 +202,11 @@ func (b *BatchCore) Run(cfgs []Config) ([]*Result, []error) {
 	running := make([]bool, n)
 	remaining := 0
 	for i := 0; i < n; i++ {
+		b.lanes[i].dec = b.dec // init keeps a table whose program matches
 		if err := b.lanes[i].init(cfgs[i], b.tr); err != nil {
 			errs[i] = err
 			continue
 		}
-		b.lanes[i].dec = b.dec
 		running[i] = true
 		remaining++
 	}

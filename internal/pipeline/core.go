@@ -172,8 +172,8 @@ type Core struct {
 	committed uint64
 	halted    bool
 
-	// Shared pre-decode for the batch fast path; nil on the scalar
-	// reference path, where fetch decodes each item's meta inline.
+	// Pre-decode of tr's program: fetch reads every item's predicates
+	// from it. Batch lanes share their BatchCore's table.
 	dec *Decoded
 
 	// Fast-path bookkeeping (see batch.go). renameBlock records why the
@@ -329,7 +329,9 @@ func (c *Core) init(cfg Config, tr *trace.Trace) error {
 	c.halted = false
 	c.stalls = Stalls{}
 	c.wrongUops, c.exceptions = 0, 0
-	c.dec = nil
+	if c.dec == nil || c.dec.prog != tr.Prog {
+		c.dec = Decode(tr)
+	}
 	c.renameBlock = blockNone
 	c.renameBound = 0
 	c.wheelCount = 0

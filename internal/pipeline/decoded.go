@@ -7,9 +7,9 @@ import (
 )
 
 // instMeta is the per-static-instruction predicate bundle the per-cycle
-// stage loops consume instead of going back to the opcode tables. The
-// scalar path fills one inline at fetch; the batch path shares a table
-// of them across every lane driven by the same trace (see Decoded).
+// stage loops consume instead of going back to the opcode tables. Fetch
+// reads it from a Decoded table: a scalar core builds its own, and
+// every lane of a batch shares one per trace.
 type instMeta struct {
 	flags    metaFlags
 	fu       isa.FUKind
@@ -35,9 +35,8 @@ const (
 func (m *instMeta) is(f metaFlags) bool { return m.flags&f != 0 }
 
 // decodeMeta computes the predicate bundle for one instruction. It must
-// agree exactly with the isa predicate methods: the batch/scalar
-// differential suites compare simulations that read predicates from the
-// two different sources.
+// agree exactly with the isa predicate methods (pinned per opcode by
+// TestDecodeMetaMatchesISA).
 func decodeMeta(in isa.Inst) instMeta {
 	var m instMeta
 	if in.IsLoad() {

@@ -76,11 +76,7 @@ func (c *Core) fetchOnTrace(item *fetchItem) {
 	e := c.tr.At(c.cursor)
 	in := e.Inst
 	item.inst = in
-	if c.dec != nil {
-		item.meta = *c.dec.at(e.PC)
-	} else {
-		item.meta = decodeMeta(in)
-	}
+	item.meta = *c.dec.at(e.PC)
 	item.pc = e.PC
 	item.traceIdx = c.cursor
 	item.wrongPath = false
@@ -141,11 +137,7 @@ func (c *Core) fetchOnTrace(item *fetchItem) {
 func (c *Core) fetchWrongPath(pc uint64, item *fetchItem) {
 	in, _ := c.tr.Prog.FetchAt(pc)
 	item.inst = in
-	if c.dec != nil {
-		item.meta = *c.dec.at(pc)
-	} else {
-		item.meta = decodeMeta(in)
-	}
+	item.meta = *c.dec.at(pc)
 	item.pc = pc
 	item.traceIdx = -1
 	item.wrongPath = true

@@ -19,23 +19,21 @@ import (
 // Cache is the content-addressed result store shared by every sweep
 // running in a process (and, through sweepd, by every client of the
 // service). Keys are Point.Key hashes; values are complete simulation
-// Results. A cache opened from a file persists across processes, making
-// repeated and overlapping sweeps incremental: only points whose
-// (workload, config, scale) content hash is new are simulated.
+// Results. A cache opened on a directory (OpenCache) persists across
+// processes, making repeated and overlapping sweeps incremental: only
+// points whose (workload, config, scale) content hash is new are
+// simulated.
 //
 // Cached *pipeline.Result values are shared — callers must treat them
 // as immutable.
 type Cache struct {
-	mu    sync.Mutex
-	mem   map[string]*pipeline.Result
-	path  string // "" = in-memory only (or store-backed)
-	dirty bool
+	mu  sync.Mutex
+	mem map[string]*pipeline.Result
 
-	// store is the sharded segment-log tier selected by pointing
-	// OpenCache at a directory. With a store, mem is only a decode
-	// cache for results already on disk — every Put appends to the
-	// store immediately and Save is one fsync per dirty shard instead
-	// of a full-corpus rewrite.
+	// store is the sharded segment-log tier behind OpenCache; nil for
+	// an in-memory cache. With a store, mem is only a decode cache for
+	// results already on disk — every Put appends to the store
+	// immediately and Save is one fsync per dirty shard.
 	store     *store.Store
 	storeErrs uint64
 
@@ -49,9 +47,9 @@ type Cache struct {
 	pendingRemote []remotePut
 	rstats        RemoteCacheStats
 
-	// saveMu serializes Save calls so concurrent sweeps finishing
-	// together cannot interleave their file writes (a later snapshot
-	// could otherwise be overwritten by an earlier one).
+	// saveMu serializes Save calls, so a Save returns only once every
+	// write-back queued before it has been pushed, even when another
+	// sweep's Save took that part of the queue.
 	saveMu sync.Mutex
 }
 
@@ -76,40 +74,20 @@ func NewCache() *Cache {
 	return &Cache{mem: make(map[string]*pipeline.Result)}
 }
 
-// OpenCache loads a persistent cache from path, which may not exist yet
-// (Save creates it). A path that is (or, by a trailing separator, is
-// asked to become) a directory selects the sharded segment-log store;
-// any other path is the legacy format — a single JSON object mapping
-// content keys to Results.
-func OpenCache(path string) (*Cache, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return OpenStoreCache(path)
+// OpenCache opens the persistent cache at dir, a sharded segment-log
+// store directory that is created if absent. A path that exists as a
+// regular file is refused and left untouched: the cache is always a
+// directory. SWEEP_STORE_SEG_BYTES overrides the segment roll size (a
+// CI/test hook for forcing many small segments).
+func OpenCache(dir string) (*Cache, error) {
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		alt := strings.TrimSuffix(dir, filepath.Ext(dir))
+		if alt == dir {
+			alt += "-cache"
+		}
+		return nil, fmt.Errorf("sweep: open cache: %s is a file, but the result cache is a store directory; "+
+			"pass a directory path such as %s/", dir, alt)
 	}
-	if trimmed := strings.TrimRight(path, "/"+string(os.PathSeparator)); trimmed != path {
-		return OpenStoreCache(trimmed)
-	}
-	c := NewCache()
-	c.path = path
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sweep: open cache: %w", err)
-	}
-	if err := json.Unmarshal(data, &c.mem); err != nil {
-		return nil, fmt.Errorf("sweep: cache %s is corrupt: %w", path, err)
-	}
-	return c, nil
-}
-
-// OpenStoreCache opens (creating if absent) a cache backed by the
-// sharded segment-log store rooted at dir. An empty store auto-imports
-// a legacy cache.json found inside the directory or sitting beside it
-// as "<dir>.json" — the one-shot migration path off the monolithic
-// format. SWEEP_STORE_SEG_BYTES overrides the segment roll size
-// (a CI/test hook for forcing many small segments).
-func OpenStoreCache(dir string) (*Cache, error) {
 	var opts store.Options
 	if v := os.Getenv("SWEEP_STORE_SEG_BYTES"); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n > 0 {
@@ -122,59 +100,16 @@ func OpenStoreCache(dir string) (*Cache, error) {
 	}
 	c := NewCache()
 	c.store = st
-	if st.Len() == 0 {
-		if err := c.migrateLegacy(dir); err != nil {
-			st.Close()
-			return nil, err
-		}
-	}
 	return c, nil
 }
 
-// migrateLegacy imports a monolithic cache.json into an empty store,
-// preserving each result's bytes exactly (no decode/re-encode). The
-// legacy file is left in place as a fallback; delete it once the store
-// has proven itself.
-func (c *Cache) migrateLegacy(dir string) error {
-	for _, legacy := range []string{filepath.Join(dir, "cache.json"), dir + ".json"} {
-		data, err := os.ReadFile(legacy)
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("sweep: migrate %s: %w", legacy, err)
-		}
-		var raw map[string]json.RawMessage
-		if err := json.Unmarshal(data, &raw); err != nil {
-			return fmt.Errorf("sweep: migrate %s: %w", legacy, err)
-		}
-		keys := make([]string, 0, len(raw))
-		for k := range raw {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if err := c.store.Put(k, raw[k]); err != nil {
-				return fmt.Errorf("sweep: migrate %s: %w", legacy, err)
-			}
-		}
-		if len(keys) > 0 {
-			if err := c.store.Sync(); err != nil {
-				return fmt.Errorf("sweep: migrate %s: %w", legacy, err)
-			}
-		}
-		return nil
-	}
-	return nil
-}
-
 // Get returns the cached result for key, if any. A memory miss probes
-// the segment store (directory mode), then a remote tier if one is
-// configured — both off the lookup lock, so concurrent Gets never
-// stall behind disk or HTTP. A hit from a lower tier is cached in
-// memory and counted as a hit. Every miss path re-checks memory before
-// answering: a concurrent Put may have landed during the probe, and
-// reporting it as a miss would trigger a redundant re-simulation.
+// the segment store, then a remote tier if one is configured — both
+// off the lookup lock, so concurrent Gets never stall behind disk or
+// HTTP. A hit from a lower tier is cached in memory and counted as a
+// hit. Every miss path re-checks memory before answering: a concurrent
+// Put may have landed during the probe, and reporting it as a miss
+// would trigger a redundant re-simulation.
 func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 	c.mu.Lock()
 	if r, ok := c.mem[key]; ok {
@@ -240,15 +175,13 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 	return nil, false
 }
 
-// persist makes a freshly added result durable-on-Save: in store mode
-// it appends to the segment log immediately (the next Save fsyncs), in
-// JSON mode it marks the map dirty for the next full rewrite. Failures
-// to append are counted, not surfaced — the result still serves from
-// memory, exactly like the remote tier's best-effort contract. Called
-// with c.mu held.
+// persist makes a freshly added result durable-on-Save: it appends to
+// the segment log immediately and the next Save fsyncs. Failures to
+// append are counted, not surfaced — the result still serves from
+// memory, exactly like the remote tier's best-effort contract. A no-op
+// without a store. Called with c.mu held.
 func (c *Cache) persist(key string, r *pipeline.Result) {
 	if c.store == nil {
-		c.dirty = true
 		return
 	}
 	raw, err := json.Marshal(r)
@@ -314,21 +247,16 @@ func (c *Cache) Len() int {
 }
 
 // Save persists the cache: queued remote write-backs are flushed
-// first (best-effort — failures are counted in Stats, never returned,
-// and never block the file write), then the local tier is made
-// durable. In store mode every Put already appended its record, so
-// Save is one fsync per dirty shard — O(new data) however large the
-// corpus. In legacy JSON mode the backing file is rewritten in full if
-// it has one and new entries were added since the last save; the write
-// is atomic (temp file + rename) so concurrent readers never see a
-// torn file, and the encode happens on a snapshot outside the lookup
-// lock so concurrent sweeps' Get/Put never stall behind file I/O.
+// first (best-effort — failures are counted in Stats, never returned),
+// then the store is fsynced. Every Put already appended its record, so
+// Save costs one fsync per dirty shard — O(new data) however large the
+// corpus. A no-op for the local tier of an in-memory cache.
 func (c *Cache) Save() error {
 	c.saveMu.Lock()
 	defer c.saveMu.Unlock()
 
 	c.mu.Lock()
-	rc, pend := c.remote, c.pendingRemote
+	rc, pend, st := c.remote, c.pendingRemote, c.store
 	c.pendingRemote = nil
 	c.mu.Unlock()
 	if rc != nil {
@@ -343,51 +271,11 @@ func (c *Cache) Save() error {
 			c.mu.Unlock()
 		}
 	}
-
-	c.mu.Lock()
-	if st := c.store; st != nil {
-		c.mu.Unlock()
-		if err := st.Sync(); err != nil {
-			return fmt.Errorf("sweep: save cache: %w", err)
-		}
+	if st == nil {
 		return nil
 	}
-	if c.path == "" || !c.dirty {
-		c.mu.Unlock()
-		return nil
-	}
-	snap := make(map[string]*pipeline.Result, len(c.mem))
-	for k, v := range c.mem {
-		snap[k] = v
-	}
-	c.dirty = false // entries added from here on belong to the next save
-	c.mu.Unlock()
-
-	fail := func(err error, context string) error {
-		c.mu.Lock()
-		c.dirty = true
-		c.mu.Unlock()
-		return fmt.Errorf("sweep: %s: %w", context, err)
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fail(err, "encode cache")
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), ".sweep-cache-*")
-	if err != nil {
-		return fail(err, "save cache")
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), c.path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fail(werr, "save cache")
+	if err := st.Sync(); err != nil {
+		return fmt.Errorf("sweep: save cache: %w", err)
 	}
 	return nil
 }
@@ -402,8 +290,8 @@ type CacheStats struct {
 	// Remote reports the remote tier's traffic when one is configured.
 	Remote *RemoteCacheStats `json:"remote,omitempty"`
 
-	// Store reports the segment store's on-disk shape in directory
-	// mode, plus any write-through append failures (best-effort, like
+	// Store reports the segment store's on-disk shape for an opened
+	// cache, plus any write-through append failures (best-effort, like
 	// the remote tier).
 	Store       *store.Stats `json:"store,omitempty"`
 	StoreErrors uint64       `json:"store_errors,omitempty"`
@@ -543,7 +431,6 @@ func (c *Cache) Import(r io.Reader, overwrite bool) (added, skipped int, err err
 				return added, skipped, fmt.Errorf("sweep: import %s: %w", rec.Key, err)
 			}
 			c.mem[rec.Key] = res
-			c.dirty = true
 			c.mu.Unlock()
 		}
 		added++
@@ -552,7 +439,7 @@ func (c *Cache) Import(r io.Reader, overwrite bool) (added, skipped int, err err
 }
 
 // GC removes every cached result whose key the live predicate rejects.
-// In store mode the dead keys are tombstoned and their segments
+// With a store the dead keys are tombstoned and their segments
 // compacted; either way the matching in-memory entries go too. Returns
 // the number of keys removed from the authoritative tier.
 func (c *Cache) GC(live func(key string) bool) (int, error) {
@@ -563,7 +450,6 @@ func (c *Cache) GC(live func(key string) bool) (int, error) {
 		if !live(k) {
 			delete(c.mem, k)
 			if st == nil {
-				c.dirty = true
 				removed++
 			}
 		}

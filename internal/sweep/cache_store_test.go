@@ -38,29 +38,24 @@ func marshalCorpus(t *testing.T, res *Results) map[string][]byte {
 	return m
 }
 
-// TestStoreCacheMatchesJSONCache is the tentpole's differential test:
-// the same grid through a JSON-file cache and a segment-store cache
-// must produce byte-identical results, cold and warm, with the warm
-// store rerun 100% hits after a reopen.
-func TestStoreCacheMatchesJSONCache(t *testing.T) {
+// TestStoreCacheMatchesMemoryCache is the store's differential test:
+// the same grid through an in-memory reference cache and a segment-store
+// cache must produce byte-identical results, cold and warm, with the
+// warm store rerun 100% hits after a reopen.
+func TestStoreCacheMatchesMemoryCache(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
 	g := smallGrid()
 
-	jsonCache, err := OpenCache(filepath.Join(dir, "cache.json"))
+	refRes, err := (&Engine{Cache: NewCache()}).Run(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonRes, err := (&Engine{Cache: jsonCache}).Run(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jsonRes.Err(); err != nil {
+	if err := refRes.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	storeDir := filepath.Join(dir, "store")
-	storeCache, err := OpenCache(storeDir + "/") // trailing slash selects the store
+	storeDir := filepath.Join(t.TempDir(), "store")
+	storeCache, err := OpenCache(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,23 +70,22 @@ func TestStoreCacheMatchesJSONCache(t *testing.T) {
 		t.Errorf("store cold run stats wrong: %+v", storeRes.Stats)
 	}
 
-	wantBytes := marshalCorpus(t, jsonRes)
+	wantBytes := marshalCorpus(t, refRes)
 	gotBytes := marshalCorpus(t, storeRes)
 	if len(wantBytes) != len(gotBytes) {
-		t.Fatalf("corpus sizes differ: json %d, store %d", len(wantBytes), len(gotBytes))
+		t.Fatalf("corpus sizes differ: memory %d, store %d", len(wantBytes), len(gotBytes))
 	}
 	for k, want := range wantBytes {
 		if got := gotBytes[k]; !bytes.Equal(got, want) {
-			t.Errorf("result %s differs between json and store runs\n got: %s\nwant: %s", k, got, want)
+			t.Errorf("result %s differs between memory and store runs\n got: %s\nwant: %s", k, got, want)
 		}
 	}
 	if err := storeCache.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Fresh open of the store directory (no trailing slash needed once
-	// it exists): warm rerun is 100% hits, zero simulation, and the
-	// served results marshal to the same bytes.
+	// Fresh open of the store directory: warm rerun is 100% hits, zero
+	// simulation, and the served results marshal to the same bytes.
 	reopened, err := OpenCache(storeDir)
 	if err != nil {
 		t.Fatal(err)
@@ -109,89 +103,35 @@ func TestStoreCacheMatchesJSONCache(t *testing.T) {
 	}
 	for k, got := range marshalCorpus(t, warm) {
 		if !bytes.Equal(got, wantBytes[k]) {
-			t.Errorf("warm result %s drifted from json-cache bytes", k)
+			t.Errorf("warm result %s drifted from the reference bytes", k)
 		}
 	}
 }
 
-// TestStoreCacheMigratesLegacyJSON: pointing OpenCache at a fresh
-// directory sitting next to (or wrapping) a legacy cache.json imports
-// the corpus byte-for-byte on first open.
-func TestStoreCacheMigratesLegacyJSON(t *testing.T) {
+// TestOpenCacheRejectsFile: a path that is a regular file (such as a
+// cache.json from the retired single-file format) is refused with an
+// error naming the directory form, and its bytes are left alone.
+func TestOpenCacheRejectsFile(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	legacyPath := filepath.Join(dir, "cache.json")
-	legacy, err := OpenCache(legacyPath)
+	path := filepath.Join(t.TempDir(), "cache.json")
+	want := []byte(`{"k":{"cycles":1}}`)
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCache(path)
+	if err == nil {
+		c.Close()
+		t.Fatal("OpenCache accepted a regular file")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "directory") || !strings.Contains(msg, path) {
+		t.Errorf("error %q does not name the file and the directory form", msg)
+	}
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := smallGrid()
-	res, err := (&Engine{Cache: legacy}).Run(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := marshalCorpus(t, res)
-
-	// Case 1: the legacy file lives inside the new store directory.
-	inside := filepath.Join(dir, "store-a")
-	if err := os.MkdirAll(inside, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(inside, "cache.json"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Case 2: the store directory is named after the legacy file —
-	// sweepd's old <state>/cache.json becoming <state>/cache.
-	outside := filepath.Join(dir, "cache")
-	if err := os.WriteFile(outside+".json", blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, storeDir := range []string{inside, outside} {
-		c, err := OpenStoreCache(storeDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Len() != len(want) {
-			t.Fatalf("%s: migrated %d entries, want %d", storeDir, c.Len(), len(want))
-		}
-		var buf bytes.Buffer
-		if err := c.Export(&buf); err != nil {
-			t.Fatal(err)
-		}
-		dec := json.NewDecoder(&buf)
-		seen := 0
-		for dec.More() {
-			var rec struct {
-				Key    string          `json:"key"`
-				Result json.RawMessage `json:"result"`
-			}
-			if err := dec.Decode(&rec); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rec.Result, want[rec.Key]) {
-				t.Errorf("%s: migrated %s drifted from legacy bytes", storeDir, rec.Key)
-			}
-			seen++
-		}
-		if seen != len(want) {
-			t.Errorf("%s: export streamed %d records, want %d", storeDir, seen, len(want))
-		}
-		// Warm rerun through the migrated store: all hits.
-		warm, err := (&Engine{Cache: c}).Run(g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Stats.CacheHits != warm.Stats.Points || warm.Stats.Simulated != 0 {
-			t.Errorf("%s: migrated warm rerun stats wrong: %+v", storeDir, warm.Stats)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if !bytes.Equal(got, want) {
+		t.Errorf("OpenCache modified the file: %q", got)
 	}
 }
 
@@ -201,7 +141,7 @@ func TestStoreCacheMigratesLegacyJSON(t *testing.T) {
 func TestCacheExportImportRoundTrip(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	src, err := OpenStoreCache(filepath.Join(dir, "src"))
+	src, err := OpenCache(filepath.Join(dir, "src"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +162,7 @@ func TestCacheExportImportRoundTrip(t *testing.T) {
 		t.Fatal("export produced no bytes")
 	}
 
-	dst, err := OpenStoreCache(filepath.Join(dir, "dst"))
+	dst, err := OpenCache(filepath.Join(dir, "dst"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +216,7 @@ func TestCacheExportImportRoundTrip(t *testing.T) {
 func TestStoreCacheSaveIsIncremental(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join(t.TempDir(), "store")
-	c, err := OpenStoreCache(dir)
+	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +267,7 @@ func dirBytes(t *testing.T, dir string) int64 {
 // goroutines; with -race this is the cache-over-store race check.
 func TestStoreCacheConcurrent(t *testing.T) {
 	t.Parallel()
-	c, err := OpenStoreCache(filepath.Join(t.TempDir(), "store"))
+	c, err := OpenCache(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,21 +299,18 @@ func TestStoreCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCacheGC checks both modes drop exactly the keys the predicate
-// rejects.
+// TestCacheGC checks the in-memory and store-backed caches both drop
+// exactly the keys the predicate rejects.
 func TestCacheGC(t *testing.T) {
 	t.Parallel()
 	res := &pipeline.Result{Cycles: 3}
-	for _, mode := range []string{"json", "store"} {
-		var c *Cache
-		var err error
+	for _, mode := range []string{"memory", "store"} {
+		c := NewCache()
 		if mode == "store" {
-			c, err = OpenStoreCache(filepath.Join(t.TempDir(), "store"))
-		} else {
-			c, err = OpenCache(filepath.Join(t.TempDir(), "cache.json"))
-		}
-		if err != nil {
-			t.Fatal(err)
+			var err error
+			if c, err = OpenCache(filepath.Join(t.TempDir(), "store")); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, k := range []string{"keep-a", "keep-b", "drop-a", "drop-b", "drop-c"} {
 			c.Put(k, res)

@@ -72,7 +72,7 @@ type Results struct {
 	Stats    RunStats   `json:"stats"`
 	// SaveErr records a cache-persistence failure. The outcomes are
 	// still complete and valid — a sweep's work is never discarded
-	// because its cache file could not be written.
+	// because its cache store could not be synced.
 	SaveErr string `json:"save_err,omitempty"`
 
 	// PointNS is per-point simulation wall time in nanoseconds,

@@ -311,39 +311,27 @@ func (c *Coordinator) closeLocked() {
 	c.leases = make(map[string]*fedLease)
 }
 
-// Run plans the grid, queues its cache misses as shards and blocks
-// until every point is resolved — the federated counterpart of
-// Engine.Run with the same Results/Stats/progress contracts. Work is
-// executed by whatever workers are attached (including the embedded
-// local workers sweepd starts); with none attached the call blocks
-// until one joins or the coordinator closes.
-func (c *Coordinator) Run(g Grid, onProgress func(Progress)) (*Results, error) {
-	return c.RunPoints(g.Expand(), onProgress)
-}
-
-// RunPoints is Run for an explicit point list.
+// RunPoints is RunJob for an anonymous, untraced point list — the
+// search.Evaluator adapter the explorer drives.
 func (c *Coordinator) RunPoints(points []Point, onProgress func(Progress)) (*Results, error) {
-	return c.run("", "", nil, points, onProgress)
+	return c.RunJob("", "", nil, points, onProgress)
 }
 
-// RunLabeled is Run for a submission that must survive a coordinator
-// restart: the label (sweepd uses the sweep id) and meta blob (the
+// RunJob queues the points' cache misses as shards and blocks until
+// every point is resolved — the federated counterpart of Engine.Run
+// with the same Results/Stats/progress contracts. Work is executed by
+// whatever workers are attached (including the embedded local workers
+// sweepd starts); with none attached the call blocks until one joins
+// or the coordinator closes.
+//
+// A non-empty label (sweepd uses the sweep id) makes the submission
+// survive a coordinator restart: the label and meta blob (the
 // submitted grid) are journaled with the point list, and a reopened
 // coordinator reports the job under Recovered for ResumeRecovered to
-// pick up. On a memory-only coordinator it is exactly RunPoints.
-func (c *Coordinator) RunLabeled(label string, meta json.RawMessage, points []Point, onProgress func(Progress)) (*Results, error) {
-	return c.run("", label, meta, points, onProgress)
-}
-
-// RunTraced is RunLabeled under a caller-chosen trace id (sweepd mints
-// one per submission — or adopts the client's traceparent — so the
-// HTTP response can name the timeline before the job finishes). An
-// empty traceID makes the coordinator mint its own.
-func (c *Coordinator) RunTraced(traceID, label string, meta json.RawMessage, points []Point, onProgress func(Progress)) (*Results, error) {
-	return c.run(traceID, label, meta, points, onProgress)
-}
-
-func (c *Coordinator) run(traceID, label string, meta json.RawMessage, points []Point, onProgress func(Progress)) (*Results, error) {
+// pick up. traceID names the job's timeline (sweepd mints one per
+// submission, or adopts the client's traceparent); empty makes the
+// coordinator mint its own.
+func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points []Point, onProgress func(Progress)) (*Results, error) {
 	job := &fedJob{
 		res:    &Results{Outcomes: make([]*Outcome, len(points))},
 		total:  len(points),

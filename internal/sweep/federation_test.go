@@ -459,7 +459,7 @@ func TestWorkerAgainstCoordinator(t *testing.T) {
 
 	g := Grid{Workloads: []string{"go", "listwalk"}, Policies: []string{"conv", "extended"},
 		IntRegs: []int{40, 48}, Scale: 5000}
-	res, err := c.Run(g, nil)
+	res, err := c.RunPoints(g.Expand(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestWorkerAgainstCoordinator(t *testing.T) {
 		}
 	}
 	// Warm resubmission is all cache hits.
-	res2, err := c.Run(g, nil)
+	res2, err := c.RunPoints(g.Expand(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // WAL replay, and reconstructs exactly the pre-crash queue: pending
 // shards in order, in-flight leases with their absolute deadlines and
 // attempt counts, and every resolved outcome (results included, so the
-// shared cache is rebuilt even if its own file never got saved).
+// shared cache is rebuilt even if its store never got synced).
 //
 // Two deliberate non-goals: the worker registry is not persisted
 // (workers re-register through the existing ErrUnknownWorker path when
@@ -564,8 +564,8 @@ func OpenCoordinator(cache *Cache, cfg CoordConfig) (*Coordinator, error) {
 // Anonymous jobs (explorer rounds) are dropped — their completed
 // results stay in the cache, and a restarted exploration re-derives
 // the round deterministically. Completed outcomes re-enter the shared
-// cache here, so recovery never depends on the cache file having been
-// saved before the crash.
+// cache here, so recovery never depends on the cache store having been
+// synced before the crash.
 func (c *Coordinator) adopt(st *replayState) {
 	c.seq = st.seq
 	// Replayed timelines land in the recorder verbatim; adopting

@@ -28,7 +28,7 @@ func runLabeledAsync(c *Coordinator, label string, pts []Point) chan runResult {
 	ch := make(chan runResult, 1)
 	before := c.Status().PendingShards
 	go func() {
-		res, err := c.RunLabeled(label, json.RawMessage(`{"test":true}`), pts, nil)
+		res, err := c.RunJob("", label, json.RawMessage(`{"test":true}`), pts, nil)
 		ch <- runResult{res, err}
 	}()
 	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); {

@@ -291,8 +291,8 @@ func TestKeyIsContentAddressed(t *testing.T) {
 
 func TestEngineCachesWithinAndAcrossRuns(t *testing.T) {
 	t.Parallel()
-	path := filepath.Join(t.TempDir(), "cache.json")
-	cache, err := OpenCache(path)
+	dir := filepath.Join(t.TempDir(), "cache")
+	cache, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,12 +318,16 @@ func TestEngineCachesWithinAndAcrossRuns(t *testing.T) {
 		t.Errorf("warm run stats wrong: %+v", again.Stats)
 	}
 
-	// Fresh process (new cache loaded from the file): still 100% hits,
+	// Fresh process (the store directory reopened): still 100% hits,
 	// results bit-identical to the cold run.
-	reloaded, err := OpenCache(path)
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reloaded.Close()
 	cold := &Engine{Cache: reloaded}
 	res, err := cold.Run(g, nil)
 	if err != nil {

@@ -15,7 +15,7 @@ func runTracedAsync(c *Coordinator, traceID, label string, pts []Point) chan run
 	ch := make(chan runResult, 1)
 	before := c.Status().PendingShards
 	go func() {
-		res, err := c.RunTraced(traceID, label, json.RawMessage(`{"test":true}`), pts, nil)
+		res, err := c.RunJob(traceID, label, json.RawMessage(`{"test":true}`), pts, nil)
 		ch <- runResult{res, err}
 	}()
 	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); {
