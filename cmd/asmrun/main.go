@@ -66,11 +66,12 @@ func main() {
 			if m.ICount >= *maxInsts {
 				log.Fatalf("instruction budget (%d) exhausted", *maxInsts)
 			}
+			pc := m.PC
 			e, err := m.Step()
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("%8d  %#06x  %s\n", m.ICount, e.PC, e.Inst)
+			fmt.Printf("%8d  %#06x  %s\n", m.ICount, pc, p.Insts[e.Idx])
 		}
 	} else if err := m.RunQuiet(*maxInsts); err != nil {
 		log.Fatal(err)

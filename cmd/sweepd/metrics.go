@@ -14,6 +14,7 @@ import (
 
 	"earlyrelease/internal/obs"
 	"earlyrelease/internal/tenant"
+	"earlyrelease/internal/workloads"
 )
 
 // This file is sweepd's operability surface (DESIGN.md §4.8): tenancy
@@ -327,6 +328,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.header("sweepd_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter")
 	p.sample("sweepd_gc_pause_seconds_total", "", float64(ms.PauseTotalNs)/1e9)
 	p.counter("sweepd_gc_cycles_total", "Completed GC cycles.", uint64(ms.NumGC))
+
+	// The process-wide trace cache exists only where local workers
+	// simulate; a pure coordinator never builds a trace.
+	if s.simulates {
+		n, b := workloads.TraceCacheStats()
+		p.gauge("sweepd_trace_cache_entries", "Emulated traces memoized in this process.", float64(n))
+		p.gauge("sweepd_trace_cache_bytes", "Bytes held by memoized trace entries (capacity times entry size).", float64(b))
+	}
 
 	cs := s.cache.Stats()
 	p.gauge("sweepd_cache_entries", "Results in the shared cache.", float64(cs.Entries))

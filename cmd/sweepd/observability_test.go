@@ -169,6 +169,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 		v  float64
 	}{}
 	counts := map[string]float64{}
+	values := map[string]float64{} // series → last sample
 
 	for ln, line := range strings.Split(string(body), "\n") {
 		line = strings.TrimSpace(line)
@@ -237,6 +238,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 			t.Errorf("line %d: duplicate series %s", ln+1, series)
 		}
 		seen[series] = true
+		values[series] = val
 
 		if strings.HasSuffix(name, "_bucket") && typed[family] == "histogram" {
 			le := ""
@@ -303,6 +305,16 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"sweepd_gc_pause_seconds_total", "sweepd_worker_points_per_sec"} {
 		if _, ok := typed[name]; !ok {
 			t.Errorf("runtime/worker metric %s missing", name)
+		}
+	}
+	// The local worker built at least the go trace, so the trace cache
+	// gauges report it.
+	for _, name := range []string{"sweepd_trace_cache_entries", "sweepd_trace_cache_bytes"} {
+		if typed[name] != "gauge" {
+			t.Errorf("%s: not exposed as a gauge (%q)", name, typed[name])
+		}
+		if values[name] <= 0 {
+			t.Errorf("%s = %g after a simulated sweep, want > 0", name, values[name])
 		}
 	}
 }

@@ -83,6 +83,7 @@ type Server struct {
 
 	stopWorkers context.CancelFunc
 	workerWG    sync.WaitGroup
+	simulates   bool // local workers run simulations in this process
 
 	mu       sync.Mutex
 	sweeps   *jobStore[sweepJob]
@@ -285,6 +286,7 @@ func OpenServerWith(cfg ServerConfig) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.stopWorkers = cancel
+	s.simulates = n > 0
 	for i := 0; i < n; i++ {
 		w := &sweep.Worker{
 			Source: s.coord,

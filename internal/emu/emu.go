@@ -47,23 +47,24 @@ func (e *ErrLimit) Error() string {
 
 // Run executes until HALT or until maxInsts instructions have retired,
 // recording the dynamic trace. It returns ErrLimit if the budget is
-// exhausted (the partial trace is still returned).
+// exhausted (the partial trace is still returned). The trace grows by
+// append, so its capacity stays close to its length whatever the budget.
 func (m *Machine) Run(maxInsts uint64) (*trace.Trace, error) {
 	tr := &trace.Trace{Prog: m.Prog}
-	if maxInsts > 0 {
-		tr.Entries = make([]trace.Entry, 0, min64(maxInsts, 1<<22))
-	}
+	var err error
 	for !m.Halted {
 		if maxInsts > 0 && m.ICount >= maxInsts {
-			return tr, &ErrLimit{Executed: m.ICount}
+			err = &ErrLimit{Executed: m.ICount}
+			break
 		}
-		e, err := m.Step()
-		if err != nil {
-			return tr, err
+		var e trace.Entry
+		if e, err = m.Step(); err != nil {
+			break
 		}
 		tr.Entries = append(tr.Entries, e)
 	}
-	return tr, nil
+	tr.End = m.PC
+	return tr, err
 }
 
 // RunQuiet executes without recording a trace (for checksum tests).
@@ -81,11 +82,12 @@ func (m *Machine) RunQuiet(maxInsts uint64) error {
 
 // Step executes a single instruction and returns its trace entry.
 func (m *Machine) Step() (trace.Entry, error) {
-	in, ok := m.Prog.FetchAt(m.PC)
+	idx, ok := m.Prog.PCToIndex(m.PC)
 	if !ok {
 		return trace.Entry{}, fmt.Errorf("emu: PC %#x outside text segment", m.PC)
 	}
-	e := trace.Entry{PC: m.PC, Inst: in}
+	in := m.Prog.Insts[idx]
+	e := trace.Entry{Idx: uint32(idx)}
 	next := m.PC + isa.InstBytes
 
 	r := &m.IntR
@@ -254,7 +256,6 @@ func (m *Machine) Step() (trace.Entry, error) {
 	if in.IsBranch() && e.Taken {
 		next = m.PC + isa.InstBytes + uint64(imm)*isa.InstBytes
 	}
-	e.NextPC = next
 	m.PC = next
 	m.ICount++
 	return e, nil
@@ -323,11 +324,4 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	hi = a1*b1 + w2 + w1>>32
 	lo = a * b
 	return
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -7,6 +7,7 @@ import (
 
 	"earlyrelease/internal/isa"
 	"earlyrelease/internal/program"
+	"earlyrelease/internal/trace"
 )
 
 // run builds a tiny program with the builder, executes it and returns the
@@ -231,7 +232,10 @@ func TestTraceEntries(t *testing.T) {
 	b.Words("x", 0)
 	b.La(3, "x")
 	b.Sd(2, 3, 0)
+	b.Call("f")
 	b.Halt()
+	b.Label("f")
+	b.Ret()
 	p := b.MustBuild()
 	tr, err := New(p).Run(0)
 	if err != nil {
@@ -244,25 +248,68 @@ func TestTraceEntries(t *testing.T) {
 	if mix.Stores != 1 {
 		t.Errorf("stores = %d, want 1", mix.Stores)
 	}
-	// Every entry's NextPC must chain to the following entry's PC.
-	for i := 0; i+1 < tr.Len(); i++ {
-		if tr.At(i).NextPC != tr.At(i+1).PC {
-			t.Fatalf("trace discontinuity at %d: next=%#x pc=%#x", i, tr.At(i).NextPC, tr.At(i+1).PC)
-		}
-	}
+	checkTraceReplay(t, p, tr)
 	// Store entry must carry its effective address.
 	var sawStore bool
 	for i := 0; i < tr.Len(); i++ {
-		e := tr.At(i)
-		if e.Inst.IsStore() {
+		if tr.Inst(i).IsStore() {
 			sawStore = true
-			if e.EffAddr == 0 {
+			if tr.At(i).EffAddr == 0 {
 				t.Error("store entry missing effective address")
 			}
 		}
 	}
 	if !sawStore {
 		t.Error("no store entry recorded")
+	}
+
+	// A budget cut leaves a partial trace that still reconstructs.
+	part, err := New(p).Run(4)
+	if _, ok := err.(*ErrLimit); !ok || part.Len() != 4 {
+		t.Fatalf("Run(4) = %d entries, %v; want 4, ErrLimit", part.Len(), err)
+	}
+	checkTraceReplay(t, p, part)
+
+	// So does a trace cut by an emulation error: the jump leaves the
+	// text segment, and End is the address it jumped to.
+	b = program.NewBuilder("wild")
+	b.Li(1, 0x40)
+	b.Jalr(isa.Zero, 1)
+	b.Halt()
+	p = b.MustBuild()
+	bad, err := New(p).Run(0)
+	if err == nil || bad.End != 0x40 {
+		t.Fatalf("wild jump: End = %#x, err = %v; want 0x40 and an error", bad.End, err)
+	}
+	checkTraceReplay(t, p, bad)
+}
+
+// checkTraceReplay steps a fresh machine through p alongside tr: every
+// entry must match the step, tr.PC(i) must be the PC before step i and
+// tr.NextPC(i) the PC after it (End for the last entry).
+func checkTraceReplay(t *testing.T, p *program.Program, tr *trace.Trace) {
+	t.Helper()
+	m := New(p)
+	for i := 0; i < tr.Len(); i++ {
+		if got := tr.PC(i); got != m.PC {
+			t.Fatalf("entry %d: PC = %#x, machine at %#x", i, got, m.PC)
+		}
+		if in, _ := p.FetchAt(m.PC); tr.Inst(i) != in {
+			t.Fatalf("entry %d: Inst = %v, machine fetches %v", i, tr.Inst(i), in)
+		}
+		e, err := m.Step()
+		if err != nil {
+			t.Fatalf("entry %d: replay step: %v", i, err)
+		}
+		if e != *tr.At(i) {
+			t.Fatalf("entry %d: %+v, replay gives %+v", i, *tr.At(i), e)
+		}
+		if got := tr.NextPC(i); got != m.PC {
+			t.Fatalf("entry %d: NextPC = %#x, machine at %#x", i, got, m.PC)
+		}
+	}
+	if tr.End != m.PC {
+		t.Fatalf("End = %#x, machine at %#x", tr.End, m.PC)
 	}
 }
 

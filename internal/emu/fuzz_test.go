@@ -141,6 +141,7 @@ func FuzzEmuTrace(f *testing.F) {
 			if tr == nil {
 				t.Fatalf("error without partial trace: %v", err)
 			}
+			checkTraceReplay(t, p, tr)
 			return
 		}
 		if !m.Halted {
@@ -148,6 +149,17 @@ func FuzzEmuTrace(f *testing.F) {
 		}
 		if uint64(len(tr.Entries)) != m.ICount {
 			t.Fatalf("trace has %d entries for %d retired instructions", len(tr.Entries), m.ICount)
+		}
+		checkTraceReplay(t, p, tr)
+		// A budget of half the run cuts it with ErrLimit; the partial
+		// trace must reconstruct the same prefix.
+		if half := m.ICount / 2; half > 0 {
+			part, err := New(p).Run(half)
+			var lim *ErrLimit
+			if !errors.As(err, &lim) || uint64(part.Len()) != half {
+				t.Fatalf("Run(%d) = %d entries, %v; want ErrLimit", half, part.Len(), err)
+			}
+			checkTraceReplay(t, p, part)
 		}
 		// Determinism: a second machine retires the identical stream.
 		m2 := New(buildFuzzProgram(data))

@@ -29,7 +29,7 @@ func (c *Core) fetchStage() {
 			if c.cursor >= c.tr.Len() {
 				return
 			}
-			pc = c.tr.At(c.cursor).PC
+			pc = c.tr.PC(c.cursor)
 		}
 		// Instruction cache: pay the miss latency when a new line is
 		// touched.
@@ -74,31 +74,33 @@ func (c *Core) fetchStage() {
 // diverges from the recorded execution.
 func (c *Core) fetchOnTrace(item *fetchItem) {
 	e := c.tr.At(c.cursor)
-	in := e.Inst
+	in := c.tr.Inst(c.cursor)
+	pc := c.tr.PC(c.cursor)
+	next := c.tr.NextPC(c.cursor)
 	item.inst = in
-	item.meta = *c.dec.at(e.PC)
-	item.pc = e.PC
+	item.meta = c.dec.meta[e.Idx]
+	item.pc = pc
 	item.traceIdx = c.cursor
 	item.wrongPath = false
 	item.predTaken = false
 	item.predNext = 0
 	item.actTaken = e.Taken
-	item.actNext = e.NextPC
+	item.actNext = next
 	item.snap = bpred.Snapshot{}
 	item.mispredict = false
 	c.cursor++
 	switch {
 	case item.meta.is(mBranch):
 		item.snap = c.bp.Snap()
-		item.predTaken = c.bp.Predict(e.PC)
+		item.predTaken = c.bp.Predict(pc)
 		if item.predTaken == e.Taken {
-			item.predNext = e.NextPC
+			item.predNext = next
 		} else {
 			item.mispredict = true
 			if item.predTaken {
-				item.predNext = takenTarget(e.PC, in)
+				item.predNext = takenTarget(pc, in)
 			} else {
-				item.predNext = e.PC + isa.InstBytes
+				item.predNext = pc + isa.InstBytes
 			}
 			c.wrongPath = true
 			c.wrongPC = item.predNext
@@ -106,28 +108,28 @@ func (c *Core) fetchOnTrace(item *fetchItem) {
 	case item.meta.is(mJAL):
 		// Direct target: computed by the front end, never mispredicted.
 		item.predTaken = true
-		item.predNext = e.NextPC
+		item.predNext = next
 		if item.meta.is(mCall) {
-			c.bp.OnCall(e.PC + isa.InstBytes)
+			c.bp.OnCall(pc + isa.InstBytes)
 		}
 	case item.meta.is(mIndirect):
 		item.snap = c.bp.Snap()
-		tgt, ok := c.bp.PredictTarget(in, e.PC)
+		tgt, ok := c.bp.PredictTarget(in, pc)
 		if !ok {
-			tgt = e.PC + isa.InstBytes
+			tgt = pc + isa.InstBytes
 		}
 		item.predTaken = true
 		item.predNext = tgt
 		if item.meta.is(mCall) {
-			c.bp.OnCall(e.PC + isa.InstBytes)
+			c.bp.OnCall(pc + isa.InstBytes)
 		}
-		if tgt != e.NextPC {
+		if tgt != next {
 			item.mispredict = true
 			c.wrongPath = true
 			c.wrongPC = tgt
 		}
 	default:
-		item.predNext = e.PC + isa.InstBytes
+		item.predNext = pc + isa.InstBytes
 	}
 }
 

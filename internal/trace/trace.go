@@ -14,19 +14,21 @@ import (
 	"earlyrelease/internal/program"
 )
 
-// Entry is one dynamically executed (retired) instruction.
+// Entry is one dynamically executed (retired) instruction, 16 bytes.
+// The instruction itself and its address are functions of Idx, and the
+// address of the next retired instruction is the next entry's, so
+// neither is stored; Trace's accessors reconstruct them.
 type Entry struct {
-	PC      uint64   // instruction address
-	NextPC  uint64   // address of the next retired instruction
-	EffAddr uint64   // effective address for memory operations
-	Inst    isa.Inst // the decoded instruction
-	Taken   bool     // for control instructions: transfer taken
+	EffAddr uint64 // effective address for memory operations
+	Idx     uint32 // index of the instruction in Prog.Insts
+	Taken   bool   // for control instructions: transfer taken
 }
 
 // Trace is a complete dynamic execution of a program.
 type Trace struct {
 	Prog    *program.Program
 	Entries []Entry
+	End     uint64 // PC after the last entry: NextPC of the last instruction
 }
 
 // Len returns the number of dynamic instructions.
@@ -34,6 +36,21 @@ func (t *Trace) Len() int { return len(t.Entries) }
 
 // At returns the i-th dynamic instruction.
 func (t *Trace) At(i int) *Entry { return &t.Entries[i] }
+
+// PC returns the address of the i-th dynamic instruction.
+func (t *Trace) PC(i int) uint64 { return program.IndexToPC(int(t.Entries[i].Idx)) }
+
+// NextPC returns the address of the instruction retired after the i-th:
+// the next entry's PC, or End for the last entry.
+func (t *Trace) NextPC(i int) uint64 {
+	if i+1 < len(t.Entries) {
+		return t.PC(i + 1)
+	}
+	return t.End
+}
+
+// Inst returns the i-th dynamic instruction's static instruction.
+func (t *Trace) Inst(i int) isa.Inst { return t.Prog.Insts[t.Entries[i].Idx] }
 
 // Mix summarizes the dynamic instruction mix of a trace; the workload
 // tests use it to verify SPEC95-like characteristics.
@@ -57,7 +74,7 @@ func (t *Trace) DynamicMix() Mix {
 	m.Total = len(t.Entries)
 	for i := range t.Entries {
 		e := &t.Entries[i]
-		in := e.Inst
+		in := t.Prog.Insts[e.Idx]
 		switch {
 		case in.IsBranch():
 			m.Branches++

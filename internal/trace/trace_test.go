@@ -5,17 +5,21 @@ import (
 	"testing"
 
 	"earlyrelease/internal/isa"
+	"earlyrelease/internal/program"
 )
 
 func TestDynamicMix(t *testing.T) {
-	tr := &Trace{Entries: []Entry{
-		{Inst: isa.Inst{Op: isa.ADD, Rd: 1}},
-		{Inst: isa.Inst{Op: isa.FADD, Rd: 1}},
-		{Inst: isa.Inst{Op: isa.LD, Rd: 2}},
-		{Inst: isa.Inst{Op: isa.SD}},
-		{Inst: isa.Inst{Op: isa.BEQ}, Taken: true},
-		{Inst: isa.Inst{Op: isa.BNE}},
-		{Inst: isa.Inst{Op: isa.JAL, Rd: 31}},
+	prog := &program.Program{Insts: []isa.Inst{
+		{Op: isa.ADD, Rd: 1},
+		{Op: isa.FADD, Rd: 1},
+		{Op: isa.LD, Rd: 2},
+		{Op: isa.SD},
+		{Op: isa.BEQ},
+		{Op: isa.BNE},
+		{Op: isa.JAL, Rd: 31},
+	}}
+	tr := &Trace{Prog: prog, Entries: []Entry{
+		{Idx: 0}, {Idx: 1}, {Idx: 2}, {Idx: 3}, {Idx: 4, Taken: true}, {Idx: 5}, {Idx: 6},
 	}}
 	m := tr.DynamicMix()
 	if m.Total != 7 || m.Branches != 2 || m.TakenBr != 1 || m.Jumps != 1 {
@@ -36,8 +40,18 @@ func TestDynamicMix(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	tr := &Trace{Entries: []Entry{{PC: 0x1000}, {PC: 0x1004}}}
-	if tr.Len() != 2 || tr.At(1).PC != 0x1004 {
-		t.Errorf("accessors broken")
+	prog := &program.Program{Insts: []isa.Inst{{Op: isa.NOP}, {Op: isa.ADD, Rd: 3}, {Op: isa.HALT}}}
+	tr := &Trace{Prog: prog, Entries: []Entry{{Idx: 1}, {Idx: 2}}, End: 0x100c}
+	if tr.Len() != 2 || tr.At(1).Idx != 2 {
+		t.Errorf("Len/At broken")
+	}
+	if tr.PC(0) != 0x1004 || tr.PC(1) != 0x1008 {
+		t.Errorf("PC = %#x, %#x", tr.PC(0), tr.PC(1))
+	}
+	if tr.NextPC(0) != 0x1008 || tr.NextPC(1) != tr.End {
+		t.Errorf("NextPC = %#x, %#x", tr.NextPC(0), tr.NextPC(1))
+	}
+	if tr.Inst(0).Op != isa.ADD || tr.Inst(1).Op != isa.HALT {
+		t.Errorf("Inst = %v, %v", tr.Inst(0), tr.Inst(1))
 	}
 }

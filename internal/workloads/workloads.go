@@ -35,8 +35,8 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"unsafe"
 
 	"earlyrelease/internal/emu"
 	"earlyrelease/internal/program"
@@ -197,7 +197,10 @@ func (w Workload) Trace(scale int) (*trace.Trace, error) {
 			e.err = fmt.Errorf("workloads: emulating %s: %w", w.Name, err)
 			return
 		}
+		// Published under cacheMu so that TraceCacheStats can read it.
+		cacheMu.Lock()
 		e.tr = tr
+		cacheMu.Unlock()
 	})
 	return e.tr, e.err
 }
@@ -211,11 +214,27 @@ func (w Workload) MustTrace(scale int) *trace.Trace {
 	return tr
 }
 
-// ClearTraceCache drops memoized traces (tests use it to bound memory).
+// ClearTraceCache drops memoized traces, so that the next Trace call
+// emulates afresh. Tests use it to bound memory, and the service
+// benchmark's replay to time trace builds from an empty cache.
 func ClearTraceCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	traceCache = map[string]*traceEntry{}
+}
+
+// TraceCacheStats reports the memoized traces: how many are built, and
+// the bytes their entry arrays hold (capacity times entry size).
+func TraceCacheStats() (entries int, bytes int64) {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	for _, e := range traceCache {
+		if e.tr != nil {
+			entries++
+			bytes += int64(cap(e.tr.Entries)) * int64(unsafe.Sizeof(trace.Entry{}))
+		}
+	}
+	return entries, bytes
 }
 
 // lcg is the deterministic generator used for synthetic input data.
@@ -231,13 +250,3 @@ func (l *lcg) next() uint64 {
 func (l *lcg) intn(n int) int { return int(l.next() % uint64(n)) }
 
 func (l *lcg) float() float64 { return float64(l.next()%1_000_000)/1_000_000 + 0.1 }
-
-// sortedKeys is a test helper exposed for deterministic iteration.
-func sortedKeys(m map[string]*traceEntry) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}

@@ -1,10 +1,14 @@
 package workloads
 
 import (
+	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"earlyrelease/internal/emu"
 	"earlyrelease/internal/isa"
+	"earlyrelease/internal/trace"
 )
 
 const testScale = 60_000
@@ -125,6 +129,51 @@ func TestTraceCaching(t *testing.T) {
 	ClearTraceCache()
 }
 
+// TestTraceFootprint pins the trace's memory layout: 16-byte entries
+// and a capacity close to the length, not to the emulator's instruction
+// budget (scale×8 + 1e6 entries here, about a hundred times the length).
+// The traces build concurrently while TraceCacheStats is polled, as a
+// /metrics scrape would, and it must end up counting exactly these
+// traces and their capacity.
+func TestTraceFootprint(t *testing.T) {
+	ClearTraceCache()
+	defer ClearTraceCache()
+	const scale = 10_000
+	if sz := unsafe.Sizeof(trace.Entry{}); sz != 16 {
+		t.Errorf("trace.Entry is %d bytes, want 16", sz)
+	}
+	var wg sync.WaitGroup
+	for _, w := range All() {
+		wg.Add(1)
+		go func(w Workload) {
+			defer wg.Done()
+			w.MustTrace(scale)
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for polling := true; polling; {
+		TraceCacheStats()
+		select {
+		case <-done:
+			polling = false
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	var bytes int64
+	for _, w := range All() {
+		tr := w.MustTrace(scale)
+		n, c := tr.Len(), cap(tr.Entries)
+		if c > n+n/4+1024 {
+			t.Errorf("%s: capacity %d for %d entries", w.Name, c, n)
+		}
+		bytes += int64(c) * 16
+	}
+	if n, b := TraceCacheStats(); n != len(All()) || b != bytes {
+		t.Errorf("TraceCacheStats = %d traces, %d B; want %d, %d", n, b, len(All()), bytes)
+	}
+}
+
 // TestGoUsesRealCalls ensures the go kernel exercises JAL/JALR (the RAS
 // path of the front end).
 func TestGoUsesRealCalls(t *testing.T) {
@@ -132,7 +181,7 @@ func TestGoUsesRealCalls(t *testing.T) {
 	tr := w.MustTrace(testScale)
 	var calls, rets int
 	for i := 0; i < tr.Len(); i++ {
-		in := tr.At(i).Inst
+		in := tr.Inst(i)
 		if in.Op == isa.JAL && in.Rd == isa.RA {
 			calls++
 		}
@@ -192,7 +241,7 @@ func TestRdescentIsCallHeavy(t *testing.T) {
 	tr := w.MustTrace(testScale)
 	var calls, rets int
 	for i := 0; i < tr.Len(); i++ {
-		in := tr.At(i).Inst
+		in := tr.Inst(i)
 		if in.Op == isa.JAL && in.Rd == isa.RA {
 			calls++
 		}
@@ -227,7 +276,7 @@ func TestAppluHasDivides(t *testing.T) {
 	tr := w.MustTrace(testScale)
 	var divs int
 	for i := 0; i < tr.Len(); i++ {
-		if tr.At(i).Inst.Op == isa.FDIV {
+		if tr.Inst(i).Op == isa.FDIV {
 			divs++
 		}
 	}
