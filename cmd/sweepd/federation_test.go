@@ -311,7 +311,7 @@ func TestFederationChaos(t *testing.T) {
 		poison.Outcomes = append(poison.Outcomes, sweep.WireOutcome{Key: it.Key, Result: &r})
 	}
 	// (a) Bit-flipped frame: the wire checksum rejects it at decode.
-	frame, err := sweep.EncodeComplete(poison)
+	frame, err := sweep.EncodeMessage(poison)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestFederationChaos(t *testing.T) {
 	swapped := *poison
 	swapped.Outcomes = append([]sweep.WireOutcome(nil), poison.Outcomes...)
 	swapped.Outcomes[0].Key, swapped.Outcomes[1].Key = swapped.Outcomes[1].Key, swapped.Outcomes[0].Key
-	frame2, err := sweep.EncodeComplete(&swapped)
+	frame2, err := sweep.EncodeMessage(&swapped)
 	if err != nil {
 		t.Fatal(err)
 	}

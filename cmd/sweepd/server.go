@@ -57,9 +57,9 @@ import (
 //	POST /workers/heartbeat   worker liveness while idle
 //	GET  /workers             registry snapshot
 //	GET  /federation          queue + lease + registry status
-//	POST /work/lease          pull a shard lease (binary wire frame)
+//	POST /work/lease          pull a shard lease (wire envelope)
 //	POST /work/renew          extend a held lease
-//	POST /work/complete       report a leased shard (binary wire frame)
+//	POST /work/complete       report a leased shard (wire envelope)
 //	GET  /cache/{key}         remote-cache tier: fetch one result
 //	PUT  /cache/{key}         remote-cache tier: publish one result
 //
@@ -380,13 +380,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// maxGridBytes bounds a grid or exploration-spec submission body. Real
-// grids are a few hundred bytes of axis lists; 1 MiB is three orders
-// of magnitude of headroom while still refusing an unbounded body
-// before json.Decode buffers it.
+// maxGridBytes bounds every JSON request body decodeBounded reads: a
+// grid or exploration-spec submission, and the worker routes' register,
+// heartbeat, lease and renew requests. Real grids are a few hundred
+// bytes of axis lists; 1 MiB is three orders of magnitude of headroom
+// while still refusing an unbounded body before json.Decode buffers it.
 const maxGridBytes = 1 << 20
 
-// decodeBounded decodes a JSON request body under the submission size
+// decodeBounded decodes a JSON request body under the maxGridBytes
 // cap, distinguishing an over-long body (413) from malformed JSON
 // (400). It writes the rejection itself; ok=false means the handler
 // must return.
@@ -811,8 +812,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var in struct {
 		Name string `json:"name"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		writeError(w, http.StatusBadRequest, "bad register request: %v", err)
+	if !decodeBounded(w, r, "register request", &in) {
 		return
 	}
 	rep, err := s.coord.RegisterWorker(in.Name)
@@ -830,8 +830,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var in struct {
 		WorkerID string `json:"worker_id"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		writeError(w, http.StatusBadRequest, "bad heartbeat: %v", err)
+	if !decodeBounded(w, r, "heartbeat", &in) {
 		return
 	}
 	if err := s.coord.HeartbeatWorker(in.WorkerID); err != nil {
@@ -850,13 +849,13 @@ func (s *Server) handleFederation(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLease pops the next shard for a registered worker. 204 means
-// the queue is empty; the 200 body is a binary wire-codec LeaseGrant.
+// the queue is empty; the 200 body is a LeaseGrant in the checksummed
+// wire envelope.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var in struct {
 		WorkerID string `json:"worker_id"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		writeError(w, http.StatusBadRequest, "bad lease request: %v", err)
+	if !decodeBounded(w, r, "lease request", &in) {
 		return
 	}
 	grant, err := s.coord.LeaseShard(in.WorkerID)
@@ -875,7 +874,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	frame, err := sweep.EncodeLease(grant)
+	frame, err := sweep.EncodeMessage(grant)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode lease: %v", err)
 		return
@@ -889,8 +888,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		WorkerID string `json:"worker_id"`
 		LeaseID  string `json:"lease_id"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		writeError(w, http.StatusBadRequest, "bad renew request: %v", err)
+	if !decodeBounded(w, r, "renew request", &in) {
 		return
 	}
 	switch err := s.coord.RenewLease(in.WorkerID, in.LeaseID); {
@@ -910,7 +908,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 // without letting a hostile peer exhaust memory).
 const maxCompleteBytes = 64 << 20
 
-// handleComplete accepts a worker's binary completion frame. The wire
+// handleComplete accepts a worker's completion frame. The wire
 // envelope's checksum rejects corruption before decode; the
 // coordinator's key verification rejects mislabeled results after it.
 // Either way a bad payload gets a 4xx and never touches the cache.

@@ -292,9 +292,9 @@ func TestExploreAdmission(t *testing.T) {
 	wantStatus(t, resp, http.StatusUnauthorized)
 }
 
-// TestSubmitBodyBound proves the submission size caps: an over-long
-// /sweep body, /explore body and PUT /cache/{key} body all answer 413,
-// not 400.
+// TestSubmitBodyBound proves the request size caps: an over-long
+// /sweep or /explore body, an over-long body on each token-free worker
+// route, and an over-long PUT /cache/{key} body all answer 413, not 400.
 func TestSubmitBodyBound(t *testing.T) {
 	ts, _ := newTestServer(t)
 
@@ -312,6 +312,25 @@ func TestSubmitBodyBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStatus(t, resp, http.StatusRequestEntityTooLarge)
+
+	// The worker routes take no token, so their bodies need the same
+	// bound: a multi-megabyte field must not be buffered whole.
+	pad := strings.Repeat("x", maxGridBytes)
+	for route, body := range map[string]string{
+		"/workers/register":  `{"name":"` + pad + `"}`,
+		"/workers/heartbeat": `{"worker_id":"` + pad + `"}`,
+		"/work/lease":        `{"worker_id":"` + pad + `"}`,
+		"/work/renew":        `{"worker_id":"w","lease_id":"` + pad + `"}`,
+	} {
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s oversized body: status %d, want 413", route, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
 
 	// A normal-sized body still works after the bound (no regression).
 	wantStatus(t, submitAs(t, ts, "", smallGrid()), http.StatusAccepted)

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,15 +24,15 @@ func TestRegenSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lease, err := EncodeLease(sampleLease())
+	lease, err := EncodeMessage(sampleLease())
 	if err != nil {
 		t.Fatal(err)
 	}
-	complete, err := EncodeComplete(sampleComplete())
+	complete, err := EncodeMessage(sampleComplete())
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := EncodeComplete(&CompleteRequest{LeaseID: "l", WorkerID: "w"})
+	empty, err := EncodeMessage(&CompleteRequest{LeaseID: "l", WorkerID: "w"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,5 +43,8 @@ func TestRegenSeeds(t *testing.T) {
 	bitflip[10] ^= 0x41
 	write("seed-bitflip", bitflip)
 	write("seed-truncated", lease[:len(lease)/2])
-	write("seed-garbage", []byte("ERSW\x02\x03not a real payload"))
+	write("seed-garbage", append([]byte{'E', 'R', 'S', 'W', wireVersion, 3}, "not a real payload"...))
+	stale := bytes.Clone(lease)
+	stale[4] = wireVersion - 1
+	write("seed-stale-version", stale)
 }

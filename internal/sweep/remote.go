@@ -258,7 +258,8 @@ func (c *Client) HeartbeatWorker(workerID string) error {
 
 // LeaseShard implements WorkSource: 204 means an empty queue, 404 an
 // unknown worker (mapped to ErrUnknownWorker so the loop re-registers),
-// and a 200 body is a wire-codec LeaseGrant.
+// and a 200 body is a LeaseGrant in the checksummed wire envelope, read
+// up to maxResultBytes.
 func (c *Client) LeaseShard(workerID string) (*LeaseGrant, error) {
 	blob, _ := json.Marshal(map[string]string{"worker_id": workerID})
 	resp, err := c.hc.Post(c.base+"/work/lease", "application/json", bytes.NewReader(blob))
@@ -277,9 +278,12 @@ func (c *Client) LeaseShard(workerID string) (*LeaseGrant, error) {
 	default:
 		return nil, apiError(resp)
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes+1))
 	if err != nil {
 		return nil, err
+	}
+	if len(data) > maxResultBytes {
+		return nil, fmt.Errorf("sweep: lease response exceeds %d bytes", maxResultBytes)
 	}
 	decodeStart := time.Now()
 	m, err := DecodeMessage(data)
@@ -304,9 +308,10 @@ func (c *Client) RenewLease(workerID, leaseID string) error {
 		map[string]string{"worker_id": workerID, "lease_id": leaseID}, nil)
 }
 
-// CompleteShard implements WorkSource, posting the wire-codec frame.
+// CompleteShard implements WorkSource, posting the completion in the
+// checksummed wire envelope.
 func (c *Client) CompleteShard(req *CompleteRequest) error {
-	frame, err := EncodeComplete(req)
+	frame, err := EncodeMessage(req)
 	if err != nil {
 		return err
 	}
@@ -337,10 +342,11 @@ func NewRemoteCache(base string) *RemoteCache {
 	return rc
 }
 
-// maxResultBytes bounds one cache response body on the client,
-// mirroring the request cap the server enforces (sweepd's
-// maxCompleteBytes) — a misbehaving coordinator must not be able to
-// balloon a worker's memory with an endless body.
+// maxResultBytes bounds each response body a worker reads from the
+// coordinator — a cache result (RemoteCache.Get) or a lease grant
+// (Client.LeaseShard) — mirroring the request cap the server enforces
+// (sweepd's maxCompleteBytes): a misbehaving coordinator must not be
+// able to balloon a worker's memory with an endless body.
 const maxResultBytes = 64 << 20
 
 // Get fetches one result by content key; ok=false on a clean 404.

@@ -164,8 +164,8 @@ func TestWaitSweepCancellation(t *testing.T) {
 }
 
 // TestRemoteCacheGetBoundsBody: a coordinator streaming an absurdly
-// large cache response must be cut off at the client's bound instead of
-// being buffered wholesale.
+// large response — to a cache fetch or a lease request — must be cut
+// off at the worker's bound instead of being buffered wholesale.
 func TestRemoteCacheGetBoundsBody(t *testing.T) {
 	t.Parallel()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -181,12 +181,26 @@ func TestRemoteCacheGetBoundsBody(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	_, ok, err := NewRemoteCache(srv.URL).Get("deadbeef")
-	if err == nil || ok {
-		t.Fatalf("oversized body accepted: ok=%v err=%v", ok, err)
-	}
-	if !strings.Contains(err.Error(), "exceeds") {
-		t.Errorf("want size-bound error, got: %v", err)
+	for _, tc := range []struct {
+		name string
+		read func() (accepted bool, err error)
+	}{
+		{"RemoteCache.Get", func() (bool, error) {
+			_, ok, err := NewRemoteCache(srv.URL).Get("deadbeef")
+			return ok, err
+		}},
+		{"Client.LeaseShard", func() (bool, error) {
+			grant, err := NewClient(srv.URL).LeaseShard("wk-1")
+			return grant != nil, err
+		}},
+	} {
+		accepted, err := tc.read()
+		if err == nil || accepted {
+			t.Fatalf("%s: oversized body accepted: accepted=%v err=%v", tc.name, accepted, err)
+		}
+		if !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s: want size-bound error, got: %v", tc.name, err)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,30 +13,31 @@ import (
 
 // The shard wire codec frames the two federation messages — a lease
 // grant handed to a worker and the worker's completion report — in a
-// compact binary envelope:
+// checksummed envelope around a JSON payload:
 //
-//	magic "ERSW" | version 2 | type byte | payload | sha256[:8]
+//	magic "ERSW" | version 3 | type byte | JSON payload | sha256[:8]
 //
-// Strings and JSON blobs are uvarint-length-prefixed; the trailing
-// checksum covers everything before it, so a truncated or bit-flipped
-// message is rejected before any field is believed. The decoder is
-// fully bounds-checked (FuzzShardCodec keeps it panic-free) and
-// rejects trailing junk, so encode∘decode is the identity on valid
-// messages.
+// The payload is json.Marshal of the *LeaseGrant or *CompleteRequest
+// itself, so each Result inside a completion is the same JSON the
+// cache persists. The trailing checksum covers everything before it,
+// so a truncated or bit-flipped message is rejected before any field
+// is believed. The decoder rejects trailing junk and range-checks the
+// numbers a peer could forge (attempt, TTL, span and per-point
+// nanoseconds); FuzzShardCodec keeps it panic-free and encode∘decode
+// the identity on valid messages.
 //
-// Version 2 carries the tracing layer (DESIGN.md §4.9): a lease grant
-// names the trace its shard belongs to, and a completion piggybacks
-// the worker-side spans (decode, simulate, cache put) plus per-point
-// simulation nanoseconds. Version 1 frames are rejected — workers and
-// coordinators upgrade together.
+// Tracing rides along (DESIGN.md §4.9): a lease grant names the trace
+// its shard belongs to, and a completion carries the worker-side spans
+// (decode, simulate, cache put) plus per-point simulation nanoseconds.
+// Frames of any other version are rejected — workers and coordinators
+// upgrade together.
 
 const (
-	wireVersion  = 2
-	msgLease     = 1
-	msgComplete  = 2
-	checksumLen  = 8
-	maxLeaseTTL  = int64(1) << 40 // ms; ~35 years, rejects absurd values
-	maxWireCount = 1 << 20        // items per message, pre-bounded by size
+	wireVersion = 3
+	msgLease    = 1
+	msgComplete = 2
+	checksumLen = 8
+	maxLeaseTTL = int64(1) << 40 // ms; ~35 years, rejects absurd values
 )
 
 var wireMagic = [4]byte{'E', 'R', 'S', 'W'}
@@ -57,7 +57,7 @@ type LeaseGrant struct {
 	ShardID string
 	TraceID string        // the submitting job's trace, propagated to the worker
 	Attempt int           // 1 on first lease, +1 per expiry requeue
-	TTL     time.Duration // whole milliseconds on the wire
+	TTL     time.Duration // integer nanoseconds in the JSON payload
 	Items   []WorkItem
 
 	// decodeStart/decodeEnd bracket the wire decode on the worker side
@@ -88,163 +88,29 @@ type CompleteRequest struct {
 	PointNS  []int64
 }
 
-type wbuf struct{ b []byte }
-
-func (w *wbuf) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-func (w *wbuf) bytes(p []byte)   { w.uvarint(uint64(len(p))); w.b = append(w.b, p...) }
-func (w *wbuf) str(s string)     { w.uvarint(uint64(len(s))); w.b = append(w.b, s...) }
-func (w *wbuf) json(v any) error {
-	if v == nil {
-		w.uvarint(0)
-		return nil
-	}
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	w.bytes(blob)
-	return nil
-}
-
 var errTruncated = errors.New("sweep: wire message truncated")
 
-type rbuf struct {
-	b   []byte
-	off int
-}
-
-func (r *rbuf) rem() int { return len(r.b) - r.off }
-
-func (r *rbuf) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *rbuf) take(n uint64) ([]byte, error) {
-	if n > uint64(r.rem()) {
-		return nil, errTruncated
-	}
-	p := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return p, nil
-}
-
-func (r *rbuf) lenBytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	return r.take(n)
-}
-
-func (r *rbuf) str() (string, error) {
-	p, err := r.lenBytes()
-	return string(p), err
-}
-
-// nanos reads a nanosecond timestamp/duration, rejecting values that
-// cannot be a sane unix-nano instant (keeps int64 math overflow-free).
-func (r *rbuf) nanos() (int64, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > 1<<62 {
-		return 0, fmt.Errorf("sweep: wire timestamp %d out of range", v)
-	}
-	return int64(v), nil
-}
-
-// count reads an item count and bounds it by the bytes remaining (each
-// item costs at least minItemBytes), so a hostile header cannot force a
-// huge allocation.
-func (r *rbuf) count(minItemBytes int) (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > maxWireCount || n*uint64(minItemBytes) > uint64(r.rem()) {
-		return 0, fmt.Errorf("sweep: wire count %d exceeds message size", n)
-	}
-	return int(n), nil
-}
-
-func encodeEnvelope(typ byte, payload func(*wbuf) error) ([]byte, error) {
-	w := &wbuf{b: make([]byte, 0, 256)}
-	w.b = append(w.b, wireMagic[:]...)
-	w.b = append(w.b, wireVersion, typ)
-	if err := payload(w); err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(w.b)
-	return append(w.b, sum[:checksumLen]...), nil
-}
-
-// EncodeLease frames a lease grant for the wire.
-func EncodeLease(l *LeaseGrant) ([]byte, error) {
-	return encodeEnvelope(msgLease, func(w *wbuf) error {
-		w.str(l.LeaseID)
-		w.str(l.ShardID)
-		w.str(l.TraceID)
-		w.uvarint(uint64(l.Attempt))
-		w.uvarint(uint64(l.TTL / time.Millisecond))
-		w.uvarint(uint64(len(l.Items)))
-		for _, it := range l.Items {
-			w.str(it.Key)
-			if err := w.json(it.Point); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// EncodeComplete frames a completion report for the wire.
-func EncodeComplete(c *CompleteRequest) ([]byte, error) {
-	return encodeEnvelope(msgComplete, func(w *wbuf) error {
-		w.str(c.LeaseID)
-		w.str(c.WorkerID)
-		w.uvarint(uint64(len(c.Outcomes)))
-		for _, o := range c.Outcomes {
-			w.str(o.Key)
-			w.str(o.Err)
-			if o.Result == nil {
-				w.uvarint(0)
-				continue
-			}
-			if err := w.json(o.Result); err != nil {
-				return err
-			}
-		}
-		w.uvarint(uint64(len(c.Spans)))
-		for _, s := range c.Spans {
-			w.str(s.Name)
-			w.str(s.Ref)
-			w.str(s.Detail)
-			w.uvarint(uint64(s.StartNS))
-			w.uvarint(uint64(s.EndNS))
-		}
-		w.uvarint(uint64(len(c.PointNS)))
-		for _, ns := range c.PointNS {
-			w.uvarint(uint64(ns))
-		}
-		return nil
-	})
-}
-
-// EncodeMessage frames either message type.
+// EncodeMessage frames a *LeaseGrant or *CompleteRequest for the wire.
 func EncodeMessage(m any) ([]byte, error) {
-	switch m := m.(type) {
+	var typ byte
+	switch m.(type) {
 	case *LeaseGrant:
-		return EncodeLease(m)
+		typ = msgLease
 	case *CompleteRequest:
-		return EncodeComplete(m)
+		typ = msgComplete
+	default:
+		return nil, fmt.Errorf("sweep: cannot encode %T", m)
 	}
-	return nil, fmt.Errorf("sweep: cannot encode %T", m)
+	payload, err := json.Marshal(m)
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, 0, len(wireMagic)+2+len(payload)+checksumLen)
+	frame = append(frame, wireMagic[:]...)
+	frame = append(frame, wireVersion, typ)
+	frame = append(frame, payload...)
+	sum := sha256.Sum256(frame)
+	return append(frame, sum[:checksumLen]...), nil
 }
 
 // DecodeMessage validates the envelope (magic, version, checksum) and
@@ -276,128 +142,42 @@ func DecodeMessage(data []byte) (any, error) {
 }
 
 func decodeLeasePayload(payload []byte) (*LeaseGrant, error) {
-	r := &rbuf{b: payload}
 	l := &LeaseGrant{}
-	var err error
-	if l.LeaseID, err = r.str(); err != nil {
-		return nil, err
+	if err := json.Unmarshal(payload, l); err != nil {
+		return nil, fmt.Errorf("sweep: wire lease payload: %w", err)
 	}
-	if l.ShardID, err = r.str(); err != nil {
-		return nil, err
+	if l.Attempt < 0 || l.Attempt > 1<<20 {
+		return nil, fmt.Errorf("sweep: wire attempt %d out of range", l.Attempt)
 	}
-	if l.TraceID, err = r.str(); err != nil {
-		return nil, err
-	}
-	attempt, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if attempt > 1<<20 {
-		return nil, fmt.Errorf("sweep: wire attempt %d out of range", attempt)
-	}
-	l.Attempt = int(attempt)
-	ttlMS, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if int64(ttlMS) < 0 || int64(ttlMS) > maxLeaseTTL {
-		return nil, fmt.Errorf("sweep: wire lease TTL %dms out of range", ttlMS)
-	}
-	l.TTL = time.Duration(ttlMS) * time.Millisecond
-	n, err := r.count(2) // key len + point len, at least
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var it WorkItem
-		if it.Key, err = r.str(); err != nil {
-			return nil, err
-		}
-		blob, err := r.lenBytes()
-		if err != nil {
-			return nil, err
-		}
-		if err := json.Unmarshal(blob, &it.Point); err != nil {
-			return nil, fmt.Errorf("sweep: wire point %d: %w", i, err)
-		}
-		l.Items = append(l.Items, it)
-	}
-	if r.rem() != 0 {
-		return nil, errors.New("sweep: trailing bytes after lease payload")
+	if l.TTL < 0 || l.TTL > time.Duration(maxLeaseTTL)*time.Millisecond {
+		return nil, fmt.Errorf("sweep: wire lease TTL %v out of range", l.TTL)
 	}
 	return l, nil
 }
 
 func decodeCompletePayload(payload []byte) (*CompleteRequest, error) {
-	r := &rbuf{b: payload}
 	c := &CompleteRequest{}
-	var err error
-	if c.LeaseID, err = r.str(); err != nil {
+	if err := json.Unmarshal(payload, c); err != nil {
+		return nil, fmt.Errorf("sweep: wire complete payload: %w", err)
+	}
+	for _, s := range c.Spans {
+		if err := checkNanos(s.StartNS, s.EndNS); err != nil {
+			return nil, err
+		}
+	}
+	if err := checkNanos(c.PointNS...); err != nil {
 		return nil, err
-	}
-	if c.WorkerID, err = r.str(); err != nil {
-		return nil, err
-	}
-	n, err := r.count(3) // key + err + result lengths
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var o WireOutcome
-		if o.Key, err = r.str(); err != nil {
-			return nil, err
-		}
-		if o.Err, err = r.str(); err != nil {
-			return nil, err
-		}
-		blob, err := r.lenBytes()
-		if err != nil {
-			return nil, err
-		}
-		if len(blob) > 0 {
-			o.Result = &pipeline.Result{}
-			if err := json.Unmarshal(blob, o.Result); err != nil {
-				return nil, fmt.Errorf("sweep: wire result %d: %w", i, err)
-			}
-		}
-		c.Outcomes = append(c.Outcomes, o)
-	}
-	ns, err := r.count(5) // 3 string lengths + 2 timestamps, at least
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < ns; i++ {
-		var s obs.Span
-		if s.Name, err = r.str(); err != nil {
-			return nil, err
-		}
-		if s.Ref, err = r.str(); err != nil {
-			return nil, err
-		}
-		if s.Detail, err = r.str(); err != nil {
-			return nil, err
-		}
-		if s.StartNS, err = r.nanos(); err != nil {
-			return nil, err
-		}
-		if s.EndNS, err = r.nanos(); err != nil {
-			return nil, err
-		}
-		c.Spans = append(c.Spans, s)
-	}
-	np, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < np; i++ {
-		v, err := r.nanos()
-		if err != nil {
-			return nil, err
-		}
-		c.PointNS = append(c.PointNS, v)
-	}
-	if r.rem() != 0 {
-		return nil, errors.New("sweep: trailing bytes after complete payload")
 	}
 	return c, nil
+}
+
+// checkNanos rejects nanosecond timestamps/durations that cannot be a
+// sane unix-nano instant (keeps int64 math on them overflow-free).
+func checkNanos(vs ...int64) error {
+	for _, v := range vs {
+		if v < 0 || v > 1<<62 {
+			return fmt.Errorf("sweep: wire timestamp %d out of range", v)
+		}
+	}
+	return nil
 }

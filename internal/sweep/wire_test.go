@@ -2,7 +2,10 @@ package sweep
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,21 +99,96 @@ func TestWireRejectsCorruption(t *testing.T) {
 	}
 }
 
+// frameWith wraps a payload in an envelope with the given version and
+// type byte and a correct checksum, so only the checks behind the
+// checksum can reject it.
+func frameWith(version, typ byte, payload []byte) []byte {
+	frame := append([]byte{'E', 'R', 'S', 'W', version, typ}, payload...)
+	sum := sha256.Sum256(frame)
+	return append(frame, sum[:checksumLen]...)
+}
+
 func TestWireRejectsBadEnvelope(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":       {},
-		"short":       []byte("ERSW"),
-		"bad magic":   append([]byte("NOPE\x02\x01"), make([]byte, 8)...),
-		"bad version": append([]byte("ERSW\x09\x01"), make([]byte, 8)...),
-		// v1 frames (pre-tracing) are rejected outright: workers and
-		// coordinators upgrade in lockstep.
-		"old version": append([]byte("ERSW\x01\x01"), make([]byte, 8)...),
+		"empty":     {},
+		"short":     []byte("ERSW"),
+		"bad magic": append([]byte("NOPE\x02\x01"), make([]byte, 8)...),
 	}
 	for name, data := range cases {
 		if _, err := DecodeMessage(data); err == nil {
 			t.Errorf("%s: decode succeeded", name)
 		}
 	}
+	// Older frames (v1 pre-tracing, v2 uvarint fields) and unknown
+	// versions are refused by version even with a valid checksum:
+	// workers and coordinators upgrade in lockstep.
+	lease := mustJSON(t, sampleLease())
+	for _, v := range []byte{1, 2, 9} {
+		_, err := DecodeMessage(frameWith(v, msgLease, lease))
+		if err == nil || !strings.Contains(err.Error(), "unsupported wire version") {
+			t.Errorf("v%d frame: want an unsupported-version error, got: %v", v, err)
+		}
+	}
+}
+
+// TestWireRejectsOutOfRange wraps crafted payloads in valid envelopes
+// (correct checksum), so only the payload decoders stand between them
+// and the coordinator. JSON can carry values the decoder must refuse —
+// negative numbers included.
+func TestWireRejectsOutOfRange(t *testing.T) {
+	lease := func(edit func(*LeaseGrant)) []byte {
+		l := sampleLease()
+		edit(l)
+		return frameWith(wireVersion, msgLease, mustJSON(t, l))
+	}
+	complete := func(edit func(*CompleteRequest)) []byte {
+		c := sampleComplete()
+		edit(c)
+		return frameWith(wireVersion, msgComplete, mustJSON(t, c))
+	}
+	ttlMax := time.Duration(maxLeaseTTL) * time.Millisecond
+	cases := []struct {
+		name, want string // want: a fragment of the rejection
+		data       []byte
+	}{
+		{"attempt above 1<<20", "attempt", lease(func(l *LeaseGrant) { l.Attempt = 1<<20 + 1 })},
+		{"attempt -1", "attempt", lease(func(l *LeaseGrant) { l.Attempt = -1 })},
+		{"TTL -1", "TTL", lease(func(l *LeaseGrant) { l.TTL = -1 })},
+		{"TTL above max", "TTL", lease(func(l *LeaseGrant) { l.TTL = ttlMax + time.Millisecond })},
+		{"span StartNS -1", "timestamp", complete(func(c *CompleteRequest) { c.Spans[0].StartNS = -1 })},
+		{"span EndNS 1<<62+1", "timestamp", complete(func(c *CompleteRequest) { c.Spans[1].EndNS = 1<<62 + 1 })},
+		{"PointNS -1", "timestamp", complete(func(c *CompleteRequest) { c.PointNS[1] = -1 })},
+		{"non-JSON payload", "payload", frameWith(wireVersion, msgComplete, []byte("not json"))},
+		{"JSON then junk", "payload", frameWith(wireVersion, msgLease, append(mustJSON(t, sampleLease()), " x"...))},
+		{"unknown type byte", "type", frameWith(wireVersion, 9, mustJSON(t, sampleLease()))},
+	}
+	for _, tc := range cases {
+		m, err := DecodeMessage(tc.data)
+		if err == nil {
+			t.Errorf("%s: decoded to %+v", tc.name, m)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want a %q rejection, got: %v", tc.name, tc.want, err)
+		}
+	}
+	// The same construction with in-range values decodes, so each case
+	// above fails on its own edit and not on the envelope.
+	for _, data := range [][]byte{
+		lease(func(l *LeaseGrant) { l.Attempt, l.TTL = 1<<20, ttlMax }),
+		complete(func(c *CompleteRequest) { c.Spans[1].EndNS, c.PointNS[1] = 1<<62, 0 }),
+	} {
+		if _, err := DecodeMessage(data); err != nil {
+			t.Errorf("in-range boundary rejected: %v", err)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // FuzzShardCodec throws arbitrary bytes at the full decoder and the
@@ -118,17 +196,13 @@ func TestWireRejectsBadEnvelope(t *testing.T) {
 // field parsers), requiring no panics ever, and decode→encode→decode
 // to be the identity whenever the first decode succeeds.
 func FuzzShardCodec(f *testing.F) {
-	if frame, err := EncodeLease(sampleLease()); err == nil {
-		f.Add(frame)
+	for _, m := range []any{sampleLease(), sampleComplete(), &CompleteRequest{LeaseID: "l", WorkerID: "w"}} {
+		if frame, err := EncodeMessage(m); err == nil {
+			f.Add(frame)
+		}
 	}
-	if frame, err := EncodeComplete(sampleComplete()); err == nil {
-		f.Add(frame)
-	}
-	if frame, err := EncodeComplete(&CompleteRequest{LeaseID: "l", WorkerID: "w"}); err == nil {
-		f.Add(frame)
-	}
-	f.Add([]byte("ERSW\x02\x01"))
-	f.Add([]byte("ERSW\x01\x01")) // stale v1 envelope
+	f.Add([]byte{'E', 'R', 'S', 'W', wireVersion, msgLease})
+	f.Add([]byte("ERSW\x02\x01")) // stale v2 envelope
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -11,8 +11,9 @@ import (
 
 // WorkSource is the coordinator surface a worker pulls from. The
 // Coordinator implements it directly (sweepd's embedded local workers
-// call straight in); Client implements it over HTTP with the shard
-// wire codec (sweepd -role worker).
+// call straight in); Client implements it over HTTP, framing leases
+// and completions in the checksummed wire envelope (sweepd -role
+// worker).
 type WorkSource interface {
 	RegisterWorker(name string) (RegisterReply, error)
 	HeartbeatWorker(workerID string) error
