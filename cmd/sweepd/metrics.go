@@ -268,6 +268,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.gauge("sweepd_pending_points", "Points waiting in the coordinator queue.", float64(st.PendingPoints))
 	p.gauge("sweepd_active_leases", "Work leases currently held by workers.", float64(st.ActiveLeases))
 	p.gauge("sweepd_workers", "Workers in the registry.", float64(len(st.Workers)))
+	degraded := 0.0
+	if st.JournalErr != "" {
+		degraded = 1
+	}
+	p.gauge("sweepd_journal_degraded", "1 after a state-dir persistence failure (see GET /federation), else 0.", degraded)
+
+	// Job-store occupancy: what -retain bounds, plus running jobs,
+	// which are never evicted.
+	s.mu.Lock()
+	sweeps, explores := len(s.sweeps.jobs), len(s.explores.jobs)
+	s.mu.Unlock()
+	p.gauge("sweepd_sweeps_retained", "Sweeps in the job store, running and finished.", float64(sweeps))
+	p.gauge("sweepd_explores_retained", "Explorations in the job store, running and finished.", float64(explores))
 
 	// Per-worker load and throughput (DESIGN.md §4.9): active lanes and
 	// the EWMA points/s fed by each completion's w:simulate span.

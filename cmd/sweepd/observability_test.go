@@ -307,6 +307,20 @@ func TestMetricsExpositionLint(t *testing.T) {
 			t.Errorf("runtime/worker metric %s missing", name)
 		}
 	}
+	// Job-store occupancy and journal health: the one sweep above is
+	// retained, and a memory-only coordinator has no journal to degrade.
+	for name, want := range map[string]float64{
+		"sweepd_sweeps_retained":   1,
+		"sweepd_explores_retained": 0,
+		"sweepd_journal_degraded":  0,
+	} {
+		if typed[name] != "gauge" {
+			t.Errorf("%s: not exposed as a gauge (%q)", name, typed[name])
+		}
+		if values[name] != want {
+			t.Errorf("%s = %g, want %g", name, values[name], want)
+		}
+	}
 	// The local worker built at least the go trace, so the trace cache
 	// gauges report it.
 	for _, name := range []string{"sweepd_trace_cache_entries", "sweepd_trace_cache_bytes"} {

@@ -133,10 +133,12 @@ func (st *jobStore[J]) get(id string) (*J, bool) {
 	return j, ok
 }
 
-// all lists the retained jobs in submission order.
+// all lists the retained jobs in submission order. The walk starts at
+// min, below which every id has been evicted, so its cost tracks the
+// retained window rather than every job ever submitted.
 func (st *jobStore[J]) all() []*J {
 	out := make([]*J, 0, len(st.jobs))
-	for i := 1; i <= st.next; i++ {
+	for i := st.min; i <= st.next; i++ {
 		if j, ok := st.jobs[fmt.Sprintf("%s-%d", st.prefix, i)]; ok {
 			out = append(out, j)
 		}
@@ -155,6 +157,11 @@ const maxRetainedSweeps = 128
 // sweepJob tracks one submitted grid through its lifecycle. Tenant is
 // set only when a token registry is enforcing, so the no-token job
 // document stays byte-identical to the pre-tenancy API.
+//
+// A finished job keeps its results in the compact finished form, and
+// Results stays nil: GET /sweep/{id} rebuilds it for each read. Results
+// is retained only for a job whose outcomes do not match its grid (see
+// compactResults).
 type sweepJob struct {
 	ID       string         `json:"id"`
 	State    string         `json:"state"` // "running" or "done"
@@ -164,6 +171,8 @@ type sweepJob struct {
 	Progress sweep.Progress `json:"progress"`
 	Results  *sweep.Results `json:"results,omitempty"`
 	Err      string         `json:"err,omitempty"`
+
+	finished *finishedSweep
 }
 
 // exploreJob tracks one design-space exploration. Evaluation runs on
@@ -475,12 +484,20 @@ func (s *Server) runJob(job *sweepJob, g sweep.Grid, points []sweep.Point, adm *
 }
 
 // finishJob publishes a sweep's terminal state, shared by the submit
-// and resume paths.
+// and resume paths. The results are compacted first, off the lock; the
+// grid it reads never changes after submission.
 func (s *Server) finishJob(job *sweepJob, res *sweep.Results, err error) {
+	var finished *finishedSweep
+	if res != nil {
+		if finished = compactResults(job.Grid, res); finished != nil {
+			res = nil
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job.State = "done"
 	job.Results = res
+	job.finished = finished
 	if err != nil {
 		job.Err = err.Error()
 	}
@@ -502,6 +519,9 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
 		return
+	}
+	if job.finished != nil {
+		job.Results = job.finished.expand(job.Grid) // off the lock: job is a copy
 	}
 	writeJSON(w, http.StatusOK, job)
 }
@@ -610,9 +630,12 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 // the keep-set is the union of each retained sweep's point keys and
 // each retained exploration's frontier evaluations. Results evicted
 // from the job stores age out of the cache here rather than
-// accumulating forever.
+// accumulating forever. The keys are hashed after the lock is
+// released: grids and frontiers never change once set.
 func (s *Server) handleCacheGC(w http.ResponseWriter, r *http.Request) {
 	keep := make(map[string]struct{})
+	var grids []sweep.Grid
+	var frontiers []*search.Frontier
 	s.mu.Lock()
 	for _, job := range s.sweeps.all() {
 		if job.Results != nil {
@@ -621,27 +644,33 @@ func (s *Server) handleCacheGC(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		// A still-running sweep has no outcomes yet — keep everything
-		// its grid will ask for.
-		for _, pt := range job.Grid.Expand() {
-			if key, err := pt.Key(); err == nil {
+		// A running sweep will ask for every key its grid names, and a
+		// compacted finished sweep's outcome keys are exactly those.
+		grids = append(grids, job.Grid)
+	}
+	for _, job := range s.explores.all() {
+		if fr := job.Frontier; fr != nil && fr.Spec.Space != nil {
+			frontiers = append(frontiers, fr)
+		}
+	}
+	s.mu.Unlock()
+
+	addKeys := func(points []sweep.Point) {
+		keys, _ := sweep.Keys(points)
+		for _, key := range keys {
+			if key != "" {
 				keep[key] = struct{}{}
 			}
 		}
 	}
-	for _, job := range s.explores.all() {
-		if fr := job.Frontier; fr != nil && fr.Spec.Space != nil {
-			for _, e := range fr.Frontier {
-				for _, pt := range fr.Spec.Space.Points(e.Candidate, fr.Spec.Workloads,
-					fr.Spec.Scale, fr.Spec.Check) {
-					if key, err := pt.Key(); err == nil {
-						keep[key] = struct{}{}
-					}
-				}
-			}
+	for _, g := range grids {
+		addKeys(g.Expand())
+	}
+	for _, fr := range frontiers {
+		for _, e := range fr.Frontier {
+			addKeys(fr.Spec.Space.Points(e.Candidate, fr.Spec.Workloads, fr.Spec.Scale, fr.Spec.Check))
 		}
 	}
-	s.mu.Unlock()
 
 	before := s.cache.Len()
 	removed, err := s.cache.GC(func(key string) bool {

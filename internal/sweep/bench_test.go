@@ -178,3 +178,28 @@ func BenchmarkSweepBatch(b *testing.B) { benchSweep(b, ExplorerBatch(), 64) }
 func BenchmarkSweepScalarMix(b *testing.B) { benchSweep(b, MixBatch(), 1) }
 
 func BenchmarkSweepBatchMix(b *testing.B) { benchSweep(b, MixBatch(), 64) }
+
+// BenchmarkGridKeys is what sweepd pays to rebuild a finished sweep's
+// outcome list on read: expand the 192-point acceptance grid and hash
+// every point's cache key, one Key call per point or one Keys call.
+func BenchmarkGridKeys(b *testing.B) {
+	g := acceptanceGrid(benchScale)
+	b.Run("Key", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, pt := range g.Expand() {
+				if _, err := pt.Key(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("Keys", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, errs := Keys(g.Expand()); errs[0] != nil {
+				b.Fatal(errs[0])
+			}
+		}
+	})
+}

@@ -342,11 +342,7 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 	submitAt := c.cfg.now()
 
 	// Resolve keys off the lock (hashing is CPU work), then classify.
-	keys := make([]string, len(points))
-	keyErrs := make([]error, len(points))
-	for i, pt := range points {
-		keys[i], keyErrs[i] = pt.Key()
-	}
+	keys, keyErrs := Keys(points)
 
 	c.mu.Lock()
 	if c.closed {

@@ -1,6 +1,9 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -131,6 +134,45 @@ func TestEveryMachineAxisChangesKey(t *testing.T) {
 			} else if key == baseKey {
 				t.Errorf("%s=%d left the key unchanged — axis silently uncached", ax.Name, v)
 			}
+		}
+	}
+}
+
+// TestKeysMatchKey pins Keys and Key to the content address's
+// definition: sha256 of json.Marshal of {Workload, Scale, Config}.
+// Points cover shared configurations across workloads and scales,
+// machine axes, key errors, and a workload name JSON must escape.
+func TestKeysMatchKey(t *testing.T) {
+	points := acceptanceGrid(20000).Expand()
+	points = append(points, Grid{Workloads: []string{"go", `a<b>&"c"`}, Policies: []string{"conv", "bogus"},
+		IntRegs: []int{40}, BPredBits: []int{31, 0}, L1DKBs: []int{24, 0}, Scale: 7}.Expand()...)
+	keys, errs := Keys(points)
+	for i, pt := range points {
+		want, wantErr := pt.Key()
+		if keys[i] != want || (errs[i] == nil) != (wantErr == nil) {
+			t.Fatalf("%s: Keys gave %q, %v; Key gave %q, %v", pt, keys[i], errs[i], want, wantErr)
+		}
+		if wantErr != nil {
+			if errs[i].Error() != wantErr.Error() {
+				t.Errorf("%s: error %q, want %q", pt, errs[i], wantErr)
+			}
+			continue
+		}
+		cfg, err := pt.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(struct {
+			Workload string
+			Scale    int
+			Config   pipeline.Config
+		}{pt.Workload, pt.Scale, cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		if hex.EncodeToString(sum[:]) != want {
+			t.Fatalf("%s: key is not the hash of the point's JSON encoding", pt)
 		}
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"earlyrelease/internal/cache"
 	"earlyrelease/internal/pipeline"
@@ -52,7 +54,7 @@ type Point struct {
 // String names the point in error messages and progress lines.
 func (p Point) String() string {
 	s := fmt.Sprintf("%s/%s/%d+%d@%d", p.Workload, p.Policy, p.IntRegs, p.FPRegs, p.Scale)
-	for _, ax := range MachineAxes() {
+	for _, ax := range machineAxes {
 		if v := ax.Get(p); v != 0 {
 			s += fmt.Sprintf("/%s=%d", ax.Name, v)
 		}
@@ -78,7 +80,7 @@ func (p Point) Config() (pipeline.Config, error) {
 	// Negative overrides would fall through every `> 0` guard below and
 	// silently simulate the baseline while being labeled (and cached)
 	// as a different machine; reject them as this point's error.
-	for _, ax := range MachineAxes() {
+	for _, ax := range machineAxes {
 		if v := ax.Get(p); v < 0 {
 			return pipeline.Config{}, fmt.Errorf("sweep: axis %s value %d is negative", ax.Name, v)
 		}
@@ -164,16 +166,70 @@ func (p Point) Key() (string, error) {
 // the key-sensitivity test perturbs every Config field reflectively to
 // keep this property honest as the config grows axes.
 func ConfigKey(workload string, scale int, cfg pipeline.Config) (string, error) {
-	blob, err := json.Marshal(struct {
-		Workload string
-		Scale    int
-		Config   pipeline.Config
-	}{workload, scale, cfg})
+	blob, err := json.Marshal(cfg)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(blob)
+	return configJSONKey(workload, scale, blob)
+}
+
+// configJSONKey hashes the JSON encoding of
+//
+//	struct{ Workload string; Scale int; Config pipeline.Config }
+//
+// given the config's own encoding, cfgJSON. The bytes hashed are
+// exactly those json.Marshal gives for that struct (TestKeysMatchKey
+// pins this), so keys never change with how they are computed.
+func configJSONKey(workload string, scale int, cfgJSON []byte) (string, error) {
+	w, err := json.Marshal(workload)
+	if err != nil {
+		return "", err
+	}
+	var stack [1024]byte // a config encodes to about 700 B
+	buf := append(stack[:0], `{"Workload":`...)
+	buf = append(buf, w...)
+	buf = append(buf, `,"Scale":`...)
+	buf = strconv.AppendInt(buf, int64(scale), 10)
+	buf = append(buf, `,"Config":`...)
+	buf = append(buf, cfgJSON...)
+	buf = append(buf, '}')
+	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// Keys returns what Key returns for each point, key and error, but
+// encodes each distinct machine configuration once. A point's Config
+// depends on neither its workload nor its scale, and a grid repeats
+// every configuration once per workload, so the acceptance grid's 192
+// points share 64 encodings. The coordinator keys every submitted
+// grid, and sweepd rebuilds a finished sweep's keys on each read.
+func Keys(points []Point) ([]string, []error) {
+	type encoded struct {
+		blob []byte
+		err  error
+	}
+	byMachine := make(map[Point]encoded)
+	keys := make([]string, len(points))
+	errs := make([]error, len(points))
+	for i, pt := range points {
+		machine := pt
+		machine.Workload, machine.Scale = "", 0
+		enc, ok := byMachine[machine]
+		if !ok {
+			cfg, err := pt.Config()
+			if err == nil {
+				enc.blob, err = json.Marshal(cfg)
+			}
+			enc.err = err
+			byMachine[machine] = enc
+		}
+		if enc.err != nil {
+			errs[i] = enc.err
+			continue
+		}
+		keys[i], errs[i] = configJSONKey(pt.Workload, pt.Scale, enc.blob)
+	}
+	return keys, errs
 }
 
 // Grid declares a sweep as axes to be crossed. Empty axes take the
@@ -238,89 +294,94 @@ type IntAxis struct {
 }
 
 // MachineAxes lists every machine-model axis in presentation order.
-func MachineAxes() []IntAxis {
-	return []IntAxis{
-		{
-			Name: "ros", Field: "ros_sizes", Doc: "reorder structure entries", Baseline: 128,
-			Sensitivity: []int{32, 64, 0, 256},
-			Set:         func(p *Point, v int) { p.ROSSize = v },
-			Get:         func(p Point) int { return p.ROSSize },
-			GridSet:     func(g *Grid, v []int) { g.ROSSizes = v },
-			GridGet:     func(g Grid) []int { return g.ROSSizes },
-		},
-		{
-			Name: "lsq", Field: "lsq_sizes", Doc: "load/store queue entries", Baseline: 64,
-			Sensitivity: []int{16, 32, 0, 128},
-			Set:         func(p *Point, v int) { p.LSQSize = v },
-			Get:         func(p Point) int { return p.LSQSize },
-			GridSet:     func(g *Grid, v []int) { g.LSQSizes = v },
-			GridGet:     func(g Grid) []int { return g.LSQSizes },
-		},
-		{
-			Name: "fetch", Field: "fetch_widths", Doc: "fetch width", Baseline: 8,
-			Sensitivity: []int{2, 4, 0, 16},
-			Set:         func(p *Point, v int) { p.FetchWidth = v },
-			Get:         func(p Point) int { return p.FetchWidth },
-			GridSet:     func(g *Grid, v []int) { g.FetchWidths = v },
-			GridGet:     func(g Grid) []int { return g.FetchWidths },
-		},
-		{
-			Name: "issue", Field: "issue_widths", Doc: "issue width", Baseline: 8,
-			Sensitivity: []int{2, 4, 0, 16},
-			Set:         func(p *Point, v int) { p.IssueWidth = v },
-			Get:         func(p Point) int { return p.IssueWidth },
-			GridSet:     func(g *Grid, v []int) { g.IssueWidths = v },
-			GridGet:     func(g Grid) []int { return g.IssueWidths },
-		},
-		{
-			Name: "commit", Field: "commit_widths", Doc: "commit width", Baseline: 8,
-			Sensitivity: []int{2, 4, 0, 16},
-			Set:         func(p *Point, v int) { p.CommitWidth = v },
-			Get:         func(p Point) int { return p.CommitWidth },
-			GridSet:     func(g *Grid, v []int) { g.CommitWidths = v },
-			GridGet:     func(g Grid) []int { return g.CommitWidths },
-		},
-		{
-			Name: "frontend", Field: "front_ends", Doc: "extra front-end stages", Baseline: 2,
-			Sensitivity: []int{1, 0, 4, 8},
-			Set:         func(p *Point, v int) { p.FrontEnd = v },
-			Get:         func(p Point) int { return p.FrontEnd },
-			GridSet:     func(g *Grid, v []int) { g.FrontEnds = v },
-			GridGet:     func(g Grid) []int { return g.FrontEnds },
-		},
-		{
-			Name: "bpred", Field: "bpred_bits", Doc: "gshare history bits (table = 2^bits)", Baseline: 18,
-			Sensitivity: []int{10, 14, 0},
-			Set:         func(p *Point, v int) { p.BPredBits = v },
-			Get:         func(p Point) int { return p.BPredBits },
-			GridSet:     func(g *Grid, v []int) { g.BPredBits = v },
-			GridGet:     func(g Grid) []int { return g.BPredBits },
-		},
-		{
-			Name: "l1d", Field: "l1d_kbs", Doc: "L1 data cache KB", Baseline: 32,
-			Sensitivity: []int{8, 16, 0, 64},
-			Set:         func(p *Point, v int) { p.L1DKB = v },
-			Get:         func(p Point) int { return p.L1DKB },
-			GridSet:     func(g *Grid, v []int) { g.L1DKBs = v },
-			GridGet:     func(g Grid) []int { return g.L1DKBs },
-		},
-		{
-			Name: "l2", Field: "l2_kbs", Doc: "unified L2 KB", Baseline: 1024,
-			Sensitivity: []int{256, 512, 0, 2048},
-			Set:         func(p *Point, v int) { p.L2KB = v },
-			Get:         func(p Point) int { return p.L2KB },
-			GridSet:     func(g *Grid, v []int) { g.L2KBs = v },
-			GridGet:     func(g Grid) []int { return g.L2KBs },
-		},
-		{
-			Name: "memlat", Field: "mem_lats", Doc: "main memory latency (cycles)", Baseline: 50,
-			Sensitivity: []int{25, 0, 100, 200},
-			Set:         func(p *Point, v int) { p.MemLat = v },
-			Get:         func(p Point) int { return p.MemLat },
-			GridSet:     func(g *Grid, v []int) { g.MemLats = v },
-			GridGet:     func(g Grid) []int { return g.MemLats },
-		},
-	}
+// The list is a copy callers may reorder or trim; the axes' Sensitivity
+// slices are shared with the package table and are read-only.
+func MachineAxes() []IntAxis { return slices.Clone(machineAxes) }
+
+// machineAxes is the axis table itself. The package's own loops —
+// Point.Config and Key, Grid.Expand — range over it directly, since
+// they run per point and a fresh ten-axis slice per call added up.
+var machineAxes = []IntAxis{
+	{
+		Name: "ros", Field: "ros_sizes", Doc: "reorder structure entries", Baseline: 128,
+		Sensitivity: []int{32, 64, 0, 256},
+		Set:         func(p *Point, v int) { p.ROSSize = v },
+		Get:         func(p Point) int { return p.ROSSize },
+		GridSet:     func(g *Grid, v []int) { g.ROSSizes = v },
+		GridGet:     func(g Grid) []int { return g.ROSSizes },
+	},
+	{
+		Name: "lsq", Field: "lsq_sizes", Doc: "load/store queue entries", Baseline: 64,
+		Sensitivity: []int{16, 32, 0, 128},
+		Set:         func(p *Point, v int) { p.LSQSize = v },
+		Get:         func(p Point) int { return p.LSQSize },
+		GridSet:     func(g *Grid, v []int) { g.LSQSizes = v },
+		GridGet:     func(g Grid) []int { return g.LSQSizes },
+	},
+	{
+		Name: "fetch", Field: "fetch_widths", Doc: "fetch width", Baseline: 8,
+		Sensitivity: []int{2, 4, 0, 16},
+		Set:         func(p *Point, v int) { p.FetchWidth = v },
+		Get:         func(p Point) int { return p.FetchWidth },
+		GridSet:     func(g *Grid, v []int) { g.FetchWidths = v },
+		GridGet:     func(g Grid) []int { return g.FetchWidths },
+	},
+	{
+		Name: "issue", Field: "issue_widths", Doc: "issue width", Baseline: 8,
+		Sensitivity: []int{2, 4, 0, 16},
+		Set:         func(p *Point, v int) { p.IssueWidth = v },
+		Get:         func(p Point) int { return p.IssueWidth },
+		GridSet:     func(g *Grid, v []int) { g.IssueWidths = v },
+		GridGet:     func(g Grid) []int { return g.IssueWidths },
+	},
+	{
+		Name: "commit", Field: "commit_widths", Doc: "commit width", Baseline: 8,
+		Sensitivity: []int{2, 4, 0, 16},
+		Set:         func(p *Point, v int) { p.CommitWidth = v },
+		Get:         func(p Point) int { return p.CommitWidth },
+		GridSet:     func(g *Grid, v []int) { g.CommitWidths = v },
+		GridGet:     func(g Grid) []int { return g.CommitWidths },
+	},
+	{
+		Name: "frontend", Field: "front_ends", Doc: "extra front-end stages", Baseline: 2,
+		Sensitivity: []int{1, 0, 4, 8},
+		Set:         func(p *Point, v int) { p.FrontEnd = v },
+		Get:         func(p Point) int { return p.FrontEnd },
+		GridSet:     func(g *Grid, v []int) { g.FrontEnds = v },
+		GridGet:     func(g Grid) []int { return g.FrontEnds },
+	},
+	{
+		Name: "bpred", Field: "bpred_bits", Doc: "gshare history bits (table = 2^bits)", Baseline: 18,
+		Sensitivity: []int{10, 14, 0},
+		Set:         func(p *Point, v int) { p.BPredBits = v },
+		Get:         func(p Point) int { return p.BPredBits },
+		GridSet:     func(g *Grid, v []int) { g.BPredBits = v },
+		GridGet:     func(g Grid) []int { return g.BPredBits },
+	},
+	{
+		Name: "l1d", Field: "l1d_kbs", Doc: "L1 data cache KB", Baseline: 32,
+		Sensitivity: []int{8, 16, 0, 64},
+		Set:         func(p *Point, v int) { p.L1DKB = v },
+		Get:         func(p Point) int { return p.L1DKB },
+		GridSet:     func(g *Grid, v []int) { g.L1DKBs = v },
+		GridGet:     func(g Grid) []int { return g.L1DKBs },
+	},
+	{
+		Name: "l2", Field: "l2_kbs", Doc: "unified L2 KB", Baseline: 1024,
+		Sensitivity: []int{256, 512, 0, 2048},
+		Set:         func(p *Point, v int) { p.L2KB = v },
+		Get:         func(p Point) int { return p.L2KB },
+		GridSet:     func(g *Grid, v []int) { g.L2KBs = v },
+		GridGet:     func(g Grid) []int { return g.L2KBs },
+	},
+	{
+		Name: "memlat", Field: "mem_lats", Doc: "main memory latency (cycles)", Baseline: 50,
+		Sensitivity: []int{25, 0, 100, 200},
+		Set:         func(p *Point, v int) { p.MemLat = v },
+		Get:         func(p Point) int { return p.MemLat },
+		GridSet:     func(g *Grid, v []int) { g.MemLats = v },
+		GridGet:     func(g Grid) []int { return g.MemLats },
+	},
 }
 
 // Canon maps an axis value naming the Table 2 baseline to the zero
@@ -335,7 +396,7 @@ func (ax IntAxis) Canon(v int) int {
 
 // AxisByName resolves a machine-model axis by its wire name.
 func AxisByName(name string) (IntAxis, error) {
-	for _, ax := range MachineAxes() {
+	for _, ax := range machineAxes {
 		if ax.Name == name {
 			return ax, nil
 		}
@@ -346,7 +407,7 @@ func AxisByName(name string) (IntAxis, error) {
 // AxisNames lists the machine-axis wire names in presentation order.
 func AxisNames() []string {
 	var names []string
-	for _, ax := range MachineAxes() {
+	for _, ax := range machineAxes {
 		names = append(names, ax.Name)
 	}
 	return names
@@ -444,7 +505,7 @@ func (g Grid) Expand() []Point {
 			}
 		}
 	}
-	for _, ax := range MachineAxes() {
+	for _, ax := range machineAxes {
 		base = crossAxis(base, ax, ax.GridGet(g))
 	}
 
