@@ -39,7 +39,13 @@ type Cache struct {
 
 // New builds a cache from its configuration. It panics on a non-sensical
 // geometry (sizes must divide evenly and be powers of two).
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return recycle(nil, cfg) }
+
+// recycle returns a cache for cfg in its post-New state. It reuses c's
+// arrays when they hold exactly sets × ways entries, whatever else in
+// the configuration changed; otherwise it allocates them at the exact
+// size, so a smaller level never keeps a larger one's arrays.
+func recycle(c *Cache, cfg Config) *Cache {
 	if cfg.Ways <= 0 || cfg.LineBytes <= 0 || cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("cache: bad config %+v", cfg))
 	}
@@ -47,12 +53,18 @@ func New(cfg Config) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic(fmt.Sprintf("cache: non power-of-two geometry %+v (sets=%d)", cfg, sets))
 	}
-	c := &Cache{cfg: cfg, sets: sets, lineBits: log2(cfg.LineBytes)}
 	n := sets * cfg.Ways
-	c.tags = make([]uint64, n)
-	c.valid = make([]bool, n)
-	c.dirty = make([]bool, n)
-	c.stamp = make([]uint64, n)
+	if c != nil && len(c.tags) == n {
+		c.reset()
+	} else {
+		c = &Cache{
+			tags:  make([]uint64, n),
+			valid: make([]bool, n),
+			dirty: make([]bool, n),
+			stamp: make([]uint64, n),
+		}
+	}
+	c.cfg, c.sets, c.lineBits = cfg, sets, log2(cfg.LineBytes)
 	return c
 }
 
@@ -173,16 +185,18 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 }
 
-// Recycle returns a hierarchy for cfg, reusing h's tag/state arrays
-// (over 300 KB for the Table 2 geometry) when the configuration matches.
-// The returned hierarchy is indistinguishable from a fresh NewHierarchy.
+// Recycle returns a hierarchy for cfg, reusing each of h's levels whose
+// tag/state arrays (over 300 KB for the Table 2 geometry) have the size
+// the new level needs; latencies alone never force a reallocation. The
+// returned hierarchy is indistinguishable from a fresh NewHierarchy.
 func Recycle(h *Hierarchy, cfg HierarchyConfig) *Hierarchy {
-	if h == nil || h.cfg != cfg {
+	if h == nil {
 		return NewHierarchy(cfg)
 	}
-	h.L1I.reset()
-	h.L1D.reset()
-	h.L2.reset()
+	h.L1I = recycle(h.L1I, cfg.L1I)
+	h.L1D = recycle(h.L1D, cfg.L1D)
+	h.L2 = recycle(h.L2, cfg.L2)
+	h.cfg = cfg
 	return h
 }
 

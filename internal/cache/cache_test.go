@@ -113,3 +113,65 @@ func TestStoreAllocates(t *testing.T) {
 		t.Errorf("load after store latency = %d, want 1 (write-allocate)", lat)
 	}
 }
+
+// TestRecycleMatchesFresh recycles one hierarchy across a latency-only
+// change and a size change. After each it must report the latencies
+// and statistics of a fresh NewHierarchy on the same accesses, and keep
+// the arrays of every level whose size did not change.
+func TestRecycleMatchesFresh(t *testing.T) {
+	access := func(h *Hierarchy) (lats []int, stats [3][3]uint64) {
+		for i := uint64(0); i < 4096; i++ {
+			addr := (i * 2654435761) % (4 << 20)
+			switch i % 3 {
+			case 0:
+				lats = append(lats, h.LoadLat(addr))
+			case 1:
+				lats = append(lats, h.StoreLat(addr))
+			default:
+				lats = append(lats, h.FetchLat(addr&^3))
+			}
+		}
+		for i, c := range []*Cache{h.L1I, h.L1D, h.L2} {
+			stats[i] = [3]uint64{c.Accesses, c.Misses, c.Writebacks}
+		}
+		return lats, stats
+	}
+	base := DefaultHierarchy()
+	latOnly := base
+	latOnly.MemLat, latOnly.L2.HitLat = 120, 20
+	resized := latOnly
+	resized.L2.SizeBytes = 256 << 10
+
+	h := NewHierarchy(base)
+	access(h)
+	for _, step := range []struct {
+		name string
+		cfg  HierarchyConfig
+		kept [3]bool // L1I, L1D, L2 arrays reused
+	}{
+		{"latency only", latOnly, [3]bool{true, true, true}},
+		{"L2 size", resized, [3]bool{true, true, false}},
+	} {
+		before := [3]*uint64{&h.L1I.tags[0], &h.L1D.tags[0], &h.L2.tags[0]}
+		h = Recycle(h, step.cfg)
+		after := [3]*uint64{&h.L1I.tags[0], &h.L1D.tags[0], &h.L2.tags[0]}
+		for i := range before {
+			if (before[i] == after[i]) != step.kept[i] {
+				t.Errorf("%s: level %d arrays kept = %v, want %v", step.name, i, before[i] == after[i], step.kept[i])
+			}
+		}
+		if n := len(h.L2.tags); n != step.cfg.L2.SizeBytes/step.cfg.L2.LineBytes {
+			t.Errorf("%s: L2 holds %d entries", step.name, n)
+		}
+		gotLat, gotStats := access(h)
+		wantLat, wantStats := access(NewHierarchy(step.cfg))
+		if gotStats != wantStats {
+			t.Errorf("%s: stats %v, fresh hierarchy %v", step.name, gotStats, wantStats)
+		}
+		for i := range wantLat {
+			if gotLat[i] != wantLat[i] {
+				t.Fatalf("%s: access %d latency %d, fresh hierarchy %d", step.name, i, gotLat[i], wantLat[i])
+			}
+		}
+	}
+}

@@ -47,10 +47,16 @@ func (e *ErrLimit) Error() string {
 
 // Run executes until HALT or until maxInsts instructions have retired,
 // recording the dynamic trace. It returns ErrLimit if the budget is
-// exhausted (the partial trace is still returned). The trace grows by
-// append, so its capacity stays close to its length whatever the budget.
+// exhausted, or the fault that stopped execution; the partial trace is
+// still returned either way. Run first executes a clone of the machine
+// to count the instructions, then records into a slice of exactly that
+// length, so cap(Entries) == len(Entries) and the trace is never copied
+// to grow. The clone's memory is garbage once the count is known.
 func (m *Machine) Run(maxInsts uint64) (*trace.Trace, error) {
-	tr := &trace.Trace{Prog: m.Prog}
+	probe := m.clone()
+	// The recording run below meets the same ErrLimit or fault.
+	_ = probe.RunQuiet(maxInsts)
+	tr := &trace.Trace{Prog: m.Prog, Entries: make([]trace.Entry, 0, probe.ICount-m.ICount)}
 	var err error
 	for !m.Halted {
 		if maxInsts > 0 && m.ICount >= maxInsts {
@@ -65,6 +71,14 @@ func (m *Machine) Run(maxInsts uint64) (*trace.Trace, error) {
 	}
 	tr.End = m.PC
 	return tr, err
+}
+
+// clone returns an independent copy of the machine: registers, PC,
+// counters and memory pages. The program is shared; it is immutable.
+func (m *Machine) clone() *Machine {
+	c := *m
+	c.Mem = m.Mem.clone()
+	return &c
 }
 
 // RunQuiet executes without recording a trace (for checksum tests).

@@ -237,10 +237,12 @@ func TestTraceEntries(t *testing.T) {
 	b.Label("f")
 	b.Ret()
 	p := b.MustBuild()
-	tr, err := New(p).Run(0)
+	m := New(p)
+	tr, err := m.Run(0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	checkRunState(t, p, 0, m, tr)
 	mix := tr.DynamicMix()
 	if mix.Branches != 2 || mix.TakenBr != 1 {
 		t.Errorf("branches = %d (taken %d), want 2 (1)", mix.Branches, mix.TakenBr)
@@ -264,11 +266,20 @@ func TestTraceEntries(t *testing.T) {
 	}
 
 	// A budget cut leaves a partial trace that still reconstructs.
-	part, err := New(p).Run(4)
+	m = New(p)
+	part, err := m.Run(4)
 	if _, ok := err.(*ErrLimit); !ok || part.Len() != 4 {
 		t.Fatalf("Run(4) = %d entries, %v; want 4, ErrLimit", part.Len(), err)
 	}
+	checkRunState(t, p, 4, m, part)
 	checkTraceReplay(t, p, part)
+	// Running on from the cut records exactly the rest.
+	rest, err := m.Run(0)
+	if err != nil || rest.Len() != tr.Len()-4 || cap(rest.Entries) != rest.Len() {
+		t.Fatalf("Run(0) after Run(4) = %d entries (cap %d), %v; want %d, no error",
+			rest.Len(), cap(rest.Entries), err, tr.Len()-4)
+	}
+	checkRunState(t, p, 0, m, tr)
 
 	// So does a trace cut by an emulation error: the jump leaves the
 	// text segment, and End is the address it jumped to.
@@ -277,11 +288,63 @@ func TestTraceEntries(t *testing.T) {
 	b.Jalr(isa.Zero, 1)
 	b.Halt()
 	p = b.MustBuild()
-	bad, err := New(p).Run(0)
+	m = New(p)
+	bad, err := m.Run(0)
 	if err == nil || bad.End != 0x40 {
 		t.Fatalf("wild jump: End = %#x, err = %v; want 0x40 and an error", bad.End, err)
 	}
+	checkRunState(t, p, 0, m, bad)
 	checkTraceReplay(t, p, bad)
+}
+
+// TestRunCountsOnACopy runs a program that reads back what it wrote:
+// Run's counting pass must leave the machine's memory untouched, or the
+// recording pass would take the branch and record a different trace.
+func TestRunCountsOnACopy(t *testing.T) {
+	b := program.NewBuilder("rmw")
+	flag := b.Words("flag", 0)
+	b.La(3, "flag")
+	b.Ld(1, 3, 0)
+	b.Addi(2, 1, 1)
+	b.Sd(2, 3, 0)
+	b.Bnez(1, "out") // taken only if flag was already written
+	b.Li(4, 7)
+	b.Li(5, 9)
+	b.Label("out")
+	b.Halt()
+	p := b.MustBuild()
+	m := New(p)
+	tr, err := m.Run(0)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	checkRunState(t, p, 0, m, tr)
+	checkTraceReplay(t, p, tr)
+	if m.IntR[4] != 7 || m.Mem.Read(flag, 8) != 1 {
+		t.Errorf("r4 = %d, flag = %d; want 7, 1", m.IntR[4], m.Mem.Read(flag, 8))
+	}
+}
+
+// checkRunState asserts Run's allocation and state contract: tr was
+// allocated at exactly its length, and m, the machine Run was called
+// on, stands where a plain Step loop over p with the same budget stops.
+func checkRunState(t *testing.T, p *program.Program, maxInsts uint64, m *Machine, tr *trace.Trace) {
+	t.Helper()
+	if cap(tr.Entries) != tr.Len() {
+		t.Errorf("trace capacity %d for %d entries", cap(tr.Entries), tr.Len())
+	}
+	ref := New(p)
+	for !ref.Halted && (maxInsts == 0 || ref.ICount < maxInsts) {
+		if _, err := ref.Step(); err != nil {
+			break
+		}
+	}
+	if m.ICount != ref.ICount || m.Halted != ref.Halted || m.PC != ref.PC ||
+		m.Mem.Checksum() != ref.Mem.Checksum() || m.Checksum() != ref.Checksum() {
+		t.Errorf("after Run: icount %d halted %v pc %#x mem %x; Step loop: %d %v %#x %x",
+			m.ICount, m.Halted, m.PC, m.Mem.Checksum(),
+			ref.ICount, ref.Halted, ref.PC, ref.Mem.Checksum())
+	}
 }
 
 // checkTraceReplay steps a fresh machine through p alongside tr: every

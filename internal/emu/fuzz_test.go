@@ -132,14 +132,15 @@ func FuzzEmuTrace(f *testing.F) {
 		}
 		m := New(p)
 		tr, err := m.Run(1 << 20)
+		if tr == nil {
+			// Failures must still return the partial trace.
+			t.Fatalf("error without partial trace: %v", err)
+		}
+		checkRunState(t, p, 1<<20, m, tr)
 		if err != nil {
 			var lim *ErrLimit
 			if errors.As(err, &lim) {
 				t.Fatalf("forward-only program hit the instruction budget: %v", err)
-			}
-			// Other failures must still return the partial trace.
-			if tr == nil {
-				t.Fatalf("error without partial trace: %v", err)
 			}
 			checkTraceReplay(t, p, tr)
 			return
@@ -160,6 +161,9 @@ func FuzzEmuTrace(f *testing.F) {
 				t.Fatalf("Run(%d) = %d entries, %v; want ErrLimit", half, part.Len(), err)
 			}
 			checkTraceReplay(t, p, part)
+			if cap(part.Entries) != part.Len() {
+				t.Fatalf("Run(%d): capacity %d for %d entries", half, cap(part.Entries), part.Len())
+			}
 		}
 		// Determinism: a second machine retires the identical stream.
 		m2 := New(buildFuzzProgram(data))

@@ -1,6 +1,9 @@
 package emu
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"maps"
+)
 
 // pageBits selects a 4 KiB page size for the sparse memory image.
 const pageBits = 12
@@ -93,6 +96,19 @@ func (m *Memory) Write(addr uint64, n int, v uint64) {
 	for i := 0; i < n; i++ {
 		m.StoreByte(addr+uint64(i), byte(v>>(8*i)))
 	}
+}
+
+// clone returns a deep copy of the memory image.
+func (m *Memory) clone() *Memory {
+	c := &Memory{
+		pages: make(map[uint64]*[pageSize]byte, len(m.pages)),
+		dirty: maps.Clone(m.dirty),
+	}
+	for pn, p := range m.pages {
+		cp := *p
+		c.pages[pn] = &cp
+	}
+	return c
 }
 
 // LoadBytes copies raw into memory starting at addr.

@@ -185,6 +185,16 @@ func (b *BatchCore) SetTrace(tr *trace.Trace) {
 	b.tr = tr
 }
 
+// Detach drops the batch's and its lanes' references to the trace and
+// its pre-decode, keeping the lanes' allocations. Call SetTrace before
+// the next Run.
+func (b *BatchCore) Detach() {
+	b.tr, b.dec = nil, nil
+	for _, l := range b.lanes {
+		l.Detach()
+	}
+}
+
 // Run simulates every configuration against the batch's trace and
 // returns per-lane results and errors (indexes match cfgs). A lane
 // with an error has a nil result; sibling lanes always run to

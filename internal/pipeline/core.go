@@ -227,6 +227,13 @@ func (c *Core) Reset(cfg Config, tr *trace.Trace) error {
 	return c.init(cfg, tr)
 }
 
+// Detach drops the core's references to its trace and program, so an
+// idle core does not keep either alive. Every other allocation stays
+// for the next Reset, which must supply the trace.
+func (c *Core) Detach() {
+	c.tr, c.dec = nil, nil
+}
+
 func (c *Core) init(cfg Config, tr *trace.Trace) error {
 	if err := cfg.Validate(); err != nil {
 		return err

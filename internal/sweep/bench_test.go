@@ -179,6 +179,42 @@ func BenchmarkSweepScalarMix(b *testing.B) { benchSweep(b, MixBatch(), 1) }
 
 func BenchmarkSweepBatchMix(b *testing.B) { benchSweep(b, MixBatch(), 64) }
 
+// BenchmarkWorkerShards is a federated worker's allocation profile on
+// a cold sweep: the acceptance grid, split by ShardPlanner as the
+// coordinator splits it, runs shard by shard through one two-worker
+// Engine with no shared cache, as sweepd -role worker runs leases.
+// Traces are built outside the timer, so B/op counts what the engine
+// allocates for lanes, results and per-shard caches.
+func BenchmarkWorkerShards(b *testing.B) {
+	pts := acceptanceGrid(5_000).Expand()
+	shards := ShardPlanner{}.Plan(pts)
+	for _, pt := range pts {
+		w, err := workloads.ByName(pt.Workload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.MustTrace(pt.Scale)
+	}
+	eng := &Engine{Parallel: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, shard := range shards {
+			sp := make([]Point, len(shard))
+			for j, idx := range shard {
+				sp[j] = pts[idx]
+			}
+			res, err := eng.RunPoints(sp, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := res.Err(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkGridKeys is what sweepd pays to rebuild a finished sweep's
 // outcome list on read: expand the 192-point acceptance grid and hash
 // every point's cache key, one Key call per point or one Keys call.

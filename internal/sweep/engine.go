@@ -18,7 +18,10 @@ import (
 // clients, as sweepd does) the same Cache to share results.
 type Engine struct {
 	// Parallel is the worker count (0 = GOMAXPROCS). Each worker
-	// recycles one pipeline.Core across all its points.
+	// recycles one pipeline.Core and one pipeline.BatchCore across all
+	// its points, and the Engine keeps them across runs: while idle it
+	// holds at most Parallel × (1 + Batch width) lanes, each at the
+	// geometry of its last point.
 	Parallel int
 	// Cache holds results across Run calls. Nil means each Run gets a
 	// fresh in-memory cache.
@@ -30,6 +33,50 @@ type Engine struct {
 	// (DefaultBatchWidth), 1 = disable batching, >1 = group width cap.
 	// Checker points and singleton groups always take the scalar path.
 	Batch int
+
+	// idle holds pool workers' simulation state between runs, so the
+	// next run reuses their cores, caches and predictors instead of
+	// allocating them again. It keeps at most the resolved Parallel
+	// states, each detached from its trace.
+	idleMu sync.Mutex
+	idle   []*simState
+}
+
+// simState is one pool worker's recyclable simulation state: a scalar
+// core and a lockstep batch, either nil until first needed.
+type simState struct {
+	core  *pipeline.Core
+	batch *pipeline.BatchCore
+}
+
+// takeState returns an idle worker state, or a fresh empty one.
+func (e *Engine) takeState() *simState {
+	e.idleMu.Lock()
+	defer e.idleMu.Unlock()
+	n := len(e.idle)
+	if n == 0 {
+		return &simState{}
+	}
+	st := e.idle[n-1]
+	e.idle[n-1] = nil
+	e.idle = e.idle[:n-1]
+	return st
+}
+
+// putState detaches st from its trace and keeps it for the next run,
+// unless limit states are already kept.
+func (e *Engine) putState(st *simState, limit int) {
+	if st.core != nil {
+		st.core.Detach()
+	}
+	if st.batch != nil {
+		st.batch.Detach()
+	}
+	e.idleMu.Lock()
+	defer e.idleMu.Unlock()
+	if len(e.idle) < limit {
+		e.idle = append(e.idle, st)
+	}
 }
 
 // DefaultBatchWidth is the lockstep group width Batch=0 resolves to.
@@ -213,21 +260,19 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 		mu.Unlock()
 	}
 
-	nw := e.Parallel
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
+	parallel := e.Parallel
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
 	}
-	if nw > len(jobs) {
-		nw = len(jobs)
-	}
+	nw := min(parallel, len(jobs))
 	ch := make(chan []miss)
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var core *pipeline.Core
-			var batch *pipeline.BatchCore
+			st := e.takeState()
+			defer e.putState(st, parallel)
 			for j := range ch {
 				if err := ctx.Err(); err != nil {
 					for _, m := range j {
@@ -240,7 +285,7 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 					var r *pipeline.Result
 					var err error
 					simStart := time.Now()
-					r, core, err = runPoint(core, m.pt)
+					r, st.core, err = runPoint(st.core, m.pt)
 					res.PointNS[m.i] = int64(time.Since(simStart))
 					o := &Outcome{Point: m.pt, Key: m.key, Result: r}
 					if err != nil {
@@ -253,7 +298,7 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 					finish(m.i, o)
 					continue
 				}
-				batch = runBatchJob(batch, j, cache, res.PointNS, &putNS, finish, onBatched)
+				st.batch = runBatchJob(st.batch, j, cache, res.PointNS, &putNS, finish, onBatched)
 			}
 		}()
 	}

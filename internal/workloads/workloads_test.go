@@ -130,8 +130,9 @@ func TestTraceCaching(t *testing.T) {
 }
 
 // TestTraceFootprint pins the trace's memory layout: 16-byte entries
-// and a capacity close to the length, not to the emulator's instruction
-// budget (scale×8 + 1e6 entries here, about a hundred times the length).
+// and a capacity exactly equal to the length, neither the emulator's
+// instruction budget (scale×8 + 1e6 entries here, about a hundred times
+// the length) nor append's growth slack.
 // The traces build concurrently while TraceCacheStats is polled, as a
 // /metrics scrape would, and it must end up counting exactly these
 // traces and their capacity.
@@ -164,7 +165,7 @@ func TestTraceFootprint(t *testing.T) {
 	for _, w := range All() {
 		tr := w.MustTrace(scale)
 		n, c := tr.Len(), cap(tr.Entries)
-		if c > n+n/4+1024 {
+		if c != n {
 			t.Errorf("%s: capacity %d for %d entries", w.Name, c, n)
 		}
 		bytes += int64(c) * 16
