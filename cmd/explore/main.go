@@ -25,11 +25,10 @@
 //
 // Like every sweep, exploration scales out through a sweepd
 // coordinator: -remote URL submits the whole job to its /explore
-// routes (candidate batches shard across the coordinator's workers),
-// while -remote-cache keeps the search local but shares the
-// coordinator's result cache. -json writes the frontier (the CI
-// explore smoke asserts it is non-empty, non-dominated, and fully
-// cached on a warm rerun).
+// routes (candidate batches shard across the coordinator's workers,
+// and their completions fill its shared result cache). -json writes
+// the frontier (the CI explore smoke asserts it is non-empty,
+// non-dominated, and fully cached on a warm rerun).
 //
 // Local evaluation batches candidates sharing a (workload, scale)
 // trace onto the lockstep execution path (DESIGN.md §4.6) — results
@@ -71,7 +70,6 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "local simulation workers (0 = GOMAXPROCS)")
 		cachePath  = flag.String("cache", "", "persistent result cache: a segment-store directory, created if absent")
 		remote     = flag.String("remote", "", "sweepd coordinator URL: run the job on its /explore routes")
-		remoteC    = flag.String("remote-cache", "", "sweepd coordinator URL: search locally over its shared cache")
 		jsonPath   = flag.String("json", "", "write the frontier JSON to this file (\"-\" = stdout)")
 		statsPath  = flag.String("stats-json", "", "write run + cache statistics to this file")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
@@ -129,9 +127,9 @@ func main() {
 		spec.Space = sp
 	}
 
-	if *remote != "" && (*cachePath != "" || *remoteC != "") {
+	if *remote != "" && *cachePath != "" {
 		log.Fatal("-remote runs the job on the coordinator (which owns the cache); " +
-			"it cannot be combined with -cache or -remote-cache")
+			"it cannot be combined with -cache")
 	}
 
 	stopProf, err := prof.Start(*cpuProf)
@@ -156,12 +154,6 @@ func main() {
 			if eng.Cache, err = sweep.OpenCache(*cachePath); err != nil {
 				log.Fatal(err)
 			}
-		}
-		if *remoteC != "" {
-			if eng.Cache == nil {
-				eng.Cache = sweep.NewCache()
-			}
-			eng.Cache.SetRemote(sweep.NewRemoteCache(*remoteC))
 		}
 		fr, err = (&search.Explorer{Eval: eng}).Run(spec, func(p search.Progress) {
 			progress(p.Evaluations+p.ScreenEvaluations, p.Budget, p.Last)

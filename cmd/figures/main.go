@@ -26,7 +26,8 @@
 // With -cache DIR, results persist across runs: a repeated invocation
 // only simulates points whose configuration changed. -stats-json FILE
 // records the run's cache statistics (the CI tier-2 smoke asserts a
-// warm rerun is 100% hits).
+// warm rerun is 100% hits). With -remote URL every driver grid runs
+// federated on a sweepd coordinator instead, over its shared cache.
 package main
 
 import (
@@ -69,7 +70,6 @@ func main() {
 		check   = flag.Bool("check", false, "enable invariant checking")
 		cache   = flag.String("cache", "", "persistent sweep-result cache — a store directory, created if absent (repeated runs only simulate new points)")
 		remote  = flag.String("remote", "", "sweepd coordinator URL: farm every driver grid out for federated execution")
-		remoteC = flag.String("remote-cache", "", "sweepd coordinator URL: run locally over its shared result cache")
 		statsJ  = flag.String("stats-json", "", "write cache statistics to this file")
 	)
 	flag.Parse()
@@ -84,9 +84,9 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	opt.Context = ctx
-	if *remote != "" && (*cache != "" || *remoteC != "") {
+	if *remote != "" && *cache != "" {
 		log.Fatal("-remote farms grids out to the coordinator (which owns the cache); " +
-			"it cannot be combined with -cache or -remote-cache")
+			"it cannot be combined with -cache")
 	}
 	if *cache != "" {
 		c, err := sweep.OpenCache(*cache)
@@ -94,12 +94,6 @@ func main() {
 			log.Fatal(err)
 		}
 		opt.Cache = c
-	}
-	if *remoteC != "" {
-		if opt.Cache == nil {
-			opt.Cache = sweep.NewCache()
-		}
-		opt.Cache.SetRemote(sweep.NewRemoteCache(*remoteC))
 	}
 	sizes := experiments.DefaultSizes
 	if *quick {

@@ -38,13 +38,11 @@
 //
 // Grids can scale past one machine through a sweepd coordinator
 // (DESIGN.md §4.3): -remote URL submits the grid for federated
-// execution across the coordinator's workers, while -remote-cache URL
-// keeps execution local but layers the coordinator's shared result
-// cache under the local one (read-through on miss, write-back on
-// save) — results are byte-identical in every mode:
+// execution across the coordinator's workers, whose completions fill
+// the coordinator's shared result cache — results are byte-identical
+// to a local run:
 //
 //	sweep -remote http://coordinator:8080 -workloads tomcatv -int-regs 40,48,64
-//	sweep -remote-cache http://coordinator:8080 -cache local-cache -axis ros=32,0
 package main
 
 import (
@@ -101,7 +99,6 @@ func main() {
 		compactF   = flag.Bool("compact", false, "compact the -cache store's stale segments and exit")
 		remote     = flag.String("remote", "", "sweepd coordinator URL: submit the grid for federated execution")
 		remoteTok  = flag.String("remote-token", "", "tenant API token for -remote submission (sweepd -tokens)")
-		remoteC    = flag.String("remote-cache", "", "sweepd coordinator URL: run locally but read-through/write-back its shared cache")
 		jsonOut    = flag.Bool("json", false, "print full outcomes as JSON")
 		statsPath  = flag.String("stats-json", "", "write run + cache statistics to this file")
 		quiet      = flag.Bool("q", false, "suppress progress output")
@@ -153,12 +150,12 @@ func main() {
 		}
 	}
 
-	// Federated submission runs nothing locally, so a local cache or
-	// cache tier would be silently dead weight — reject the combination
-	// instead of letting a -cache store quietly stop filling.
-	if *remote != "" && (*cachePath != "" || *remoteC != "") {
+	// Federated submission runs nothing locally, so a local cache
+	// would be silently dead weight — reject the combination instead
+	// of letting a -cache store quietly stop filling.
+	if *remote != "" && *cachePath != "" {
 		log.Fatal("-remote submits the grid to the coordinator (which owns the cache); " +
-			"it cannot be combined with -cache or -remote-cache")
+			"it cannot be combined with -cache")
 	}
 	eng := &sweep.Engine{Parallel: *parallel, Batch: *batch}
 	if *cachePath != "" {
@@ -176,13 +173,6 @@ func main() {
 			log.Fatal(err)
 		}
 		return
-	}
-
-	if *remoteC != "" {
-		if eng.Cache == nil {
-			eng.Cache = sweep.NewCache()
-		}
-		eng.Cache.SetRemote(sweep.NewRemoteCache(*remoteC))
 	}
 
 	// Ctrl-C (or a SIGTERM) abandons a federated wait cleanly — the

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -69,10 +70,8 @@ func acceptanceGrid(scale int) sweep.Grid {
 // TestFederationEndToEnd is the acceptance suite: an httptest
 // coordinator with NO local workers and 3 HTTP workers runs the
 // 192-point grid; results must be byte-identical to direct local
-// execution, every worker must have participated, a warm resubmission
-// is 100% coordinator-cache hits, and a fresh local engine layered
-// over the coordinator's remote cache tier re-runs the grid with 100%
-// remote hits and zero simulations.
+// execution, every worker must have participated, and a warm
+// resubmission is 100% coordinator-cache hits.
 func TestFederationEndToEnd(t *testing.T) {
 	ts := newFedServer(t, ServerConfig{
 		LocalWorkers: -1, // federation only: the work must cross HTTP
@@ -162,88 +161,6 @@ func TestFederationEndToEnd(t *testing.T) {
 	warm := pollDone(t, ts, postGrid(t, ts, g))
 	if warm.Results.Stats.CacheHits != 192 || warm.Results.Stats.Simulated != 0 {
 		t.Fatalf("warm resubmission stats: %+v", warm.Results.Stats)
-	}
-
-	// Remote-cache tier: a fresh local engine layered over the
-	// coordinator's cache re-runs the grid without simulating anything —
-	// 100% remote hits, byte-identical results.
-	local := sweep.NewCache()
-	local.SetRemote(sweep.NewRemoteCache(ts.URL))
-	tier, err := (&sweep.Engine{Cache: local}).Run(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tier.Stats.CacheHits != 192 || tier.Stats.Simulated != 0 {
-		t.Fatalf("remote-tier rerun stats: %+v", tier.Stats)
-	}
-	cs := local.Stats()
-	if cs.Remote == nil || cs.Remote.Hits != 192 || cs.Remote.Misses != 0 {
-		t.Fatalf("remote-tier traffic: %+v", cs.Remote)
-	}
-	for i, o := range tier.Outcomes {
-		gotJSON, _ := json.Marshal(o.Result)
-		wantJSON, _ := json.Marshal(direct.Outcomes[i].Result)
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("%s: remote-tier result drifted", o.Point)
-		}
-	}
-}
-
-// TestRemoteCacheWriteBack drives the tier the other way: a local run
-// publishes its results to the coordinator on Save, and a second
-// client (and the coordinator itself) then reads them without
-// simulating. A mislabeled PUT must be rejected by key verification.
-func TestRemoteCacheWriteBack(t *testing.T) {
-	ts := newFedServer(t, ServerConfig{LocalWorkers: -1}, 0) // bare cache server
-
-	g := sweep.Grid{Workloads: []string{"go"}, Policies: []string{"conv", "basic"},
-		IntRegs: []int{48}, Scale: testScale}
-	local := sweep.NewCache()
-	local.SetRemote(sweep.NewRemoteCache(ts.URL))
-	res, err := (&sweep.Engine{Cache: local}).Run(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Simulated != 2 {
-		t.Fatalf("cold local stats: %+v", res.Stats)
-	}
-	if cs := local.Stats(); cs.Remote == nil || cs.Remote.Puts != 2 || cs.Remote.PutErrors != 0 {
-		t.Fatalf("write-back traffic: %+v", local.Stats().Remote)
-	}
-
-	// A second client with an empty local cache sees pure remote hits.
-	other := sweep.NewCache()
-	other.SetRemote(sweep.NewRemoteCache(ts.URL))
-	res2, err := (&sweep.Engine{Cache: other}).Run(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.CacheHits != 2 || res2.Stats.Simulated != 0 {
-		t.Fatalf("second client stats: %+v", res2.Stats)
-	}
-	for i := range res.Outcomes {
-		a, _ := json.Marshal(res.Outcomes[i].Result)
-		b, _ := json.Marshal(res2.Outcomes[i].Result)
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: write-back round trip drifted", res.Outcomes[i].Point)
-		}
-	}
-
-	// Mislabeled publish: a result PUT under a key that does not match
-	// its point is rejected and does not land in the shared cache.
-	pt := sweep.Point{Workload: "go", Policy: "extended", IntRegs: 48, FPRegs: 48, Scale: testScale}
-	bogusKey := strings.Repeat("ab", 32)
-	err = sweep.NewRemoteCache(ts.URL).Put(pt, bogusKey, res.Outcomes[0].Result)
-	if err == nil || !strings.Contains(err.Error(), "does not match") {
-		t.Fatalf("mislabeled cache put not rejected: %v", err)
-	}
-	resp, err := http.Get(ts.URL + "/cache/" + bogusKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("mislabeled key is readable: status %d", resp.StatusCode)
 	}
 }
 
@@ -396,17 +313,30 @@ func TestFederationChaos(t *testing.T) {
 			t.Errorf("%s: poison result reached the job", o.Point)
 		}
 	}
-	// And the cache serves the truth for the keys the poison targeted.
-	for _, it := range evilGrant.Items {
-		resp, err := http.Get(ts.URL + "/cache/" + it.Key)
-		if err != nil {
-			t.Fatal(err)
+	// And the cache holds the truth for the keys the poison targeted.
+	resp, err := http.Get(ts.URL + "/cache/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	corpus := map[string]pipeline.Result{}
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var rec struct {
+			Key    string
+			Result pipeline.Result
 		}
-		var got struct{ IPC float64 }
-		err = json.NewDecoder(resp.Body).Decode(&got)
-		resp.Body.Close()
-		if err != nil || got.IPC == poisoned.IPC || got.IPC <= 0 {
-			t.Errorf("cache entry for %s poisoned or missing: %+v (%v)", it.Point, got, err)
+		if err := dec.Decode(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("decode cache export: %v", err)
+		}
+		corpus[rec.Key] = rec.Result
+	}
+	for _, it := range evilGrant.Items {
+		got, ok := corpus[it.Key]
+		if !ok || got.IPC == poisoned.IPC || got.IPC <= 0 {
+			t.Errorf("cache entry for %s poisoned or missing: present=%v IPC=%v", it.Point, ok, got.IPC)
 		}
 	}
 }

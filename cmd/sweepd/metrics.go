@@ -45,12 +45,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) (*tenant.A
 	if err == nil {
 		return adm, true
 	}
+	if rejectToken(w, err) {
+		return nil, false
+	}
 	var le *tenant.LimitError
 	switch {
-	case errors.Is(err, tenant.ErrNoToken):
-		writeError(w, http.StatusUnauthorized, "%v", err)
-	case errors.Is(err, tenant.ErrUnknownToken):
-		writeError(w, http.StatusForbidden, "%v", err)
 	case errors.As(err, &le) && le.Transient():
 		w.Header().Set("Retry-After", retryAfterSeconds(le.RetryAfter))
 		writeError(w, http.StatusTooManyRequests, "%v", err)
@@ -60,6 +59,36 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) (*tenant.A
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
 	return nil, false
+}
+
+// authorize gates an operator write (POST /cache/gc) on a known token
+// when the registry is enforcing; an open registry lets everyone in.
+// ok=false means the 401 or 403 answer has been written.
+func (s *Server) authorize(w http.ResponseWriter, r *http.Request) bool {
+	if !s.tenants.Enforcing() {
+		return true
+	}
+	// Resolve fails only with ErrNoToken or ErrUnknownToken.
+	if _, err := s.tenants.Resolve(requestToken(r)); err != nil {
+		rejectToken(w, err)
+		return false
+	}
+	return true
+}
+
+// rejectToken writes the answer to a token the registry refused — 401
+// when it is missing, 403 when it is unknown — and reports whether err
+// was such a refusal.
+func rejectToken(w http.ResponseWriter, err error) bool {
+	switch {
+	case errors.Is(err, tenant.ErrNoToken):
+		writeError(w, http.StatusUnauthorized, "%v", err)
+	case errors.Is(err, tenant.ErrUnknownToken):
+		writeError(w, http.StatusForbidden, "%v", err)
+	default:
+		return false
+	}
+	return true
 }
 
 // retryAfterSeconds renders a back-off hint as the integer-seconds
@@ -354,11 +383,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.gauge("sweepd_cache_entries", "Results in the shared cache.", float64(cs.Entries))
 	p.counter("sweepd_cache_hits_total", "Cache lookups served locally.", uint64(cs.Hits))
 	p.counter("sweepd_cache_misses_total", "Cache lookups that missed.", uint64(cs.Misses))
-	if cs.Remote != nil {
-		p.counter("sweepd_cache_remote_hits_total", "Remote-tier lookups that hit.", uint64(cs.Remote.Hits))
-		p.counter("sweepd_cache_remote_misses_total", "Remote-tier lookups that missed.", uint64(cs.Remote.Misses))
-		p.counter("sweepd_cache_remote_puts_total", "Results published to the remote tier.", uint64(cs.Remote.Puts))
-	}
 
 	tenants := s.tenants.Snapshot()
 	p.header("sweepd_tenant_accepted_total", "Submissions admitted, per tenant.", "counter")

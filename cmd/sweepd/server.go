@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"earlyrelease/internal/obs"
-	"earlyrelease/internal/pipeline"
 	"earlyrelease/internal/search"
 	"earlyrelease/internal/sweep"
 	"earlyrelease/internal/tenant"
@@ -45,6 +44,9 @@ import (
 //	GET  /axes                machine-model axis schema (names, Table 2
 //	                          baselines, explorer default bounds)
 //	GET  /cache               shared cache statistics
+//	GET  /cache/export        the shared cache as NDJSON
+//	POST /cache/gc            drop results no retained job references
+//	                          (needs a known token when -tokens enforces)
 //	GET  /healthz             liveness
 //
 // Explorations (DESIGN.md §4.5) run against this coordinator, so their
@@ -60,8 +62,10 @@ import (
 //	POST /work/lease          pull a shard lease (wire envelope)
 //	POST /work/renew          extend a held lease
 //	POST /work/complete       report a leased shard (wire envelope)
-//	GET  /cache/{key}         remote-cache tier: fetch one result
-//	PUT  /cache/{key}         remote-cache tier: publish one result
+//
+// Leased completions are the only write into the shared cache: every
+// result in it was simulated by a worker against a point the
+// coordinator planned, and verified against that point's key.
 //
 // Grids may sweep any machine-model axis (ros_sizes, lsq_sizes,
 // issue_widths, bpred_bits, ... — see GET /axes) exactly like the
@@ -361,8 +365,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /work/complete", s.handleComplete)
 	mux.HandleFunc("GET /cache/export", s.handleCacheExport)
 	mux.HandleFunc("POST /cache/gc", s.handleCacheGC)
-	mux.HandleFunc("GET /cache/{key}", s.handleCacheGet)
-	mux.HandleFunc("PUT /cache/{key}", s.handleCachePut)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -631,8 +633,12 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 // each retained exploration's frontier evaluations. Results evicted
 // from the job stores age out of the cache here rather than
 // accumulating forever. The keys are hashed after the lock is
-// released: grids and frontiers never change once set.
+// released: grids and frontiers never change once set. GC deletes
+// corpus entries, so an enforcing registry requires a known token.
 func (s *Server) handleCacheGC(w http.ResponseWriter, r *http.Request) {
+	if !s.authorize(w, r) {
+		return
+	}
 	keep := make(map[string]struct{})
 	var grids []sweep.Grid
 	var frontiers []*search.Frontier
@@ -973,65 +979,4 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
-}
-
-// --- remote cache tier --------------------------------------------------
-
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	res, ok := s.cache.Get(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for key %.12s…", key)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// handleCachePut accepts a client's locally simulated result for the
-// shared cache. The body carries the point alongside the result so the
-// key can be recomputed and verified — a mislabeled or corrupted entry
-// is rejected instead of poisoning every future read-through.
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	var in struct {
-		Point  sweep.Point      `json:"point"`
-		Result *json.RawMessage `json:"result"`
-	}
-	// Read-then-check, like handleComplete: a LimitReader alone would
-	// truncate an oversized body and surface it as a JSON syntax error
-	// (400) when the honest answer is 413.
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxCompleteBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read cache put: %v", err)
-		return
-	}
-	if len(data) > maxCompleteBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "cache put exceeds %d bytes", maxCompleteBytes)
-		return
-	}
-	if err := json.Unmarshal(data, &in); err != nil {
-		writeError(w, http.StatusBadRequest, "bad cache put: %v", err)
-		return
-	}
-	if in.Result == nil {
-		writeError(w, http.StatusBadRequest, "cache put carries no result")
-		return
-	}
-	want, err := in.Point.Key()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "cache put point: %v", err)
-		return
-	}
-	if want != key {
-		writeError(w, http.StatusBadRequest,
-			"cache put key %.12s… does not match point key %.12s… (rejected)", key, want)
-		return
-	}
-	res := &pipeline.Result{}
-	if err := json.Unmarshal(*in.Result, res); err != nil {
-		writeError(w, http.StatusBadRequest, "bad cache put result: %v", err)
-		return
-	}
-	s.cache.Put(key, res)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

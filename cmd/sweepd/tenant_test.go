@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"earlyrelease/internal/pipeline"
 	"earlyrelease/internal/sweep"
 	"earlyrelease/internal/tenant"
 )
@@ -107,6 +108,109 @@ func TestTenantAuth(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStatus(t, resp, http.StatusOK)
+}
+
+// TestAnonymousCannotSeedCache: leased completions are the only write
+// into the shared cache. An anonymous PUT of a fabricated result under
+// a point's valid key must be refused, and a tenant's later sweep of
+// that point must simulate it rather than serve the fabrication.
+func TestAnonymousCannotSeedCache(t *testing.T) {
+	ts, _ := newTenantServer(t, tenant.Config{
+		Tenants: []tenant.Tenant{{Name: "alice", Token: "tok-a"}},
+	}, 1)
+
+	pt := smallGrid().Expand()[0]
+	key, err := pt.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(map[string]any{"point": pt, "result": map[string]float64{"IPC": 99}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/cache/"+key, bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 == 2 {
+		t.Errorf("anonymous PUT /cache/%.12s… accepted: status %d", key, resp.StatusCode)
+	}
+
+	body := wantStatus(t, submitAs(t, ts, "tok-a", smallGrid()), http.StatusAccepted)
+	var out struct{ ID string }
+	if err := json.Unmarshal([]byte(body), &out); err != nil || out.ID == "" {
+		t.Fatalf("no sweep id in %s", body)
+	}
+	job := pollDone(t, ts, out.ID)
+	if job.Results.Stats.Simulated != 1 {
+		t.Errorf("alice's sweep was not simulated: %+v", job.Results.Stats)
+	}
+	if r := job.Results.Outcomes[0].Result; r == nil || r.IPC == 99 {
+		t.Errorf("alice's sweep served a result no simulation produced: %+v", r)
+	}
+}
+
+// TestCacheGCRequiresToken: under an enforcing registry POST /cache/gc
+// deletes corpus entries only for a known token — 401 without one, 403
+// for an unknown one — and an authorized GC still keeps every key a
+// retained sweep names.
+func TestCacheGCRequiresToken(t *testing.T) {
+	ts, srv := newTenantServer(t, tenant.Config{
+		Tenants: []tenant.Tenant{{Name: "alice", Token: "tok-a"}},
+	}, 1)
+
+	body := wantStatus(t, submitAs(t, ts, "tok-a", smallGrid()), http.StatusAccepted)
+	var out struct{ ID string }
+	if err := json.Unmarshal([]byte(body), &out); err != nil || out.ID == "" {
+		t.Fatalf("no sweep id in %s", body)
+	}
+	pollDone(t, ts, out.ID)
+	const orphan = "orphan-key-no-job-names"
+	srv.cache.Put(orphan, &pipeline.Result{})
+
+	gc := func(token string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/cache/gc", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if token != "" {
+			req.Header.Set("Authorization", "Bearer "+token)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	wantStatus(t, gc(""), http.StatusUnauthorized)
+	wantStatus(t, gc("wrong"), http.StatusForbidden)
+	if !cacheKeys(t, srv.cache)[orphan] {
+		t.Fatal("a refused GC removed entries")
+	}
+
+	var res map[string]int
+	if err := json.Unmarshal([]byte(wantStatus(t, gc("tok-a"), http.StatusOK)), &res); err != nil {
+		t.Fatal(err)
+	}
+	after := cacheKeys(t, srv.cache)
+	if after[orphan] {
+		t.Error("authorized GC kept a key no retained job names")
+	}
+	for _, key := range gridKeys(smallGrid()) {
+		if !after[key] {
+			t.Errorf("authorized GC dropped retained key %.12s…", key)
+		}
+	}
+	if res["removed"] != 1 || res["entries"] != len(after) {
+		t.Errorf("gc reported %v; want 1 removed, %d left", res, len(after))
+	}
 }
 
 func TestTenantOversizedGrid413(t *testing.T) {
@@ -293,8 +397,8 @@ func TestExploreAdmission(t *testing.T) {
 }
 
 // TestSubmitBodyBound proves the request size caps: an over-long
-// /sweep or /explore body, an over-long body on each token-free worker
-// route, and an over-long PUT /cache/{key} body all answer 413, not 400.
+// /sweep or /explore body and an over-long body on each token-free
+// worker route all answer 413, not 400.
 func TestSubmitBodyBound(t *testing.T) {
 	ts, _ := newTestServer(t)
 
@@ -334,23 +438,6 @@ func TestSubmitBodyBound(t *testing.T) {
 
 	// A normal-sized body still works after the bound (no regression).
 	wantStatus(t, submitAs(t, ts, "", smallGrid()), http.StatusAccepted)
-
-	// Oversized cache put: 413, not "bad JSON" 400.
-	pt := sweep.Point{Workload: "go", Policy: "conv", IntRegs: 48, FPRegs: 48, Scale: testScale}
-	key, err := pt.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := []byte(`{"point":{},"result":{"pad":"` + strings.Repeat("y", maxCompleteBytes) + `"}}`)
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/cache/"+key, bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusRequestEntityTooLarge)
 }
 
 // scrapeMetrics fetches /metrics and returns the value of the first

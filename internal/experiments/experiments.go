@@ -26,8 +26,8 @@ type Options struct {
 
 	// Cache overrides the process-wide shared result cache — e.g. a
 	// persistent sweep.OpenCache directory so repeated figure runs are
-	// incremental across processes (optionally layered over a remote
-	// tier with Cache.SetRemote). Nil uses the shared in-memory cache.
+	// incremental across processes. Nil uses the shared in-memory
+	// cache.
 	Cache *sweep.Cache
 
 	// Remote is a sweepd coordinator base URL. When set, every driver

@@ -38,35 +38,6 @@ type Cache struct {
 	storeErrs uint64
 
 	hits, misses uint64
-
-	// Remote tier (SetRemote): lookups that miss locally read through
-	// to a coordinator's cache over HTTP, and locally simulated results
-	// are written back on Save. Both directions are best-effort — a
-	// broken network degrades to local-only behavior.
-	remote        *RemoteCache
-	pendingRemote []remotePut
-	rstats        RemoteCacheStats
-
-	// saveMu serializes Save calls, so a Save returns only once every
-	// write-back queued before it has been pushed, even when another
-	// sweep's Save took that part of the queue.
-	saveMu sync.Mutex
-}
-
-// remotePut is one queued write-back. The point rides along because
-// the remote end verifies the key against it before accepting.
-type remotePut struct {
-	pt  Point
-	key string
-	r   *pipeline.Result
-}
-
-// SetRemote layers a remote tier under this cache: Get read-through,
-// Save write-back.
-func (c *Cache) SetRemote(rc *RemoteCache) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.remote = rc
 }
 
 // NewCache returns an empty in-memory cache.
@@ -104,12 +75,11 @@ func OpenCache(dir string) (*Cache, error) {
 }
 
 // Get returns the cached result for key, if any. A memory miss probes
-// the segment store, then a remote tier if one is configured — both
-// off the lookup lock, so concurrent Gets never stall behind disk or
-// HTTP. A hit from a lower tier is cached in memory and counted as a
-// hit. Every miss path re-checks memory before answering: a concurrent
-// Put may have landed during the probe, and reporting it as a miss
-// would trigger a redundant re-simulation.
+// the segment store off the lookup lock, so concurrent Gets never
+// stall behind disk. A store hit is cached in memory and counted as a
+// hit. A miss re-checks memory before answering: a concurrent Put may
+// have landed during the probe, and reporting it as a miss would
+// trigger a redundant re-simulation.
 func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 	c.mu.Lock()
 	if r, ok := c.mem[key]; ok {
@@ -117,7 +87,7 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 		c.mu.Unlock()
 		return r, true
 	}
-	st, rc := c.store, c.remote
+	st := c.store
 	c.mu.Unlock()
 
 	if st != nil {
@@ -134,35 +104,8 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 				return r, true
 			}
 		}
-		// A store miss (or an unreadable record) falls through to the
-		// remote tier, and failing that to a re-simulation.
-	}
-
-	if rc != nil {
-		r, ok, err := rc.Get(key)
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		switch {
-		case err != nil:
-			c.rstats.GetErrors++
-		case ok:
-			c.rstats.Hits++
-			c.hits++
-			if have, exists := c.mem[key]; exists {
-				return have, true // a concurrent Put won the race
-			}
-			c.mem[key] = r
-			c.persist(key, r)
-			return r, true
-		default:
-			c.rstats.Misses++
-		}
-		if have, exists := c.mem[key]; exists {
-			c.hits++
-			return have, true // a concurrent Put landed during the round-trip
-		}
-		c.misses++
-		return nil, false
+		// A store miss (or an unreadable record) falls through to a
+		// re-simulation.
 	}
 
 	c.mu.Lock()
@@ -178,8 +121,8 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 // persist makes a freshly added result durable-on-Save: it appends to
 // the segment log immediately and the next Save fsyncs. Failures to
 // append are counted, not surfaced — the result still serves from
-// memory, exactly like the remote tier's best-effort contract. A no-op
-// without a store. Called with c.mu held.
+// memory, and a later run re-simulates whatever never reached disk. A
+// no-op without a store. Called with c.mu held.
 func (c *Cache) persist(key string, r *pipeline.Result) {
 	if c.store == nil {
 		return
@@ -217,25 +160,6 @@ func (c *Cache) Put(key string, r *pipeline.Result) {
 	}
 }
 
-// PutPoint is Put for a locally simulated point: with a remote tier
-// configured, the result is additionally queued for write-back (the
-// point travels with it so the remote end can verify the key). Save
-// flushes the queue.
-func (c *Cache) PutPoint(pt Point, key string, r *pipeline.Result) {
-	if r == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.has(key) {
-		c.mem[key] = r
-		c.persist(key, r)
-		if c.remote != nil {
-			c.pendingRemote = append(c.pendingRemote, remotePut{pt, key, r})
-		}
-	}
-}
-
 // Len reports the number of cached results.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -246,31 +170,13 @@ func (c *Cache) Len() int {
 	return len(c.mem)
 }
 
-// Save persists the cache: queued remote write-backs are flushed
-// first (best-effort — failures are counted in Stats, never returned),
-// then the store is fsynced. Every Put already appended its record, so
+// Save fsyncs the store. Every Put already appended its record, so
 // Save costs one fsync per dirty shard — O(new data) however large the
-// corpus. A no-op for the local tier of an in-memory cache.
+// corpus. A no-op for an in-memory cache.
 func (c *Cache) Save() error {
-	c.saveMu.Lock()
-	defer c.saveMu.Unlock()
-
 	c.mu.Lock()
-	rc, pend, st := c.remote, c.pendingRemote, c.store
-	c.pendingRemote = nil
+	st := c.store
 	c.mu.Unlock()
-	if rc != nil {
-		for _, p := range pend {
-			err := rc.Put(p.pt, p.key, p.r)
-			c.mu.Lock()
-			if err != nil {
-				c.rstats.PutErrors++
-			} else {
-				c.rstats.Puts++
-			}
-			c.mu.Unlock()
-		}
-	}
 	if st == nil {
 		return nil
 	}
@@ -287,25 +193,10 @@ type CacheStats struct {
 	Misses  uint64  `json:"misses"`
 	HitRate float64 `json:"hit_rate"` // hits / (hits+misses), 0 if no lookups
 
-	// Remote reports the remote tier's traffic when one is configured.
-	Remote *RemoteCacheStats `json:"remote,omitempty"`
-
 	// Store reports the segment store's on-disk shape for an opened
-	// cache, plus any write-through append failures (best-effort, like
-	// the remote tier).
+	// cache, plus any write-through append failures (best-effort).
 	Store       *store.Stats `json:"store,omitempty"`
 	StoreErrors uint64       `json:"store_errors,omitempty"`
-}
-
-// RemoteCacheStats counts remote-tier traffic: read-through lookups
-// and write-back pushes, with failures tallied rather than surfaced
-// (the tier is best-effort by design).
-type RemoteCacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	GetErrors uint64 `json:"get_errors"`
-	Puts      uint64 `json:"puts"`
-	PutErrors uint64 `json:"put_errors"`
 }
 
 // Stats returns lifetime lookup counters for this cache instance.
@@ -315,10 +206,6 @@ func (c *Cache) Stats() CacheStats {
 	s := CacheStats{Entries: len(c.mem), Hits: c.hits, Misses: c.misses}
 	if n := c.hits + c.misses; n > 0 {
 		s.HitRate = float64(c.hits) / float64(n)
-	}
-	if c.remote != nil {
-		rs := c.rstats
-		s.Remote = &rs
 	}
 	if c.store != nil {
 		ss := c.store.Stats()

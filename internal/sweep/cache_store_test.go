@@ -274,12 +274,13 @@ func TestStoreCacheConcurrent(t *testing.T) {
 	defer c.Close()
 
 	res := &pipeline.Result{Cycles: 7}
+	const writers, perWriter = 8, 40
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 40; i++ {
+			for i := 0; i < perWriter; i++ {
 				key := strings.Repeat("x", 4) + string(rune('a'+w)) + string(rune('a'+i%26))
 				c.Put(key, res)
 				if _, ok := c.Get(key); !ok {
@@ -297,6 +298,12 @@ func TestStoreCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// Every Get follows its own Put, so each one is a hit: a lookup that
+	// raced another writer's Put or Save must never count as a miss.
+	if st := c.Stats(); st.Misses != 0 || st.Hits != writers*perWriter {
+		t.Errorf("counters skewed under concurrency: hits=%d misses=%d, want %d/0",
+			st.Hits, st.Misses, writers*perWriter)
+	}
 }
 
 // TestCacheGC checks the in-memory and store-backed caches both drop

@@ -292,7 +292,7 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 						o.Err = err.Error()
 					} else {
 						putStart := time.Now()
-						cache.PutPoint(m.pt, m.key, r)
+						cache.Put(m.key, r)
 						putNS.Add(int64(time.Since(putStart)))
 					}
 					finish(m.i, o)
@@ -437,7 +437,7 @@ func runBatchJob(batch *pipeline.BatchCore, j []miss, cache *Cache,
 			o.Err = fmt.Errorf("%s: %w", m.pt, errs[li]).Error()
 		} else {
 			putStart := time.Now()
-			cache.PutPoint(m.pt, m.key, results[li])
+			cache.Put(m.key, results[li])
 			putNS.Add(int64(time.Since(putStart)))
 		}
 		finish(m.i, o)

@@ -10,15 +10,13 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"earlyrelease/internal/pipeline"
 )
 
-// Client talks to a sweepd coordinator. It serves three roles:
-// submitting grids for federated execution (RunGrid), pulling leased
-// shards as a remote worker (the WorkSource methods, used by sweepd
-// -role worker), and backing a RemoteCache tier. All state lives on
-// the coordinator; a Client is just a base URL and an http.Client.
+// Client talks to a sweepd coordinator. It serves two roles:
+// submitting grids for federated execution (RunGrid) and pulling
+// leased shards as a remote worker (the WorkSource methods, used by
+// sweepd -role worker). All state lives on the coordinator; a Client
+// is just a base URL and an http.Client.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -237,6 +235,13 @@ func (c *Client) RunGrid(ctx context.Context, g Grid, onProgress func(Progress))
 
 // --- WorkSource over HTTP ----------------------------------------------
 
+// maxResultBytes bounds the lease grant a worker reads from the
+// coordinator (Client.LeaseShard), mirroring the request cap the
+// server enforces (sweepd's maxCompleteBytes): a misbehaving
+// coordinator must not be able to balloon a worker's memory with an
+// endless body.
+const maxResultBytes = 64 << 20
+
 // RegisterWorker implements WorkSource.
 func (c *Client) RegisterWorker(name string) (RegisterReply, error) {
 	var out struct {
@@ -316,85 +321,6 @@ func (c *Client) CompleteShard(req *CompleteRequest) error {
 		return err
 	}
 	resp, err := c.hc.Post(c.base+"/work/complete", "application/octet-stream", bytes.NewReader(frame))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return apiError(resp)
-	}
-	resp.Body.Close()
-	return nil
-}
-
-// --- remote cache tier --------------------------------------------------
-
-// RemoteCache is the HTTP backend of a Cache's remote tier: results
-// are fetched and published by their SHA-256 content key against a
-// coordinator's shared cache (GET/PUT /cache/{key}).
-type RemoteCache struct {
-	c *Client
-}
-
-// NewRemoteCache builds a remote tier against a coordinator base URL.
-func NewRemoteCache(base string) *RemoteCache {
-	rc := &RemoteCache{c: NewClient(base)}
-	rc.c.hc.Timeout = 15 * time.Second
-	return rc
-}
-
-// maxResultBytes bounds each response body a worker reads from the
-// coordinator — a cache result (RemoteCache.Get) or a lease grant
-// (Client.LeaseShard) — mirroring the request cap the server enforces
-// (sweepd's maxCompleteBytes): a misbehaving coordinator must not be
-// able to balloon a worker's memory with an endless body.
-const maxResultBytes = 64 << 20
-
-// Get fetches one result by content key; ok=false on a clean 404.
-func (rc *RemoteCache) Get(key string) (*pipeline.Result, bool, error) {
-	resp, err := rc.c.hc.Get(rc.c.base + "/cache/" + key)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotFound:
-		io.Copy(io.Discard, resp.Body)
-		return nil, false, nil
-	case http.StatusOK:
-		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes+1))
-		if err != nil {
-			return nil, false, err
-		}
-		if len(data) > maxResultBytes {
-			return nil, false, fmt.Errorf("sweep: cache response for %s exceeds %d bytes", key, maxResultBytes)
-		}
-		r := &pipeline.Result{}
-		if err := json.Unmarshal(data, r); err != nil {
-			return nil, false, err
-		}
-		return r, true, nil
-	}
-	return nil, false, apiError(resp)
-}
-
-// Put publishes a locally simulated result under its content key. The
-// point travels along so the remote end can recompute and verify the
-// key before accepting — a client can waste its own time, but it
-// cannot poison the shared cache with a mislabeled result.
-func (rc *RemoteCache) Put(pt Point, key string, r *pipeline.Result) error {
-	blob, err := json.Marshal(struct {
-		Point  Point            `json:"point"`
-		Result *pipeline.Result `json:"result"`
-	}{pt, r})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPut, rc.c.base+"/cache/"+key, bytes.NewReader(blob))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rc.c.hc.Do(req)
 	if err != nil {
 		return err
 	}
