@@ -31,8 +31,8 @@ type Snapshot struct {
 type Predictor struct {
 	cfg     Config
 	mask    uint32
-	hist    uint32 // speculatively updated global history
-	counter []uint8
+	hist    uint32  // speculatively updated global history
+	counter []uint8 // 2-bit saturating counters, four per byte (see ctr)
 	btbTag  []uint64
 	btbTgt  []uint64
 	ras     []uint64
@@ -59,14 +59,14 @@ func (cfg Config) canon() Config {
 	return cfg
 }
 
-// New returns a predictor with all counters weakly not-taken.
+// New returns a predictor with all counters strongly not-taken (0).
 func New(cfg Config) *Predictor {
 	cfg = cfg.canon()
 	n := 1 << cfg.HistoryBits
 	return &Predictor{
 		cfg:     cfg,
 		mask:    uint32(n - 1),
-		counter: make([]uint8, n),
+		counter: make([]uint8, (n+3)/4),
 		btbTag:  make([]uint64, cfg.BTBEntries),
 		btbTgt:  make([]uint64, cfg.BTBEntries),
 		ras:     make([]uint64, cfg.RASEntries),
@@ -74,10 +74,10 @@ func New(cfg Config) *Predictor {
 }
 
 // Recycle returns a predictor for cfg, reusing p's tables (the gshare
-// counter array alone is 2^18 bytes) when the geometry matches. The
+// counter array alone is 64 KB at 18 history bits) when Fits(cfg). The
 // returned predictor is indistinguishable from a fresh New(cfg).
 func Recycle(p *Predictor, cfg Config) *Predictor {
-	if p == nil || p.cfg != cfg.canon() {
+	if !p.Fits(cfg) {
 		return New(cfg)
 	}
 	clear(p.counter)
@@ -88,6 +88,18 @@ func Recycle(p *Predictor, cfg Config) *Predictor {
 	p.Lookups, p.DirMispred = 0, 0
 	p.TgtLookups, p.TgtMispred = 0, 0
 	return p
+}
+
+// Fits reports whether p's tables have the sizes cfg needs, so Recycle
+// would reuse them. A nil predictor fits nothing.
+func (p *Predictor) Fits(cfg Config) bool {
+	return p != nil && p.cfg == cfg.canon()
+}
+
+// ctr returns the byte holding counter idx and the counter's bit offset
+// within it.
+func (p *Predictor) ctr(idx uint32) (*uint8, uint32) {
+	return &p.counter[idx>>2], idx & 3 << 1
 }
 
 func (p *Predictor) index(pc uint64) uint32 {
@@ -104,7 +116,8 @@ func (p *Predictor) Snap() Snapshot {
 // speculatively shifts it into the global history.
 func (p *Predictor) Predict(pc uint64) bool {
 	p.Lookups++
-	taken := p.counter[p.index(pc)] >= 2
+	b, sh := p.ctr(p.index(pc))
+	taken := *b>>sh&2 != 0 // counter >= 2
 	p.hist = (p.hist<<1 | b2u(taken)) & p.mask
 	return taken
 }
@@ -113,14 +126,14 @@ func (p *Predictor) Predict(pc uint64) bool {
 // snap must be the Snapshot taken before Predict, so the counter indexed
 // during prediction is the one trained.
 func (p *Predictor) Resolve(pc uint64, snap Snapshot, taken bool) {
-	idx := (uint32(pc>>2) ^ snap.Hist) & p.mask
-	c := p.counter[idx]
+	b, sh := p.ctr((uint32(pc>>2) ^ snap.Hist) & p.mask)
+	c := *b >> sh & 3
 	if taken {
 		if c < 3 {
-			p.counter[idx] = c + 1
+			*b += 1 << sh
 		}
 	} else if c > 0 {
-		p.counter[idx] = c - 1
+		*b -= 1 << sh
 	}
 }
 

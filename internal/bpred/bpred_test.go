@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"math/rand"
 	"testing"
 
 	"earlyrelease/internal/isa"
@@ -131,5 +132,93 @@ func TestAccuracyAccounting(t *testing.T) {
 	}
 	if p.DirMispred == 0 {
 		t.Error("cold-start mispredictions not counted")
+	}
+}
+
+// byteGshare is the reference direction predictor: the gshare table as
+// one byte per 2-bit counter, as the predictor stored it before packing
+// four counters to a byte. TestPackedMatchesByteGshare holds the packed
+// table to it.
+type byteGshare struct {
+	mask    uint32
+	hist    uint32
+	counter []uint8
+}
+
+func newByteGshare(bits int) *byteGshare {
+	n := 1 << bits
+	return &byteGshare{mask: uint32(n - 1), counter: make([]uint8, n)}
+}
+
+func (g *byteGshare) predict(pc uint64) bool {
+	taken := g.counter[(uint32(pc>>2)^g.hist)&g.mask] >= 2
+	g.hist = (g.hist<<1 | b2u(taken)) & g.mask
+	return taken
+}
+
+func (g *byteGshare) resolve(pc uint64, hist uint32, taken bool) {
+	idx := (uint32(pc>>2) ^ hist) & g.mask
+	c := g.counter[idx]
+	if taken {
+		if c < 3 {
+			g.counter[idx] = c + 1
+		}
+	} else if c > 0 {
+		g.counter[idx] = c - 1
+	}
+}
+
+// TestPackedMatchesByteGshare drives the packed predictor and the
+// byte-per-counter reference with the same seeded stream of
+// predictions, out-of-order resolutions and recoveries, at history
+// lengths whose tables hold one, two, a partial byte's worth and
+// many bytes of counters. Every prediction, the history after every
+// step, and finally every counter must agree.
+func TestPackedMatchesByteGshare(t *testing.T) {
+	for _, bits := range []int{1, 2, 3, 10, 18} {
+		p := New(Config{HistoryBits: bits, BTBEntries: 64, RASEntries: 8})
+		ref := newByteGshare(bits)
+		if want := (len(ref.counter) + 3) / 4; len(p.counter) != want {
+			t.Fatalf("bits %d: packed table is %d bytes, want %d", bits, len(p.counter), want)
+		}
+		rng := rand.New(rand.NewSource(int64(bits)))
+		type branch struct {
+			pc   uint64
+			snap Snapshot
+		}
+		var pending []branch
+		for step := 0; step < 200_000; step++ {
+			switch op := rng.Intn(8); {
+			case op < 4 || len(pending) == 0:
+				pc := uint64(rng.Intn(4096)) << 2
+				snap := p.Snap()
+				if got, want := p.Predict(pc), ref.predict(pc); got != want {
+					t.Fatalf("bits %d step %d: predicted %v, reference %v", bits, step, got, want)
+				}
+				pending = append(pending, branch{pc, snap})
+			case op < 7:
+				i := rng.Intn(len(pending))
+				b := pending[i]
+				taken := rng.Intn(3) != 0
+				p.Resolve(b.pc, b.snap, taken)
+				ref.resolve(b.pc, b.snap.Hist, taken)
+				pending = append(pending[:i], pending[i+1:]...)
+			default:
+				i := rng.Intn(len(pending))
+				taken := rng.Intn(2) == 0
+				p.Recover(pending[i].snap, taken)
+				ref.hist = (pending[i].snap.Hist<<1 | b2u(taken)) & ref.mask
+				pending = pending[:i]
+			}
+			if p.hist != ref.hist {
+				t.Fatalf("bits %d step %d: history %#x, reference %#x", bits, step, p.hist, ref.hist)
+			}
+		}
+		for idx, want := range ref.counter {
+			b, sh := p.ctr(uint32(idx))
+			if got := *b >> sh & 3; got != want {
+				t.Fatalf("bits %d: counter %d = %d, reference %d", bits, idx, got, want)
+			}
+		}
 	}
 }

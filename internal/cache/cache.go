@@ -9,7 +9,9 @@ package cache
 
 import "fmt"
 
-// Config describes one cache level.
+// Config describes one cache level. SizeBytes / (Ways × LineBytes) sets
+// and LineBytes must be powers of two, and Ways at most 64 (the largest
+// associativity a line's age field orders).
 type Config struct {
 	SizeBytes int
 	Ways      int
@@ -17,20 +19,28 @@ type Config struct {
 	HitLat    int // cycles for a hit at this level
 }
 
+// Line metadata: one byte per line holds the valid and dirty bits and
+// the line's LRU age within its set (0 = most recently used).
+const (
+	lineValid uint8 = 0x80
+	lineDirty uint8 = 0x40
+	lineAge   uint8 = 0x3f
+	maxWays         = int(lineAge) + 1
+)
+
 // Cache is one set-associative level with LRU replacement. The way
 // state is stored flat ([set*Ways+way]) so building a cache is a
 // handful of allocations regardless of geometry — the sweep engine
 // constructs hierarchies per point, and a 1 MB L2 as per-set slices
-// costs tens of thousands of small allocations.
+// costs tens of thousands of small allocations. A line costs 9 bytes:
+// its tag and its metadata byte. The valid lines of a set hold the
+// ages 0..k-1, so age order is exactly recency order.
 type Cache struct {
 	cfg      Config
 	sets     int
 	lineBits uint
 	tags     []uint64
-	valid    []bool
-	dirty    []bool
-	stamp    []uint64
-	clock    uint64
+	meta     []uint8
 
 	Accesses   uint64
 	Misses     uint64
@@ -46,7 +56,7 @@ func New(cfg Config) *Cache { return recycle(nil, cfg) }
 // the configuration changed; otherwise it allocates them at the exact
 // size, so a smaller level never keeps a larger one's arrays.
 func recycle(c *Cache, cfg Config) *Cache {
-	if cfg.Ways <= 0 || cfg.LineBytes <= 0 || cfg.SizeBytes <= 0 {
+	if cfg.Ways <= 0 || cfg.Ways > maxWays || cfg.LineBytes <= 0 || cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("cache: bad config %+v", cfg))
 	}
 	sets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
@@ -54,18 +64,22 @@ func recycle(c *Cache, cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: non power-of-two geometry %+v (sets=%d)", cfg, sets))
 	}
 	n := sets * cfg.Ways
-	if c != nil && len(c.tags) == n {
+	if c.fits(cfg) {
 		c.reset()
 	} else {
-		c = &Cache{
-			tags:  make([]uint64, n),
-			valid: make([]bool, n),
-			dirty: make([]bool, n),
-			stamp: make([]uint64, n),
-		}
+		c = &Cache{tags: make([]uint64, n), meta: make([]uint8, n)}
 	}
 	c.cfg, c.sets, c.lineBits = cfg, sets, log2(cfg.LineBytes)
 	return c
+}
+
+// fits reports whether c's arrays hold exactly the sets × ways lines
+// cfg needs. A nil cache fits nothing.
+func (c *Cache) fits(cfg Config) bool {
+	if c == nil || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
+		return false
+	}
+	return len(c.tags) == cfg.SizeBytes/(cfg.Ways*cfg.LineBytes)*cfg.Ways
 }
 
 func log2(v int) uint {
@@ -77,19 +91,20 @@ func log2(v int) uint {
 	return n
 }
 
-// Lookup probes the cache without modifying contents (except LRU stamps
+// Lookup probes the cache without modifying contents (except LRU ages
 // on a hit). It returns true on hit.
 func (c *Cache) Lookup(addr uint64, write bool) bool {
-	c.clock++
 	c.Accesses++
 	set := int(addr>>c.lineBits) & (c.sets - 1)
 	tag := addr >> c.lineBits
 	base := set * c.cfg.Ways
 	for w := base; w < base+c.cfg.Ways; w++ {
-		if c.valid[w] && c.tags[w] == tag {
-			c.stamp[w] = c.clock
+		if m := c.meta[w]; m&lineValid != 0 && c.tags[w] == tag {
 			if write {
-				c.dirty[w] = true
+				c.meta[w] = m | lineDirty
+			}
+			if age := m & lineAge; age != 0 {
+				c.promote(base, w, age)
 			}
 			return true
 		}
@@ -98,44 +113,58 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 	return false
 }
 
-// Fill allocates a line for addr, evicting the LRU way. It reports
-// whether a dirty line was written back.
+// Fill allocates a line for addr in the set's first invalid way, or else
+// in its LRU way (age Ways-1), which it evicts. It reports whether a
+// dirty line was written back.
 func (c *Cache) Fill(addr uint64, write bool) (writeback bool) {
-	c.clock++
 	set := int(addr>>c.lineBits) & (c.sets - 1)
 	tag := addr >> c.lineBits
 	base := set * c.cfg.Ways
+	lru := uint8(c.cfg.Ways - 1)
 	victim := base
-	best := ^uint64(0)
 	for w := base; w < base+c.cfg.Ways; w++ {
-		if !c.valid[w] {
+		m := c.meta[w]
+		if m&lineValid == 0 {
 			victim = w
-			best = 0
 			break
 		}
-		if c.stamp[w] < best {
-			best = c.stamp[w]
+		if m&lineAge == lru {
 			victim = w
+			if m&lineDirty != 0 {
+				writeback = true
+				c.Writebacks++
+			}
+			break
 		}
 	}
-	if c.valid[victim] && c.dirty[victim] {
-		writeback = true
-		c.Writebacks++
-	}
-	c.valid[victim] = true
+	// Promoting from age Ways-1 ages every other valid way: all are
+	// younger than the LRU way, and a set with an invalid way holds
+	// fewer than Ways valid ones, aged at most Ways-2.
 	c.tags[victim] = tag
-	c.dirty[victim] = write
-	c.stamp[victim] = c.clock
+	c.promote(base, victim, lru)
+	c.meta[victim] = lineValid
+	if write {
+		c.meta[victim] |= lineDirty
+	}
 	return writeback
+}
+
+// promote makes way w, of age age, the most recently used of the set
+// at base: every valid way younger than it ages by one and w's age
+// becomes 0.
+func (c *Cache) promote(base, w int, age uint8) {
+	for v := base; v < base+c.cfg.Ways; v++ {
+		if m := c.meta[v]; m&lineValid != 0 && m&lineAge < age {
+			c.meta[v] = m + 1
+		}
+	}
+	c.meta[w] &^= lineAge
 }
 
 // reset restores the cache to its post-New state, keeping the arrays.
 func (c *Cache) reset() {
 	clear(c.tags)
-	clear(c.valid)
-	clear(c.dirty)
-	clear(c.stamp)
-	c.clock = 0
+	clear(c.meta)
 	c.Accesses, c.Misses, c.Writebacks = 0, 0, 0
 }
 
@@ -186,7 +215,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 }
 
 // Recycle returns a hierarchy for cfg, reusing each of h's levels whose
-// tag/state arrays (over 300 KB for the Table 2 geometry) have the size
+// tag/state arrays (about 160 KB for the Table 2 geometry) have the size
 // the new level needs; latencies alone never force a reallocation. The
 // returned hierarchy is indistinguishable from a fresh NewHierarchy.
 func Recycle(h *Hierarchy, cfg HierarchyConfig) *Hierarchy {
@@ -198,6 +227,13 @@ func Recycle(h *Hierarchy, cfg HierarchyConfig) *Hierarchy {
 	h.L2 = recycle(h.L2, cfg.L2)
 	h.cfg = cfg
 	return h
+}
+
+// Fits reports whether every level of h already has the arrays cfg
+// needs, so Recycle would allocate nothing. A nil hierarchy fits
+// nothing.
+func (h *Hierarchy) Fits(cfg HierarchyConfig) bool {
+	return h != nil && h.L1I.fits(cfg.L1I) && h.L1D.fits(cfg.L1D) && h.L2.fits(cfg.L2)
 }
 
 // access runs the common L1 -> L2 -> memory latency walk.

@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"strings"
+	"testing"
+)
 
 func small() Config { return Config{SizeBytes: 1024, Ways: 2, LineBytes: 64, HitLat: 1} }
 
@@ -64,12 +68,21 @@ func TestMissRate(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad geometry accepted")
-		}
-	}()
-	New(Config{SizeBytes: 1000, Ways: 3, LineBytes: 60})
+	for _, cfg := range []Config{
+		{SizeBytes: 1000, Ways: 3, LineBytes: 60},
+		{SizeBytes: 1024, Ways: 0, LineBytes: 64},
+		{SizeBytes: 65 * 64, Ways: 65, LineBytes: 64}, // one set, but past the age field
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "cache: ") {
+					t.Errorf("%+v: panic %q, want a cache geometry panic", cfg, msg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+	New(Config{SizeBytes: 64 * 64, Ways: 64, LineBytes: 64}) // the largest associativity
 }
 
 func TestHierarchyLatencies(t *testing.T) {
@@ -174,4 +187,130 @@ func TestRecycleMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stampCache is the reference LRU model: per-line valid and dirty flags
+// and a 64-bit stamp from a clock that ticks on every Lookup and Fill,
+// as the cache stored its lines before the one-byte metadata.
+// TestAgeLRUMatchesStamps and FuzzCacheLRU hold Cache to it.
+type stampCache struct {
+	ways, sets int
+	tags       []uint64
+	valid      []bool
+	dirty      []bool
+	stamp      []uint64
+	clock      uint64
+
+	accesses, misses, writebacks uint64
+}
+
+func newStampCache(ways, sets int) *stampCache {
+	n := ways * sets
+	return &stampCache{ways: ways, sets: sets, tags: make([]uint64, n),
+		valid: make([]bool, n), dirty: make([]bool, n), stamp: make([]uint64, n)}
+}
+
+func (c *stampCache) lookup(line uint64, write bool) bool {
+	c.clock++
+	c.accesses++
+	base := int(line) & (c.sets - 1) * c.ways
+	for w := base; w < base+c.ways; w++ {
+		if c.valid[w] && c.tags[w] == line {
+			c.stamp[w] = c.clock
+			if write {
+				c.dirty[w] = true
+			}
+			return true
+		}
+	}
+	c.misses++
+	return false
+}
+
+func (c *stampCache) fill(line uint64, write bool) (writeback bool) {
+	c.clock++
+	base := int(line) & (c.sets - 1) * c.ways
+	victim := base
+	best := ^uint64(0)
+	for w := base; w < base+c.ways; w++ {
+		if !c.valid[w] {
+			victim = w
+			break
+		}
+		if c.stamp[w] < best {
+			best = c.stamp[w]
+			victim = w
+		}
+	}
+	if c.valid[victim] && c.dirty[victim] {
+		writeback = true
+		c.writebacks++
+	}
+	c.valid[victim], c.tags[victim], c.dirty[victim] = true, line, write
+	c.stamp[victim] = c.clock
+	return writeback
+}
+
+// diffLRU runs ops against a Cache and the stamp model of the same
+// geometry (64-byte lines). Each op's low two bits pick Lookup or Fill,
+// read or write; the rest picks one of 2 × ways × sets + 1 lines, so
+// sets overflow and evict. Every hit, miss and writeback, and the final
+// counters, must agree.
+func diffLRU(t *testing.T, ways, sets int, ops []uint16) {
+	t.Helper()
+	c := New(Config{SizeBytes: ways * sets * 64, Ways: ways, LineBytes: 64})
+	ref := newStampCache(ways, sets)
+	lines := uint64(2*ways*sets + 1)
+	for i, op := range ops {
+		line := uint64(op>>2) % lines
+		addr := line<<6 | uint64(op)&0x3c
+		write := op&1 != 0
+		var got, want bool
+		if op&2 == 0 {
+			got, want = c.Lookup(addr, write), ref.lookup(line, write)
+		} else {
+			got, want = c.Fill(addr, write), ref.fill(line, write)
+		}
+		if got != want {
+			t.Fatalf("%d-way, %d sets: op %d (%#x) returned %v, stamp model %v", ways, sets, i, op, got, want)
+		}
+	}
+	if c.Accesses != ref.accesses || c.Misses != ref.misses || c.Writebacks != ref.writebacks {
+		t.Fatalf("%d-way, %d sets: counters %d/%d/%d, stamp model %d/%d/%d", ways, sets,
+			c.Accesses, c.Misses, c.Writebacks, ref.accesses, ref.misses, ref.writebacks)
+	}
+}
+
+// TestAgeLRUMatchesStamps drives every associativity the age field
+// supports with a seeded stream of mixed lookups, fills and writes.
+func TestAgeLRUMatchesStamps(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for ways := 1; ways <= maxWays; ways++ {
+		for _, sets := range []int{1, 4} {
+			ops := make([]uint16, 4000)
+			for i := range ops {
+				ops[i] = uint16(rng.Intn(1 << 16))
+			}
+			diffLRU(t, ways, sets, ops)
+		}
+	}
+}
+
+// FuzzCacheLRU holds the age-LRU cache to the stamp model on arbitrary
+// op streams: the first byte picks the associativity, the second the
+// set count, and each following byte pair one op.
+func FuzzCacheLRU(f *testing.F) {
+	f.Add([]byte{1, 0, 2, 0, 6, 1, 10, 2, 0, 0, 14, 3})
+	f.Add([]byte{63, 2, 0xff, 0xff, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		ways, sets := 1+int(data[0])%maxWays, 1<<(data[1]%4)
+		ops := make([]uint16, 0, len(data)/2)
+		for i := 2; i+1 < len(data); i += 2 {
+			ops = append(ops, uint16(data[i])|uint16(data[i+1])<<8)
+		}
+		diffLRU(t, ways, sets, ops)
+	})
 }
