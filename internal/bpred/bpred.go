@@ -74,10 +74,11 @@ func New(cfg Config) *Predictor {
 }
 
 // Recycle returns a predictor for cfg, reusing p's tables (the gshare
-// counter array alone is 64 KB at 18 history bits) when Fits(cfg). The
-// returned predictor is indistinguishable from a fresh New(cfg).
+// counter array alone is 64 KB at 18 history bits) when the geometry
+// matches. The returned predictor is indistinguishable from a fresh
+// New(cfg).
 func Recycle(p *Predictor, cfg Config) *Predictor {
-	if !p.Fits(cfg) {
+	if p == nil || p.cfg != cfg.canon() {
 		return New(cfg)
 	}
 	clear(p.counter)
@@ -88,12 +89,6 @@ func Recycle(p *Predictor, cfg Config) *Predictor {
 	p.Lookups, p.DirMispred = 0, 0
 	p.TgtLookups, p.TgtMispred = 0, 0
 	return p
-}
-
-// Fits reports whether p's tables have the sizes cfg needs, so Recycle
-// would reuse them. A nil predictor fits nothing.
-func (p *Predictor) Fits(cfg Config) bool {
-	return p != nil && p.cfg == cfg.canon()
 }
 
 // ctr returns the byte holding counter idx and the counter's bit offset

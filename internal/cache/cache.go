@@ -64,22 +64,13 @@ func recycle(c *Cache, cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: non power-of-two geometry %+v (sets=%d)", cfg, sets))
 	}
 	n := sets * cfg.Ways
-	if c.fits(cfg) {
+	if c != nil && len(c.tags) == n {
 		c.reset()
 	} else {
 		c = &Cache{tags: make([]uint64, n), meta: make([]uint8, n)}
 	}
 	c.cfg, c.sets, c.lineBits = cfg, sets, log2(cfg.LineBytes)
 	return c
-}
-
-// fits reports whether c's arrays hold exactly the sets × ways lines
-// cfg needs. A nil cache fits nothing.
-func (c *Cache) fits(cfg Config) bool {
-	if c == nil || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
-		return false
-	}
-	return len(c.tags) == cfg.SizeBytes/(cfg.Ways*cfg.LineBytes)*cfg.Ways
 }
 
 func log2(v int) uint {
@@ -227,13 +218,6 @@ func Recycle(h *Hierarchy, cfg HierarchyConfig) *Hierarchy {
 	h.L2 = recycle(h.L2, cfg.L2)
 	h.cfg = cfg
 	return h
-}
-
-// Fits reports whether every level of h already has the arrays cfg
-// needs, so Recycle would allocate nothing. A nil hierarchy fits
-// nothing.
-func (h *Hierarchy) Fits(cfg HierarchyConfig) bool {
-	return h != nil && h.L1I.fits(cfg.L1I) && h.L1D.fits(cfg.L1D) && h.L2.fits(cfg.L2)
 }
 
 // access runs the common L1 -> L2 -> memory latency walk.

@@ -203,15 +203,17 @@ func (b *BatchCore) Run(cfgs []Config) ([]*Result, []error) {
 	n := len(cfgs)
 	results := make([]*Result, n)
 	errs := make([]error, n)
-	lanes := b.assign(cfgs)
+	for len(b.lanes) < n {
+		b.lanes = append(b.lanes, &Core{})
+	}
 
 	// Lane setup. A config that fails validation is reported on its own
 	// lane and excluded from stepping.
 	running := make([]bool, n)
 	remaining := 0
 	for i := 0; i < n; i++ {
-		lanes[i].dec = b.dec // init keeps a table whose program matches
-		if err := lanes[i].init(cfgs[i], b.tr); err != nil {
+		b.lanes[i].dec = b.dec // init keeps a table whose program matches
+		if err := b.lanes[i].init(cfgs[i], b.tr); err != nil {
 			errs[i] = err
 			continue
 		}
@@ -224,7 +226,7 @@ func (b *BatchCore) Run(cfgs []Config) ([]*Result, []error) {
 			if !running[i] {
 				continue
 			}
-			done, err := lanes[i].runChunk(batchChunk)
+			done, err := b.lanes[i].runChunk(batchChunk)
 			if !done {
 				continue
 			}
@@ -234,42 +236,8 @@ func (b *BatchCore) Run(cfgs []Config) ([]*Result, []error) {
 				errs[i] = err
 				continue
 			}
-			results[i], errs[i] = lanes[i].finish()
+			results[i], errs[i] = b.lanes[i].finish()
 		}
 	}
 	return results, errs
-}
-
-// assign gives each configuration its own kept lane (lanes[i] runs
-// cfgs[i]), growing the batch to len(cfgs) lanes. A configuration first
-// takes a lane whose predictor and cache arrays already have its sizes,
-// so a group that mixes geometries, such as a 2^10- and a 2^18-entry
-// gshare table, reuses its arrays from run to run whatever the order of
-// cfgs; the rest take the remaining lanes in order.
-func (b *BatchCore) assign(cfgs []Config) []*Core {
-	for len(b.lanes) < len(cfgs) {
-		b.lanes = append(b.lanes, &Core{})
-	}
-	free := append([]*Core(nil), b.lanes...)
-	lanes := make([]*Core, len(cfgs))
-	for i := range cfgs {
-		for j, l := range free {
-			if l != nil && l.bp.Fits(cfgs[i].BPred) && l.mem.Fits(cfgs[i].Mem) {
-				lanes[i], free[j] = l, nil
-				break
-			}
-		}
-	}
-	rest := free[:0]
-	for _, l := range free {
-		if l != nil {
-			rest = append(rest, l)
-		}
-	}
-	for i := range lanes {
-		if lanes[i] == nil {
-			lanes[i], rest = rest[0], rest[1:]
-		}
-	}
-	return lanes
 }

@@ -250,63 +250,6 @@ func TestGoldenCasesThroughBatch(t *testing.T) {
 	}
 }
 
-// TestBatchLanesKeepGeometry runs a batch that mixes 2^10- and
-// 2^18-entry gshare tables and 256 KB and 1 MB L2s, then the same
-// configurations in another order. Each configuration must find a lane
-// whose predictor and caches already have its sizes: the second Run
-// allocates no new predictor or cache level, and its results match the
-// first run's.
-func TestBatchLanesKeepGeometry(t *testing.T) {
-	w, err := workloads.ByName("go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := w.Trace(2_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(bits, l2KB int) Config {
-		cfg := DefaultConfig(release.Extended, 48, 48)
-		cfg.BPred.HistoryBits = bits
-		cfg.Mem.L2.SizeBytes = l2KB << 10
-		return cfg
-	}
-	first := []Config{mk(18, 1024), mk(10, 1024), mk(18, 1024), mk(10, 256), mk(18, 256)}
-	perm := []int{3, 1, 4, 2, 0}
-	second := make([]Config, len(perm))
-	for i, j := range perm {
-		second[i] = first[j]
-	}
-
-	batch := NewBatch(tr)
-	want, errs := batch.Run(first)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("first run lane %d: %v", i, err)
-		}
-	}
-	kept := map[any]bool{}
-	for _, l := range batch.lanes {
-		kept[l.bp], kept[l.mem.L1I], kept[l.mem.L1D], kept[l.mem.L2] = true, true, true, true
-	}
-	got, errs := batch.Run(second)
-	for i, j := range perm {
-		if errs[i] != nil {
-			t.Fatalf("second run lane %d: %v", i, errs[i])
-		}
-		if !reflect.DeepEqual(got[i], want[j]) {
-			t.Errorf("config %d: result changed when run as lane %d", j, i)
-		}
-	}
-	for i, l := range batch.lanes {
-		for _, part := range []any{l.bp, l.mem.L1I, l.mem.L1D, l.mem.L2} {
-			if !kept[part] {
-				t.Errorf("lane %d: second run allocated a new %T", i, part)
-			}
-		}
-	}
-}
-
 // TestLaneFootprint pins what one Table 2 core costs to build: with the
 // gshare counters packed four to a byte and one metadata byte per cache
 // line, pipeline.New allocates under 300 KB (a byte per counter and an
