@@ -376,7 +376,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.simulates {
 		n, b := workloads.TraceCacheStats()
 		p.gauge("sweepd_trace_cache_entries", "Emulated traces memoized in this process.", float64(n))
-		p.gauge("sweepd_trace_cache_bytes", "Bytes held by memoized trace entries (capacity times entry size).", float64(b))
+		p.gauge("sweepd_trace_cache_bytes", "Heap bytes held by the memoized traces' columns.", float64(b))
 	}
 
 	cs := s.cache.Stats()

@@ -49,26 +49,22 @@ func (e *ErrLimit) Error() string {
 // recording the dynamic trace. It returns ErrLimit if the budget is
 // exhausted, or the fault that stopped execution; the partial trace is
 // still returned either way. Run first executes a clone of the machine
-// to count the instructions, then records into a slice of exactly that
-// length, so cap(Entries) == len(Entries) and the trace is never copied
-// to grow. The clone's memory is garbage once the count is known.
+// to count the instructions and their nonzero effective addresses, then
+// records into columns of exactly those sizes (trace.New), so every
+// column's capacity equals its length and the trace is never copied to
+// grow. The clone's memory is garbage once the counts are known.
 func (m *Machine) Run(maxInsts uint64) (*trace.Trace, error) {
+	// The counting run meets the same ErrLimit or fault as the
+	// recording run below.
 	probe := m.clone()
-	// The recording run below meets the same ErrLimit or fault.
-	_ = probe.RunQuiet(maxInsts)
-	tr := &trace.Trace{Prog: m.Prog, Entries: make([]trace.Entry, 0, probe.ICount-m.ICount)}
-	var err error
-	for !m.Halted {
-		if maxInsts > 0 && m.ICount >= maxInsts {
-			err = &ErrLimit{Executed: m.ICount}
-			break
+	addrs := 0
+	_ = probe.each(maxInsts, func(e trace.Entry) {
+		if e.EffAddr != 0 {
+			addrs++
 		}
-		var e trace.Entry
-		if e, err = m.Step(); err != nil {
-			break
-		}
-		tr.Entries = append(tr.Entries, e)
-	}
+	})
+	tr := trace.New(m.Prog, int(probe.ICount-m.ICount), addrs)
+	err := m.each(maxInsts, tr.Append)
 	tr.End = m.PC
 	return tr, err
 }
@@ -83,13 +79,22 @@ func (m *Machine) clone() *Machine {
 
 // RunQuiet executes without recording a trace (for checksum tests).
 func (m *Machine) RunQuiet(maxInsts uint64) error {
+	return m.each(maxInsts, func(trace.Entry) {})
+}
+
+// each executes until HALT or until maxInsts instructions have retired,
+// passing every retired instruction's entry to f. It returns ErrLimit
+// if the budget is exhausted, or the fault that stopped execution.
+func (m *Machine) each(maxInsts uint64, f func(trace.Entry)) error {
 	for !m.Halted {
 		if maxInsts > 0 && m.ICount >= maxInsts {
 			return &ErrLimit{Executed: m.ICount}
 		}
-		if _, err := m.Step(); err != nil {
+		e, err := m.Step()
+		if err != nil {
 			return err
 		}
+		f(e)
 	}
 	return nil
 }

@@ -256,7 +256,7 @@ func TestTraceEntries(t *testing.T) {
 	for i := 0; i < tr.Len(); i++ {
 		if tr.Inst(i).IsStore() {
 			sawStore = true
-			if tr.At(i).EffAddr == 0 {
+			if tr.EffAddr(i) == 0 {
 				t.Error("store entry missing effective address")
 			}
 		}
@@ -275,9 +275,9 @@ func TestTraceEntries(t *testing.T) {
 	checkTraceReplay(t, p, part)
 	// Running on from the cut records exactly the rest.
 	rest, err := m.Run(0)
-	if err != nil || rest.Len() != tr.Len()-4 || cap(rest.Entries) != rest.Len() {
-		t.Fatalf("Run(0) after Run(4) = %d entries (cap %d), %v; want %d, no error",
-			rest.Len(), cap(rest.Entries), err, tr.Len()-4)
+	if err != nil || rest.Len() != tr.Len()-4 || rest.Bytes() != exactBytes(rest) {
+		t.Fatalf("Run(0) after Run(4) = %d entries (%d B, exact %d B), %v; want %d, no error",
+			rest.Len(), rest.Bytes(), exactBytes(rest), err, tr.Len()-4)
 	}
 	checkRunState(t, p, 0, m, tr)
 
@@ -325,13 +325,14 @@ func TestRunCountsOnACopy(t *testing.T) {
 	}
 }
 
-// checkRunState asserts Run's allocation and state contract: tr was
-// allocated at exactly its length, and m, the machine Run was called
-// on, stands where a plain Step loop over p with the same budget stops.
+// checkRunState asserts Run's allocation and state contract: tr's
+// columns were allocated at exactly their lengths, and m, the machine
+// Run was called on, stands where a plain Step loop over p with the
+// same budget stops.
 func checkRunState(t *testing.T, p *program.Program, maxInsts uint64, m *Machine, tr *trace.Trace) {
 	t.Helper()
-	if cap(tr.Entries) != tr.Len() {
-		t.Errorf("trace capacity %d for %d entries", cap(tr.Entries), tr.Len())
+	if got, want := tr.Bytes(), exactBytes(tr); got != want {
+		t.Errorf("trace of %d entries holds %d B, %d B at exact size", tr.Len(), got, want)
 	}
 	ref := New(p)
 	for !ref.Halted && (maxInsts == 0 || ref.ICount < maxInsts) {
@@ -345,6 +346,19 @@ func checkRunState(t *testing.T, p *program.Program, maxInsts uint64, m *Machine
 			m.ICount, m.Halted, m.PC, m.Mem.Checksum(),
 			ref.ICount, ref.Halted, ref.PC, ref.Mem.Checksum())
 	}
+}
+
+// exactBytes is what tr's columns hold when each one's capacity equals
+// its length: the size trace.New reserves for tr's entry and address
+// counts.
+func exactBytes(tr *trace.Trace) int64 {
+	addrs := 0
+	for i := 0; i < tr.Len(); i++ {
+		if tr.EffAddr(i) != 0 {
+			addrs++
+		}
+	}
+	return trace.New(tr.Prog, tr.Len(), addrs).Bytes()
 }
 
 // checkTraceReplay steps a fresh machine through p alongside tr: every
@@ -364,8 +378,8 @@ func checkTraceReplay(t *testing.T, p *program.Program, tr *trace.Trace) {
 		if err != nil {
 			t.Fatalf("entry %d: replay step: %v", i, err)
 		}
-		if e != *tr.At(i) {
-			t.Fatalf("entry %d: %+v, replay gives %+v", i, *tr.At(i), e)
+		if e != tr.At(i) {
+			t.Fatalf("entry %d: %+v, replay gives %+v", i, tr.At(i), e)
 		}
 		if got := tr.NextPC(i); got != m.PC {
 			t.Fatalf("entry %d: NextPC = %#x, machine at %#x", i, got, m.PC)

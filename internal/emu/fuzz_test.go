@@ -148,8 +148,8 @@ func FuzzEmuTrace(f *testing.F) {
 		if !m.Halted {
 			t.Fatal("Run returned without halting or erroring")
 		}
-		if uint64(len(tr.Entries)) != m.ICount {
-			t.Fatalf("trace has %d entries for %d retired instructions", len(tr.Entries), m.ICount)
+		if uint64(tr.Len()) != m.ICount {
+			t.Fatalf("trace has %d entries for %d retired instructions", tr.Len(), m.ICount)
 		}
 		checkTraceReplay(t, p, tr)
 		// A budget of half the run cuts it with ErrLimit; the partial
@@ -161,8 +161,9 @@ func FuzzEmuTrace(f *testing.F) {
 				t.Fatalf("Run(%d) = %d entries, %v; want ErrLimit", half, part.Len(), err)
 			}
 			checkTraceReplay(t, p, part)
-			if cap(part.Entries) != part.Len() {
-				t.Fatalf("Run(%d): capacity %d for %d entries", half, cap(part.Entries), part.Len())
+			if part.Bytes() != exactBytes(part) {
+				t.Fatalf("Run(%d): %d B for %d entries, %d B at exact size",
+					half, part.Bytes(), part.Len(), exactBytes(part))
 			}
 		}
 		// Determinism: a second machine retires the identical stream.

@@ -73,18 +73,19 @@ func (c *Core) fetchStage() {
 // the predictors, and switches to wrong-path mode if a prediction
 // diverges from the recorded execution.
 func (c *Core) fetchOnTrace(item *fetchItem) {
-	e := c.tr.At(c.cursor)
-	in := c.tr.Inst(c.cursor)
-	pc := c.tr.PC(c.cursor)
+	idx := c.tr.Idx(c.cursor)
+	taken := c.tr.Taken(c.cursor)
+	in := c.tr.Prog.Insts[idx]
+	pc := program.IndexToPC(int(idx))
 	next := c.tr.NextPC(c.cursor)
 	item.inst = in
-	item.meta = c.dec.meta[e.Idx]
+	item.meta = c.dec.meta[idx]
 	item.pc = pc
 	item.traceIdx = c.cursor
 	item.wrongPath = false
 	item.predTaken = false
 	item.predNext = 0
-	item.actTaken = e.Taken
+	item.actTaken = taken
 	item.actNext = next
 	item.snap = bpred.Snapshot{}
 	item.mispredict = false
@@ -93,7 +94,7 @@ func (c *Core) fetchOnTrace(item *fetchItem) {
 	case item.meta.is(mBranch):
 		item.snap = c.bp.Snap()
 		item.predTaken = c.bp.Predict(pc)
-		if item.predTaken == e.Taken {
+		if item.predTaken == taken {
 			item.predNext = next
 		} else {
 			item.mispredict = true
@@ -288,7 +289,7 @@ func (c *Core) renameStage() {
 		u.srcVer[0], u.srcVer[1] = 0, 0
 		if u.isMem {
 			if item.traceIdx >= 0 {
-				u.effAddr = c.tr.At(item.traceIdx).EffAddr
+				u.effAddr = c.tr.EffAddr(item.traceIdx)
 			} else {
 				// Wrong-path memory op: synthesize a deterministic address.
 				u.effAddr = program.DataBase + (item.pc*2654435761)%(1<<16)

@@ -144,7 +144,7 @@ func TestEveryMachineAxisChangesKey(t *testing.T) {
 // machine axes, key errors, and a workload name JSON must escape.
 func TestKeysMatchKey(t *testing.T) {
 	points := acceptanceGrid(20000).Expand()
-	points = append(points, Grid{Workloads: []string{"go", `a<b>&"c"`}, Policies: []string{"conv", "bogus"},
+	points = append(points, Grid{Workloads: []string{"go", `a<b>&"c"`, "naïve\tname"}, Policies: []string{"conv", "bogus"},
 		IntRegs: []int{40}, BPredBits: []int{31, 0}, L1DKBs: []int{24, 0}, Scale: 7}.Expand()...)
 	keys, errs := Keys(points)
 	for i, pt := range points {

@@ -181,20 +181,39 @@ func ConfigKey(workload string, scale int, cfg pipeline.Config) (string, error) 
 // exactly those json.Marshal gives for that struct (TestKeysMatchKey
 // pins this), so keys never change with how they are computed.
 func configJSONKey(workload string, scale int, cfgJSON []byte) (string, error) {
-	w, err := json.Marshal(workload)
-	if err != nil {
-		return "", err
-	}
 	var stack [1024]byte // a config encodes to about 700 B
 	buf := append(stack[:0], `{"Workload":`...)
-	buf = append(buf, w...)
+	if plainJSON(workload) {
+		buf = append(append(append(buf, '"'), workload...), '"')
+	} else {
+		w, err := json.Marshal(workload)
+		if err != nil {
+			return "", err
+		}
+		buf = append(buf, w...)
+	}
 	buf = append(buf, `,"Scale":`...)
 	buf = strconv.AppendInt(buf, int64(scale), 10)
 	buf = append(buf, `,"Config":`...)
 	buf = append(buf, cfgJSON...)
 	buf = append(buf, '}')
 	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:]), nil
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:]), nil
+}
+
+// plainJSON reports whether json.Marshal encodes s as s between two
+// quotes: every byte is printable ASCII that it neither escapes nor
+// HTML-escapes.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // Keys returns what Key returns for each point, key and error, but
@@ -430,21 +449,15 @@ func orStrings(xs []string, def []string) []string {
 	return xs
 }
 
-// crossAxis multiplies the point list by one int axis, keeping the
-// existing points' order as the slower-varying dimension. An empty
-// axis leaves the list untouched (parameter pinned at its default);
-// values naming the baseline canonicalize to the zero override so the
-// later dedup collapses them.
-func crossAxis(pts []Point, ax IntAxis, vals []int) []Point {
-	if len(vals) == 0 {
-		return pts
-	}
-	out := make([]Point, 0, len(pts)*len(vals))
-	for _, pt := range pts {
-		for _, v := range vals {
-			q := pt
-			ax.Set(&q, ax.Canon(v))
-			out = append(out, q)
+// uniq returns xs without its repeated values, first occurrences in
+// order, in a new slice.
+func uniq[T comparable](xs []T) []T {
+	seen := map[T]bool{}
+	out := make([]T, 0, len(xs))
+	for _, x := range xs {
+		if !seen[x] {
+			seen[x] = true
+			out = append(out, x)
 		}
 	}
 	return out
@@ -453,11 +466,17 @@ func crossAxis(pts []Point, ax IntAxis, vals []int) []Point {
 // Expand crosses the grid's axes into the deduplicated, ordered list of
 // points to simulate. Later duplicates (overlapping axes, repeated
 // entries) are dropped, keeping first-occurrence order so progress and
-// result listings are deterministic.
+// result listings are deterministic. The order is the cross product's,
+// with workloads varying slowest and the last listed machine axis
+// fastest; an empty machine axis pins its parameter to the baseline.
+// Each axis is deduplicated on its canonical values first (a value
+// naming the baseline is the zero override), so every tuple of axis
+// values is a distinct point, in the order of its first occurrence in
+// the full product, and the output is allocated once at its length.
 func (g Grid) Expand() []Point {
-	ws := orStrings(g.Workloads, workloads.Names())
-	pols := orStrings(g.Policies, []string{
-		release.Conventional.String(), release.Basic.String(), release.Extended.String()})
+	ws := uniq(orStrings(g.Workloads, workloads.Names()))
+	pols := uniq(orStrings(g.Policies, []string{
+		release.Conventional.String(), release.Basic.String(), release.Extended.String()}))
 	ints := g.IntRegs
 	if len(ints) == 0 {
 		ints = []int{48}
@@ -466,11 +485,11 @@ func (g Grid) Expand() []Point {
 	if scale <= 0 {
 		scale = DefaultScale
 	}
-	noReuse := g.NoReuse
+	noReuse := uniq(g.NoReuse)
 	if len(noReuse) == 0 {
 		noReuse = []bool{false}
 	}
-	eager := g.Eager
+	eager := uniq(g.Eager)
 	if len(eager) == 0 {
 		eager = []bool{false}
 	}
@@ -487,35 +506,48 @@ func (g Grid) Expand() []Point {
 			}
 		}
 	}
+	sizes = uniq(sizes)
 
-	var base []Point
-	for _, w := range ws {
-		for _, pol := range pols {
-			for _, sz := range sizes {
-				for _, nr := range noReuse {
-					for _, eg := range eager {
-						base = append(base, Point{
-							Workload: w, Policy: pol,
-							IntRegs: sz[0], FPRegs: sz[1],
-							Scale: scale, Check: g.Check,
-							NoReuse: nr, Eager: eg,
-						})
-					}
-				}
-			}
-		}
+	type machineAxis struct {
+		ax   IntAxis
+		vals []int
 	}
+	var mach []machineAxis
+	n := len(ws) * len(pols) * len(sizes) * len(noReuse) * len(eager)
 	for _, ax := range machineAxes {
-		base = crossAxis(base, ax, ax.GridGet(g))
+		vals := ax.GridGet(g)
+		if len(vals) == 0 {
+			continue
+		}
+		canon := make([]int, len(vals))
+		for i, v := range vals {
+			canon[i] = ax.Canon(v)
+		}
+		mach = append(mach, machineAxis{ax, uniq(canon)})
+		n *= len(mach[len(mach)-1].vals)
 	}
 
-	seen := make(map[Point]bool, len(base))
-	out := base[:0]
-	for _, pt := range base {
-		if !seen[pt] {
-			seen[pt] = true
-			out = append(out, pt)
+	// Point r is the mixed-radix number r read off the axes, the last
+	// machine axis its lowest digit.
+	out := make([]Point, n)
+	for r := range out {
+		pt := &out[r]
+		q := r
+		for j := len(mach) - 1; j >= 0; j-- {
+			m := mach[j]
+			m.ax.Set(pt, m.vals[q%len(m.vals)])
+			q /= len(m.vals)
 		}
+		pt.Eager = eager[q%len(eager)]
+		q /= len(eager)
+		pt.NoReuse = noReuse[q%len(noReuse)]
+		q /= len(noReuse)
+		sz := sizes[q%len(sizes)]
+		pt.IntRegs, pt.FPRegs = sz[0], sz[1]
+		q /= len(sizes)
+		pt.Policy = pols[q%len(pols)]
+		pt.Workload = ws[q/len(pols)]
+		pt.Scale, pt.Check = scale, g.Check
 	}
 	return out
 }

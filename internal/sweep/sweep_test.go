@@ -44,6 +44,114 @@ func TestExpandDefaultsAndDedup(t *testing.T) {
 	}
 }
 
+// expandByCrossing is the expansion Grid.Expand replaced, kept as its
+// oracle: build the workload × policy × size × ablation product, cross
+// it with one machine axis at a time (a copy of the point list per
+// crossed axis), then drop later duplicates.
+func expandByCrossing(g Grid) []Point {
+	ws := orStrings(g.Workloads, workloads.Names())
+	pols := orStrings(g.Policies, []string{"conv", "basic", "extended"})
+	ints := g.IntRegs
+	if len(ints) == 0 {
+		ints = []int{48}
+	}
+	scale := g.Scale
+	if scale <= 0 {
+		scale = DefaultScale
+	}
+	noReuse, eager := g.NoReuse, g.Eager
+	if len(noReuse) == 0 {
+		noReuse = []bool{false}
+	}
+	if len(eager) == 0 {
+		eager = []bool{false}
+	}
+	var sizes [][2]int
+	for _, ip := range ints {
+		if len(g.FPRegs) == 0 {
+			sizes = append(sizes, [2]int{ip, ip})
+		}
+		for _, fp := range g.FPRegs {
+			sizes = append(sizes, [2]int{ip, fp})
+		}
+	}
+	var pts []Point
+	for _, w := range ws {
+		for _, pol := range pols {
+			for _, sz := range sizes {
+				for _, nr := range noReuse {
+					for _, eg := range eager {
+						pts = append(pts, Point{Workload: w, Policy: pol,
+							IntRegs: sz[0], FPRegs: sz[1], Scale: scale, Check: g.Check,
+							NoReuse: nr, Eager: eg})
+					}
+				}
+			}
+		}
+	}
+	for _, ax := range MachineAxes() {
+		vals := ax.GridGet(g)
+		if len(vals) == 0 {
+			continue
+		}
+		crossed := make([]Point, 0, len(pts)*len(vals))
+		for _, pt := range pts {
+			for _, v := range vals {
+				ax.Set(&pt, ax.Canon(v))
+				crossed = append(crossed, pt)
+			}
+		}
+		pts = crossed
+	}
+	seen := map[Point]bool{}
+	var out []Point
+	for _, pt := range pts {
+		if !seen[pt] {
+			seen[pt] = true
+			out = append(out, pt)
+		}
+	}
+	return out
+}
+
+// TestExpandMatchesCrossing checks Expand's odometer against the
+// crossing oracle, point for point and in order, and that it returns
+// exactly its length: on the acceptance grid, on empty axes, and on
+// axes that repeat values or overlap through the baseline.
+func TestExpandMatchesCrossing(t *testing.T) {
+	t.Parallel()
+	grids := map[string]Grid{
+		"acceptance": acceptanceGrid(testScale),
+		"empty":      {},
+		"empty machine axes": {Workloads: []string{"go"}, IntRegs: []int{40},
+			ROSSizes: []int{}, MemLats: nil},
+		"duplicates": {Workloads: []string{"go", "swim", "go"},
+			Policies: []string{"extended", "conv", "extended"},
+			IntRegs:  []int{48, 40, 48}, NoReuse: []bool{true, false, true},
+			Eager: []bool{false, false}, Check: true, Scale: testScale},
+		"crossed fp": {Workloads: []string{"li"}, IntRegs: []int{40, 48, 40},
+			FPRegs: []int{64, 48, 64}},
+		"baseline overlap": {Workloads: []string{"go"}, Policies: []string{"conv"},
+			ROSSizes: []int{64, 0, 128, 256, 64}, IssueWidths: []int{8, 4, 0},
+			BPredBits: []int{18, 10}, MemLats: []int{50}, L2KBs: []int{0, 0}},
+		"ablations only": {Workloads: []string{"swim"}, Policies: []string{"basic"},
+			NoReuse: []bool{false, true}, Eager: []bool{true, false, true}},
+	}
+	for name, g := range grids {
+		got, want := g.Expand(), expandByCrossing(g)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Expand gives %d points, crossing %d:\n got %v\nwant %v",
+				name, len(got), len(want), got, want)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: %d points in capacity %d", name, len(got), cap(got))
+		}
+	}
+	if n := len(acceptanceGrid(testScale).Expand()); n != 192 {
+		t.Errorf("acceptance grid expands to %d points, want 192", n)
+	}
+}
+
 func TestExpandAxes(t *testing.T) {
 	t.Parallel()
 	// Explicit FP axis crosses; empty FP axis mirrors pairwise.

@@ -36,7 +36,6 @@ package workloads
 import (
 	"fmt"
 	"sync"
-	"unsafe"
 
 	"earlyrelease/internal/emu"
 	"earlyrelease/internal/program"
@@ -174,7 +173,11 @@ var (
 )
 
 // Trace builds the workload at the given scale, runs it functionally and
-// returns the dynamic trace. Results are memoized.
+// returns the dynamic trace. Results are memoized. The memoized trace's
+// program holds the text segment only: the data segment is the
+// emulator's initial memory, no trace consumer reads it, and at small
+// scales it outweighs the trace (hashjoin at scale 10 000: 544 KB of
+// input tables against about 60 KB of trace).
 func (w Workload) Trace(scale int) (*trace.Trace, error) {
 	key := fmt.Sprintf("%s/%d", w.Name, scale)
 	cacheMu.Lock()
@@ -197,6 +200,9 @@ func (w Workload) Trace(scale int) (*trace.Trace, error) {
 			e.err = fmt.Errorf("workloads: emulating %s: %w", w.Name, err)
 			return
 		}
+		text := *p
+		text.Data = nil
+		tr.Prog = &text
 		// Published under cacheMu so that TraceCacheStats can read it.
 		cacheMu.Lock()
 		e.tr = tr
@@ -224,14 +230,14 @@ func ClearTraceCache() {
 }
 
 // TraceCacheStats reports the memoized traces: how many are built, and
-// the bytes their entry arrays hold (capacity times entry size).
+// the heap bytes their columns hold (the sum of Trace.Bytes).
 func TraceCacheStats() (entries int, bytes int64) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	for _, e := range traceCache {
 		if e.tr != nil {
 			entries++
-			bytes += int64(cap(e.tr.Entries)) * int64(unsafe.Sizeof(trace.Entry{}))
+			bytes += e.tr.Bytes()
 		}
 	}
 	return entries, bytes

@@ -4,11 +4,9 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"earlyrelease/internal/emu"
 	"earlyrelease/internal/isa"
-	"earlyrelease/internal/trace"
 )
 
 const testScale = 60_000
@@ -129,20 +127,20 @@ func TestTraceCaching(t *testing.T) {
 	ClearTraceCache()
 }
 
-// TestTraceFootprint pins the trace's memory layout: 16-byte entries
-// and a capacity exactly equal to the length, neither the emulator's
-// instruction budget (scale×8 + 1e6 entries here, about a hundred times
-// the length) nor append's growth slack.
+// TestTraceFootprint pins the trace's memory layout. Each column holds
+// exactly its length: a 4-byte instruction index per entry, a taken and
+// an address bitmap word and a 4-byte rank per 64 entries, and 8 bytes
+// per nonzero address. No column keeps the emulator's instruction budget
+// (scale×8 + 1e6 entries here, about a hundred times the length) or
+// append's growth slack, and the 16 traces together hold at most 8 B
+// per instruction. The trace's program keeps no data segment.
 // The traces build concurrently while TraceCacheStats is polled, as a
 // /metrics scrape would, and it must end up counting exactly these
-// traces and their capacity.
+// traces and their bytes.
 func TestTraceFootprint(t *testing.T) {
 	ClearTraceCache()
 	defer ClearTraceCache()
 	const scale = 10_000
-	if sz := unsafe.Sizeof(trace.Entry{}); sz != 16 {
-		t.Errorf("trace.Entry is %d bytes, want 16", sz)
-	}
 	var wg sync.WaitGroup
 	for _, w := range All() {
 		wg.Add(1)
@@ -161,17 +159,31 @@ func TestTraceFootprint(t *testing.T) {
 		case <-time.After(100 * time.Microsecond):
 		}
 	}
-	var bytes int64
+	var bytes, insts int64
 	for _, w := range All() {
 		tr := w.MustTrace(scale)
-		n, c := tr.Len(), cap(tr.Entries)
-		if c != n {
-			t.Errorf("%s: capacity %d for %d entries", w.Name, c, n)
+		n, addrs := int64(tr.Len()), int64(0)
+		for i := 0; i < tr.Len(); i++ {
+			if tr.EffAddr(i) != 0 {
+				addrs++
+			}
 		}
-		bytes += int64(c) * 16
+		words := (n + 63) / 64
+		if exact := 4*n + (8+8+4)*words + 8*addrs; tr.Bytes() != exact {
+			t.Errorf("%s: %d entries, %d addresses hold %d B; %d B at exact size",
+				w.Name, n, addrs, tr.Bytes(), exact)
+		}
+		if tr.Prog.Data != nil {
+			t.Errorf("%s: memoized trace keeps a %d-byte data segment", w.Name, len(tr.Prog.Data))
+		}
+		bytes += tr.Bytes()
+		insts += n
 	}
 	if n, b := TraceCacheStats(); n != len(All()) || b != bytes {
 		t.Errorf("TraceCacheStats = %d traces, %d B; want %d, %d", n, b, len(All()), bytes)
+	}
+	if perInst := float64(bytes) / float64(insts); perInst > 8 {
+		t.Errorf("traces hold %.2f B per instruction, want at most 8", perInst)
 	}
 }
 
