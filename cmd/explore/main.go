@@ -31,9 +31,9 @@
 // non-dominated, and fully cached on a warm rerun).
 //
 // Local evaluation batches candidates sharing a (workload, scale)
-// trace onto the lockstep execution path (DESIGN.md §4.6) — results
+// trace onto the batch execution path (DESIGN.md §4.6) — results
 // stay bit-identical to scalar, so frontiers do not depend on -batch
-// (0 = auto width, 1 = scalar). -cpuprofile/-memprofile write
+// (0 = auto size cap, 1 = scalar). -cpuprofile/-memprofile write
 // runtime/pprof profiles of the whole search.
 package main
 
@@ -61,7 +61,7 @@ func main() {
 		scale      = flag.Int("scale", sweep.DefaultScale, "dynamic instructions per workload")
 		screen     = flag.Int("screen-scale", 0, "halving screening scale (0 = scale/8)")
 		seedBatch  = flag.Int("seed-batch", 0, "random-seeding batch size (0 = default)")
-		batch      = flag.Int("batch", 0, "lockstep batch width for candidates sharing a trace (0 = auto, 1 = scalar)")
+		batch      = flag.Int("batch", 0, "batch size cap for candidates sharing a trace, run back to back on one core (0 = auto, 1 = scalar)")
 		check      = flag.Bool("check", false, "run evaluations with the invariant checker (slower)")
 		workloadsF = flag.String("workloads", "", "workloads for the IPC objective (empty = paper suite)")
 		policiesF  = flag.String("policies", "", "policy dimension (empty = conv,basic,extended)")

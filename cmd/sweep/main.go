@@ -30,10 +30,11 @@
 // otherwise a compact IPC table. -stats-json FILE writes the run and
 // cache statistics (the CI smokes upload these).
 //
-// Points sharing a (workload, scale) trace execute on the batched
-// lockstep path (DESIGN.md §4.6), which steps many pipeline configs
-// per pass over one decoded trace; results are bit-identical to scalar
-// execution. -batch caps the lockstep width (0 = auto, 1 = scalar).
+// Points sharing a (workload, scale) trace execute on the batch path
+// (DESIGN.md §4.6), which runs many pipeline configs back to back on
+// one recycled core over one decoded trace; results are bit-identical
+// to scalar execution. -batch caps the group size (0 = auto,
+// 1 = scalar).
 // -cpuprofile/-memprofile write runtime/pprof profiles of the run.
 //
 // Grids can scale past one machine through a sweepd coordinator
@@ -89,7 +90,7 @@ func main() {
 		check      = flag.Bool("check", false, "enable invariant checking")
 		ablate     = flag.Bool("ablate", false, "also sweep the no-reuse and eager ablations")
 		parallel   = flag.Int("parallel", 0, "workers (0 = GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "lockstep batch width for points sharing a trace (0 = auto, 1 = scalar)")
+		batch      = flag.Int("batch", 0, "batch size cap for points sharing a trace, run back to back on one core (0 = auto, 1 = scalar)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile after the run to this file")
 		cachePath  = flag.String("cache", "", "persistent result cache: a segment-store directory, created if absent")

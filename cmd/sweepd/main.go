@@ -57,7 +57,7 @@ func main() {
 		cachePath    = flag.String("cache", "", "persistent result cache: a store directory (empty = in-memory, or <state>/cache with -state)")
 		stateDir     = flag.String("state", "", "coordinator state directory: journal + snapshots for crash-resume (empty = memory only)")
 		parallel     = flag.Int("parallel", 0, "simulations per worker engine (0 = GOMAXPROCS)")
-		batch        = flag.Int("batch", 0, "lockstep batch width for shard points sharing a trace (0 = auto, 1 = scalar)")
+		batch        = flag.Int("batch", 0, "batch size cap for shard points sharing a trace, run back to back on one core (0 = auto, 1 = scalar)")
 		localWorkers = flag.Int("local-workers", 1, "embedded workers in the coordinator (0 = pure coordinator)")
 		leaseTTL     = flag.Duration("lease-ttl", 30*time.Second, "work lease lifetime between renewals")
 		shardPoints  = flag.Int("shard-points", 0, "max points per shard (0 = default)")

@@ -203,7 +203,7 @@ type ServerConfig struct {
 	// WorkerParallel bounds each local worker's engine pool
 	// (0 = GOMAXPROCS).
 	WorkerParallel int
-	// WorkerBatch caps each local worker's lockstep batch width
+	// WorkerBatch caps each local worker's batch group size
 	// (0 = auto, 1 = scalar execution).
 	WorkerBatch int
 	// LeaseTTL, MaxAttempts and Planner tune the federation (zero

@@ -2,13 +2,14 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"earlyrelease/internal/trace"
 )
 
-// This file implements the batched lockstep execution path: one shared
-// trace pre-decode (Decoded) drives N per-config lanes, each stepped by
-// an event-aware fast loop. The fast loop calls exactly the stage
+// This file implements the batched execution path: one recycled Core
+// runs a trace group's configurations back to back, each through an
+// event-aware fast loop. The fast loop calls exactly the stage
 // functions Run calls, in the same order; its only addition is that a
 // provably idle cycle — no commit, no writeback, no issue possible, no
 // rename, no fetch — is fast-forwarded to the next scheduled event
@@ -20,28 +21,16 @@ import (
 // untouched as the cycle-by-cycle reference implementation the batch
 // path is checked against.
 
-// batchChunk is the lockstep quantum: each lane advances up to this
-// many fast-loop iterations (one simulated cycle or one idle
-// fast-forward each) before the batch rotates to the next lane, keeping
-// the shared trace and pre-decode hot while bounding per-lane drift.
-const batchChunk = 4096
-
-// maxCyclesFor mirrors Run's runaway-simulation bound.
-func (c *Core) maxCyclesFor() int64 {
-	if c.cfg.MaxCycles != 0 {
-		return c.cfg.MaxCycles
+// RunFast simulates to completion like Run, fast-forwarding idle
+// cycles, and returns the same result or error Run would.
+func (c *Core) RunFast() (*Result, error) {
+	maxCycles := c.cfg.MaxCycles
+	if maxCycles == 0 {
+		maxCycles = 64*int64(c.tr.Len()) + 100_000
 	}
-	return 64*int64(c.tr.Len()) + 100_000
-}
-
-// runChunk advances the simulation by at most iters fast-loop
-// iterations. done reports that the run finished (halted or errored);
-// the result is then available via finish.
-func (c *Core) runChunk(iters int) (done bool, err error) {
-	maxCycles := c.maxCyclesFor()
-	for ; iters > 0 && !c.halted; iters-- {
+	for !c.halted {
 		if c.cycle >= maxCycles {
-			return true, fmt.Errorf("pipeline: cycle limit %d exceeded (%d/%d committed)",
+			return nil, fmt.Errorf("pipeline: cycle limit %d exceeded (%d/%d committed)",
 				maxCycles, c.committed, c.tr.Len())
 		}
 		// Snapshot every progress signal the stages can move without
@@ -72,7 +61,12 @@ func (c *Core) runChunk(iters int) (done bool, err error) {
 			c.skipIdle(maxCycles)
 		}
 	}
-	return c.halted, nil
+	if c.checker != nil {
+		if err := c.checker.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return c.result(), nil
 }
 
 // skipIdle fast-forwards an idle machine to its next scheduled event:
@@ -138,105 +132,73 @@ func (c *Core) skipIdle(maxCycles int64) {
 	c.cycle = next
 }
 
-// finish runs the post-loop checks and builds the result, exactly as
-// Run does after its loop exits.
-func (c *Core) finish() (*Result, error) {
-	if c.checker != nil {
-		if err := c.checker.Err(); err != nil {
-			return nil, err
-		}
+// GeometryOrder returns the indexes of cfgs in the order c should run
+// them back to back. They are sorted by the sizes of the arrays Reset
+// keeps only at an equal size (gshare table, L2, L1D and L1I lines,
+// ROS, LSQ), the largest arrays compared first, and the sorted list is
+// rotated to start at c's current geometry, so that each configuration,
+// the first included, reuses as much of the last one's state as it
+// can. The sort is stable: equal geometries keep their input order.
+func (c *Core) GeometryOrder(cfgs []Config) []int {
+	keys := make([][10]int, len(cfgs))
+	order := make([]int, len(cfgs))
+	for i := range cfgs {
+		keys[i] = geometry(&cfgs[i])
+		order[i] = i
 	}
-	return c.result(), nil
+	slices.SortStableFunc(order, func(a, b int) int {
+		return slices.Compare(keys[a][:], keys[b][:])
+	})
+	cur := geometry(&c.cfg)
+	p, _ := slices.BinarySearchFunc(order, cur, func(i int, k [10]int) int {
+		return slices.Compare(keys[i][:], k[:])
+	})
+	return append(order[p:], order[:p]...)
 }
 
-// BatchCore steps N pipeline configurations over one shared trace in
-// lockstep. All lanes read the same pre-decoded instruction metadata
-// (one decode of the program image per batch, not one per lane per
-// fetch) and advance through the fast loop in round-robin chunks. Lanes
-// are fully independent otherwise — each owns its complete
-// microarchitectural state — so results are bit-identical to N separate
-// Core.Run calls, and one lane failing (config error, cycle-limit
-// abort, checker violation) never disturbs its siblings.
+// geometry is GeometryOrder's sort key.
+func geometry(c *Config) [10]int {
+	return [...]int{c.BPred.HistoryBits,
+		c.Mem.L2.SizeBytes, c.Mem.L2.LineBytes, c.Mem.L2.Ways,
+		c.Mem.L1D.SizeBytes, c.Mem.L1D.LineBytes,
+		c.Mem.L1I.SizeBytes, c.Mem.L1I.LineBytes,
+		ceilPow2(c.ROSSize), ceilPow2(c.LSQSize)}
+}
+
+// BatchCore runs many pipeline configurations over one shared trace on
+// one recycled Core: one configuration after another, in the core's
+// GeometryOrder, each through RunFast. The configurations share the
+// core's pre-decode of the program (Reset rebuilds it only when the
+// program changes) and every array whose geometry still fits. Results
+// are bit-identical to separate Core.Run calls, and one configuration
+// failing (config error, cycle-limit abort, checker violation) never
+// disturbs another.
 //
-// A BatchCore is reusable: Run resets and re-drives the same lane cores
-// across calls, retaining their allocations just as the sweep engine's
-// scalar workers recycle a single Core. It is not safe for concurrent
-// use; run concurrent batches on separate BatchCores.
+// A BatchCore is reusable across Run calls and traces. It is not safe
+// for concurrent use; run concurrent batches on separate BatchCores.
 type BatchCore struct {
-	tr    *trace.Trace
-	dec   *Decoded
-	lanes []*Core
+	tr   *trace.Trace
+	core Core
 }
 
 // NewBatch prepares a batch runner for the given trace.
 func NewBatch(tr *trace.Trace) *BatchCore {
-	return &BatchCore{tr: tr, dec: Decode(tr)}
+	return &BatchCore{tr: tr}
 }
 
-// SetTrace redirects the batch to a new trace, rebuilding the shared
-// pre-decode only when the program image actually changed.
-func (b *BatchCore) SetTrace(tr *trace.Trace) {
-	if tr == b.tr {
-		return
-	}
-	if b.dec == nil || tr.Prog != b.dec.prog {
-		b.dec = Decode(tr)
-	}
-	b.tr = tr
-}
-
-// Detach drops the batch's and its lanes' references to the trace and
-// its pre-decode, keeping the lanes' allocations. Call SetTrace before
-// the next Run.
-func (b *BatchCore) Detach() {
-	b.tr, b.dec = nil, nil
-	for _, l := range b.lanes {
-		l.Detach()
-	}
-}
+// SetTrace redirects the batch to a new trace.
+func (b *BatchCore) SetTrace(tr *trace.Trace) { b.tr = tr }
 
 // Run simulates every configuration against the batch's trace and
-// returns per-lane results and errors (indexes match cfgs). A lane
-// with an error has a nil result; sibling lanes always run to
-// completion.
+// returns per-configuration results and errors (indexes match cfgs). A
+// configuration with an error has a nil result; the others always run
+// to completion.
 func (b *BatchCore) Run(cfgs []Config) ([]*Result, []error) {
-	n := len(cfgs)
-	results := make([]*Result, n)
-	errs := make([]error, n)
-	for len(b.lanes) < n {
-		b.lanes = append(b.lanes, &Core{})
-	}
-
-	// Lane setup. A config that fails validation is reported on its own
-	// lane and excluded from stepping.
-	running := make([]bool, n)
-	remaining := 0
-	for i := 0; i < n; i++ {
-		b.lanes[i].dec = b.dec // init keeps a table whose program matches
-		if err := b.lanes[i].init(cfgs[i], b.tr); err != nil {
-			errs[i] = err
-			continue
-		}
-		running[i] = true
-		remaining++
-	}
-
-	for remaining > 0 {
-		for i := 0; i < n; i++ {
-			if !running[i] {
-				continue
-			}
-			done, err := b.lanes[i].runChunk(batchChunk)
-			if !done {
-				continue
-			}
-			running[i] = false
-			remaining--
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			results[i], errs[i] = b.lanes[i].finish()
+	results := make([]*Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	for _, i := range b.core.GeometryOrder(cfgs) {
+		if errs[i] = b.core.Reset(cfgs[i], b.tr); errs[i] == nil {
+			results[i], errs[i] = b.core.RunFast()
 		}
 	}
 	return results, errs

@@ -1,11 +1,16 @@
 package pipeline
 
 import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"earlyrelease/internal/release"
+	"earlyrelease/internal/trace"
 	"earlyrelease/internal/workloads"
 )
 
@@ -166,8 +171,8 @@ func TestBatchLaneErrorIsolation(t *testing.T) {
 }
 
 // TestBatchCoreReuse drives one BatchCore across traces and batch
-// sizes, as the sweep workers do, and requires recycled lanes to match
-// fresh scalar runs bit for bit.
+// sizes, as the sweep workers do, and requires its recycled core to
+// match fresh scalar runs bit for bit.
 func TestBatchCoreReuse(t *testing.T) {
 	cfgs := batchMatrix()[:6]
 	var batch *BatchCore
@@ -187,7 +192,7 @@ func TestBatchCoreReuse(t *testing.T) {
 		}
 		n := len(cfgs)
 		if name == "go" {
-			n = 3 // shrink the batch to leave stale lanes behind
+			n = 3 // shrink the batch
 		}
 		got, errs := batch.Run(cfgs[:n])
 		for i := 0; i < n; i++ {
@@ -281,4 +286,180 @@ func TestLaneFootprint(t *testing.T) {
 	if least > limit {
 		t.Errorf("pipeline.New allocated %d bytes, want at most %d", least, limit)
 	}
+}
+
+// orderMix is a configuration list that changes every piece of state a
+// recycled core carries between runs: release policy, the reuse and
+// eager ablations, register-file size, L2 size, gshare history, ROS and
+// LSQ size, and memory latency.
+func orderMix() []Config {
+	mk := func(kind release.Kind, regs int, mut func(*Config)) Config {
+		cfg := DefaultConfig(kind, regs, regs)
+		cfg.TrackRegStates = true
+		if mut != nil {
+			mut(&cfg)
+		}
+		return cfg
+	}
+	return []Config{
+		mk(release.Conventional, 48, nil),
+		mk(release.Basic, 40, func(c *Config) { c.Mem.L2.SizeBytes = 256 << 10 }),
+		mk(release.Extended, 48, func(c *Config) { c.BPred.HistoryBits = 10 }),
+		mk(release.Extended, 44, func(c *Config) { c.Policy.Reuse = false; c.ROSSize = 64 }),
+		mk(release.Basic, 48, func(c *Config) { c.Policy.Eager = true; c.Mem.MemLat = 200 }),
+		mk(release.Conventional, 40, func(c *Config) {
+			c.BPred.HistoryBits = 12
+			c.Mem.L2.SizeBytes = 256 << 10
+		}),
+		mk(release.Extended, 48, func(c *Config) { c.ROSSize = 32; c.LSQSize = 16 }),
+		mk(release.Basic, 48, func(c *Config) { c.Mem.MemLat = 200; c.BPred.HistoryBits = 10 }),
+	}
+}
+
+// scalarJSON runs each configuration on a fresh core through Run and
+// returns the results as JSON.
+func scalarJSON(t testing.TB, cfgs []Config, tr *trace.Trace) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		core, err := New(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestBatchOrderIndependent runs one mixed list through one BatchCore
+// in forward, reversed and shuffled order, then on a different trace,
+// then on the first trace again. Whatever ran before on the recycled
+// core, every result must equal a fresh core's Run byte for byte.
+func TestBatchOrderIndependent(t *testing.T) {
+	cfgs := orderMix()
+	var traces [2]*trace.Trace
+	var want [2][][]byte
+	for k, name := range []string{"tomcatv", "go"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traces[k], err = w.Trace(batchDiffScale); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = scalarJSON(t, cfgs, traces[k])
+	}
+	forward := make([]int, len(cfgs))
+	reversed := make([]int, len(cfgs))
+	for i := range cfgs {
+		forward[i], reversed[len(cfgs)-1-i] = i, i
+	}
+	shuffled := rand.New(rand.NewSource(1)).Perm(len(cfgs))
+
+	batch := NewBatch(traces[0])
+	for _, run := range []struct {
+		name string
+		tr   int
+		perm []int
+	}{
+		{"forward", 0, forward},
+		{"reversed", 0, reversed},
+		{"shuffled", 0, shuffled},
+		{"other trace", 1, shuffled},
+		{"first trace again", 0, reversed},
+	} {
+		batch.SetTrace(traces[run.tr])
+		list := make([]Config, len(cfgs))
+		for k, i := range run.perm {
+			list[k] = cfgs[i]
+		}
+		got, errs := batch.Run(list)
+		for k, i := range run.perm {
+			if errs[k] != nil {
+				t.Fatalf("%s: config %d: %v", run.name, i, errs[k])
+			}
+			blob, err := json.Marshal(got[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, want[run.tr][i]) {
+				t.Errorf("%s: config %d differs from a fresh core\n got: %s\nwant: %s",
+					run.name, i, blob, want[run.tr][i])
+			}
+		}
+	}
+}
+
+// FuzzBatchOrder checks BatchCore against the scalar Core.Run on a
+// small trace for fuzz-chosen lists of configurations: each input byte
+// picks one configuration's policy, register-file size, gshare history,
+// L2 size, ROS, LSQ and memory latency, and the byte order is the list
+// order. The list runs forward and then reversed on one BatchCore.
+func FuzzBatchOrder(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{0x00, 0xff, 0x00})
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0})
+	f.Add([]byte{0x08, 0x18, 0x08, 0x18, 0x80, 0x80})
+	w, err := workloads.ByName("go")
+	if err != nil {
+		f.Fatal(err)
+	}
+	tr, err := w.Trace(1_000)
+	if err != nil {
+		f.Fatal(err)
+	}
+	kinds := []release.Kind{release.Conventional, release.Basic, release.Extended, release.Extended}
+	f.Fuzz(func(t *testing.T, genes []byte) {
+		genes = slices.Clone(genes[:min(len(genes), 8)])
+		cfgs := make([]Config, len(genes))
+		for i, g := range genes {
+			regs := 48 - 8*int(g>>2&1)
+			cfg := DefaultConfig(kinds[g&3], regs, regs)
+			cfg.TrackRegStates = true
+			cfg.Policy.Reuse = g&3 != 3
+			if g&8 != 0 {
+				cfg.BPred.HistoryBits = 10
+			}
+			if g&16 != 0 {
+				cfg.Mem.L2.SizeBytes = 256 << 10
+			}
+			if g&32 != 0 {
+				cfg.ROSSize = 32
+			}
+			if g&64 != 0 {
+				cfg.LSQSize = 16
+			}
+			if g&128 != 0 {
+				cfg.Mem.MemLat = 200
+			}
+			cfgs[i] = cfg
+		}
+		want := scalarJSON(t, cfgs, tr)
+		batch := NewBatch(tr)
+		for pass := 0; pass < 2; pass++ {
+			got, errs := batch.Run(cfgs)
+			for i := range cfgs {
+				if errs[i] != nil {
+					t.Fatalf("pass %d, config %d (gene %#x): %v", pass, i, genes[i], errs[i])
+				}
+				blob, err := json.Marshal(got[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(blob, want[i]) {
+					t.Fatalf("pass %d, config %d (gene %#x) differs from scalar\n got: %s\nwant: %s",
+						pass, i, genes[i], blob, want[i])
+				}
+			}
+			slices.Reverse(cfgs)
+			slices.Reverse(want)
+			slices.Reverse(genes)
+		}
+	})
 }

@@ -173,7 +173,7 @@ type Core struct {
 	halted    bool
 
 	// Pre-decode of tr's program: fetch reads every item's predicates
-	// from it. Batch lanes share their BatchCore's table.
+	// from it. Reset rebuilds it only when the program changes.
 	dec *Decoded
 
 	// Fast-path bookkeeping (see batch.go). renameBlock records why the

@@ -78,8 +78,8 @@ func decodeMeta(in isa.Inst) instMeta {
 // instruction of the program image, built once and then read by every
 // pipeline configuration simulating that trace. Both the correct path
 // (trace entries) and the wrong path (static-image fetch) index into
-// the same table, so a batch of N lanes decodes the program exactly
-// once instead of N times per dynamic instruction. Decoded is immutable
+// the same table, so a batch of N configurations decodes the program
+// exactly once instead of N times per dynamic instruction. Decoded is immutable
 // after construction and safe for concurrent readers.
 type Decoded struct {
 	prog    *program.Program

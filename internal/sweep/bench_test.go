@@ -8,7 +8,7 @@ import (
 
 // Sweep-level throughput benchmarks: two representative 64-config
 // shared-trace explorer batches, each run through the scalar engine and
-// the lockstep batch path. BENCH_sweep.json commits the measured
+// the batch path. BENCH_sweep.json commits the measured
 // points/s and the batch/scalar ratios; cmd/benchguard -mode sweep
 // gates CI on the ratios (machine-independent — both sides of each
 // pair run on the same host in the same process).
@@ -29,7 +29,7 @@ import (
 // around the Table 2 baseline on tomcatv, whose overlapping misses keep
 // the machine busy almost every cycle. It documents the honest lower
 // bound of the win — with no idle spans to skip, only the shared
-// pre-decode and lane recycling remain — and gates only against
+// pre-decode and core recycling remain — and gates only against
 // regression below scalar.
 
 const benchScale = 20_000

@@ -18,68 +18,56 @@ import (
 // clients, as sweepd does) the same Cache to share results.
 type Engine struct {
 	// Parallel is the worker count (0 = GOMAXPROCS). Each worker
-	// recycles one pipeline.Core and one pipeline.BatchCore across all
-	// its points, and the Engine keeps them across runs: while idle it
-	// holds at most Parallel × (1 + Batch width) lanes, each at the
-	// geometry of its last point.
+	// recycles one pipeline.Core across all its points, and the Engine
+	// keeps the cores across runs: while idle it holds at most Parallel
+	// of them, each at the geometry of its last point.
 	Parallel int
 	// Cache holds results across Run calls. Nil means each Run gets a
 	// fresh in-memory cache.
 	Cache *Cache
-	// Batch is the lockstep batch width: cache-miss points sharing a
-	// (workload, scale) trace are grouped and simulated together on a
-	// pipeline.BatchCore, one shared trace pre-decode driving all of
-	// them (bit-identical to the scalar path). 0 = auto
-	// (DefaultBatchWidth), 1 = disable batching, >1 = group width cap.
-	// Checker points and singleton groups always take the scalar path.
+	// Batch caps a batch group: cache-miss points sharing a (workload,
+	// scale) trace are grouped, and one worker runs a group's points
+	// back to back on its core, in the core's GeometryOrder, through
+	// the fast loop (pipeline.Core.RunFast; bit-identical to the scalar
+	// path). 0 = auto (DefaultBatchWidth), 1 = disable batching, >1 =
+	// group size cap. Checker points and singleton groups always take
+	// the scalar path, Core.Run.
 	Batch int
 
-	// idle holds pool workers' simulation state between runs, so the
-	// next run reuses their cores, caches and predictors instead of
-	// allocating them again. It keeps at most the resolved Parallel
-	// states, each detached from its trace.
+	// idle holds pool workers' cores between runs, so the next run
+	// reuses their caches and predictors instead of allocating them
+	// again. It keeps at most the resolved Parallel cores, each
+	// detached from its trace.
 	idleMu sync.Mutex
-	idle   []*simState
+	idle   []*pipeline.Core
 }
 
-// simState is one pool worker's recyclable simulation state: a scalar
-// core and a lockstep batch, either nil until first needed.
-type simState struct {
-	core  *pipeline.Core
-	batch *pipeline.BatchCore
-}
-
-// takeState returns an idle worker state, or a fresh empty one.
-func (e *Engine) takeState() *simState {
+// takeCore returns an idle worker core, or a fresh empty one.
+func (e *Engine) takeCore() *pipeline.Core {
 	e.idleMu.Lock()
 	defer e.idleMu.Unlock()
 	n := len(e.idle)
 	if n == 0 {
-		return &simState{}
+		return &pipeline.Core{}
 	}
-	st := e.idle[n-1]
+	core := e.idle[n-1]
 	e.idle[n-1] = nil
 	e.idle = e.idle[:n-1]
-	return st
+	return core
 }
 
-// putState detaches st from its trace and keeps it for the next run,
-// unless limit states are already kept.
-func (e *Engine) putState(st *simState, limit int) {
-	if st.core != nil {
-		st.core.Detach()
-	}
-	if st.batch != nil {
-		st.batch.Detach()
-	}
+// putCore detaches core from its trace and keeps it for the next run,
+// unless limit cores are already kept.
+func (e *Engine) putCore(core *pipeline.Core, limit int) {
+	core.Detach()
 	e.idleMu.Lock()
 	defer e.idleMu.Unlock()
 	if len(e.idle) < limit {
-		e.idle = append(e.idle, st)
+		e.idle = append(e.idle, core)
 	}
 }
 
-// DefaultBatchWidth is the lockstep group width Batch=0 resolves to.
+// DefaultBatchWidth is the batch group size Batch=0 resolves to.
 const DefaultBatchWidth = 16
 
 // Outcome is one point's final state after a sweep.
@@ -97,8 +85,8 @@ type RunStats struct {
 	Simulated int `json:"simulated"`  // points actually run
 	CacheHits int `json:"cache_hits"` // points served from the cache
 	Errors    int `json:"errors"`
-	// Batched counts simulated points that ran on the lockstep batch
-	// path, spread over BatchGroups shared-trace groups.
+	// Batched counts simulated points that ran on the batch path,
+	// spread over BatchGroups shared-trace groups.
 	Batched     int `json:"batched,omitempty"`
 	BatchGroups int `json:"batch_groups,omitempty"`
 }
@@ -124,9 +112,9 @@ type Results struct {
 
 	// PointNS is per-point simulation wall time in nanoseconds,
 	// aligned with Outcomes (0 = not simulated here: cache hit, key or
-	// setup error). Batch-path lanes share their group's wall time
-	// evenly. CachePutNS is the total spent writing results into the
-	// cache (including the final Save). Both are observability only —
+	// setup error), each point timed on its own. CachePutNS is the
+	// total spent writing results into the cache (including the final
+	// Save). Both are observability only —
 	// excluded from JSON so serialized Results stay byte-identical to
 	// pre-tracing builds.
 	PointNS    []int64 `json:"-"`
@@ -196,7 +184,7 @@ func (e *Engine) RunPoints(points []Point, onProgress func(Progress)) (*Results,
 
 // RunPointsCtx is RunPoints under a cancellation context. A canceled
 // ctx stops the pool between jobs: scalar points cancel at point
-// granularity, lockstep groups (at most Batch lanes) at group
+// granularity, batch groups (at most Batch points) at group
 // granularity. Points never started get an Outcome carrying the
 // context error, everything finished before the cancel keeps its real
 // result (and stays in the cache), and the call returns the partial
@@ -252,10 +240,25 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 		misses = append(misses, miss{i, pt, key})
 	}
 
+	// complete records one simulated (or failed) point: its time, its
+	// outcome and, on success, its cache entry.
+	complete := func(m miss, r *pipeline.Result, err error, sim time.Duration) {
+		res.PointNS[m.i] = int64(sim)
+		o := &Outcome{Point: m.pt, Key: m.key, Result: r}
+		if err != nil {
+			o.Err = err.Error()
+		} else {
+			putStart := time.Now()
+			cache.Put(m.key, r)
+			putNS.Add(int64(time.Since(putStart)))
+		}
+		finish(m.i, o)
+	}
+
 	jobs := groupJobs(misses, e.batchWidth())
-	onBatched := func(lanes int) {
+	onBatched := func(points int) {
 		mu.Lock()
-		res.Stats.Batched += lanes
+		res.Stats.Batched += points
 		res.Stats.BatchGroups++
 		mu.Unlock()
 	}
@@ -271,34 +274,22 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := e.takeState()
-			defer e.putState(st, parallel)
+			core := e.takeCore()
+			defer e.putCore(core, parallel)
 			for j := range ch {
 				if err := ctx.Err(); err != nil {
 					for _, m := range j {
-						finish(m.i, &Outcome{Point: m.pt, Key: m.key, Err: err.Error()})
+						complete(m, nil, err, 0)
 					}
 					continue
 				}
 				if len(j) == 1 {
-					m := j[0]
-					var r *pipeline.Result
-					var err error
 					simStart := time.Now()
-					r, st.core, err = runPoint(st.core, m.pt)
-					res.PointNS[m.i] = int64(time.Since(simStart))
-					o := &Outcome{Point: m.pt, Key: m.key, Result: r}
-					if err != nil {
-						o.Err = err.Error()
-					} else {
-						putStart := time.Now()
-						cache.Put(m.key, r)
-						putNS.Add(int64(time.Since(putStart)))
-					}
-					finish(m.i, o)
+					r, err := runPoint(core, j[0].pt)
+					complete(j[0], r, err, time.Since(simStart))
 					continue
 				}
-				st.batch = runBatchJob(st.batch, j, cache, res.PointNS, &putNS, finish, onBatched)
+				runBatchJob(core, j, complete, onBatched)
 			}
 		}()
 	}
@@ -338,10 +329,10 @@ func (e *Engine) batchWidth() int {
 }
 
 // groupJobs turns the miss list into worker jobs: runs of points that
-// share a (workload, scale) trace become lockstep batch jobs of at
-// most width lanes, everything else (checker points, singleton groups,
-// width 1) stays a scalar job of one point. Job order follows each
-// group's first appearance, so scheduling is deterministic.
+// share a (workload, scale) trace become batch jobs of at most width
+// points, everything else (checker points, singleton groups, width 1)
+// stays a scalar job of one point. Job order follows each group's first
+// appearance, so scheduling is deterministic.
 func groupJobs(misses []miss, width int) [][]miss {
 	var jobs [][]miss
 	if width <= 1 {
@@ -383,15 +374,12 @@ func groupJobs(misses []miss, width int) [][]miss {
 	return jobs
 }
 
-// runBatchJob simulates one shared-trace group on the lockstep batch
-// path. Per-point setup failures (unknown workload, bad config) land on
-// their own outcomes without disturbing sibling lanes; the batch core
-// is recycled across jobs just as scalar workers recycle a Core.
-// pointNS receives each lane's share of the group's wall time; putNS
-// accumulates cache write time.
-func runBatchJob(batch *pipeline.BatchCore, j []miss, cache *Cache,
-	pointNS []int64, putNS *atomic.Int64,
-	finish func(int, *Outcome), onBatched func(int)) *pipeline.BatchCore {
+// runBatchJob simulates one shared-trace group on core, one point after
+// another in geometry order, each through the fast loop. A per-point
+// setup failure (bad config) lands on its own outcome; a trace failure
+// on every point of the group.
+func runBatchJob(core *pipeline.Core, j []miss,
+	complete func(miss, *pipeline.Result, error, time.Duration), onBatched func(int)) {
 	w, err := workloads.ByName(j[0].pt.Workload)
 	var tr *trace.Trace
 	if err == nil {
@@ -399,80 +387,63 @@ func runBatchJob(batch *pipeline.BatchCore, j []miss, cache *Cache,
 	}
 	if err != nil {
 		for _, m := range j {
-			finish(m.i, &Outcome{Point: m.pt, Key: m.key, Err: err.Error()})
+			complete(m, nil, err, 0)
 		}
-		return batch
+		return
 	}
 
 	cfgs := make([]pipeline.Config, 0, len(j))
-	lanes := make([]miss, 0, len(j))
+	ok := make([]miss, 0, len(j))
 	for _, m := range j {
 		cfg, err := m.pt.Config()
 		if err != nil {
-			finish(m.i, &Outcome{Point: m.pt, Key: m.key, Err: err.Error()})
+			complete(m, nil, err, 0)
 			continue
 		}
 		cfgs = append(cfgs, cfg)
-		lanes = append(lanes, m)
+		ok = append(ok, m)
 	}
-	if len(lanes) == 0 {
-		return batch
+	if len(ok) == 0 {
+		return
 	}
-	onBatched(len(lanes))
-
-	if batch == nil {
-		batch = pipeline.NewBatch(tr)
-	} else {
-		batch.SetTrace(tr)
-	}
-	runStart := time.Now()
-	results, errs := batch.Run(cfgs)
-	perLane := int64(time.Since(runStart)) / int64(len(lanes))
-	for li, m := range lanes {
-		pointNS[m.i] = perLane
-		o := &Outcome{Point: m.pt, Key: m.key, Result: results[li]}
-		if errs[li] != nil {
-			// Same shape the scalar path gives a run error.
-			o.Result = nil
-			o.Err = fmt.Errorf("%s: %w", m.pt, errs[li]).Error()
-		} else {
-			putStart := time.Now()
-			cache.Put(m.key, results[li])
-			putNS.Add(int64(time.Since(putStart)))
+	onBatched(len(ok))
+	for _, i := range core.GeometryOrder(cfgs) {
+		simStart := time.Now()
+		err := core.Reset(cfgs[i], tr)
+		var r *pipeline.Result
+		if err == nil {
+			r, err = core.RunFast()
 		}
-		finish(m.i, o)
+		if err != nil {
+			// Same shape the scalar path gives a run error.
+			err = fmt.Errorf("%s: %w", ok[i].pt, err)
+		}
+		complete(ok[i], r, err, time.Since(simStart))
 	}
-	return batch
 }
 
 // runPoint performs the full job: trace (memoized per workload/scale),
-// config, core construction or reset, and the timed run. The core is
-// recycled when one is passed in; a point that fails leaves the core
-// reusable (Reset fully reinitializes it).
-func runPoint(core *pipeline.Core, pt Point) (*pipeline.Result, *pipeline.Core, error) {
+// config, core reset, and the reference run. A point that fails leaves
+// the core reusable (Reset fully reinitializes it).
+func runPoint(core *pipeline.Core, pt Point) (*pipeline.Result, error) {
 	w, err := workloads.ByName(pt.Workload)
 	if err != nil {
-		return nil, core, err
+		return nil, err
 	}
 	tr, err := w.Trace(pt.Scale)
 	if err != nil {
-		return nil, core, err
+		return nil, err
 	}
 	cfg, err := pt.Config()
 	if err != nil {
-		return nil, core, err
+		return nil, err
 	}
-	if core == nil {
-		core, err = pipeline.New(cfg, tr)
-	} else {
-		err = core.Reset(cfg, tr)
-	}
-	if err != nil {
-		return nil, core, err
+	if err := core.Reset(cfg, tr); err != nil {
+		return nil, err
 	}
 	res, err := core.Run()
 	if err != nil {
-		return nil, core, fmt.Errorf("%s: %w", pt, err)
+		return nil, fmt.Errorf("%s: %w", pt, err)
 	}
-	return res, core, nil
+	return res, nil
 }

@@ -13,10 +13,10 @@ import (
 )
 
 // TestEngineReusesSimState pins the engine's recycling of pool worker
-// state across runs: a repeated run allocates a fraction of the first,
-// recycled lanes give byte-identical outcomes even after a geometry
-// change, concurrent runs leave at most Parallel states behind, and an
-// idle engine holds no trace.
+// cores across runs: a repeated run allocates a fraction of the first,
+// recycled cores give byte-identical outcomes even after a geometry
+// change, a mixed-geometry run and concurrent runs leave at most
+// Parallel cores behind, and an idle engine holds no trace.
 func TestEngineReusesSimState(t *testing.T) {
 	const parallel = 2
 	first := Grid{
@@ -26,8 +26,8 @@ func TestEngineReusesSimState(t *testing.T) {
 		BPredBits: []int{10, 0},
 		Scale:     500,
 	}.Expand()
-	// The only point at its scale runs on the scalar core, so both kinds
-	// of state are recycled.
+	// The only point at its scale runs on the scalar path, so the
+	// recycled cores run both paths.
 	single := Point{Workload: "go", Policy: "extended", IntRegs: 44, FPRegs: 44, Scale: 300}
 	first = append(first, single)
 	// Different cache and predictor geometries and latencies, so that
@@ -79,9 +79,17 @@ func TestEngineReusesSimState(t *testing.T) {
 	if !bytes.Equal(out1, out2) {
 		t.Error("repeated run's outcomes differ from the first's")
 	}
+	idleCores := func() int {
+		eng.idleMu.Lock()
+		defer eng.idleMu.Unlock()
+		return len(eng.idle)
+	}
 	reshaped, _ := run(eng, second)
 	if fresh, _ := run(&Engine{Parallel: parallel}, second); !bytes.Equal(reshaped, fresh) {
 		t.Error("recycled lanes' outcomes differ from a fresh engine's after a geometry change")
+	}
+	if kept := idleCores(); kept == 0 || kept > parallel {
+		t.Errorf("engine keeps %d idle cores after a mixed-geometry run, want 1..%d", kept, parallel)
 	}
 
 	var wg sync.WaitGroup
@@ -95,11 +103,8 @@ func TestEngineReusesSimState(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	eng.idleMu.Lock()
-	kept := len(eng.idle)
-	eng.idleMu.Unlock()
-	if kept == 0 || kept > parallel {
-		t.Errorf("engine keeps %d idle states after concurrent runs, want 1..%d", kept, parallel)
+	if kept := idleCores(); kept == 0 || kept > parallel {
+		t.Errorf("engine keeps %d idle cores after concurrent runs, want 1..%d", kept, parallel)
 	}
 
 	// The finalizer of the trace the engine last ran runs once the
@@ -121,4 +126,37 @@ func TestEngineReusesSimState(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(eng)
+}
+
+// TestEnginePointTimes pins per-point timing on the batch path: each
+// simulated point of a multi-point group gets its own nonzero time, not
+// a share of its group's.
+func TestEnginePointTimes(t *testing.T) {
+	pts := Grid{
+		Workloads: []string{"go"},
+		Policies:  []string{"conv", "extended"},
+		IntRegs:   []int{40, 48},
+		BPredBits: []int{10, 0},
+		Scale:     500,
+	}.Expand()
+	res, err := (&Engine{Parallel: 1}).RunPoints(pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.BatchGroups != 1 || res.Stats.Batched != len(pts) {
+		t.Fatalf("stats %+v: want all %d points in one batch group", res.Stats, len(pts))
+	}
+	seen := map[int64]bool{}
+	for i, ns := range res.PointNS {
+		if ns <= 0 {
+			t.Errorf("point %s: time %d ns", pts[i], ns)
+		}
+		seen[ns] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("all %d points report the same time %v", len(pts), res.PointNS)
+	}
 }

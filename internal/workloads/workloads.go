@@ -34,6 +34,8 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -161,8 +163,10 @@ func Names() []string {
 // sweeps re-run the same trace under many configurations. Each entry
 // builds exactly once — concurrent callers of the same (name, scale)
 // wait on the first builder instead of emulating the trace again.
+// Scales that build the same program share one trace (see Trace).
 type traceEntry struct {
 	once sync.Once
+	prog [sha256.Size]byte // fingerprint of the built program
 	tr   *trace.Trace
 	err  error
 }
@@ -178,6 +182,12 @@ var (
 // emulator's initial memory, no trace consumer reads it, and at small
 // scales it outweighs the trace (hashjoin at scale 10 000: 544 KB of
 // input tables against about 60 KB of trace).
+//
+// A kernel may build the same program at several scales (tomcatv does
+// below scale 338 272). A new scale then reuses the trace another scale
+// emulated from an identical program, as long as that trace fits in the
+// new scale's instruction limit: emulation is deterministic and the
+// trace ran to its halt, so emulating again would record it exactly.
 func (w Workload) Trace(scale int) (*trace.Trace, error) {
 	key := fmt.Sprintf("%s/%d", w.Name, scale)
 	cacheMu.Lock()
@@ -194,8 +204,22 @@ func (w Workload) Trace(scale int) (*trace.Trace, error) {
 			e.err = err
 			return
 		}
+		limit := uint64(scale)*8 + 1_000_000
+		fp := fingerprint(p)
+		cacheMu.Lock()
+		e.prog = fp
+		for _, o := range traceCache {
+			if o.tr != nil && o.prog == e.prog && uint64(o.tr.Len()) <= limit {
+				e.tr = o.tr
+				break
+			}
+		}
+		cacheMu.Unlock()
+		if e.tr != nil {
+			return
+		}
 		m := emu.New(p)
-		tr, err := m.Run(uint64(scale)*8 + 1_000_000)
+		tr, err := m.Run(limit)
 		if err != nil {
 			e.err = fmt.Errorf("workloads: emulating %s: %w", w.Name, err)
 			return
@@ -229,18 +253,37 @@ func ClearTraceCache() {
 	traceCache = map[string]*traceEntry{}
 }
 
-// TraceCacheStats reports the memoized traces: how many are built, and
-// the heap bytes their columns hold (the sum of Trace.Bytes).
+// TraceCacheStats reports the memoized traces: how many distinct traces
+// are built, and the heap bytes their columns hold (the sum of
+// Trace.Bytes). A trace shared by several scales counts once.
 func TraceCacheStats() (entries int, bytes int64) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
+	seen := make(map[*trace.Trace]bool, len(traceCache))
 	for _, e := range traceCache {
-		if e.tr != nil {
+		if e.tr != nil && !seen[e.tr] {
+			seen[e.tr] = true
 			entries++
 			bytes += e.tr.Bytes()
 		}
 	}
 	return entries, bytes
+}
+
+// fingerprint hashes what emulating p reads, and the name its trace
+// carries: the name, the text and the data segment.
+func fingerprint(p *program.Program) [sha256.Size]byte {
+	h := sha256.New()
+	binary.Write(h, binary.LittleEndian, uint64(len(p.Name)))
+	h.Write([]byte(p.Name))
+	binary.Write(h, binary.LittleEndian, uint64(len(p.Insts)))
+	if err := binary.Write(h, binary.LittleEndian, p.Insts); err != nil {
+		panic(err) // isa.Inst is fixed-size; this cannot fail
+	}
+	h.Write(p.Data)
+	var fp [sha256.Size]byte
+	h.Sum(fp[:0])
+	return fp
 }
 
 // lcg is the deterministic generator used for synthetic input data.

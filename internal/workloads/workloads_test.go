@@ -127,6 +127,45 @@ func TestTraceCaching(t *testing.T) {
 	ClearTraceCache()
 }
 
+// TestTraceSharedAcrossScales pins the trace cache's sharing: tomcatv
+// builds the same program at scales 12 500 and 100 000, so both return
+// one trace, counted once; go's program grows with scale (one more top-
+// level evaluation per 2 600 of it), so those scales keep their own. A shared trace equals a fresh emulation.
+func TestTraceSharedAcrossScales(t *testing.T) {
+	ClearTraceCache()
+	defer ClearTraceCache()
+	tomcatv, _ := ByName("tomcatv")
+	small := tomcatv.MustTrace(12_500)
+	large := tomcatv.MustTrace(100_000)
+	if small != large {
+		t.Error("tomcatv at scales 12 500 and 100 000 keeps two traces of one program")
+	}
+	if n, b := TraceCacheStats(); n != 1 || b != small.Bytes() {
+		t.Errorf("TraceCacheStats = %d traces, %d B; want 1, %d", n, b, small.Bytes())
+	}
+	fresh, err := emu.New(tomcatv.Build(100_000)).Run(100_000*8 + 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Len() != large.Len() || fresh.End != large.End {
+		t.Fatalf("shared trace has %d entries ending at %#x; fresh emulation %d at %#x",
+			large.Len(), large.End, fresh.Len(), fresh.End)
+	}
+	for i := 0; i < fresh.Len(); i++ {
+		if fresh.At(i) != large.At(i) {
+			t.Fatalf("entry %d: shared %+v, fresh %+v", i, large.At(i), fresh.At(i))
+		}
+	}
+
+	gw, _ := ByName("go")
+	if gw.MustTrace(12_500) == gw.MustTrace(100_000) {
+		t.Error("go at scales 12 500 and 100 000 share a trace")
+	}
+	if n, _ := TraceCacheStats(); n != 3 {
+		t.Errorf("TraceCacheStats = %d traces, want 3", n)
+	}
+}
+
 // TestTraceFootprint pins the trace's memory layout. Each column holds
 // exactly its length: a 4-byte instruction index per entry, a taken and
 // an address bitmap word and a 4-byte rank per 64 entries, and 8 bytes
