@@ -20,15 +20,17 @@
 // may wobble with the hardware, but the reproduced microarchitectural
 // IPC is deterministic and must not move at all.
 //
-// -mode sweep gates the sweep-level batched-execution win instead: it
-// parses the points/s metric from the BenchmarkSweep* pairs, computes
-// the batch/scalar ratio per pair named in BENCH_sweep.json, and fails
-// when a ratio drops below that pair's min_ratio. Both sides of each
-// ratio run on the same host in the same `go test` process, so the
-// gate is machine-independent and needs no normalization:
+// -mode sweep gates the sweep engine's win over the scalar reference
+// loop instead: for each pair named in BENCH_sweep.json it divides the
+// k-th batch line's points/s by the k-th scalar line's, and fails when
+// the median of those per-round ratios drops below the pair's
+// min_ratio. Both sides of a round run on the same host in one
+// `go test` process, so the gate is machine-independent, and a noisy
+// stretch of the host hits both sides of a round, not one side alone:
 //
-//	go test -run xxx -bench BenchmarkSweep -benchtime 2x ./internal/sweep | \
-//	    go run ./cmd/benchguard -mode sweep -baseline BENCH_sweep.json
+//	for i in 1 2 3 4 5; do
+//	    go test -run xxx -bench BenchmarkSweep -benchtime 2x ./internal/sweep
+//	done | go run ./cmd/benchguard -mode sweep -baseline BENCH_sweep.json
 package main
 
 import (
@@ -40,6 +42,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -118,9 +121,9 @@ var sweepLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.e+]+) ns/op\s+([\d.e+]+) points/s`)
 
 // parseSweepBench extracts points/s results from `go test -bench`
-// output. Repeated runs keep the best points/s per benchmark.
-func parseSweepBench(out []byte) (map[string]float64, error) {
-	results := make(map[string]float64)
+// output: every line of each benchmark, in the order printed.
+func parseSweepBench(out []byte) (map[string][]float64, error) {
+	results := make(map[string][]float64)
 	for _, line := range regexp.MustCompile(`\r?\n`).Split(string(out), -1) {
 		m := sweepLine.FindStringSubmatch(line)
 		if m == nil {
@@ -130,9 +133,7 @@ func parseSweepBench(out []byte) (map[string]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad points/s in %q: %v", line, err)
 		}
-		if v > results[m[1]] {
-			results[m[1]] = v
-		}
+		results[m[1]] = append(results[m[1]], v)
 	}
 	if len(results) == 0 {
 		return nil, fmt.Errorf("no benchmark lines with points/s found")
@@ -140,11 +141,15 @@ func parseSweepBench(out []byte) (map[string]float64, error) {
 	return results, nil
 }
 
-// sweepVerdict is one pair's comparison outcome.
+// sweepVerdict is one pair's comparison outcome over its rounds: the
+// points/s and the ratio are medians, Low/HighRatio the extreme rounds.
 type sweepVerdict struct {
+	Rounds         int      `json:"rounds"`
 	ScalarPointsS  float64  `json:"scalar_points_s"`
 	BatchPointsS   float64  `json:"batch_points_s"`
 	Ratio          float64  `json:"ratio"`
+	LowRatio       float64  `json:"low_ratio"`
+	HighRatio      float64  `json:"high_ratio"`
 	MinRatio       float64  `json:"min_ratio"`
 	Pass           bool     `json:"pass"`
 	FailureReasons []string `json:"failure_reasons,omitempty"`
@@ -155,29 +160,39 @@ type sweepReport struct {
 	Pairs map[string]sweepVerdict `json:"pairs"`
 }
 
-// compareSweep applies each pair's ratio floor. A missing benchmark
-// fails the pair — deleting the scalar side would otherwise delete the
-// gate.
-func compareSweep(base map[string]sweepPair, run map[string]float64) sweepReport {
+// compareSweep applies each pair's ratio floor to the median of its
+// per-round ratios. A missing benchmark fails the pair — deleting the
+// scalar side would otherwise delete the gate — and so do sides with
+// different line counts, whose rounds cannot be paired.
+func compareSweep(base map[string]sweepPair, run map[string][]float64) sweepReport {
 	rep := sweepReport{Pass: true, Pairs: make(map[string]sweepVerdict)}
 	for name, p := range base {
 		v := sweepVerdict{MinRatio: p.MinRatio, Pass: true}
-		var ok bool
-		if v.ScalarPointsS, ok = run[p.Scalar]; !ok {
+		fail := func(format string, a ...any) {
 			v.Pass = false
-			v.FailureReasons = append(v.FailureReasons, p.Scalar+" missing from this run")
+			v.FailureReasons = append(v.FailureReasons, fmt.Sprintf(format, a...))
 		}
-		if v.BatchPointsS, ok = run[p.Batch]; !ok {
-			v.Pass = false
-			v.FailureReasons = append(v.FailureReasons, p.Batch+" missing from this run")
+		for _, side := range []string{p.Scalar, p.Batch} {
+			if len(run[side]) == 0 {
+				fail("%s missing from this run", side)
+			}
+		}
+		scalar, batch := run[p.Scalar], run[p.Batch]
+		if v.Pass && len(scalar) != len(batch) {
+			fail("%d %s lines but %d %s lines: rounds do not pair up",
+				len(scalar), p.Scalar, len(batch), p.Batch)
 		}
 		if v.Pass {
-			v.Ratio = v.BatchPointsS / v.ScalarPointsS
+			ratios := make([]float64, len(scalar))
+			for k := range scalar {
+				ratios[k] = batch[k] / scalar[k]
+			}
+			v.Rounds = len(ratios)
+			v.ScalarPointsS, v.BatchPointsS = median(scalar), median(batch)
+			v.Ratio, v.LowRatio, v.HighRatio = median(ratios), slices.Min(ratios), slices.Max(ratios)
 			if v.Ratio < p.MinRatio {
-				v.Pass = false
-				v.FailureReasons = append(v.FailureReasons, fmt.Sprintf(
-					"batch/scalar ratio %.2f below the %.2f floor (%.2f vs %.2f points/s)",
-					v.Ratio, p.MinRatio, v.BatchPointsS, v.ScalarPointsS))
+				fail("median batch/scalar ratio %.2f over %d rounds below the %.2f floor (rounds %.2f–%.2f)",
+					v.Ratio, v.Rounds, p.MinRatio, v.LowRatio, v.HighRatio)
 			}
 		}
 		if !v.Pass {
@@ -186,6 +201,17 @@ func compareSweep(base map[string]sweepPair, run map[string]float64) sweepReport
 		rep.Pairs[name] = v
 	}
 	return rep
+}
+
+// median returns the median of xs without reordering it.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	mid := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[mid]
+	}
+	return (s[mid-1] + s[mid]) / 2
 }
 
 // runSweepMode is the -mode sweep entry point.
@@ -219,14 +245,14 @@ func runSweepMode(baselineBlob, benchOut []byte, outPath string) {
 		if !v.Pass {
 			status = "FAIL"
 		}
-		log.Printf("%-12s batch %8.1f points/s / scalar %7.2f points/s = %.2fx (floor %.2fx)  %s",
-			name, v.BatchPointsS, v.ScalarPointsS, v.Ratio, v.MinRatio, status)
+		log.Printf("%-12s batch %8.1f points/s / scalar %7.2f points/s: median %.2fx over %d rounds (%.2f–%.2fx, floor %.2fx)  %s",
+			name, v.BatchPointsS, v.ScalarPointsS, v.Ratio, v.Rounds, v.LowRatio, v.HighRatio, v.MinRatio, status)
 		for _, r := range v.FailureReasons {
 			log.Printf("  ↳ %s", r)
 		}
 	}
 	if !rep.Pass {
-		log.Fatal("sweep batch speedup below its floor")
+		log.Fatal("sweep engine speedup below its floor")
 	}
 	log.Printf("all pairs above their ratio floors")
 }
@@ -280,13 +306,7 @@ func compare(base map[string]baselineEntry, run map[string]benchResult,
 		return rep
 	}
 	if normalize {
-		sort.Float64s(ratios)
-		mid := len(ratios) / 2
-		if len(ratios)%2 == 1 {
-			rep.SpeedRatio = ratios[mid]
-		} else {
-			rep.SpeedRatio = (ratios[mid-1] + ratios[mid]) / 2
-		}
+		rep.SpeedRatio = median(ratios)
 	}
 
 	for name, b := range base {
@@ -329,27 +349,27 @@ func main() {
 		outPath      = flag.String("out", "", "write the comparison report JSON here")
 	)
 	flag.Parse()
+	if *mode != "core" && *mode != "sweep" {
+		log.Fatalf("unknown -mode %q (want core or sweep)", *mode)
+	}
 
 	blob, err := os.ReadFile(*baselinePath)
 	if err != nil {
 		log.Fatal(err)
 	}
+	var out []byte
+	if *benchPath == "-" {
+		out, err = io.ReadAll(os.Stdin)
+	} else {
+		out, err = os.ReadFile(*benchPath)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	if *mode == "sweep" {
-		var out []byte
-		if *benchPath == "-" {
-			out, err = io.ReadAll(os.Stdin)
-		} else {
-			out, err = os.ReadFile(*benchPath)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
 		runSweepMode(blob, out, *outPath)
 		return
-	}
-	if *mode != "core" {
-		log.Fatalf("unknown -mode %q (want core or sweep)", *mode)
 	}
 
 	var base baselineFile
@@ -360,15 +380,6 @@ func main() {
 		log.Fatalf("%s holds no benchmarks", *baselinePath)
 	}
 
-	var out []byte
-	if *benchPath == "-" {
-		out, err = io.ReadAll(os.Stdin)
-	} else {
-		out, err = os.ReadFile(*benchPath)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
 	run, err := parseBench(out)
 	if err != nil {
 		log.Fatal(err)

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -173,22 +176,23 @@ func TestParseSweepBench(t *testing.T) {
 		t.Fatalf("parsed %d results, want 4 (the MB/s line has no points/s): %+v", len(run), run)
 	}
 	// With and without the -procs suffix.
-	if run["BenchmarkSweepBatch"] != 150.2 || run["BenchmarkSweepScalar"] != 19.58 {
+	if !slices.Equal(run["BenchmarkSweepBatch"], []float64{150.2}) ||
+		!slices.Equal(run["BenchmarkSweepScalar"], []float64{19.58}) {
 		t.Fatalf("parsed: %+v", run)
 	}
 	if _, err := parseSweepBench([]byte("PASS\nok\n")); err == nil {
 		t.Fatal("empty sweep bench output accepted")
 	}
 
-	// Repeats keep the best points/s.
-	out := "BenchmarkSweepBatch \t 1 \t 700 ns/op\t 100.0 points/s\n" +
-		"BenchmarkSweepBatch \t 1 \t 500 ns/op\t 140.0 points/s\n"
+	// Repeats are all kept, in the order printed, so rounds pair up.
+	out := "BenchmarkSweepBatch \t 1 \t 500 ns/op\t 140.0 points/s\n" +
+		"BenchmarkSweepBatch \t 1 \t 700 ns/op\t 100.0 points/s\n"
 	run, err = parseSweepBench([]byte(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run["BenchmarkSweepBatch"] != 140.0 {
-		t.Fatalf("did not keep best repeat: %+v", run)
+	if !slices.Equal(run["BenchmarkSweepBatch"], []float64{140.0, 100.0}) {
+		t.Fatalf("repeats not kept in order: %+v", run)
 	}
 }
 
@@ -208,9 +212,9 @@ func TestCompareSweepPasses(t *testing.T) {
 }
 
 func TestCompareSweepCatchesRatioDrop(t *testing.T) {
-	run := map[string]float64{
-		"BenchmarkSweepScalar": 20.0, "BenchmarkSweepBatch": 80.0, // 4.0x < 5.0 floor
-		"BenchmarkSweepScalarMix": 23.0, "BenchmarkSweepBatchMix": 31.0,
+	run := map[string][]float64{
+		"BenchmarkSweepScalar": {20.0}, "BenchmarkSweepBatch": {80.0}, // 4.0x < 5.0 floor
+		"BenchmarkSweepScalarMix": {23.0}, "BenchmarkSweepBatchMix": {31.0},
 	}
 	rep := compareSweep(sweepPairs(), run)
 	if rep.Pass || rep.Pairs["Explorer"].Pass {
@@ -226,9 +230,9 @@ func TestCompareSweepCatchesRatioDrop(t *testing.T) {
 
 func TestCompareSweepFailsOnMissingBenchmark(t *testing.T) {
 	// Deleting the scalar side must not delete the gate.
-	run := map[string]float64{
-		"BenchmarkSweepBatch":     80.0,
-		"BenchmarkSweepScalarMix": 23.0, "BenchmarkSweepBatchMix": 31.0,
+	run := map[string][]float64{
+		"BenchmarkSweepBatch":     {80.0},
+		"BenchmarkSweepScalarMix": {23.0}, "BenchmarkSweepBatchMix": {31.0},
 	}
 	rep := compareSweep(sweepPairs(), run)
 	if rep.Pass || rep.Pairs["Explorer"].Pass {
@@ -236,6 +240,62 @@ func TestCompareSweepFailsOnMissingBenchmark(t *testing.T) {
 	}
 	if !strings.Contains(rep.Pairs["Explorer"].FailureReasons[0], "missing") {
 		t.Fatalf("reasons: %+v", rep.Pairs["Explorer"].FailureReasons)
+	}
+}
+
+// sweepRounds prints interleaved rounds of the four sweep benchmarks,
+// each round's Mix ratio given by mix.
+func sweepRounds(mix ...float64) string {
+	var out strings.Builder
+	for _, r := range mix {
+		fmt.Fprintf(&out, "BenchmarkSweepScalar \t 2 \t 1 ns/op\t 20.0 points/s\n")
+		fmt.Fprintf(&out, "BenchmarkSweepBatch \t 2 \t 1 ns/op\t 150.0 points/s\n")
+		fmt.Fprintf(&out, "BenchmarkSweepScalarMix \t 2 \t 1 ns/op\t 20.0 points/s\n")
+		fmt.Fprintf(&out, "BenchmarkSweepBatchMix \t 2 \t 1 ns/op\t %.1f points/s\n", 20*r)
+	}
+	return out.String()
+}
+
+func TestCompareSweepMedianIgnoresOutlierRound(t *testing.T) {
+	// One slow batch round among five does not flip the verdict.
+	run, err := parseSweepBench([]byte(sweepRounds(1.1, 1.2, 0.69, 1.15, 1.1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := compareSweep(sweepPairs(), run)
+	v := rep.Pairs["Mix"]
+	if !rep.Pass || !v.Pass {
+		t.Fatalf("one outlier round failed the gate: %+v", v)
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+	if v.Rounds != 5 || !near(v.Ratio, 1.1) || !near(v.LowRatio, 0.69) || !near(v.HighRatio, 1.2) {
+		t.Fatalf("Mix verdict %+v, want 5 rounds, median 1.10, spread 0.69–1.20", v)
+	}
+}
+
+func TestCompareSweepFailsOnLowMedian(t *testing.T) {
+	// Two lucky rounds do not carry a median below the floor.
+	run, err := parseSweepBench([]byte(sweepRounds(0.9, 1.3, 0.95, 0.8, 1.2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := compareSweep(sweepPairs(), run)
+	v := rep.Pairs["Mix"]
+	if rep.Pass || v.Pass {
+		t.Fatalf("median 0.95 passed the 1.0 floor: %+v", v)
+	}
+	if !rep.Pairs["Explorer"].Pass {
+		t.Fatalf("healthy Explorer pair dragged down: %+v", rep.Pairs["Explorer"])
+	}
+	if !strings.Contains(v.FailureReasons[0], "median batch/scalar ratio 0.95 over 5 rounds below the 1.00 floor") {
+		t.Fatalf("reasons: %+v", v.FailureReasons)
+	}
+
+	// Sides whose rounds do not pair up fail too.
+	run["BenchmarkSweepBatchMix"] = run["BenchmarkSweepBatchMix"][:4]
+	if rep := compareSweep(sweepPairs(), run); rep.Pass || !strings.Contains(
+		rep.Pairs["Mix"].FailureReasons[0], "do not pair up") {
+		t.Fatalf("unpaired rounds passed: %+v", rep.Pairs["Mix"])
 	}
 }
 

@@ -30,11 +30,10 @@
 // the frontier (the CI explore smoke asserts it is non-empty,
 // non-dominated, and fully cached on a warm rerun).
 //
-// Local evaluation batches candidates sharing a (workload, scale)
-// trace onto the batch execution path (DESIGN.md §4.6) — results
-// stay bit-identical to scalar, so frontiers do not depend on -batch
-// (0 = auto size cap, 1 = scalar). -cpuprofile/-memprofile write
-// runtime/pprof profiles of the whole search.
+// Local evaluation runs candidates that share a trace back to back on
+// one recycled core (DESIGN.md §4.6), bit-identical to the reference
+// loop. -cpuprofile/-memprofile write runtime/pprof profiles of the
+// whole search.
 package main
 
 import (
@@ -61,7 +60,6 @@ func main() {
 		scale      = flag.Int("scale", sweep.DefaultScale, "dynamic instructions per workload")
 		screen     = flag.Int("screen-scale", 0, "halving screening scale (0 = scale/8)")
 		seedBatch  = flag.Int("seed-batch", 0, "random-seeding batch size (0 = default)")
-		batch      = flag.Int("batch", 0, "batch size cap for candidates sharing a trace, run back to back on one core (0 = auto, 1 = scalar)")
 		check      = flag.Bool("check", false, "run evaluations with the invariant checker (slower)")
 		workloadsF = flag.String("workloads", "", "workloads for the IPC objective (empty = paper suite)")
 		policiesF  = flag.String("policies", "", "policy dimension (empty = conv,basic,extended)")
@@ -149,7 +147,7 @@ func main() {
 			progress(p.Evaluations+p.ScreenEvaluations, p.Budget, p.Last)
 		})
 	} else {
-		eng := &sweep.Engine{Parallel: *parallel, Batch: *batch}
+		eng := &sweep.Engine{Parallel: *parallel}
 		if *cachePath != "" {
 			if eng.Cache, err = sweep.OpenCache(*cachePath); err != nil {
 				log.Fatal(err)

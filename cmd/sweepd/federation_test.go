@@ -366,7 +366,7 @@ func TestFederationChaosDrain(t *testing.T) {
 
 	drainCtx, drain := context.WithCancel(context.Background())
 	drained := &sweep.Worker{Source: sweep.NewClient(ts.URL), Name: "draining",
-		Engine: &sweep.Engine{Parallel: 1, Batch: 1}, Poll: 2 * time.Millisecond}
+		Engine: &sweep.Engine{Parallel: 1}, Poll: 2 * time.Millisecond}
 	drainedDone := make(chan struct{})
 	go func() { defer close(drainedDone); drained.Run(drainCtx) }()
 

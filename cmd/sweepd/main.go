@@ -57,7 +57,6 @@ func main() {
 		cachePath    = flag.String("cache", "", "persistent result cache: a store directory (empty = in-memory, or <state>/cache with -state)")
 		stateDir     = flag.String("state", "", "coordinator state directory: journal + snapshots for crash-resume (empty = memory only)")
 		parallel     = flag.Int("parallel", 0, "simulations per worker engine (0 = GOMAXPROCS)")
-		batch        = flag.Int("batch", 0, "batch size cap for shard points sharing a trace, run back to back on one core (0 = auto, 1 = scalar)")
 		localWorkers = flag.Int("local-workers", 1, "embedded workers in the coordinator (0 = pure coordinator)")
 		leaseTTL     = flag.Duration("lease-ttl", 30*time.Second, "work lease lifetime between renewals")
 		shardPoints  = flag.Int("shard-points", 0, "max points per shard (0 = default)")
@@ -75,10 +74,10 @@ func main() {
 
 	switch *role {
 	case "worker":
-		runWorker(*join, *name, *parallel, *batch)
+		runWorker(*join, *name, *parallel)
 	case "coordinator":
 		registry := loadRegistry(*tokens, tenantSpecs)
-		runCoordinator(*addr, *cachePath, *stateDir, *parallel, *batch, *localWorkers,
+		runCoordinator(*addr, *cachePath, *stateDir, *parallel, *localWorkers,
 			*leaseTTL, *shardPoints, *retainJobs, registry, *enablePprof, *logRequests)
 	default:
 		log.Fatalf("unknown role %q (want coordinator or worker)", *role)
@@ -112,7 +111,7 @@ func loadRegistry(tokensPath string, specs []string) *tenant.Registry {
 	return registry
 }
 
-func runCoordinator(addr, cachePath, stateDir string, parallel, batch, localWorkers int,
+func runCoordinator(addr, cachePath, stateDir string, parallel, localWorkers int,
 	leaseTTL time.Duration, shardPoints, retainJobs int, registry *tenant.Registry,
 	enablePprof, logRequests bool) {
 	if cachePath == "" && stateDir != "" {
@@ -131,7 +130,6 @@ func runCoordinator(addr, cachePath, stateDir string, parallel, batch, localWork
 	cfg := ServerConfig{
 		Cache:          cache,
 		WorkerParallel: parallel,
-		WorkerBatch:    batch,
 		LocalWorkers:   localWorkers,
 		LeaseTTL:       leaseTTL,
 		Planner:        sweep.ShardPlanner{MaxPoints: shardPoints},
@@ -180,7 +178,7 @@ func runCoordinator(addr, cachePath, stateDir string, parallel, batch, localWork
 	log.Printf("coordinator stopped; state saved")
 }
 
-func runWorker(join, name string, parallel, batch int) {
+func runWorker(join, name string, parallel int) {
 	if join == "" {
 		log.Fatal("worker role needs -join URL of a coordinator")
 	}
@@ -192,7 +190,7 @@ func runWorker(join, name string, parallel, batch int) {
 	w := &sweep.Worker{
 		Source: sweep.NewClient(join),
 		Name:   name,
-		Engine: &sweep.Engine{Parallel: parallel, Batch: batch},
+		Engine: &sweep.Engine{Parallel: parallel},
 	}
 	log.Printf("worker %q joining %s", name, join)
 	if err := w.Run(ctx); err != nil {

@@ -203,9 +203,6 @@ type ServerConfig struct {
 	// WorkerParallel bounds each local worker's engine pool
 	// (0 = GOMAXPROCS).
 	WorkerParallel int
-	// WorkerBatch caps each local worker's batch group size
-	// (0 = auto, 1 = scalar execution).
-	WorkerBatch int
 	// LeaseTTL, MaxAttempts and Planner tune the federation (zero
 	// values take the sweep package defaults).
 	LeaseTTL    time.Duration
@@ -304,7 +301,7 @@ func OpenServerWith(cfg ServerConfig) (*Server, error) {
 		w := &sweep.Worker{
 			Source: s.coord,
 			Name:   fmt.Sprintf("local-%d", i+1),
-			Engine: &sweep.Engine{Parallel: cfg.WorkerParallel, Batch: cfg.WorkerBatch},
+			Engine: &sweep.Engine{Parallel: cfg.WorkerParallel},
 			Poll:   5 * time.Millisecond,
 		}
 		s.workerWG.Add(1)

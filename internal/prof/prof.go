@@ -1,6 +1,6 @@
 // Package prof wires the -cpuprofile/-memprofile flags of the sweep
 // and explore commands to runtime/pprof, so sweep-level hot spots (the
-// batch scheduler, lane stepping, cache recycling) can be inspected
+// engine's job loop, the core's stages, cache recycling) can be inspected
 // with `go tool pprof` without a bespoke harness.
 package prof
 

@@ -3,15 +3,18 @@ package sweep
 import (
 	"testing"
 
+	"earlyrelease/internal/pipeline"
+	"earlyrelease/internal/trace"
 	"earlyrelease/internal/workloads"
 )
 
 // Sweep-level throughput benchmarks: two representative 64-config
-// shared-trace explorer batches, each run through the scalar engine and
-// the batch path. BENCH_sweep.json commits the measured
-// points/s and the batch/scalar ratios; cmd/benchguard -mode sweep
-// gates CI on the ratios (machine-independent — both sides of each
-// pair run on the same host in the same process).
+// shared-trace explorer batches, each run through the scalar reference
+// loop (Core.Reset + Core.Run on one recycled core) and through the
+// engine, whose fast loop skips idle cycles. BENCH_sweep.json commits
+// the measured points/s and the engine/scalar ratios; cmd/benchguard
+// -mode sweep gates CI on the ratios (machine-independent — both sides
+// of each pair run on the same host in the same process).
 //
 // The primary pair (BenchmarkSweepScalar/BenchmarkSweepBatch) is the
 // 200-cycle memory-latency column of the machine-axis space on the
@@ -22,15 +25,15 @@ import (
 // the window and the scalar loop steps hundreds of thousands of empty
 // stall cycles — and it is exactly the batch shape the explorer emits
 // when it refines the cheap-memory side of the Pareto frontier. The
-// idle-skipping batch path collapses those stall spans, so this pair
-// carries the headline ratio and the ≥5× gate.
+// engine's fast loop collapses those stall spans, so this pair carries
+// the headline ratio and the ≥5× gate.
 //
 // The secondary pair (…ScalarMix/…BatchMix) is the same axis sweep
 // around the Table 2 baseline on tomcatv, whose overlapping misses keep
 // the machine busy almost every cycle. It documents the honest lower
 // bound of the win — with no idle spans to skip, only the shared
-// pre-decode and core recycling remain — and gates only against
-// regression below scalar.
+// pre-decode and geometry-ordered core recycling remain — and gates
+// only against regression below scalar.
 
 const benchScale = 20_000
 
@@ -140,11 +143,14 @@ func MixBatch() []Point {
 	return append(memShelf("tomcatv", 0), memShelf("tomcatv", 100)...)
 }
 
-func benchSweep(b *testing.B, pts []Point, batch int) {
+// benchTrace checks a benchmark batch and returns the trace its points
+// share, built outside the timer.
+func benchTrace(b *testing.B, pts []Point) *trace.Trace {
 	if len(pts) != 64 {
 		b.Fatalf("benchmark batch has %d points, want 64", len(pts))
 	}
 	seen := map[string]bool{}
+	var tr *trace.Trace
 	for _, pt := range pts {
 		if seen[pt.String()] {
 			b.Fatalf("duplicate benchmark point %s", pt)
@@ -154,12 +160,53 @@ func benchSweep(b *testing.B, pts []Point, batch int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		w.MustTrace(pt.Scale) // build traces outside the timer
+		if t := w.MustTrace(pt.Scale); tr == nil {
+			tr = t
+		} else if t != tr {
+			b.Fatalf("point %s does not share the batch's trace", pt)
+		}
 	}
+	return tr
+}
+
+func reportPoints(b *testing.B, n int) {
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+}
+
+// benchScalar runs the batch through the reference loop, Core.Reset
+// and Core.Run, in input order on one recycled core.
+func benchScalar(b *testing.B, pts []Point) {
+	tr := benchTrace(b, pts)
+	cfgs := make([]pipeline.Config, len(pts))
+	for i, pt := range pts {
+		var err error
+		if cfgs[i], err = pt.Config(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	core := &pipeline.Core{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := &Engine{Parallel: 1, Batch: batch, Cache: NewCache()}
-		res, err := eng.RunPoints(pts, nil)
+		for k := range cfgs {
+			if err := core.Reset(cfgs[k], tr); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	reportPoints(b, len(pts))
+}
+
+// benchEngine runs the batch through a one-worker engine with a fresh
+// cache each time.
+func benchEngine(b *testing.B, pts []Point) {
+	benchTrace(b, pts)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := (&Engine{Parallel: 1, Cache: NewCache()}).RunPoints(pts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,16 +215,16 @@ func benchSweep(b *testing.B, pts []Point, batch int) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+	reportPoints(b, len(pts))
 }
 
-func BenchmarkSweepScalar(b *testing.B) { benchSweep(b, ExplorerBatch(), 1) }
+func BenchmarkSweepScalar(b *testing.B) { benchScalar(b, ExplorerBatch()) }
 
-func BenchmarkSweepBatch(b *testing.B) { benchSweep(b, ExplorerBatch(), 64) }
+func BenchmarkSweepBatch(b *testing.B) { benchEngine(b, ExplorerBatch()) }
 
-func BenchmarkSweepScalarMix(b *testing.B) { benchSweep(b, MixBatch(), 1) }
+func BenchmarkSweepScalarMix(b *testing.B) { benchScalar(b, MixBatch()) }
 
-func BenchmarkSweepBatchMix(b *testing.B) { benchSweep(b, MixBatch(), 64) }
+func BenchmarkSweepBatchMix(b *testing.B) { benchEngine(b, MixBatch()) }
 
 // BenchmarkWorkerShards is a federated worker's allocation profile on
 // a cold sweep: the acceptance grid, split by ShardPlanner as the

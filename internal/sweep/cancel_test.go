@@ -8,14 +8,15 @@ import (
 	"time"
 )
 
-// TestRunPointsCtxCancelStopsAtPointGranularity cancels a scalar run
-// after the first finished point and checks the contract: partial
-// results plus ctx.Err(), finished points real, unstarted points
-// carrying the context error.
+// TestRunPointsCtxCancelStopsAtPointGranularity cancels a run after
+// the first finished point and checks the contract: partial results
+// plus ctx.Err(), finished points real, unstarted points carrying the
+// context error. The six points share one trace, so they are one job:
+// the cancel must take effect between the points of a job.
 func TestRunPointsCtxCancelStopsAtPointGranularity(t *testing.T) {
 	t.Parallel()
 	pts := testPoints(6)
-	eng := &Engine{Parallel: 1, Batch: 1} // sequential scalar jobs
+	eng := &Engine{Parallel: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -96,7 +97,7 @@ func TestWorkerDrainRequeuesShard(t *testing.T) {
 
 	// Worker 1 starts the shard, then is drained almost immediately.
 	wctx, drain := context.WithCancel(context.Background())
-	w1 := &Worker{Source: c, Name: "draining", Engine: &Engine{Parallel: 1, Batch: 1}}
+	w1 := &Worker{Source: c, Name: "draining", Engine: &Engine{Parallel: 1}}
 	w1done := make(chan struct{})
 	go func() { defer close(w1done); w1.Run(wctx) }()
 	time.Sleep(20 * time.Millisecond)

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -42,27 +43,38 @@ func diffMatrix() []Point {
 // runFresh simulates a point on a brand-new core, outside the engine.
 func runFresh(t *testing.T, pt Point) *pipeline.Result {
 	t.Helper()
-	w, err := workloads.ByName(pt.Workload)
+	res, err := scalarRun(pt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return res
+}
+
+// scalarRun is the reference simulation of one point: Core.Run on a
+// fresh core, outside the engine, failing with the engine's error
+// shapes.
+func scalarRun(pt Point) (*pipeline.Result, error) {
+	w, err := workloads.ByName(pt.Workload)
+	if err != nil {
+		return nil, err
 	}
 	tr, err := w.Trace(pt.Scale)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	cfg, err := pt.Config()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	core, err := pipeline.New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
+	var r *pipeline.Result
+	if err == nil {
+		r, err = core.Run()
 	}
-	res, err := core.Run()
 	if err != nil {
-		t.Fatalf("%s: %v", pt, err)
+		return nil, fmt.Errorf("%s: %w", pt, err)
 	}
-	return res
+	return r, nil
 }
 
 func TestCheckedRunsMatchUnchecked(t *testing.T) {

@@ -25,14 +25,6 @@ type Engine struct {
 	// Cache holds results across Run calls. Nil means each Run gets a
 	// fresh in-memory cache.
 	Cache *Cache
-	// Batch caps a batch group: cache-miss points sharing a (workload,
-	// scale) trace are grouped, and one worker runs a group's points
-	// back to back on its core, in the core's GeometryOrder, through
-	// the fast loop (pipeline.Core.RunFast; bit-identical to the scalar
-	// path). 0 = auto (DefaultBatchWidth), 1 = disable batching, >1 =
-	// group size cap. Checker points and singleton groups always take
-	// the scalar path, Core.Run.
-	Batch int
 
 	// idle holds pool workers' cores between runs, so the next run
 	// reuses their caches and predictors instead of allocating them
@@ -67,9 +59,6 @@ func (e *Engine) putCore(core *pipeline.Core, limit int) {
 	}
 }
 
-// DefaultBatchWidth is the batch group size Batch=0 resolves to.
-const DefaultBatchWidth = 16
-
 // Outcome is one point's final state after a sweep.
 type Outcome struct {
 	Point  Point            `json:"point"`
@@ -85,10 +74,6 @@ type RunStats struct {
 	Simulated int `json:"simulated"`  // points actually run
 	CacheHits int `json:"cache_hits"` // points served from the cache
 	Errors    int `json:"errors"`
-	// Batched counts simulated points that ran on the batch path,
-	// spread over BatchGroups shared-trace groups.
-	Batched     int `json:"batched,omitempty"`
-	BatchGroups int `json:"batch_groups,omitempty"`
 }
 
 // Progress is a snapshot of a running sweep, delivered to the progress
@@ -183,13 +168,12 @@ func (e *Engine) RunPoints(points []Point, onProgress func(Progress)) (*Results,
 }
 
 // RunPointsCtx is RunPoints under a cancellation context. A canceled
-// ctx stops the pool between jobs: scalar points cancel at point
-// granularity, batch groups (at most Batch points) at group
-// granularity. Points never started get an Outcome carrying the
-// context error, everything finished before the cancel keeps its real
-// result (and stays in the cache), and the call returns the partial
-// Results alongside ctx.Err() — a drained worker can account for what
-// it completed without pretending the rest ran.
+// ctx stops the pool between points: a point already running finishes,
+// and every point not yet started gets an Outcome carrying the context
+// error. Everything finished before the cancel keeps its real result
+// (and stays in the cache), and the call returns the partial Results
+// alongside ctx.Err() — a drained worker can account for what it
+// completed without pretending the rest ran.
 func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress func(Progress)) (*Results, error) {
 	cache := e.Cache
 	if cache == nil {
@@ -255,13 +239,7 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 		finish(m.i, o)
 	}
 
-	jobs := groupJobs(misses, e.batchWidth())
-	onBatched := func(points int) {
-		mu.Lock()
-		res.Stats.Batched += points
-		res.Stats.BatchGroups++
-		mu.Unlock()
-	}
+	jobs := groupJobs(misses)
 
 	parallel := e.Parallel
 	if parallel <= 0 {
@@ -277,19 +255,7 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 			core := e.takeCore()
 			defer e.putCore(core, parallel)
 			for j := range ch {
-				if err := ctx.Err(); err != nil {
-					for _, m := range j {
-						complete(m, nil, err, 0)
-					}
-					continue
-				}
-				if len(j) == 1 {
-					simStart := time.Now()
-					r, err := runPoint(core, j[0].pt)
-					complete(j[0], r, err, time.Since(simStart))
-					continue
-				}
-				runBatchJob(core, j, complete, onBatched)
+				runJob(ctx, core, j, complete)
 			}
 		}()
 	}
@@ -317,56 +283,34 @@ type miss struct {
 	key string
 }
 
-// batchWidth resolves the Batch knob (0 = auto).
-func (e *Engine) batchWidth() int {
-	switch {
-	case e.Batch == 0:
-		return DefaultBatchWidth
-	case e.Batch < 1:
-		return 1
-	}
-	return e.Batch
-}
+// groupCap is the most points one job holds. Cutting a large trace
+// group lets several pool workers share it.
+const groupCap = 16
 
-// groupJobs turns the miss list into worker jobs: runs of points that
-// share a (workload, scale) trace become batch jobs of at most width
-// points, everything else (checker points, singleton groups, width 1)
-// stays a scalar job of one point. Job order follows each group's first
+// groupJobs turns the miss list into worker jobs: misses that share a
+// (workload, scale, Check) key, in first-appearance order, cut into
+// runs of at most groupCap points. Job order follows each key's first
 // appearance, so scheduling is deterministic.
-func groupJobs(misses []miss, width int) [][]miss {
-	var jobs [][]miss
-	if width <= 1 {
-		for _, m := range misses {
-			jobs = append(jobs, []miss{m})
-		}
-		return jobs
-	}
+func groupJobs(misses []miss) [][]miss {
 	type groupKey struct {
 		workload string
 		scale    int
+		check    bool
 	}
 	groups := make(map[groupKey][]miss)
 	var order []groupKey
 	for _, m := range misses {
-		if m.pt.Check {
-			// The checker's extra verification stays on the reference
-			// path: it is the judge, batching is the defendant.
-			jobs = append(jobs, []miss{m})
-			continue
-		}
-		k := groupKey{m.pt.Workload, m.pt.Scale}
+		k := groupKey{m.pt.Workload, m.pt.Scale, m.pt.Check}
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
 		groups[k] = append(groups[k], m)
 	}
+	var jobs [][]miss
 	for _, k := range order {
 		g := groups[k]
 		for len(g) > 0 {
-			n := width
-			if n > len(g) {
-				n = len(g)
-			}
+			n := min(groupCap, len(g))
 			jobs = append(jobs, g[:n])
 			g = g[n:]
 		}
@@ -374,16 +318,22 @@ func groupJobs(misses []miss, width int) [][]miss {
 	return jobs
 }
 
-// runBatchJob simulates one shared-trace group on core, one point after
-// another in geometry order, each through the fast loop. A per-point
-// setup failure (bad config) lands on its own outcome; a trace failure
-// on every point of the group.
-func runBatchJob(core *pipeline.Core, j []miss,
-	complete func(miss, *pipeline.Result, error, time.Duration), onBatched func(int)) {
-	w, err := workloads.ByName(j[0].pt.Workload)
+// runJob simulates one job's points on core, one after another in the
+// core's geometry order, on their shared trace. Checker jobs run the
+// reference loop, Core.Run: the checker is the judge, the fast loop the
+// defendant. Every other job runs Core.RunFast, which is bit-identical.
+// A canceled ctx fails every point not yet started; a per-point setup
+// failure (bad config) lands on its own outcome, and a trace failure on
+// every point of the job.
+func runJob(ctx context.Context, core *pipeline.Core, j []miss,
+	complete func(miss, *pipeline.Result, error, time.Duration)) {
+	err := ctx.Err()
 	var tr *trace.Trace
 	if err == nil {
-		tr, err = w.Trace(j[0].pt.Scale)
+		var w workloads.Workload
+		if w, err = workloads.ByName(j[0].pt.Workload); err == nil {
+			tr, err = w.Trace(j[0].pt.Scale)
+		}
 	}
 	if err != nil {
 		for _, m := range j {
@@ -403,47 +353,24 @@ func runBatchJob(core *pipeline.Core, j []miss,
 		cfgs = append(cfgs, cfg)
 		ok = append(ok, m)
 	}
-	if len(ok) == 0 {
-		return
+	run := core.RunFast
+	if j[0].pt.Check {
+		run = core.Run
 	}
-	onBatched(len(ok))
 	for _, i := range core.GeometryOrder(cfgs) {
+		if err := ctx.Err(); err != nil {
+			complete(ok[i], nil, err, 0)
+			continue
+		}
 		simStart := time.Now()
 		err := core.Reset(cfgs[i], tr)
 		var r *pipeline.Result
 		if err == nil {
-			r, err = core.RunFast()
+			r, err = run()
 		}
 		if err != nil {
-			// Same shape the scalar path gives a run error.
 			err = fmt.Errorf("%s: %w", ok[i].pt, err)
 		}
 		complete(ok[i], r, err, time.Since(simStart))
 	}
-}
-
-// runPoint performs the full job: trace (memoized per workload/scale),
-// config, core reset, and the reference run. A point that fails leaves
-// the core reusable (Reset fully reinitializes it).
-func runPoint(core *pipeline.Core, pt Point) (*pipeline.Result, error) {
-	w, err := workloads.ByName(pt.Workload)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := w.Trace(pt.Scale)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := pt.Config()
-	if err != nil {
-		return nil, err
-	}
-	if err := core.Reset(cfg, tr); err != nil {
-		return nil, err
-	}
-	res, err := core.Run()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", pt, err)
-	}
-	return res, nil
 }

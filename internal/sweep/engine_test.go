@@ -26,9 +26,9 @@ func TestEngineReusesSimState(t *testing.T) {
 		BPredBits: []int{10, 0},
 		Scale:     500,
 	}.Expand()
-	// The only point at its scale runs on the scalar path, so the
-	// recycled cores run both paths.
-	single := Point{Workload: "go", Policy: "extended", IntRegs: 44, FPRegs: 44, Scale: 300}
+	// A checker point runs Core.Run, so the recycled cores run both
+	// loops.
+	single := Point{Workload: "go", Policy: "extended", IntRegs: 44, FPRegs: 44, Scale: 300, Check: true}
 	first = append(first, single)
 	// Different cache and predictor geometries and latencies, so that
 	// recycled lanes must reshape.
@@ -128,9 +128,9 @@ func TestEngineReusesSimState(t *testing.T) {
 	runtime.KeepAlive(eng)
 }
 
-// TestEnginePointTimes pins per-point timing on the batch path: each
-// simulated point of a multi-point group gets its own nonzero time, not
-// a share of its group's.
+// TestEnginePointTimes pins per-point timing: each simulated point of
+// a multi-point job gets its own nonzero time, not a share of its
+// job's.
 func TestEnginePointTimes(t *testing.T) {
 	pts := Grid{
 		Workloads: []string{"go"},
@@ -145,9 +145,6 @@ func TestEnginePointTimes(t *testing.T) {
 	}
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
-	}
-	if res.Stats.BatchGroups != 1 || res.Stats.Batched != len(pts) {
-		t.Fatalf("stats %+v: want all %d points in one batch group", res.Stats, len(pts))
 	}
 	seen := map[int64]bool{}
 	for i, ns := range res.PointNS {

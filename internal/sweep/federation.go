@@ -274,8 +274,8 @@ func NewCoordinator(cache *Cache, cfg CoordConfig) *Coordinator {
 	}
 }
 
-// Cache exposes the coordinator's shared result cache (the remote-tier
-// GET/PUT handlers and stats endpoints serve it).
+// Cache exposes the coordinator's shared result cache: the one that
+// accepted shard completions fill and that Run serves hits from.
 func (c *Coordinator) Cache() *Cache { return c.cache }
 
 // LeaseTTL reports the configured lease lifetime.
