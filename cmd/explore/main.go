@@ -37,11 +37,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"strings"
 
 	"earlyrelease/internal/prof"
@@ -143,9 +145,13 @@ func main() {
 	var fr *search.Frontier
 	var cacheStats sweep.CacheStats
 	if *remote != "" {
-		fr, err = search.NewClient(*remote).Run(spec, func(p search.Progress) {
+		// Ctrl-C abandons the wait; the job keeps running on the
+		// coordinator.
+		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
+		fr, err = search.RunRemote(ctx, sweep.NewClient(*remote), spec, func(p search.Progress) {
 			progress(p.Evaluations+p.ScreenEvaluations, p.Budget, p.Last)
 		})
+		stopSignals()
 	} else {
 		eng := &sweep.Engine{Parallel: *parallel}
 		if *cachePath != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -114,13 +115,14 @@ func TestExploreSubmitPoll(t *testing.T) {
 }
 
 // TestExploreClientRoundTrip drives the same path through
-// search.Client (what cmd/explore -remote uses) and checks progress
+// search.RunRemote (what cmd/explore -remote uses) and checks progress
 // forwarding plus the /explores listing.
 func TestExploreClientRoundTrip(t *testing.T) {
 	ts, _ := newTestServer(t)
 	spec := exploreSpec("random")
 	var sawProgress bool
-	fr, err := search.NewClient(ts.URL).Run(spec, func(p search.Progress) { sawProgress = true })
+	fr, err := search.RunRemote(context.Background(), sweep.NewClient(ts.URL), spec,
+		func(p search.Progress) { sawProgress = true })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,10 @@ func newFedServer(t *testing.T, cfg ServerConfig, nWorkers int) *httptest.Server
 	var wg sync.WaitGroup
 	for i := 0; i < nWorkers; i++ {
 		w := &sweep.Worker{
-			Source: sweep.NewClient(ts.URL),
-			Name:   "httpw",
-			Engine: &sweep.Engine{Parallel: 2},
-			Poll:   2 * time.Millisecond,
+			Source:   sweep.NewClient(ts.URL),
+			Name:     "httpw",
+			Parallel: 2,
+			Poll:     2 * time.Millisecond,
 		}
 		wg.Add(1)
 		go func() {
@@ -264,7 +264,7 @@ func TestFederationChaos(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		w := &sweep.Worker{Source: client, Name: "healthy",
-			Engine: &sweep.Engine{Parallel: 2}, Poll: 2 * time.Millisecond}
+			Parallel: 2, Poll: 2 * time.Millisecond}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -366,7 +366,7 @@ func TestFederationChaosDrain(t *testing.T) {
 
 	drainCtx, drain := context.WithCancel(context.Background())
 	drained := &sweep.Worker{Source: sweep.NewClient(ts.URL), Name: "draining",
-		Engine: &sweep.Engine{Parallel: 1}, Poll: 2 * time.Millisecond}
+		Parallel: 1, Poll: 2 * time.Millisecond}
 	drainedDone := make(chan struct{})
 	go func() { defer close(drainedDone); drained.Run(drainCtx) }()
 
@@ -390,7 +390,7 @@ func TestFederationChaosDrain(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	healthy := &sweep.Worker{Source: sweep.NewClient(ts.URL), Name: "healthy",
-		Engine: &sweep.Engine{Parallel: 2}, Poll: 2 * time.Millisecond}
+		Parallel: 2, Poll: 2 * time.Millisecond}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); healthy.Run(ctx) }()

@@ -191,8 +191,8 @@ func TestRecoveredFinishedDocument(t *testing.T) {
 	// one completes before the kill, one after.
 	g := sweep.Grid{Workloads: []string{"go", "tomcatv", "nope"}, Policies: []string{"conv", "bogus"},
 		IntRegs: []int{40, 48}, Scale: 2000}
-	// The uninterrupted reference run, whose cache also lets the
-	// hand-cranked worker below finish well inside the lease TTL.
+	// The uninterrupted reference run; the hand-cranked worker below
+	// runs its lease on the same engine's pool.
 	eng := &sweep.Engine{Cache: sweep.NewCache()}
 	direct, err := eng.Run(g, nil)
 	if err != nil {

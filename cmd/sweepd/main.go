@@ -188,9 +188,9 @@ func runWorker(join, name string, parallel int) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	w := &sweep.Worker{
-		Source: sweep.NewClient(join),
-		Name:   name,
-		Engine: &sweep.Engine{Parallel: parallel},
+		Source:   sweep.NewClient(join),
+		Name:     name,
+		Parallel: parallel,
 	}
 	log.Printf("worker %q joining %s", name, join)
 	if err := w.Run(ctx); err != nil {

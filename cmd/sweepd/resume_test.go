@@ -51,10 +51,10 @@ func attachWorkers(t *testing.T, url, name string, n int) func() {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		w := &sweep.Worker{
-			Source: sweep.NewClient(url),
-			Name:   name,
-			Engine: &sweep.Engine{Parallel: 2},
-			Poll:   2 * time.Millisecond,
+			Source:   sweep.NewClient(url),
+			Name:     name,
+			Parallel: 2,
+			Poll:     2 * time.Millisecond,
 		}
 		wg.Add(1)
 		go func() {
@@ -69,28 +69,28 @@ func attachWorkers(t *testing.T, url, name string, n int) func() {
 
 // completeGrant simulates a leased shard on eng and reports it — a
 // hand-cranked worker, so tests control exactly how much progress
-// exists at the moment of the crash.
+// exists at the moment of the crash. Like a real worker it renews the
+// lease while it simulates, so a slow run (the race detector) cannot
+// lose the lease to the TTL.
 func completeGrant(t *testing.T, src sweep.WorkSource, eng *sweep.Engine, workerID string, grant *sweep.LeaseGrant) {
 	t.Helper()
-	pts := make([]sweep.Point, len(grant.Items))
-	for i, it := range grant.Items {
-		pts[i] = it.Point
-	}
-	res, err := eng.RunPoints(pts, nil)
+	ctx, stop := context.WithCancel(context.Background())
+	go func() {
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(grant.TTL / 3):
+				src.RenewLease(workerID, grant.LeaseID)
+			}
+		}
+	}()
+	outs, _, err := eng.RunLease(ctx, grant)
+	stop()
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := &sweep.CompleteRequest{LeaseID: grant.LeaseID, WorkerID: workerID,
-		Outcomes: make([]sweep.WireOutcome, len(grant.Items))}
-	for i, it := range grant.Items {
-		o := sweep.WireOutcome{Key: it.Key}
-		if res.Outcomes[i].Err != "" {
-			o.Err = res.Outcomes[i].Err
-		} else {
-			o.Result = res.Outcomes[i].Result
-		}
-		req.Outcomes[i] = o
-	}
+	req := &sweep.CompleteRequest{LeaseID: grant.LeaseID, WorkerID: workerID, Outcomes: outs}
 	if err := src.CompleteShard(req); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func runResumeScenario(t *testing.T, nShards int, crash func(srv *Server, ts *ht
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &sweep.Engine{Cache: sweep.NewCache(), Parallel: 2}
+	eng := &sweep.Engine{Parallel: 2}
 	for i := 0; i < nShards; i++ {
 		grant, err := client.LeaseShard(reg.WorkerID)
 		if err != nil || grant == nil {

@@ -299,10 +299,10 @@ func OpenServerWith(cfg ServerConfig) (*Server, error) {
 	s.simulates = n > 0
 	for i := 0; i < n; i++ {
 		w := &sweep.Worker{
-			Source: s.coord,
-			Name:   fmt.Sprintf("local-%d", i+1),
-			Engine: &sweep.Engine{Parallel: cfg.WorkerParallel},
-			Poll:   5 * time.Millisecond,
+			Source:   s.coord,
+			Name:     fmt.Sprintf("local-%d", i+1),
+			Parallel: cfg.WorkerParallel,
+			Poll:     5 * time.Millisecond,
 		}
 		s.workerWG.Add(1)
 		go func() {

@@ -36,9 +36,10 @@ type Options struct {
 	// figures and tables don't care where the cycles were spent.
 	Remote string
 
-	// Context cancels the wait on a federated run (Remote mode) — the
-	// CLIs thread a signal-bound context here so Ctrl-C abandons the
-	// poll cleanly. Nil means context.Background().
+	// Context cancels the wait on a federated run (Remote mode), grid
+	// or frontier search — the CLIs thread a signal-bound context here
+	// so Ctrl-C abandons the poll cleanly. Nil means
+	// context.Background().
 	Context context.Context
 }
 
@@ -66,6 +67,14 @@ func CacheStats(opt Options) sweep.CacheStats {
 		return opt.Cache.Stats()
 	}
 	return sharedCache.Stats()
+}
+
+// context is the options' Context, or context.Background().
+func (o Options) context() context.Context {
+	if o.Context == nil {
+		return context.Background()
+	}
+	return o.Context
 }
 
 func (o Options) scale() int {
@@ -104,11 +113,7 @@ func runGrid(g sweep.Grid, opt Options) (*sweep.Results, error) {
 	var res *sweep.Results
 	var err error
 	if opt.Remote != "" {
-		ctx := opt.Context
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		res, err = sweep.NewClient(opt.Remote).RunGrid(ctx, g, nil)
+		res, err = sweep.NewClient(opt.Remote).RunGrid(opt.context(), g, nil)
 	} else {
 		cache := opt.Cache
 		if cache == nil {

@@ -84,7 +84,7 @@ func Frontier(opt Options, budget int, seed int64, ws []string) (*FrontierResult
 		var fr *search.Frontier
 		var err error
 		if opt.Remote != "" {
-			fr, err = search.NewClient(opt.Remote).Run(spec, nil)
+			fr, err = search.RunRemote(opt.context(), sweep.NewClient(opt.Remote), spec, nil)
 		} else {
 			cache := opt.Cache
 			if cache == nil {

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"earlyrelease/internal/sweep"
 )
@@ -65,5 +70,36 @@ func TestFrontierDeterministicAndCached(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatal("warm rerun rendered a different result")
+	}
+}
+
+// TestFrontierRemoteHonorsContext: against a coordinator whose
+// exploration never finishes, canceling the options' Context must end
+// the remote frontier search promptly with context.Canceled.
+func TestFrontierRemoteHonorsContext(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.Write([]byte(`{"id":"ex-1"}`))
+			return
+		}
+		w.Write([]byte(`{"state":"running"}`))
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Frontier(Options{Scale: 2000, Remote: srv.URL, Context: ctx}, 4, 1, []string{"go"})
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let a few polls happen
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("remote frontier search ignored its canceled context")
 	}
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -143,6 +144,16 @@ type Explorer struct {
 	// Eval executes candidate point batches (nil = a private
 	// sweep.Engine with an in-memory cache).
 	Eval Evaluator
+}
+
+// RunRemote submits the spec to a sweepd coordinator's /explore route
+// and waits for its frontier — the remote counterpart of Explorer.Run.
+// The job runs inside the coordinator, where candidate evaluations
+// federate across its workers; the frontier decodes from the same JSON
+// the server marshals, so a remote run of a spec is byte-identical to a
+// local one. Cancelling ctx abandons the wait, not the job.
+func RunRemote(ctx context.Context, c *sweep.Client, spec Spec, onProgress func(Progress)) (*Frontier, error) {
+	return sweep.RunJob[Progress, Frontier](ctx, c, "/explore", spec, onProgress)
 }
 
 type memoKey struct {

@@ -97,7 +97,7 @@ func TestWorkerDrainRequeuesShard(t *testing.T) {
 
 	// Worker 1 starts the shard, then is drained almost immediately.
 	wctx, drain := context.WithCancel(context.Background())
-	w1 := &Worker{Source: c, Name: "draining", Engine: &Engine{Parallel: 1}}
+	w1 := &Worker{Source: c, Name: "draining", Parallel: 1}
 	w1done := make(chan struct{})
 	go func() { defer close(w1done); w1.Run(wctx) }()
 	time.Sleep(20 * time.Millisecond)
@@ -111,7 +111,7 @@ func TestWorkerDrainRequeuesShard(t *testing.T) {
 	// A healthy worker picks up the lapsed shard after the TTL.
 	w2ctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	go (&Worker{Source: c, Name: "healthy", Engine: &Engine{Cache: c.Cache()}}).Run(w2ctx)
+	go (&Worker{Source: c, Name: "healthy"}).Run(w2ctx)
 
 	select {
 	case r := <-done:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"earlyrelease/internal/pipeline"
@@ -15,7 +14,11 @@ import (
 
 // Engine runs grids. The zero Engine is usable: GOMAXPROCS workers and
 // a private in-memory cache. Give several sweeps (or several concurrent
-// clients, as sweepd does) the same Cache to share results.
+// clients) the same Cache to share results. Run, RunPoints and
+// RunPointsCtx key each point and serve it from the cache when they
+// can; RunLease is the federated worker's entry, and runs a leased
+// shard under the coordinator's keys with no cache at all. All of them
+// share one worker pool.
 type Engine struct {
 	// Parallel is the worker count (0 = GOMAXPROCS). Each worker
 	// recycles one pipeline.Core across all its points, and the Engine
@@ -95,22 +98,38 @@ type Results struct {
 	// because its cache store could not be synced.
 	SaveErr string `json:"save_err,omitempty"`
 
-	// PointNS is per-point simulation wall time in nanoseconds,
-	// aligned with Outcomes (0 = not simulated here: cache hit, key or
-	// setup error), each point timed on its own. CachePutNS is the
-	// total spent writing results into the cache (including the final
-	// Save). Both are observability only —
-	// excluded from JSON so serialized Results stay byte-identical to
-	// pre-tracing builds.
-	PointNS    []int64 `json:"-"`
-	CachePutNS int64   `json:"-"`
-
 	// byPoint is built once under indexOnce: concurrent readers (the
 	// explorer probes results from several goroutines) must not race on
 	// a lazily grown map.
 	indexOnce sync.Once
 	byPoint   map[Point]*Outcome
 }
+
+// newResults returns the empty Results of an n-point run.
+func newResults(n int) *Results {
+	return &Results{Outcomes: make([]*Outcome, n), Stats: RunStats{Points: n}}
+}
+
+// record stores point i's outcome, tallies it into Stats and returns
+// the progress after it. No outcome is both cached and failed, so Done
+// is the sum of the three tallies. Callers serialize calls.
+func (r *Results) record(i int, o *Outcome) Progress {
+	r.Outcomes[i] = o
+	st := &r.Stats
+	switch {
+	case o.Cached:
+		st.CacheHits++
+	case o.Err != "":
+		st.Errors++
+	default:
+		st.Simulated++
+	}
+	return Progress{Total: st.Points, Done: st.done(), CacheHits: st.CacheHits,
+		Errors: st.Errors, Last: o.Point.String()}
+}
+
+// done counts the outcomes recorded so far.
+func (s *RunStats) done() int { return s.CacheHits + s.Errors + s.Simulated }
 
 // Find returns the outcome for a point, or nil. Safe for concurrent
 // callers.
@@ -159,8 +178,7 @@ func (e *Engine) Run(g Grid, onProgress func(Progress)) (*Results, error) {
 	return e.RunPoints(g.Expand(), onProgress)
 }
 
-// RunPoints runs an explicit, already-expanded point list — the
-// entry federated workers use to execute a leased shard. Semantics
+// RunPoints runs an explicit, already-expanded point list. Semantics
 // match Run exactly (same cache, pool, progress and error contracts);
 // outcomes are returned in input order.
 func (e *Engine) RunPoints(points []Point, onProgress func(Progress)) (*Results, error) {
@@ -172,41 +190,22 @@ func (e *Engine) RunPoints(points []Point, onProgress func(Progress)) (*Results,
 // and every point not yet started gets an Outcome carrying the context
 // error. Everything finished before the cancel keeps its real result
 // (and stays in the cache), and the call returns the partial Results
-// alongside ctx.Err() — a drained worker can account for what it
-// completed without pretending the rest ran.
+// alongside ctx.Err().
 func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress func(Progress)) (*Results, error) {
 	cache := e.Cache
 	if cache == nil {
 		cache = NewCache()
 	}
 
-	res := &Results{Outcomes: make([]*Outcome, len(points))}
-	res.Stats.Points = len(points)
-	// Per-point wall times: each index is written by exactly one pool
-	// worker, so no lock is needed; putNS is shared and atomic.
-	res.PointNS = make([]int64, len(points))
-	var putNS atomic.Int64
-
+	res := newResults(len(points))
 	var mu sync.Mutex
-	done := 0
 	finish := func(i int, o *Outcome) {
 		mu.Lock()
-		res.Outcomes[i] = o
-		done++
-		if o.Cached {
-			res.Stats.CacheHits++
-		}
-		if o.Err != "" {
-			res.Stats.Errors++
-		} else if !o.Cached {
-			res.Stats.Simulated++
-		}
+		defer mu.Unlock()
+		p := res.record(i, o)
 		if onProgress != nil {
-			onProgress(Progress{Total: len(points), Done: done,
-				CacheHits: res.Stats.CacheHits, Errors: res.Stats.Errors,
-				Last: o.Point.String()})
+			onProgress(p)
 		}
-		mu.Unlock()
 	}
 
 	// Resolve keys and serve cache hits synchronously; queue the rest.
@@ -224,23 +223,57 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 		misses = append(misses, miss{i, pt, key})
 	}
 
-	// complete records one simulated (or failed) point: its time, its
-	// outcome and, on success, its cache entry.
-	complete := func(m miss, r *pipeline.Result, err error, sim time.Duration) {
-		res.PointNS[m.i] = int64(sim)
+	e.runMisses(ctx, misses, func(m miss, r *pipeline.Result, err error, _ time.Duration) {
 		o := &Outcome{Point: m.pt, Key: m.key, Result: r}
 		if err != nil {
 			o.Err = err.Error()
 		} else {
-			putStart := time.Now()
 			cache.Put(m.key, r)
-			putNS.Add(int64(time.Since(putStart)))
 		}
 		finish(m.i, o)
+	})
+
+	if err := cache.Save(); err != nil {
+		res.SaveErr = err.Error()
 	}
+	return res, ctx.Err()
+}
 
+// RunLease runs a leased shard on the pool under the keys the
+// coordinator planned: no keying, no cache and no Results, because the
+// coordinator owns all three. It returns one WireOutcome per grant item,
+// in item order, and each point's simulation wall time in nanoseconds
+// (0 when it failed before it ran: a bad config, an unknown workload or
+// a cancel). A canceled ctx returns ctx.Err(), and then the unstarted
+// points' outcomes carry that error, which no coordinator may believe.
+func (e *Engine) RunLease(ctx context.Context, grant *LeaseGrant) ([]WireOutcome, []int64, error) {
+	outs := make([]WireOutcome, len(grant.Items))
+	pointNS := make([]int64, len(grant.Items))
+	misses := make([]miss, len(grant.Items))
+	for i, it := range grant.Items {
+		misses[i] = miss{i, it.Point, it.Key}
+	}
+	// Each index is written by exactly one pool worker, and runMisses
+	// returns only after every worker has finished.
+	e.runMisses(ctx, misses, func(m miss, r *pipeline.Result, err error, sim time.Duration) {
+		o := WireOutcome{Key: m.key}
+		if err != nil {
+			o.Err = err.Error()
+		} else {
+			o.Result = r
+		}
+		outs[m.i], pointNS[m.i] = o, int64(sim)
+	})
+	return outs, pointNS, ctx.Err()
+}
+
+// runMisses runs the misses on the pool: grouped into jobs, one pool
+// worker per job at a time, at most Parallel workers, each on a
+// recycled core. complete is called once per miss, from the pool
+// goroutines, and runMisses returns after the last call.
+func (e *Engine) runMisses(ctx context.Context, misses []miss,
+	complete func(miss, *pipeline.Result, error, time.Duration)) {
 	jobs := groupJobs(misses)
-
 	parallel := e.Parallel
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -264,19 +297,10 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 	}
 	close(ch)
 	wg.Wait()
-
-	saveStart := time.Now()
-	if err := cache.Save(); err != nil {
-		res.SaveErr = err.Error()
-	}
-	res.CachePutNS = putNS.Add(int64(time.Since(saveStart)))
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
 }
 
-// miss is one cache-missing point awaiting simulation.
+// miss is one point awaiting simulation: its index in the caller's
+// list, the point and its content key.
 type miss struct {
 	i   int
 	pt  Point

@@ -128,9 +128,9 @@ func TestEngineReusesSimState(t *testing.T) {
 	runtime.KeepAlive(eng)
 }
 
-// TestEnginePointTimes pins per-point timing: each simulated point of
-// a multi-point job gets its own nonzero time, not a share of its
-// job's.
+// TestEnginePointTimes pins per-point timing on the lease path: each
+// simulated point of a multi-point job gets its own nonzero time, not a
+// share of its job's.
 func TestEnginePointTimes(t *testing.T) {
 	pts := Grid{
 		Workloads: []string{"go"},
@@ -139,21 +139,29 @@ func TestEnginePointTimes(t *testing.T) {
 		BPredBits: []int{10, 0},
 		Scale:     500,
 	}.Expand()
-	res, err := (&Engine{Parallel: 1}).RunPoints(pts, nil)
+	grant := &LeaseGrant{Items: make([]WorkItem, len(pts))}
+	for i, pt := range pts {
+		key, err := pt.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		grant.Items[i] = WorkItem{Point: pt, Key: key}
+	}
+	outs, pointNS, err := (&Engine{Parallel: 1}).RunLease(context.Background(), grant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Err(); err != nil {
-		t.Fatal(err)
-	}
 	seen := map[int64]bool{}
-	for i, ns := range res.PointNS {
+	for i, ns := range pointNS {
+		if outs[i].Err != "" {
+			t.Fatalf("point %s: %s", pts[i], outs[i].Err)
+		}
 		if ns <= 0 {
 			t.Errorf("point %s: time %d ns", pts[i], ns)
 		}
 		seen[ns] = true
 	}
 	if len(seen) < 2 {
-		t.Errorf("all %d points report the same time %v", len(pts), res.PointNS)
+		t.Errorf("all %d points report the same time %v", len(pts), pointNS)
 	}
 }

@@ -184,8 +184,6 @@ type Coordinator struct {
 
 type fedJob struct {
 	res    *Results
-	total  int
-	done   int
 	onProg func(Progress)
 	doneCh chan struct{}
 
@@ -333,12 +331,10 @@ func (c *Coordinator) RunPoints(points []Point, onProgress func(Progress)) (*Res
 // coordinator mint its own.
 func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points []Point, onProgress func(Progress)) (*Results, error) {
 	job := &fedJob{
-		res:    &Results{Outcomes: make([]*Outcome, len(points))},
-		total:  len(points),
+		res:    newResults(len(points)),
 		onProg: onProgress,
 		doneCh: make(chan struct{}),
 	}
-	job.res.Stats.Points = len(points)
 	submitAt := c.cfg.now()
 
 	// Resolve keys off the lock (hashing is CPU work), then classify.
@@ -378,7 +374,7 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 		}
 		missIdx = append(missIdx, i)
 	}
-	if c.jrn != nil && job.done > 0 {
+	if c.jrn != nil && job.res.Stats.done() > 0 {
 		rec := doneRec{Job: job.id}
 		for i, o := range job.res.Outcomes {
 			if o != nil {
@@ -458,7 +454,7 @@ func (c *Coordinator) spanLocked(job *fedJob, s obs.Span) {
 // returns its finished Results, never a spurious ErrClosed.
 func (c *Coordinator) wait(job *fedJob) (*Results, error) {
 	c.mu.Lock()
-	done := job.done == job.total
+	done := job.res.Stats.done() == job.res.Stats.Points
 	c.mu.Unlock()
 
 	if !done {
@@ -505,31 +501,26 @@ func (c *Coordinator) wait(job *fedJob) (*Results, error) {
 // Callers hold c.mu, so progress callbacks are serialized with
 // strictly increasing Done counts (the Engine.Run contract).
 func (c *Coordinator) finishLocked(job *fedJob, idx int, o *Outcome) {
-	job.res.Outcomes[idx] = o
-	job.done++
+	p := job.res.record(idx, o)
 	c.counters.PointsDone++
-	st := &job.res.Stats
-	if o.Cached {
-		st.CacheHits++
+	switch {
+	case o.Cached:
 		c.counters.PointsCached++
-	}
-	if o.Err != "" {
-		st.Errors++
+	case o.Err != "":
 		c.counters.PointsFailed++
-	} else if !o.Cached {
-		st.Simulated++
+	default:
 		c.counters.PointsSimulated++
 	}
 	if job.onProg != nil {
-		job.onProg(Progress{Total: job.total, Done: job.done,
-			CacheHits: st.CacheHits, Errors: st.Errors, Last: o.Point.String()})
+		job.onProg(p)
 	}
-	if job.done == job.total {
+	if p.Done == p.Total {
 		c.counters.JobsDone++
 		now := c.cfg.now().UnixNano()
+		st := job.res.Stats
 		c.spanLocked(job, obs.Span{Name: "done", StartNS: now, EndNS: now,
 			Detail: fmt.Sprintf("%d points: %d simulated, %d cached, %d failed",
-				job.total, st.Simulated, st.CacheHits, st.Errors)})
+				st.Points, st.Simulated, st.CacheHits, st.Errors)})
 		close(job.doneCh)
 	}
 }

@@ -593,11 +593,9 @@ func (c *Coordinator) adopt(st *replayState) {
 		job := &fedJob{
 			id: rj.id, label: rj.label, trace: rj.trace, meta: rj.meta,
 			points: rj.points, keys: rj.keys,
-			res:    &Results{Outcomes: make([]*Outcome, len(rj.points))},
-			total:  len(rj.points),
+			res:    newResults(len(rj.points)),
 			doneCh: make(chan struct{}),
 		}
-		job.res.Stats.Points = len(rj.points)
 		idxs := make([]int, 0, len(rj.done))
 		for idx := range rj.done {
 			idxs = append(idxs, idx)
@@ -611,7 +609,7 @@ func (c *Coordinator) adopt(st *replayState) {
 		kept[job.id] = job
 		c.jobs[job.id] = job
 		c.recovered = append(c.recovered, RecoveredJob{Label: job.label, Trace: job.trace,
-			Meta: job.meta, Total: job.total, Done: job.done})
+			Meta: job.meta, Total: job.res.Stats.Points, Done: job.res.Stats.done()})
 	}
 	mkShard := func(rs *rshard) *fedShard {
 		job := kept[rs.job]

@@ -133,11 +133,7 @@ func TestCloseDropsQueuedUnits(t *testing.T) {
 func TestDonePreferredOverQuit(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		c := NewCoordinator(nil, CoordConfig{LeaseTTL: time.Minute})
-		job := &fedJob{
-			res:    &Results{Outcomes: make([]*Outcome, 1)},
-			total:  1,
-			doneCh: make(chan struct{}),
-		}
+		job := &fedJob{res: newResults(1), doneCh: make(chan struct{})}
 		c.mu.Lock()
 		c.finishLocked(job, 0, &Outcome{Point: testPoints(1)[0], Err: "x"})
 		c.mu.Unlock()

@@ -13,7 +13,8 @@ import (
 )
 
 // Client talks to a sweepd coordinator. It serves two roles:
-// submitting grids for federated execution (RunGrid) and pulling
+// submitting jobs — grids (RunGrid) and explorations (RunJob on
+// "/explore") — and waiting for them in one poll loop, and pulling
 // leased shards as a remote worker (the WorkSource methods, used by
 // sweepd -role worker). All state lives on the coordinator; a Client
 // is just a base URL and an http.Client.
@@ -73,12 +74,17 @@ func apiError(resp *http.Response) error {
 	return fmt.Errorf("sweep: coordinator: HTTP %d", resp.StatusCode)
 }
 
-func (c *Client) postJSON(path string, in any, out any) error {
+func (c *Client) postJSON(ctx context.Context, path string, in any, out any) error {
 	blob, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(blob))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(blob))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
@@ -93,23 +99,44 @@ func (c *Client) postJSON(path string, in any, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// --- grid submission ---------------------------------------------------
+// --- job submission ----------------------------------------------------
 
-// SubmitGrid posts a grid and returns the sweep id.
-func (c *Client) SubmitGrid(g Grid) (string, error) {
+// RunGrid submits the grid for federated execution and waits for the
+// results — a drop-in remote counterpart of Engine.Run. Results decode
+// from the same JSON the cache persists, so they are byte-identical to
+// a local run of the same points. Cancelling ctx abandons the wait.
+func (c *Client) RunGrid(ctx context.Context, g Grid, onProgress func(Progress)) (*Results, error) {
+	return RunJob[Progress, Results](ctx, c, "/sweep", g, onProgress)
+}
+
+// WaitSweep polls a submitted sweep until it completes, forwarding
+// progress snapshots to onProgress as they change. Transient transport
+// errors are retried with bounded exponential backoff rather than
+// abandoning the whole federated sweep; cancelling ctx abandons the
+// wait cleanly (the sweep keeps running on the coordinator).
+func (c *Client) WaitSweep(ctx context.Context, id string, onProgress func(Progress)) (*Results, error) {
+	return waitJob[Progress, Results](ctx, c, "/sweep", id, onProgress)
+}
+
+// RunJob submits body to a coordinator job route — "/sweep" takes a
+// Grid, "/explore" a search spec — and waits for the job as WaitSweep
+// does. P is the route's progress snapshot and R its result: a sweep's
+// Results or an exploration's frontier, decoded from the JSON the
+// server marshals.
+func RunJob[P comparable, R any](ctx context.Context, c *Client, route string, body any, onProgress func(P)) (*R, error) {
 	var out struct {
 		ID string `json:"id"`
 	}
-	if err := c.postJSON("/sweep", g, &out); err != nil {
-		return "", err
+	if err := c.postJSON(ctx, route, body, &out); err != nil {
+		return nil, err
 	}
 	if out.ID == "" {
-		return "", fmt.Errorf("sweep: coordinator returned no sweep id")
+		return nil, fmt.Errorf("sweep: coordinator returned no %s id", strings.TrimPrefix(route, "/"))
 	}
-	return out.ID, nil
+	return waitJob[P, R](ctx, c, route, out.ID, onProgress)
 }
 
-// waitRetry bounds WaitSweep's tolerance for transient poll failures:
+// waitRetry bounds waitJob's tolerance for transient poll failures:
 // up to waitMaxRetries consecutive transport (or decode) errors are
 // retried with exponential backoff from waitBackoffMin, capped at
 // waitBackoffMax; a successful poll resets the count. An HTTP error
@@ -122,14 +149,22 @@ var (
 	waitPollEvery  = 50 * time.Millisecond
 )
 
-// WaitSweep polls a submitted sweep until it completes, forwarding
-// progress snapshots to onProgress as they change. Transient transport
-// errors are retried with bounded exponential backoff rather than
-// abandoning the whole federated sweep; cancelling ctx abandons the
-// wait cleanly (the sweep keeps running on the coordinator).
-func (c *Client) WaitSweep(ctx context.Context, id string, onProgress func(Progress)) (*Results, error) {
-	var last Progress
-	last.Done = -1
+// jobStatus is one poll's decoded job document. A sweep carries its
+// result under "results", an exploration under "frontier".
+type jobStatus[P, R any] struct {
+	State    string `json:"state"`
+	Progress P      `json:"progress"`
+	Results  *R     `json:"results"`
+	Frontier *R     `json:"frontier"`
+	Err      string `json:"err"`
+}
+
+// waitJob polls GET route/id until the job is done: the one poll loop
+// behind every remote job.
+func waitJob[P comparable, R any](ctx context.Context, c *Client, route, id string, onProgress func(P)) (*R, error) {
+	kind := strings.TrimPrefix(route, "/")
+	var last P
+	polled := false
 	retries := 0
 	backoff := waitBackoffMin
 	sleep := func(d time.Duration) error {
@@ -137,24 +172,25 @@ func (c *Client) WaitSweep(ctx context.Context, id string, onProgress func(Progr
 		defer t.Stop()
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("sweep: wait for sweep %s: %w", id, ctx.Err())
+			return fmt.Errorf("sweep: wait for %s %s: %w", kind, id, ctx.Err())
 		case <-t.C:
 			return nil
 		}
 	}
 	for {
-		job, err := c.pollSweep(ctx, id)
+		var job jobStatus[P, R]
+		err := c.getJSON(ctx, route+"/"+id, &job)
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, fmt.Errorf("sweep: wait for sweep %s: %w", id, ctx.Err())
+				return nil, fmt.Errorf("sweep: wait for %s %s: %w", kind, id, ctx.Err())
 			}
 			var httpErr *statusError
 			if errors.As(err, &httpErr) {
 				return nil, err // the coordinator answered; don't retry
 			}
 			if retries++; retries > waitMaxRetries {
-				return nil, fmt.Errorf("sweep: wait for sweep %s: giving up after %d retries: %w",
-					id, waitMaxRetries, err)
+				return nil, fmt.Errorf("sweep: wait for %s %s: giving up after %d retries: %w",
+					kind, id, waitMaxRetries, err)
 			}
 			if err := sleep(backoff); err != nil {
 				return nil, err
@@ -165,31 +201,28 @@ func (c *Client) WaitSweep(ctx context.Context, id string, onProgress func(Progr
 			continue
 		}
 		retries, backoff = 0, waitBackoffMin
-		if onProgress != nil && job.Progress != last {
+		if onProgress != nil && (!polled || job.Progress != last) {
 			last = job.Progress
 			onProgress(job.Progress)
 		}
+		polled = true
 		if job.State == "done" {
+			res := job.Results
+			if res == nil {
+				res = job.Frontier
+			}
 			if job.Err != "" {
-				return job.Results, fmt.Errorf("sweep: remote sweep %s: %s", id, job.Err)
+				return res, fmt.Errorf("sweep: remote %s %s: %s", kind, id, job.Err)
 			}
-			if job.Results == nil {
-				return nil, fmt.Errorf("sweep: remote sweep %s finished without results", id)
+			if res == nil {
+				return nil, fmt.Errorf("sweep: remote %s %s finished without a result", kind, id)
 			}
-			return job.Results, nil
+			return res, nil
 		}
 		if err := sleep(waitPollEvery); err != nil {
 			return nil, err
 		}
 	}
-}
-
-// sweepStatus is one poll's decoded job document.
-type sweepStatus struct {
-	State    string   `json:"state"`
-	Progress Progress `json:"progress"`
-	Results  *Results `json:"results"`
-	Err      string   `json:"err"`
 }
 
 // statusError marks a non-2xx coordinator answer — a definitive
@@ -199,38 +232,23 @@ type statusError struct{ err error }
 func (e *statusError) Error() string { return e.err.Error() }
 func (e *statusError) Unwrap() error { return e.err }
 
-// pollSweep performs one GET /sweep/{id} round-trip.
-func (c *Client) pollSweep(ctx context.Context, id string) (*sweepStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/sweep/"+id, nil)
+// getJSON performs one GET round-trip and decodes the 200 body into
+// out. A non-200 answer is a *statusError; a decode failure is not,
+// because a torn proxy response is transient.
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, &statusError{apiError(resp)}
+		return &statusError{apiError(resp)}
 	}
-	var job sweepStatus
-	err = json.NewDecoder(resp.Body).Decode(&job)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err // treated as transient — a torn proxy response
-	}
-	return &job, nil
-}
-
-// RunGrid submits the grid for federated execution and waits for the
-// results — a drop-in remote counterpart of Engine.Run. Results decode
-// from the same JSON the cache persists, so they are byte-identical to
-// a local run of the same points. Cancelling ctx abandons the wait.
-func (c *Client) RunGrid(ctx context.Context, g Grid, onProgress func(Progress)) (*Results, error) {
-	id, err := c.SubmitGrid(g)
-	if err != nil {
-		return nil, err
-	}
-	return c.WaitSweep(ctx, id, onProgress)
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // --- WorkSource over HTTP ----------------------------------------------
@@ -248,7 +266,7 @@ func (c *Client) RegisterWorker(name string) (RegisterReply, error) {
 		WorkerID   string `json:"worker_id"`
 		LeaseTTLMS int64  `json:"lease_ttl_ms"`
 	}
-	err := c.postJSON("/workers/register", map[string]string{"name": name}, &out)
+	err := c.postJSON(context.Background(), "/workers/register", map[string]string{"name": name}, &out)
 	if err != nil {
 		return RegisterReply{}, err
 	}
@@ -258,7 +276,7 @@ func (c *Client) RegisterWorker(name string) (RegisterReply, error) {
 
 // HeartbeatWorker implements WorkSource.
 func (c *Client) HeartbeatWorker(workerID string) error {
-	return c.postJSON("/workers/heartbeat", map[string]string{"worker_id": workerID}, nil)
+	return c.postJSON(context.Background(), "/workers/heartbeat", map[string]string{"worker_id": workerID}, nil)
 }
 
 // LeaseShard implements WorkSource: 204 means an empty queue, 404 an
@@ -309,7 +327,7 @@ func (c *Client) LeaseShard(workerID string) (*LeaseGrant, error) {
 // RenewLease implements WorkSource. The worker id travels with the
 // lease id so the coordinator can verify ownership.
 func (c *Client) RenewLease(workerID, leaseID string) error {
-	return c.postJSON("/work/renew",
+	return c.postJSON(context.Background(), "/work/renew",
 		map[string]string{"worker_id": workerID, "lease_id": leaseID}, nil)
 }
 

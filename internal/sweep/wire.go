@@ -28,7 +28,7 @@ import (
 //
 // Tracing rides along (DESIGN.md §4.9): a lease grant names the trace
 // its shard belongs to, and a completion carries the worker-side spans
-// (decode, simulate, cache put) plus per-point simulation nanoseconds.
+// (decode, simulate) plus per-point simulation nanoseconds.
 // Frames of any other version are rejected — workers and coordinators
 // upgrade together.
 
@@ -76,9 +76,9 @@ type WireOutcome struct {
 
 // CompleteRequest reports a whole leased shard, outcomes in item order.
 // Spans and PointNS are the worker-side observability piggyback: spans
-// for decode/simulate/cache-put, and per-point simulation wall
-// nanoseconds aligned with Outcomes (0 = untimed, e.g. a local cache
-// hit). Both are advisory — the coordinator verifies outcomes, never
+// for decode/simulate, and per-point simulation wall nanoseconds
+// aligned with Outcomes (0 = untimed: the point failed before it ran).
+// Both are advisory — the coordinator verifies outcomes, never
 // timings, and a missing piggyback only costs visibility.
 type CompleteRequest struct {
 	LeaseID  string

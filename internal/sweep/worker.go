@@ -25,19 +25,21 @@ type WorkSource interface {
 	CompleteShard(req *CompleteRequest) error
 }
 
-// Worker pulls leased shards from a coordinator and runs them on a
-// local Core-recycling Engine, reporting every result under the
-// content key the lease named. One process can run several Workers;
-// each keeps its own engine (and therefore its own recycled cores).
+// Worker pulls leased shards from a coordinator and runs them on an
+// Engine's pool through RunLease, reporting every result under the
+// content key the lease named. A worker holds no cache: the
+// coordinator keys, caches and tallies every point, and a completion is
+// the only way a worker's results reach the corpus. One process can
+// run several Workers; each builds its own engine in Run and recycles
+// its cores across shards.
 type Worker struct {
 	// Source is the coordinator, direct or over HTTP.
 	Source WorkSource
 	// Name labels the worker in the coordinator's registry (default:
 	// the assigned worker id).
 	Name string
-	// Engine executes leased points (nil = zero Engine: GOMAXPROCS
-	// pool, private in-memory cache).
-	Engine *Engine
+	// Parallel is the engine's pool size (0 = GOMAXPROCS).
+	Parallel int
 	// Poll is the idle sleep between empty lease requests (0 = 25ms).
 	Poll time.Duration
 }
@@ -48,10 +50,7 @@ type Worker struct {
 // Transient source errors are retried; ErrUnknownWorker triggers
 // re-registration so workers survive a coordinator restart.
 func (w *Worker) Run(ctx context.Context) error {
-	eng := w.Engine
-	if eng == nil {
-		eng = &Engine{}
-	}
+	eng := &Engine{Parallel: w.Parallel}
 	poll := w.Poll
 	if poll <= 0 {
 		poll = 25 * time.Millisecond
@@ -120,42 +119,23 @@ func (w *Worker) runShard(ctx context.Context, eng *Engine, workerID string, ttl
 		}()
 	}
 
-	points := make([]Point, len(grant.Items))
-	for i, it := range grant.Items {
-		points[i] = it.Point
-	}
 	simStart := time.Now()
-	res, err := eng.RunPointsCtx(ctx, points, nil)
+	outs, pointNS, err := eng.RunLease(ctx, grant)
 	simEnd := time.Now()
-	if ctx.Err() != nil {
+	if err != nil {
 		// Drained mid-shard: report nothing. The unstarted points carry
 		// synthetic context errors the coordinator must never believe, so
 		// the whole completion is dropped — the lease simply lapses and
-		// the coordinator requeues the shard for a live worker. Finished
-		// points stayed in this engine's cache, so nothing is lost when
-		// that cache is shared.
+		// the coordinator requeues the shard for a live worker.
 		return
 	}
 
 	req := &CompleteRequest{LeaseID: grant.LeaseID, WorkerID: workerID,
-		Outcomes: make([]WireOutcome, len(grant.Items))}
-	for i, it := range grant.Items {
-		o := WireOutcome{Key: it.Key}
-		switch {
-		case err != nil:
-			o.Err = err.Error()
-		case res.Outcomes[i].Err != "":
-			o.Err = res.Outcomes[i].Err
-		default:
-			o.Result = res.Outcomes[i].Result
-		}
-		req.Outcomes[i] = o
-	}
+		Outcomes: outs, PointNS: pointNS}
 	// Piggyback the worker-side timing spans (DESIGN.md §4.9): wire
-	// decode (remote leases only), the simulation window, and cache
-	// write time rendered as a span ending at the simulation's end.
-	// The coordinator stamps these with this lease's worker id and
-	// folds them into the job's timeline and the latency histograms.
+	// decode (remote leases only) and the simulation window. The
+	// coordinator stamps these with this lease's worker id and folds
+	// them into the job's timeline and the latency histograms.
 	if !grant.decodeStart.IsZero() {
 		req.Spans = append(req.Spans, obs.Span{Name: "w:decode", Ref: grant.ShardID,
 			StartNS: grant.decodeStart.UnixNano(), EndNS: grant.decodeEnd.UnixNano()})
@@ -163,16 +143,6 @@ func (w *Worker) runShard(ctx context.Context, eng *Engine, workerID string, ttl
 	req.Spans = append(req.Spans, obs.Span{Name: "w:simulate", Ref: grant.ShardID,
 		StartNS: simStart.UnixNano(), EndNS: simEnd.UnixNano(),
 		Detail: fmt.Sprintf("%d points", len(grant.Items))})
-	if res != nil {
-		if res.CachePutNS > 0 {
-			req.Spans = append(req.Spans, obs.Span{Name: "w:cacheput", Ref: grant.ShardID,
-				StartNS: simEnd.UnixNano() - res.CachePutNS, EndNS: simEnd.UnixNano(),
-				Detail: "local cache, aggregate"})
-		}
-		if err == nil {
-			req.PointNS = res.PointNS
-		}
-	}
 	stopRenew()
 	// A stale-lease rejection means we lost the TTL race and the shard
 	// was requeued — drop the report, the requeued copy supersedes it.
