@@ -481,41 +481,78 @@ func TestJobStoreWalksRetainedWindow(t *testing.T) {
 	}
 }
 
+// TestRetainPassesRunningSweep: one sweep that never finishes (no
+// workers) must not pin the sweeps submitted after it. Finished sweeps
+// keep arriving, all served from a warm cache, and the job store stays
+// at the retention cap with the running sweep still in it.
+func TestRetainPassesRunningSweep(t *testing.T) {
+	const retain = 4
+	warm := sweep.Grid{Workloads: []string{"go"}, Policies: []string{"conv"},
+		IntRegs: []int{48}, Scale: testScale}
+	cache := sweep.NewCache()
+	if _, err := (&sweep.Engine{Cache: cache}).Run(warm, nil); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerWith(ServerConfig{Cache: cache, LocalWorkers: -1, RetainJobs: retain})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	stuck := postGrid(t, ts, sweep.Grid{Workloads: []string{"tomcatv"}, Policies: []string{"conv"},
+		IntRegs: []int{48}, Scale: testScale})
+	for i := 0; i < 3*retain; i++ {
+		pollDone(t, ts, postGrid(t, ts, warm))
+	}
+	if v := metricValue(t, scrapeMetrics(t, ts), "sweepd_sweeps_retained"); v != retain {
+		t.Fatalf("sweepd_sweeps_retained = %g with one running sweep, want %d", v, retain)
+	}
+	if job, ok := srv.snapshot(stuck); !ok || job.State != "running" {
+		t.Fatalf("running sweep %s: ok=%v state=%q", stuck, ok, job.State)
+	}
+}
+
 // TestJournalDegradedGauge: sweepd_journal_degraded flips to 1 once the
-// state dir stops taking writes.
+// state dir stops taking writes, and the journal's size and compaction
+// count are on /metrics.
 func TestJournalDegradedGauge(t *testing.T) {
 	dir := t.TempDir()
-	cfg := resumeConfig(dir)
-	cfg.SnapshotEvery = 1
-	srv, err := OpenServerWith(cfg)
+	srv, err := OpenServerWith(resumeConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	if v := metricValue(t, scrapeMetrics(t, ts), "sweepd_journal_degraded"); v != 0 {
+	m := scrapeMetrics(t, ts)
+	if v := metricValue(t, m, "sweepd_journal_degraded"); v != 0 {
 		t.Fatalf("healthy journal: sweepd_journal_degraded %g", v)
 	}
-	// A directory where the snapshot goes makes the next compaction's
+	// Open compacts once, and a compacted log holds at least the id
+	// sequence.
+	if v := metricValue(t, m, "sweepd_journal_compactions_total"); v != 1 {
+		t.Fatalf("sweepd_journal_compactions_total %g after open, want 1", v)
+	}
+	if v := metricValue(t, m, "sweepd_journal_wal_bytes"); v <= 0 {
+		t.Fatalf("sweepd_journal_wal_bytes %g after open", v)
+	}
+	// A non-empty directory where the log goes makes the compaction's
 	// rename fail.
-	snap := filepath.Join(dir, "snapshot.json")
-	if err := os.Remove(snap); err != nil {
+	wal := filepath.Join(dir, "wal.log")
+	if err := os.Remove(wal); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(snap, "blocker"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(wal, "blocker"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	postGrid(t, ts, sweep.Grid{Workloads: []string{"go"}, Policies: []string{"conv"},
-		IntRegs: []int{48}, Scale: testScale})
-	deadline := time.Now().Add(10 * time.Second)
-	for fedStatus(t, ts).JournalErr == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("journal never degraded")
-		}
-		time.Sleep(time.Millisecond)
+	srv.Coordinator().Compact()
+	if fedStatus(t, ts).JournalErr == "" {
+		t.Fatal("failed compaction did not degrade the journal")
 	}
-	if v := metricValue(t, scrapeMetrics(t, ts), "sweepd_journal_degraded"); v != 1 {
+	m = scrapeMetrics(t, ts)
+	if v := metricValue(t, m, "sweepd_journal_degraded"); v != 1 {
 		t.Errorf("degraded journal: sweepd_journal_degraded %g", v)
+	}
+	if v := metricValue(t, m, "sweepd_journal_compactions_total"); v != 1 {
+		t.Errorf("failed compaction counted: sweepd_journal_compactions_total %g", v)
 	}
 }

@@ -11,14 +11,15 @@
 //	sweepd -role coordinator -local-workers 0        # pure coordinator
 //	sweepd -state /var/lib/sweepd                    # durable: survives restarts
 //
-// With -state the coordinator journals every queue transition (WAL +
-// periodic snapshots, DESIGN.md §4.3 "Durability") and a restart with
-// the same -state resumes every interrupted sweep and exploration
-// exactly where it was: completed shards are served from the recovered
-// state, never re-simulated, and the finished results are
-// byte-identical to an uninterrupted run. SIGINT/SIGTERM shut down
-// gracefully (final snapshot + cache save); even a hard kill loses
-// nothing but uncommitted simulation time, because the WAL replays.
+// With -state the coordinator journals every queue transition (a WAL
+// that compacts by atomically rewriting itself, DESIGN.md §4.3
+// "Durability") and a restart with the same -state resumes every
+// interrupted sweep and exploration exactly where it was: completed
+// shards are served from the recovered state, never re-simulated, and
+// the finished results are byte-identical to an uninterrupted run.
+// SIGINT/SIGTERM shut down gracefully (final compaction + cache save);
+// even a hard kill loses nothing but uncommitted simulation time,
+// because the WAL replays.
 //
 //	curl -d '{"workloads":["tomcatv"],"int_regs":[40,48,64]}' localhost:8080/sweep
 //	curl localhost:8080/sweep/sw-1
@@ -55,7 +56,7 @@ func main() {
 		role         = flag.String("role", "coordinator", "coordinator or worker")
 		addr         = flag.String("addr", ":8080", "coordinator listen address")
 		cachePath    = flag.String("cache", "", "persistent result cache: a store directory (empty = in-memory, or <state>/cache with -state)")
-		stateDir     = flag.String("state", "", "coordinator state directory: journal + snapshots for crash-resume (empty = memory only)")
+		stateDir     = flag.String("state", "", "coordinator state directory: journal for crash-resume (empty = memory only)")
 		parallel     = flag.Int("parallel", 0, "simulations per worker engine (0 = GOMAXPROCS)")
 		localWorkers = flag.Int("local-workers", 1, "embedded workers in the coordinator (0 = pure coordinator)")
 		leaseTTL     = flag.Duration("lease-ttl", 30*time.Second, "work lease lifetime between renewals")
@@ -156,9 +157,9 @@ func runCoordinator(addr, cachePath, stateDir string, parallel, localWorkers int
 		addr, max(localWorkers, 0), leaseTTL)
 
 	// Serve until SIGINT/SIGTERM, then drain: in-flight handlers get a
-	// grace period, the coordinator writes its final snapshot (Close),
-	// and the cache persists — so the next -state start resumes from a
-	// clean snapshot without any WAL replay.
+	// grace period, the coordinator compacts its journal (Close), and
+	// the cache persists — so the next -state start replays only the
+	// records that rebuild the queue.
 	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

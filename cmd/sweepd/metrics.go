@@ -302,9 +302,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		degraded = 1
 	}
 	p.gauge("sweepd_journal_degraded", "1 after a state-dir persistence failure (see GET /federation), else 0.", degraded)
+	p.gauge("sweepd_journal_wal_bytes", "Bytes in the coordinator's write-ahead log (0 without -state).", float64(st.JournalBytes))
 
-	// Job-store occupancy: what -retain bounds, plus running jobs,
-	// which are never evicted.
+	// Job-store occupancy: what -retain bounds (running jobs count
+	// toward it but are never evicted).
 	s.mu.Lock()
 	sweeps, explores := len(s.sweeps.jobs), len(s.explores.jobs)
 	s.mu.Unlock()
@@ -325,6 +326,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	cc := s.coord.Counters()
+	p.counter("sweepd_journal_compactions_total", "Write-ahead log compactions (atomic rewrites) completed.", cc.JournalCompactions)
 	p.counter("sweepd_jobs_submitted_total", "Jobs accepted by the coordinator.", cc.JobsSubmitted)
 	p.counter("sweepd_jobs_done_total", "Jobs fully resolved.", cc.JobsDone)
 	p.counter("sweepd_points_submitted_total", "Points accepted by the coordinator.", cc.PointsSubmitted)

@@ -308,17 +308,24 @@ func TestMetricsExpositionLint(t *testing.T) {
 		}
 	}
 	// Job-store occupancy and journal health: the one sweep above is
-	// retained, and a memory-only coordinator has no journal to degrade.
+	// retained, and a memory-only coordinator has no journal to
+	// degrade, size or compact.
 	for name, want := range map[string]float64{
-		"sweepd_sweeps_retained":   1,
-		"sweepd_explores_retained": 0,
-		"sweepd_journal_degraded":  0,
+		"sweepd_sweeps_retained":           1,
+		"sweepd_explores_retained":         0,
+		"sweepd_journal_degraded":          0,
+		"sweepd_journal_wal_bytes":         0,
+		"sweepd_journal_compactions_total": 0,
 	} {
-		if typed[name] != "gauge" {
-			t.Errorf("%s: not exposed as a gauge (%q)", name, typed[name])
+		kind := "gauge"
+		if strings.HasSuffix(name, "_total") {
+			kind = "counter"
 		}
-		if values[name] != want {
-			t.Errorf("%s = %g, want %g", name, values[name], want)
+		if typed[name] != kind {
+			t.Errorf("%s: not exposed as a %s (%q)", name, kind, typed[name])
+		}
+		if v, ok := values[name]; !ok || v != want {
+			t.Errorf("%s = %g (exposed %v), want %g", name, v, ok, want)
 		}
 	}
 	// The local worker built at least the go trace, so the trace cache

@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -29,6 +30,9 @@ func (st *jobStore[J]) restore(id string, j *J) error {
 	n, err := strconv.Atoi(strings.TrimPrefix(id, st.prefix+"-"))
 	if err != nil || n <= 0 {
 		return fmt.Errorf("recovered job id %q does not match %s-<n>", id, st.prefix)
+	}
+	if i, found := slices.BinarySearch(st.ids, n); !found {
+		st.ids = slices.Insert(st.ids, i, n)
 	}
 	st.jobs[id] = j
 	if n > st.next {

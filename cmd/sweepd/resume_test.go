@@ -15,6 +15,7 @@ import (
 
 	"earlyrelease/internal/search"
 	"earlyrelease/internal/sweep"
+	"earlyrelease/internal/sweep/durable"
 )
 
 // resumeConfig is the durable-coordinator config the restart tests
@@ -216,7 +217,7 @@ func runResumeScenario(t *testing.T, nShards int, crash func(srv *Server, ts *ht
 // TestServerHardKillResume is the crash variant: the coordinator is
 // halted with no farewell snapshot (what SIGKILL leaves behind), the
 // WAL gets a torn garbage tail on top, and the restart must rebuild
-// the queue purely from snapshot + WAL replay.
+// the queue purely from WAL replay.
 func TestServerHardKillResume(t *testing.T) {
 	runResumeScenario(t, 6, func(srv *Server, ts *httptest.Server, dir string) {
 		ts.Close()
@@ -230,18 +231,29 @@ func TestServerHardKillResume(t *testing.T) {
 	})
 }
 
-// TestServerGracefulRestartResume is the SIGTERM variant: Close writes
-// a final snapshot and resets the WAL, so the restart resumes from the
-// snapshot alone.
+// TestServerGracefulRestartResume is the SIGTERM variant: Close
+// compacts the journal, so the restart replays only the records that
+// rebuild the queue — the id sequence first, then one job, and the
+// stranded shard's single lease; none of the run's renew or burn
+// records survive.
 func TestServerGracefulRestartResume(t *testing.T) {
 	runResumeScenario(t, 3, func(srv *Server, ts *httptest.Server, dir string) {
 		ts.Close()
 		srv.Close()
-		if fi, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil || fi.Size() != 0 {
-			t.Fatalf("after graceful close wal.log should be empty (fi=%v err=%v)", fi, err)
+		w, recs, err := durable.OpenWAL(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
-			t.Fatalf("graceful close left no snapshot: %v", err)
+		w.Close()
+		count := map[byte]int{}
+		for _, r := range recs {
+			count[r.Type]++
+		}
+		// Record types (internal/sweep/journal.go): 1 job, 4 lease,
+		// 5 renew, 6 burn, 9 id sequence.
+		if len(recs) == 0 || recs[0].Type != 9 || count[1] != 1 || count[4] != 1 ||
+			count[5] != 0 || count[6] != 0 {
+			t.Fatalf("after graceful close the wal is not compacted: record counts by type %v", count)
 		}
 	})
 }

@@ -96,15 +96,16 @@ type Server struct {
 
 // jobStore retains one class of submitted jobs (sweeps, explorations)
 // with sequential "{prefix}-{n}" ids, evicting finished jobs
-// oldest-first beyond the retention cap. All methods require the
-// server's lock.
+// oldest-first beyond the retention cap. Running jobs are never
+// evicted, but they pin nothing: eviction passes over them. All
+// methods require the server's lock.
 type jobStore[J any] struct {
 	prefix string
-	retain int // finished-job retention cap
+	retain int // retention cap
 	done   func(*J) bool
 	jobs   map[string]*J
+	ids    []int // retained ids, ascending
 	next   int
-	min    int // oldest id that may still be retained
 }
 
 func newJobStore[J any](prefix string, retain int, done func(*J) bool) *jobStore[J] {
@@ -114,38 +115,41 @@ func newJobStore[J any](prefix string, retain int, done func(*J) bool) *jobStore
 	return &jobStore[J]{prefix: prefix, retain: retain, done: done, jobs: map[string]*J{}}
 }
 
-// put registers a job, returns its new id, and evicts beyond the cap.
+// put registers a job, returns its new id, and evicts the oldest
+// finished jobs beyond the cap.
 func (st *jobStore[J]) put(j *J) string {
 	st.next++
-	id := fmt.Sprintf("%s-%d", st.prefix, st.next)
+	id := st.id(st.next)
 	st.jobs[id] = j
-	for i := st.min; i <= st.next && len(st.jobs) > st.retain; i++ {
-		oid := fmt.Sprintf("%s-%d", st.prefix, i)
-		if old, ok := st.jobs[oid]; ok {
-			if !st.done(old) {
-				break // never evict past a still-running job
+	st.ids = append(st.ids, st.next)
+	if excess := len(st.ids) - st.retain; excess > 0 {
+		kept := st.ids[:0]
+		for _, n := range st.ids {
+			if oid := st.id(n); excess > 0 && st.done(st.jobs[oid]) {
+				delete(st.jobs, oid)
+				excess--
+				continue
 			}
-			delete(st.jobs, oid)
+			kept = append(kept, n)
 		}
-		st.min = i + 1
+		st.ids = kept
 	}
 	return id
 }
+
+func (st *jobStore[J]) id(n int) string { return fmt.Sprintf("%s-%d", st.prefix, n) }
 
 func (st *jobStore[J]) get(id string) (*J, bool) {
 	j, ok := st.jobs[id]
 	return j, ok
 }
 
-// all lists the retained jobs in submission order. The walk starts at
-// min, below which every id has been evicted, so its cost tracks the
-// retained window rather than every job ever submitted.
+// all lists the retained jobs in submission order, visiting only the
+// retained ids rather than every id ever issued.
 func (st *jobStore[J]) all() []*J {
-	out := make([]*J, 0, len(st.jobs))
-	for i := st.min; i <= st.next; i++ {
-		if j, ok := st.jobs[fmt.Sprintf("%s-%d", st.prefix, i)]; ok {
-			out = append(out, j)
-		}
+	out := make([]*J, 0, len(st.ids))
+	for _, n := range st.ids {
+		out = append(out, st.jobs[st.id(n)])
 	}
 	return out
 }
@@ -153,9 +157,9 @@ func (st *jobStore[J]) all() []*J {
 // maxRetainedSweeps is the default bound on sweepd's job history:
 // finished sweeps beyond this count are evicted oldest-first (their
 // results stay in the shared cache — only the per-job record goes
-// away). Running sweeps are never evicted. ServerConfig.RetainJobs
-// raises it for deployments whose client population can outrun the
-// default between submit and first poll.
+// away). Running sweeps count toward the cap but are never evicted.
+// ServerConfig.RetainJobs raises it for deployments whose client
+// population can outrun the default between submit and first poll.
 const maxRetainedSweeps = 128
 
 // sweepJob tracks one submitted grid through its lifecycle. Tenant is
@@ -212,8 +216,6 @@ type ServerConfig struct {
 	// state is journaled there and a restarted server resumes every
 	// interrupted sweep and exploration. Empty = memory only.
 	StateDir string
-	// SnapshotEvery tunes the WAL-compaction cadence (0 = default).
-	SnapshotEvery int
 
 	// Tenants is the admission registry (DESIGN.md §4.8). Nil = the
 	// open registry: unlimited anonymous access, byte-identical to the
@@ -261,11 +263,10 @@ func OpenServerWith(cfg ServerConfig) (*Server, error) {
 		cache = sweep.NewCache()
 	}
 	coord, err := sweep.OpenCoordinator(cache, sweep.CoordConfig{
-		LeaseTTL:      cfg.LeaseTTL,
-		MaxAttempts:   cfg.MaxAttempts,
-		Planner:       cfg.Planner,
-		StateDir:      cfg.StateDir,
-		SnapshotEvery: cfg.SnapshotEvery,
+		LeaseTTL:    cfg.LeaseTTL,
+		MaxAttempts: cfg.MaxAttempts,
+		Planner:     cfg.Planner,
+		StateDir:    cfg.StateDir,
 	})
 	if err != nil {
 		return nil, err
@@ -320,8 +321,8 @@ func (s *Server) Coordinator() *sweep.Coordinator { return s.coord }
 // Close shuts the federation down: embedded workers stop, queued jobs
 // abort with an error, and in-flight HTTP streams wind down on their
 // own contexts. With a state dir this is the graceful path — the
-// coordinator writes a final snapshot, so a restart resumes from it
-// without replaying any WAL.
+// coordinator compacts its journal, so a restart replays only the
+// records that rebuild the queue.
 func (s *Server) Close() {
 	s.coord.Close()
 	s.stopWorkers()
@@ -329,9 +330,9 @@ func (s *Server) Close() {
 }
 
 // Halt is Close without the goodbye: the journal stops exactly where
-// it is — no final snapshot — so what lands on disk is what a hard
+// it is — no final compaction — so what lands on disk is what a hard
 // kill (SIGKILL, power loss) would leave. The resume tests restart
-// from this state to exercise WAL replay rather than snapshot loading.
+// from this state to exercise replay of an uncompacted tail.
 func (s *Server) Halt() {
 	s.coord.Halt()
 	s.stopWorkers()

@@ -207,7 +207,7 @@ func (r *Recorder) timelineLocked(id string, b *traceBuf) Timeline {
 }
 
 // Dump snapshots every retained trace in insertion order — the
-// coordinator journals this into its durability snapshot so timelines
+// coordinator writes this into each compacted journal so timelines
 // survive crash-resume.
 func (r *Recorder) Dump() []Timeline {
 	r.mu.Lock()

@@ -1,10 +1,11 @@
-// Package durable provides the two storage primitives the sweep
-// coordinator's crash-resume is built on (DESIGN.md §4.3 "Durability"):
-// an append-only write-ahead log of checksummed records, and atomic
-// point-in-time snapshots. The package knows nothing about the
-// coordinator — records are (type, payload) pairs and snapshots are
-// opaque JSON values — so the same primitives can back other state
-// machines (the explore registry uses WriteSnapshot directly).
+// Package durable provides the storage primitives behind the sweep
+// coordinator's crash-resume (DESIGN.md §4.3 "Durability"): an
+// append-only write-ahead log of checksummed records, which compacts
+// by an atomic rewrite of itself, and atomic point-in-time JSON
+// snapshots for small state files (the explore registry, frontier
+// files and the result store's manifest). The package knows nothing
+// about the coordinator — records are (type, payload) pairs and
+// snapshots are opaque JSON values.
 //
 // The layering follows kubo's repo/datastore split: this package is
 // the datastore (bytes on disk, integrity, fsck on open), and
@@ -29,6 +30,7 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -107,6 +109,12 @@ func OpenWAL(path string) (*WAL, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("durable: open wal: %w", err)
 	}
+	// A crash mid-Rewrite can leave its temp file behind; the log
+	// itself is intact either way.
+	stale, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+"-*"))
+	for _, p := range stale {
+		os.Remove(p)
+	}
 	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
@@ -150,7 +158,7 @@ func scan(data []byte) ([]Record, int64) {
 // returning — the record survives a machine crash, not just a process
 // crash. Unsynced appends still reach the OS immediately (a process
 // kill cannot lose them) and are made durable by the next synced
-// append or snapshot.
+// append or Rewrite.
 func (w *WAL) Append(typ byte, payload []byte, sync bool) error {
 	if w.closed {
 		return errors.New("durable: append to closed wal")
@@ -177,21 +185,58 @@ func (w *WAL) AppendJSON(typ byte, v any, sync bool) error {
 	return w.Append(typ, blob, sync)
 }
 
-// Reset truncates the log to empty — called right after a snapshot has
-// captured everything the log held, making the (snapshot, empty log)
-// pair the new recovery point.
-func (w *WAL) Reset() error {
+// Rewrite atomically replaces the log with recs — the compaction
+// primitive. The frames go to a temp file in the log's directory,
+// which is fsynced and renamed over the log; the directory is then
+// fsynced, or a power loss could undo the rename and take every
+// synced append made after it along. The open handle switches to the
+// new file, so later appends extend it. If anything fails before the
+// rename, the old log is untouched and appends keep extending it.
+func (w *WAL) Rewrite(recs []Record) error {
 	if w.closed {
-		return errors.New("durable: reset closed wal")
+		return errors.New("durable: rewrite closed wal")
 	}
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("durable: reset wal: %w", err)
+	dir := filepath.Dir(w.path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(w.path)+"-*")
+	if err != nil {
+		return fmt.Errorf("durable: rewrite wal: %w", err)
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("durable: reset wal: %w", err)
+	bw := bufio.NewWriter(tmp)
+	size := int64(0)
+	for _, r := range recs {
+		n, _ := bw.Write(EncodeFrame(r.Type, r.Payload)) // a write error sticks until Flush
+		size += int64(n)
 	}
-	w.size = 0
-	return w.f.Sync()
+	err = bw.Flush()
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), w.path)
+	}
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("durable: rewrite wal: %w", err)
+	}
+	w.f.Close() // the replaced log: the rewrite supersedes it
+	w.f, w.size = tmp, size
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("durable: rewrite wal: sync dir: %w", err)
+	}
+	return nil
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Size reports the bytes of believed records currently in the log.

@@ -122,25 +122,83 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
-func TestWALReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
+// TestWALRewrite: a rewrite replaces the log's records, the handle
+// keeps appending to the new file, and a rewrite that cannot rename
+// leaves the old log authoritative — appends continue there and no
+// temp file is left behind.
+func TestWALRewrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
 	w, _ := openT(t, path)
-	if err := w.Append(1, []byte("old"), true); err != nil {
+	for _, p := range []string{"old-1", "old-2", "old-3"} {
+		if err := w.Append(1, []byte(p), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := []Record{{Type: 9, Payload: []byte("seq")}, {Type: 2, Payload: []byte("plan")}}
+	if err := w.Rewrite(state); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Reset(); err != nil {
-		t.Fatal(err)
+	if want := int64(len(EncodeFrame(9, []byte("seq"))) + len(EncodeFrame(2, []byte("plan")))); w.Size() != want {
+		t.Fatalf("size after rewrite = %d, want %d", w.Size(), want)
 	}
-	if w.Size() != 0 {
-		t.Fatalf("size after reset = %d", w.Size())
-	}
-	if err := w.Append(2, []byte("new"), true); err != nil {
+	if err := w.Append(3, []byte("new"), true); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 	_, recs := openT(t, path)
-	if len(recs) != 1 || recs[0].Type != 2 {
-		t.Fatalf("after reset+append got %+v", recs)
+	if len(recs) != 3 || recs[0].Type != 9 || recs[1].Type != 2 || string(recs[2].Payload) != "new" {
+		t.Fatalf("after rewrite+append got %+v", recs)
+	}
+
+	// A non-empty directory where the log was makes the rename fail.
+	// The open handle still names the original file, moved aside here
+	// so the test can read it back.
+	w, _ = openT(t, path)
+	moved := filepath.Join(dir, "moved.log")
+	if err := os.Rename(path, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Rewrite([]Record{{Type: 9, Payload: []byte("lost")}}); err == nil {
+		t.Fatal("rewrite over a directory succeeded")
+	}
+	if err := w.Append(4, []byte("after"), true); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	_, recs = openT(t, moved)
+	if len(recs) != 4 || string(recs[3].Payload) != "after" {
+		t.Fatalf("old log after a failed rewrite: %+v", recs)
+	}
+	if stale, _ := filepath.Glob(filepath.Join(dir, ".wal.log-*")); len(stale) != 0 {
+		t.Fatalf("failed rewrite left %v", stale)
+	}
+}
+
+// TestOpenWALRemovesStaleRewrite: a crash between a rewrite's temp
+// file and its rename leaves the temp behind; the log is intact and
+// the next open removes the leftover.
+func TestOpenWALRemovesStaleRewrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	w, _ := openT(t, path)
+	if err := w.Append(1, []byte("kept"), true); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	stale := filepath.Join(dir, ".wal.log-123")
+	if err := os.WriteFile(stale, EncodeFrame(9, []byte("half")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := openT(t, path)
+	if len(recs) != 1 || string(recs[0].Payload) != "kept" {
+		t.Fatalf("reopen: %+v", recs)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale rewrite temp survived open: %v", err)
 	}
 }
 

@@ -56,14 +56,11 @@ type CoordConfig struct {
 	MaxAttempts int           // lease grants per shard before it fails (0 = 5)
 	Planner     ShardPlanner  // shard sizing/balancing (zero = defaults)
 
-	// StateDir enables durable crash-resume (OpenCoordinator): a WAL +
-	// snapshot pair under this directory journals every queue
-	// transition, and a restarted coordinator replays it to exactly
-	// the pre-crash queue. Empty = memory-only.
+	// StateDir enables durable crash-resume (OpenCoordinator): a WAL
+	// under this directory journals every queue transition, and a
+	// restarted coordinator replays it to exactly the pre-crash queue.
+	// Empty = memory-only.
 	StateDir string
-	// SnapshotEvery is the WAL record count between automatic
-	// compactions (0 = 256).
-	SnapshotEvery int
 
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -112,6 +109,8 @@ type CoordCounters struct {
 	// CompletionsRejected counts CompleteShard payloads that failed
 	// verification (ErrBadPayload).
 	CompletionsRejected uint64 `json:"completions_rejected"`
+	// JournalCompactions counts successful WAL rewrites.
+	JournalCompactions uint64 `json:"journal_compactions"`
 }
 
 // LeaseStatus is one in-flight lease, for the ops surface (sweeptop's
@@ -139,6 +138,8 @@ type FederationStatus struct {
 	// coordinator keeps serving (degraded to memory-only durability)
 	// but the operator should know resume is compromised.
 	JournalErr string `json:"journal_err,omitempty"`
+	// JournalBytes is the WAL's size (0 on a memory-only coordinator).
+	JournalBytes int64 `json:"journal_bytes,omitempty"`
 }
 
 // Coordinator owns the shared cache, the shard queue and the lease
@@ -188,7 +189,7 @@ type fedJob struct {
 	doneCh chan struct{}
 
 	// Journaled submissions keep their identity and full point list so
-	// snapshots are self-contained; all zero on a memory-only
+	// a compacted log is self-contained; all zero on a memory-only
 	// coordinator.
 	id     string
 	label  string
@@ -282,17 +283,17 @@ func (c *Coordinator) LeaseTTL() time.Duration { return c.cfg.LeaseTTL }
 // Close shuts the coordinator down: blocked Run calls return
 // ErrClosed, and LeaseShard/RenewLease/CompleteShard reject with
 // ErrClosed so workers really do stop getting work. On a durable
-// coordinator the full queue is snapshotted first — Close is the
+// coordinator the journal is compacted first — Close is the
 // graceful-shutdown path, and a reopened coordinator resumes exactly
 // this state.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if c.closed {
 		return
 	}
 	if c.jrn != nil {
-		c.snapshotLocked()
+		c.compactLocked()
 		c.jrn.fail(c.jrn.wal.Close())
 	}
 	c.closeLocked()
@@ -342,7 +343,7 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 
 	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
+		c.unlock()
 		return nil, ErrClosed
 	}
 	c.counters.JobsSubmitted++
@@ -358,8 +359,7 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 		job.id = fmt.Sprintf("job-%d", c.seq)
 		job.label, job.meta, job.points, job.keys = label, meta, points, keys
 		c.jobs[job.id] = job
-		c.journal(recTypeJob, jobRec{ID: job.id, Label: label, Trace: traceID,
-			Meta: meta, Points: points, Keys: keys})
+		c.journal(recTypeJob, jobRecOf(job))
 	}
 	var missIdx []int
 	for i, pt := range points {
@@ -375,14 +375,7 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 		missIdx = append(missIdx, i)
 	}
 	if c.jrn != nil && job.res.Stats.done() > 0 {
-		rec := doneRec{Job: job.id}
-		for i, o := range job.res.Outcomes {
-			if o != nil {
-				rec.Entries = append(rec.Entries, doneEntry{Idx: i, Cached: o.Cached,
-					Err: o.Err, Result: o.Result})
-			}
-		}
-		c.journal(recTypeDone, rec)
+		c.journal(recTypeDone, doneRecOf(job))
 	}
 	classifiedAt := c.cfg.now()
 	c.spanLocked(job, obs.Span{Name: "submit",
@@ -397,7 +390,7 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 		if n := len(c.workers); n > planner.MinShards {
 			planner.MinShards = n
 		}
-		var plan planRec
+		var plan walRec
 		var shardSpans []obs.Span
 		for _, group := range planner.Plan(missPts) {
 			c.seq++
@@ -429,7 +422,7 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 			c.spanLocked(job, s)
 		}
 	}
-	c.mu.Unlock()
+	c.unlock()
 
 	return c.wait(job)
 }
@@ -444,7 +437,7 @@ func (c *Coordinator) spanLocked(job *fedJob, s obs.Span) {
 	}
 	c.rec.Record(job.trace, s)
 	if c.jrn != nil && job.id != "" {
-		c.journal(recTypeSpan, spanRec{Trace: job.trace, Label: job.label, Spans: []obs.Span{s}})
+		c.journal(recTypeSpan, walRec{Trace: job.trace, Label: job.label, Spans: []obs.Span{s}})
 	}
 }
 
@@ -455,7 +448,7 @@ func (c *Coordinator) spanLocked(job *fedJob, s obs.Span) {
 func (c *Coordinator) wait(job *fedJob) (*Results, error) {
 	c.mu.Lock()
 	done := job.res.Stats.done() == job.res.Stats.Points
-	c.mu.Unlock()
+	c.unlock()
 
 	if !done {
 		// Wake periodically to reap expired leases even if no worker is
@@ -479,17 +472,17 @@ func (c *Coordinator) wait(job *fedJob) (*Results, error) {
 			case <-time.After(tick):
 				c.mu.Lock()
 				c.reapLocked(c.cfg.now())
-				c.mu.Unlock()
+				c.unlock()
 			}
 		}
 	}
 
 	c.mu.Lock()
 	if c.jrn != nil && !c.closed && job.id != "" {
-		c.journal(recTypeJobDone, jobDoneRec{Job: job.id})
+		c.journal(recTypeJobDone, walRec{Job: job.id})
 		delete(c.jobs, job.id)
 	}
-	c.mu.Unlock()
+	c.unlock()
 
 	if err := c.cache.Save(); err != nil {
 		job.res.SaveErr = err.Error()
@@ -536,7 +529,7 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		}
 		delete(c.leases, id)
 		c.counters.LeaseExpiries++
-		c.journal(recTypeBurn, burnRec{ID: id})
+		c.journal(recTypeBurn, walRec{ID: id})
 		if w := c.workers[ls.workerID]; w != nil {
 			w.ActiveLeases--
 			w.Expiries++
@@ -571,7 +564,7 @@ func (c *Coordinator) abandonOrRequeueLocked(sh *fedShard, now time.Time) {
 		c.spanLocked(sh.job(), obs.Span{Name: "abandon", Ref: sh.id,
 			StartNS: now.UnixNano(), EndNS: now.UnixNano(),
 			Detail: fmt.Sprintf("%d burned leases", sh.attempt)})
-		rec := doneRec{}
+		rec := walRec{}
 		for _, u := range sh.units {
 			rec.Job = u.job.id
 			rec.Entries = append(rec.Entries, doneEntry{Idx: u.jobIdx, Err: msg})
@@ -593,7 +586,7 @@ func (c *Coordinator) abandonOrRequeueLocked(sh *fedShard, now time.Time) {
 // RegisterWorker adds a worker to the registry and names it.
 func (c *Coordinator) RegisterWorker(name string) (RegisterReply, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.seq++
 	id := fmt.Sprintf("wk-%d", c.seq)
 	if name == "" {
@@ -607,7 +600,7 @@ func (c *Coordinator) RegisterWorker(name string) (RegisterReply, error) {
 // HeartbeatWorker refreshes a worker's liveness timestamp.
 func (c *Coordinator) HeartbeatWorker(workerID string) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	w := c.workers[workerID]
 	if w == nil {
 		return ErrUnknownWorker
@@ -623,7 +616,7 @@ func (c *Coordinator) HeartbeatWorker(workerID string) error {
 // worker resimulate a known result.
 func (c *Coordinator) LeaseShard(workerID string) (*LeaseGrant, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if c.closed {
 		// The Close contract: workers polling a closed coordinator get
 		// nothing, explicitly — not a silently still-live queue.
@@ -643,7 +636,7 @@ func (c *Coordinator) LeaseShard(workerID string) (*LeaseGrant, error) {
 
 		job := sh.job() // before stripping: an emptied shard forgets its owner
 		kept := sh.units[:0]
-		var strips doneRec
+		var strips walRec
 		for _, u := range sh.units {
 			if r, ok := c.cache.Get(u.item.Key); ok {
 				strips.Job = u.job.id
@@ -681,8 +674,7 @@ func (c *Coordinator) LeaseShard(workerID string) (*LeaseGrant, error) {
 		}
 		c.leases[ls.id] = ls
 		c.counters.LeasesGranted++
-		c.journal(recTypeLease, leaseRec{ID: ls.id, Worker: workerID, Shard: sh.id,
-			Attempt: sh.attempt, Deadline: ls.deadline.UnixMilli()})
+		c.journal(recTypeLease, leaseRecOf(ls))
 		w.ActiveLeases++
 		wait := time.Duration(0)
 		if !sh.queuedAt.IsZero() {
@@ -714,7 +706,7 @@ func (c *Coordinator) LeaseShard(workerID string) (*LeaseGrant, error) {
 // else's lease alive.
 func (c *Coordinator) RenewLease(workerID, leaseID string) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if c.closed {
 		return ErrClosed
 	}
@@ -728,7 +720,7 @@ func (c *Coordinator) RenewLease(workerID, leaseID string) error {
 	}
 	ls.deadline = c.cfg.now().Add(c.cfg.LeaseTTL)
 	c.counters.LeaseRenewals++
-	c.journal(recTypeRenew, renewRec{ID: ls.id, Deadline: ls.deadline.UnixMilli()})
+	c.journal(recTypeRenew, walRec{ID: ls.id, Deadline: ls.deadline.UnixMilli()})
 	return nil
 }
 
@@ -742,7 +734,7 @@ func (c *Coordinator) RenewLease(workerID, leaseID string) error {
 // and the cache is never poisoned.
 func (c *Coordinator) CompleteShard(req *CompleteRequest) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if c.closed {
 		return ErrClosed
 	}
@@ -781,7 +773,7 @@ func (c *Coordinator) CompleteShard(req *CompleteRequest) error {
 		// reports garbage cannot cycle the shard forever.
 		c.counters.CompletionsRejected++
 		delete(c.leases, req.LeaseID)
-		c.journal(recTypeBurn, burnRec{ID: req.LeaseID})
+		c.journal(recTypeBurn, walRec{ID: req.LeaseID})
 		if w := c.workers[ls.workerID]; w != nil {
 			w.ActiveLeases--
 		}
@@ -796,7 +788,7 @@ func (c *Coordinator) CompleteShard(req *CompleteRequest) error {
 	// In the journal a completion is a burn (the lease is gone, the
 	// shard notionally requeued) followed by its outcomes resolving —
 	// which empties the shard out of the queue again on replay.
-	c.journal(recTypeBurn, burnRec{ID: req.LeaseID})
+	c.journal(recTypeBurn, walRec{ID: req.LeaseID})
 	job := sh.job()
 	// Adopt the worker's piggybacked spans onto the job's timeline,
 	// stamped with the lease's worker id (the lease, not the payload,
@@ -838,7 +830,7 @@ func (c *Coordinator) CompleteShard(req *CompleteRequest) error {
 			StartNS: ls.grantedAt.UnixNano(), EndNS: now.UnixNano(),
 			Detail: fmt.Sprintf("lease %s", ls.id)})
 	}
-	rec := doneRec{}
+	rec := walRec{}
 	putStart := c.cfg.now()
 	for i, u := range sh.units {
 		o := req.Outcomes[i]
@@ -866,21 +858,24 @@ func (c *Coordinator) CompleteShard(req *CompleteRequest) error {
 // Counters snapshots the coordinator's lifetime totals.
 func (c *Coordinator) Counters() CoordCounters {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.counters
 }
 
 // Status snapshots the queue and worker registry.
 func (c *Coordinator) Status() FederationStatus {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reapLocked(c.cfg.now())
 	st := FederationStatus{
 		PendingShards: len(c.pending),
 		ActiveLeases:  len(c.leases),
 	}
-	if c.jrn != nil && c.jrn.err != nil {
-		st.JournalErr = c.jrn.err.Error()
+	if c.jrn != nil {
+		st.JournalBytes = c.jrn.wal.Size()
+		if c.jrn.err != nil {
+			st.JournalErr = c.jrn.err.Error()
+		}
 	}
 	for _, sh := range c.pending {
 		st.PendingPoints += len(sh.units)

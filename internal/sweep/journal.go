@@ -16,11 +16,12 @@ import (
 )
 
 // This file is the coordinator's durability schema on top of the
-// internal/sweep/durable primitives (DESIGN.md §4.3 "Durability"). The
-// WAL records every queue transition — job submission, shard plan,
-// resolved outcomes, lease grant/renewal/burn, job completion — and a
-// periodic snapshot compacts the log. Recovery is snapshot state plus
-// WAL replay, and reconstructs exactly the pre-crash queue: pending
+// internal/sweep/durable WAL (DESIGN.md §4.3 "Durability"). The WAL
+// records every queue transition — job submission, shard plan,
+// resolved outcomes, lease grant/renewal/burn, job completion — and
+// compaction atomically rewrites it as the fewest records that rebuild
+// the live queue. Recovery applies every record straight to a fresh
+// Coordinator and reconstructs exactly the pre-crash queue: pending
 // shards in order, in-flight leases with their absolute deadlines and
 // attempt counts, and every resolved outcome (results included, so the
 // shared cache is rebuilt even if its store never got synced).
@@ -41,25 +42,32 @@ const (
 	recTypeRenew   byte = 5 // a lease deadline extension
 	recTypeBurn    byte = 6 // a lease died (expiry/rejection): shard requeues at the front
 	recTypeJobDone byte = 7 // a job's waiter collected its results
-	recTypeSpan    byte = 8 // trace spans appended to a journaled job's timeline
+	recTypeSpan    byte = 8 // spans appended to a timeline: telemetry, replayed into the recorder only
+	recTypeSeq     byte = 9 // a compacted log's first record: the id sequence
 )
 
-type jobRec struct {
-	ID     string          `json:"id"`
-	Label  string          `json:"label,omitempty"`
-	Trace  string          `json:"trace,omitempty"`
-	Meta   json.RawMessage `json:"meta,omitempty"`
-	Points []Point         `json:"points"`
-	Keys   []string        `json:"keys"`
-}
+// compactEvery is the number of appends between automatic compactions.
+const compactEvery = 256
 
-// spanRec appends spans to a trace's timeline. Spans are telemetry,
-// not queue state: they are journaled without fsync and replayed into
-// the recorder only.
-type spanRec struct {
-	Trace string     `json:"trace"`
-	Label string     `json:"label,omitempty"`
-	Spans []obs.Span `json:"spans"`
+// walRec is every record type's JSON payload; each type sets only the
+// fields marked with its name.
+type walRec struct {
+	ID       string          `json:"id,omitempty"`          // job, lease, renew, burn
+	Job      string          `json:"job,omitempty"`         // done, jobdone
+	Label    string          `json:"label,omitempty"`       // job, span
+	Trace    string          `json:"trace,omitempty"`       // job, span
+	Meta     json.RawMessage `json:"meta,omitempty"`        // job
+	Points   []Point         `json:"points,omitempty"`      // job
+	Keys     []string        `json:"keys,omitempty"`        // job
+	Shards   []shardRec      `json:"shards,omitempty"`      // plan
+	Entries  []doneEntry     `json:"entries,omitempty"`     // done
+	Worker   string          `json:"worker,omitempty"`      // lease
+	Shard    string          `json:"shard,omitempty"`       // lease
+	Attempt  int             `json:"attempt,omitempty"`     // lease
+	Deadline int64           `json:"deadline_ms,omitempty"` // lease, renew: absolute unix ms
+	Spans    []obs.Span      `json:"spans,omitempty"`       // span
+	Dropped  int             `json:"dropped,omitempty"`     // span: already lost to the ring bound
+	Seq      int             `json:"seq,omitempty"`         // seq
 }
 
 // shardRec names a shard's units as slots into its job's point list.
@@ -68,10 +76,6 @@ type shardRec struct {
 	Job     string `json:"job"`
 	Idx     []int  `json:"idx"`
 	Attempt int    `json:"attempt,omitempty"`
-}
-
-type planRec struct {
-	Shards []shardRec `json:"shards"`
 }
 
 // doneEntry is one resolved point. The result rides in the record even
@@ -84,70 +88,16 @@ type doneEntry struct {
 	Result *pipeline.Result `json:"result,omitempty"`
 }
 
-type doneRec struct {
-	Job     string      `json:"job"`
-	Entries []doneEntry `json:"entries"`
-}
-
-type leaseRec struct {
-	ID       string `json:"id"`
-	Worker   string `json:"worker"`
-	Shard    string `json:"shard"`
-	Attempt  int    `json:"attempt"`
-	Deadline int64  `json:"deadline_ms"` // absolute, unix milliseconds
-}
-
-type renewRec struct {
-	ID       string `json:"id"`
-	Deadline int64  `json:"deadline_ms"`
-}
-
-type burnRec struct {
-	ID string `json:"id"`
-}
-
-type jobDoneRec struct {
-	Job string `json:"job"`
-}
-
-// snapState is the snapshot schema: the full queue at a point in time.
-// The WAL is replayed on top of it.
-type snapState struct {
-	Seq     int          `json:"seq"`
-	Jobs    []jobState   `json:"jobs"`
-	Pending []shardRec   `json:"pending"` // queue order
-	Leases  []leaseState `json:"leases"`
-	// Traces carries the recorder's timelines so crash-resume keeps
-	// already-recorded spans (bounded by the recorder's retention).
-	Traces []obs.Timeline `json:"traces,omitempty"`
-}
-
-type jobState struct {
-	jobRec
-	Done []doneEntry `json:"done,omitempty"`
-}
-
-type leaseState struct {
-	ID       string   `json:"id"`
-	Worker   string   `json:"worker"`
-	Deadline int64    `json:"deadline_ms"`
-	Shard    shardRec `json:"shard"`
-}
-
-// journal owns the coordinator's WAL + snapshot pair. All methods are
-// called under the coordinator's mutex. Append failures are sticky and
-// reported in FederationStatus rather than failing the live queue: a
-// coordinator that cannot persist keeps serving (degraded to
-// memory-only) instead of dropping work on the floor.
+// journal owns the coordinator's WAL. All methods are called under
+// the coordinator's mutex. Append failures are sticky and reported in
+// FederationStatus rather than failing the live queue: a coordinator
+// that cannot persist keeps serving (degraded to memory-only) instead
+// of dropping work on the floor.
 type journal struct {
 	wal     *durable.WAL
-	dir     string
-	every   int // appends between automatic compactions
-	appends int
+	appends int // since the last compaction
 	err     error
 }
-
-func (j *journal) snapPath() string { return filepath.Join(j.dir, "snapshot.json") }
 
 func (j *journal) fail(err error) {
 	if j.err == nil && err != nil {
@@ -155,89 +105,141 @@ func (j *journal) fail(err error) {
 	}
 }
 
-// append journals one record, fsyncing the data-bearing types (jobs
+// journal appends one record, fsyncing the data-bearing types (jobs
 // and outcomes must survive a machine crash once acknowledged; a lost
 // lease or plan record only costs re-simulation time, never results).
 func (c *Coordinator) journal(typ byte, v any) {
-	j := c.jrn
-	if j == nil {
-		return
-	}
-	sync := typ == recTypeJob || typ == recTypeDone
-	j.fail(j.wal.AppendJSON(typ, v, sync))
-	j.appends++
-	if j.appends >= j.every {
-		c.snapshotLocked()
+	if j := c.jrn; j != nil {
+		sync := typ == recTypeJob || typ == recTypeDone
+		j.fail(j.wal.AppendJSON(typ, v, sync))
+		j.appends++
 	}
 }
 
-// snapshotLocked compacts: the live queue becomes the snapshot and the
-// WAL restarts empty. Called under c.mu.
-func (c *Coordinator) snapshotLocked() {
+// unlock releases c.mu, compacting first once compactEvery appends
+// have piled up. Compaction waits for the unlock because only between
+// operations does the live queue match the log: mid-operation, a
+// burned lease's shard is in neither the lease table nor the queue.
+func (c *Coordinator) unlock() {
+	if j := c.jrn; j != nil && j.appends >= compactEvery && !c.closed {
+		c.compactLocked()
+	}
+	c.mu.Unlock()
+}
+
+// compactLocked rewrites the WAL as the records that rebuild the live
+// queue. A failed rewrite leaves the old log in place, so appends
+// carry on there and a retry comes compactEvery appends later.
+// Called under c.mu, between operations.
+func (c *Coordinator) compactLocked() {
 	j := c.jrn
 	if j == nil {
 		return
 	}
-	if err := durable.WriteSnapshot(j.snapPath(), c.snapStateLocked()); err != nil {
+	j.appends = 0
+	recs, err := c.stateRecordsLocked()
+	if err == nil {
+		err = j.wal.Rewrite(recs)
+	}
+	if err != nil {
 		j.fail(err)
 		return
 	}
-	j.fail(j.wal.Reset())
-	j.appends = 0
+	c.counters.JournalCompactions++
 }
 
-// Snapshot forces a compaction (graceful shutdown calls this through
-// Close; tests call it directly). No-op on a memory-only coordinator.
-func (c *Coordinator) Snapshot() {
+// Compact forces a compaction now (Close runs one on the way out).
+// No-op on a memory-only or closed coordinator.
+func (c *Coordinator) Compact() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if !c.closed {
-		c.snapshotLocked()
+		c.compactLocked()
 	}
 }
 
-// snapStateLocked serializes the queue. Shards and leases always
-// belong to journaled jobs (jobs leave c.jobs only after their shards
-// are gone), so every reference resolves at load.
-func (c *Coordinator) snapStateLocked() snapState {
-	st := snapState{Seq: c.seq}
-	ids := make([]string, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return idSeq(ids[a]) < idSeq(ids[b]) })
-	for _, id := range ids {
-		job := c.jobs[id]
-		js := jobState{jobRec: jobRec{ID: job.id, Label: job.label, Meta: job.meta,
-			Points: job.points, Keys: job.keys}}
-		for idx, o := range job.res.Outcomes {
-			if o != nil {
-				js.Done = append(js.Done, doneEntry{Idx: idx, Cached: o.Cached, Err: o.Err, Result: o.Result})
-			}
+// stateRecordsLocked encodes the live queue as a compacted log: the id
+// sequence; each job's submission and resolved outcomes, in
+// submission order; one plan holding the pending shards in queue
+// order, then the leased ones; a lease record per lease; and one span
+// record per retained timeline. Shards and leases always belong to
+// journaled jobs (jobs leave c.jobs only after their shards are gone).
+func (c *Coordinator) stateRecordsLocked() ([]durable.Record, error) {
+	var recs []durable.Record
+	var err error
+	add := func(typ byte, v any) {
+		blob, merr := json.Marshal(v)
+		if merr != nil && err == nil {
+			err = fmt.Errorf("sweep: encode compacted wal: %w", merr)
 		}
-		st.Jobs = append(st.Jobs, js)
+		recs = append(recs, durable.Record{Type: typ, Payload: blob})
 	}
+	add(recTypeSeq, walRec{Seq: c.seq})
+	for _, job := range c.jobsInOrderLocked() {
+		add(recTypeJob, jobRecOf(job))
+		if rec := doneRecOf(job); len(rec.Entries) > 0 {
+			add(recTypeDone, rec)
+		}
+	}
+	leases := make([]*fedLease, 0, len(c.leases))
+	for _, ls := range c.leases {
+		leases = append(leases, ls)
+	}
+	sort.Slice(leases, func(a, b int) bool { return idSeq(leases[a].id) < idSeq(leases[b].id) })
+	var plan walRec
 	for _, sh := range c.pending {
-		st.Pending = append(st.Pending, shardState(sh))
+		plan.Shards = append(plan.Shards, shardState(sh))
 	}
-	lids := make([]string, 0, len(c.leases))
-	for id := range c.leases {
-		lids = append(lids, id)
+	for _, ls := range leases {
+		plan.Shards = append(plan.Shards, shardState(ls.shard))
 	}
-	sort.Slice(lids, func(a, b int) bool { return idSeq(lids[a]) < idSeq(lids[b]) })
-	for _, id := range lids {
-		ls := c.leases[id]
-		st.Leases = append(st.Leases, leaseState{ID: ls.id, Worker: ls.workerID,
-			Deadline: ls.deadline.UnixMilli(), Shard: shardState(ls.shard)})
+	if len(plan.Shards) > 0 {
+		add(recTypePlan, plan)
 	}
-	st.Traces = c.rec.Dump()
-	return st
+	for _, ls := range leases {
+		add(recTypeLease, leaseRecOf(ls))
+	}
+	for _, t := range c.rec.Dump() {
+		add(recTypeSpan, walRec{Trace: t.TraceID, Label: t.Label, Dropped: t.Dropped, Spans: t.Spans})
+	}
+	return recs, err
+}
+
+// jobsInOrderLocked lists the journaled jobs in submission order.
+func (c *Coordinator) jobsInOrderLocked() []*fedJob {
+	jobs := make([]*fedJob, 0, len(c.jobs))
+	for _, job := range c.jobs {
+		jobs = append(jobs, job)
+	}
+	sort.Slice(jobs, func(a, b int) bool { return idSeq(jobs[a].id) < idSeq(jobs[b].id) })
+	return jobs
+}
+
+func jobRecOf(job *fedJob) walRec {
+	return walRec{ID: job.id, Label: job.label, Trace: job.trace, Meta: job.meta,
+		Points: job.points, Keys: job.keys}
+}
+
+func leaseRecOf(ls *fedLease) walRec {
+	return walRec{ID: ls.id, Worker: ls.workerID, Shard: ls.shard.id,
+		Attempt: ls.shard.attempt, Deadline: ls.deadline.UnixMilli()}
+}
+
+// doneRecOf lists every outcome the job has resolved so far.
+func doneRecOf(job *fedJob) walRec {
+	rec := walRec{Job: job.id}
+	for i, o := range job.res.Outcomes {
+		if o != nil {
+			rec.Entries = append(rec.Entries, doneEntry{Idx: i, Cached: o.Cached, Err: o.Err, Result: o.Result})
+		}
+	}
+	return rec
 }
 
 func shardState(sh *fedShard) shardRec {
 	r := shardRec{ID: sh.id, Attempt: sh.attempt}
-	if len(sh.units) > 0 {
-		r.Job = sh.units[0].job.id
+	if job := sh.job(); job != nil {
+		r.Job = job.id
 	}
 	for _, u := range sh.units {
 		r.Idx = append(r.Idx, u.jobIdx)
@@ -256,252 +258,7 @@ func idSeq(id string) int {
 	return n
 }
 
-// --- replay --------------------------------------------------------------
-
-// replayState is the mutable queue model recovery builds: snapshot
-// load, then WAL application, then adoption into a live Coordinator.
-type replayState struct {
-	seq     int
-	jobs    map[string]*rjob
-	shards  map[string]*rshard
-	pending []*rshard
-	leases  map[string]*rlease
-	order   []string // job ids in first-seen order
-
-	// traces accumulates snapshot timelines plus WAL span records, in
-	// first-seen order, for adoption into the recorder.
-	traces     map[string]*obs.Timeline
-	traceOrder []string
-}
-
-type rjob struct {
-	id, label string
-	trace     string
-	meta      json.RawMessage
-	points    []Point
-	keys      []string
-	done      map[int]doneEntry
-}
-
-type rshard struct {
-	id, job string
-	idx     []int
-	attempt int
-	leased  bool
-}
-
-type rlease struct {
-	id, worker string
-	shard      *rshard
-	deadline   time.Time
-}
-
-func newReplayState() *replayState {
-	return &replayState{
-		jobs:   map[string]*rjob{},
-		shards: map[string]*rshard{},
-		leases: map[string]*rlease{},
-		traces: map[string]*obs.Timeline{},
-	}
-}
-
-// addSpans folds spans into a replayed trace (creating it on first
-// sight, as both snapshot timelines and WAL span records do).
-func (st *replayState) addSpans(trace, label string, dropped int, spans []obs.Span) {
-	if trace == "" {
-		return
-	}
-	t, ok := st.traces[trace]
-	if !ok {
-		t = &obs.Timeline{TraceID: trace}
-		st.traces[trace] = t
-		st.traceOrder = append(st.traceOrder, trace)
-	}
-	if label != "" {
-		t.Label = label
-	}
-	t.Dropped += dropped
-	t.Spans = append(t.Spans, spans...)
-}
-
-func (st *replayState) bump(id string) {
-	if n := idSeq(id); n > st.seq {
-		st.seq = n
-	}
-}
-
-func (st *replayState) addJob(r jobRec, done []doneEntry) {
-	j := &rjob{id: r.ID, label: r.Label, trace: r.Trace, meta: r.Meta,
-		points: r.Points, keys: r.Keys, done: map[int]doneEntry{}}
-	for _, e := range done {
-		j.done[e.Idx] = e
-	}
-	st.jobs[j.id] = j
-	st.order = append(st.order, j.id)
-	st.bump(j.id)
-}
-
-func (st *replayState) addShard(r shardRec, leased bool) *rshard {
-	sh := &rshard{id: r.ID, job: r.Job, idx: append([]int(nil), r.Idx...),
-		attempt: r.Attempt, leased: leased}
-	st.shards[sh.id] = sh
-	st.bump(sh.id)
-	return sh
-}
-
-// load seeds the state from a snapshot.
-func (st *replayState) load(snap snapState) {
-	if snap.Seq > st.seq {
-		st.seq = snap.Seq
-	}
-	for _, js := range snap.Jobs {
-		st.addJob(js.jobRec, js.Done)
-	}
-	for _, sr := range snap.Pending {
-		st.pending = append(st.pending, st.addShard(sr, false))
-	}
-	for _, ls := range snap.Leases {
-		sh := st.addShard(ls.Shard, true)
-		st.leases[ls.ID] = &rlease{id: ls.ID, worker: ls.Worker, shard: sh,
-			deadline: time.UnixMilli(ls.Deadline)}
-		st.bump(ls.ID)
-	}
-	for _, t := range snap.Traces {
-		st.addSpans(t.TraceID, t.Label, t.Dropped, t.Spans)
-	}
-}
-
-// apply replays one WAL record. Decode failures abort recovery (the
-// durable layer already dropped torn tails, so an undecodable record
-// means a schema bug, not crash damage); references that no longer
-// resolve — a renew for a lease a later snapshot dropped — are skipped,
-// mirroring how the live coordinator treats stale ids.
-func (st *replayState) apply(rec durable.Record) error {
-	switch rec.Type {
-	case recTypeJob:
-		var r jobRec
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return fmt.Errorf("sweep: replay job record: %w", err)
-		}
-		st.addJob(r, nil)
-	case recTypePlan:
-		var r planRec
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return fmt.Errorf("sweep: replay plan record: %w", err)
-		}
-		for _, sr := range r.Shards {
-			st.pending = append(st.pending, st.addShard(sr, false))
-		}
-	case recTypeDone:
-		var r doneRec
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return fmt.Errorf("sweep: replay done record: %w", err)
-		}
-		st.resolve(r)
-	case recTypeLease:
-		var r leaseRec
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return fmt.Errorf("sweep: replay lease record: %w", err)
-		}
-		sh := st.shards[r.Shard]
-		if sh == nil || sh.leased {
-			return nil
-		}
-		st.unqueue(sh)
-		sh.leased = true
-		sh.attempt = r.Attempt
-		st.leases[r.ID] = &rlease{id: r.ID, worker: r.Worker, shard: sh,
-			deadline: time.UnixMilli(r.Deadline)}
-		st.bump(r.ID)
-	case recTypeRenew:
-		var r renewRec
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return fmt.Errorf("sweep: replay renew record: %w", err)
-		}
-		if ls := st.leases[r.ID]; ls != nil {
-			ls.deadline = time.UnixMilli(r.Deadline)
-		}
-	case recTypeBurn:
-		var r burnRec
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return fmt.Errorf("sweep: replay burn record: %w", err)
-		}
-		if ls := st.leases[r.ID]; ls != nil {
-			delete(st.leases, r.ID)
-			ls.shard.leased = false
-			st.pending = append([]*rshard{ls.shard}, st.pending...)
-		}
-	case recTypeJobDone:
-		var r jobDoneRec
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return fmt.Errorf("sweep: replay job-done record: %w", err)
-		}
-		st.dropJob(r.Job)
-	case recTypeSpan:
-		var r spanRec
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return fmt.Errorf("sweep: replay span record: %w", err)
-		}
-		st.addSpans(r.Trace, r.Label, 0, r.Spans)
-	default:
-		return fmt.Errorf("sweep: replay: unknown wal record type %d", rec.Type)
-	}
-	return nil
-}
-
-// resolve applies resolved outcomes: the job records them and any
-// shard still carrying the unit gives it up (a shard with nothing left
-// leaves the queue, exactly like the live strip path).
-func (st *replayState) resolve(r doneRec) {
-	j := st.jobs[r.Job]
-	if j == nil {
-		return
-	}
-	for _, e := range r.Entries {
-		j.done[e.Idx] = e
-		for _, sh := range st.shards {
-			if sh.job != r.Job {
-				continue
-			}
-			for k, idx := range sh.idx {
-				if idx == e.Idx {
-					sh.idx = append(sh.idx[:k], sh.idx[k+1:]...)
-					break
-				}
-			}
-			if len(sh.idx) == 0 && !sh.leased {
-				st.unqueue(sh)
-				delete(st.shards, sh.id)
-			}
-		}
-	}
-}
-
-func (st *replayState) unqueue(sh *rshard) {
-	for i, p := range st.pending {
-		if p == sh {
-			st.pending = append(st.pending[:i], st.pending[i+1:]...)
-			return
-		}
-	}
-}
-
-func (st *replayState) dropJob(id string) {
-	delete(st.jobs, id)
-	for sid, sh := range st.shards {
-		if sh.job == id {
-			st.unqueue(sh)
-			delete(st.shards, sid)
-		}
-	}
-	for lid, ls := range st.leases {
-		if ls.shard.job == id {
-			delete(st.leases, lid)
-		}
-	}
-}
-
-// --- recovery into a live coordinator ------------------------------------
+// --- recovery ------------------------------------------------------------
 
 // RecoveredJob summarizes one labeled job found in the state dir at
 // OpenCoordinator time. The server resurfaces these under their
@@ -515,9 +272,9 @@ type RecoveredJob struct {
 }
 
 // OpenCoordinator is NewCoordinator plus durability: with
-// cfg.StateDir set, prior state is replayed (snapshot, then WAL, torn
-// tail tolerated) and every queue transition from here on is journaled.
-// With an empty StateDir it is exactly NewCoordinator.
+// cfg.StateDir set, the WAL is replayed (torn tail tolerated) into the
+// new coordinator, compacted, and every queue transition from here on
+// is journaled. With an empty StateDir it is exactly NewCoordinator.
 func OpenCoordinator(cache *Cache, cfg CoordConfig) (*Coordinator, error) {
 	c := NewCoordinator(cache, cfg)
 	if cfg.StateDir == "" {
@@ -526,120 +283,186 @@ func OpenCoordinator(cache *Cache, cfg CoordConfig) (*Coordinator, error) {
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: state dir: %w", err)
 	}
-	every := cfg.SnapshotEvery
-	if every <= 0 {
-		every = 256
-	}
-	j := &journal{dir: cfg.StateDir, every: every}
-
-	st := newReplayState()
-	var snap snapState
-	if ok, err := durable.ReadSnapshot(j.snapPath(), &snap); err != nil {
-		return nil, err
-	} else if ok {
-		st.load(snap)
+	// Earlier versions kept the queue in a snapshot beside the WAL; a
+	// WAL read without it would be missing every compacted job.
+	old := filepath.Join(cfg.StateDir, "snapshot.json")
+	if _, err := os.Stat(old); err == nil {
+		return nil, fmt.Errorf("sweep: state dir holds %s from an older journal format, which this version cannot read", old)
 	}
 	wal, recs, err := durable.OpenWAL(filepath.Join(cfg.StateDir, "wal.log"))
 	if err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	defer c.unlock()
 	for _, rec := range recs {
-		if err := st.apply(rec); err != nil {
+		if err := c.apply(rec); err != nil {
 			wal.Close()
 			return nil, err
 		}
 	}
-	j.wal = wal
-	c.jrn = j
-	c.adopt(st)
-	// Compact immediately: recovery becomes the new snapshot (dropped
-	// anonymous jobs disappear for good) and the WAL restarts empty.
-	c.mu.Lock()
-	c.snapshotLocked()
-	c.mu.Unlock()
+	c.settleReplayLocked()
+	// Compact immediately: dropped anonymous jobs disappear for good.
+	c.jrn = &journal{wal: wal}
+	c.compactLocked()
 	return c, nil
 }
 
-// adopt installs replayed state into a freshly built coordinator.
-// Anonymous jobs (explorer rounds) are dropped — their completed
-// results stay in the cache, and a restarted exploration re-derives
-// the round deterministically. Completed outcomes re-enter the shared
-// cache here, so recovery never depends on the cache store having been
-// synced before the crash.
-func (c *Coordinator) adopt(st *replayState) {
-	c.seq = st.seq
-	// Replayed timelines land in the recorder verbatim; adopting
-	// suppresses the finishLocked span emission below so recovery does
-	// not double-record what the journal already holds.
-	c.adopting = true
-	defer func() { c.adopting = false }()
-	for _, id := range st.traceOrder {
-		c.rec.Load(*st.traces[id])
+// apply replays one WAL record into the coordinator, which has no
+// journal yet. Decode failures abort recovery (the durable layer
+// already dropped torn tails, so an undecodable record means a schema
+// bug, not crash damage); references that no longer resolve — a renew
+// for a burned lease, a plan for a dropped job — are skipped, as the
+// live coordinator treats stale ids.
+func (c *Coordinator) apply(rec durable.Record) error {
+	var r walRec
+	if err := json.Unmarshal(rec.Payload, &r); err != nil {
+		return fmt.Errorf("sweep: replay wal record type %d: %w", rec.Type, err)
 	}
-	kept := map[string]*fedJob{}
-	for _, id := range st.order {
-		rj := st.jobs[id]
-		if rj == nil {
-			continue // finished and dropped during replay
+	switch rec.Type {
+	case recTypeSeq:
+		c.seq = max(c.seq, r.Seq)
+	case recTypeJob:
+		c.jobs[r.ID] = &fedJob{id: r.ID, label: r.Label, trace: r.Trace, meta: r.Meta,
+			points: r.Points, keys: r.Keys,
+			res: newResults(len(r.Points)), doneCh: make(chan struct{})}
+		c.bump(r.ID)
+	case recTypePlan:
+		for _, sr := range r.Shards {
+			job := c.jobs[sr.Job]
+			if job == nil {
+				continue
+			}
+			sh := &fedShard{id: sr.ID, attempt: sr.Attempt}
+			for _, idx := range sr.Idx {
+				sh.units = append(sh.units, workUnit{
+					item:   WorkItem{Point: job.points[idx], Key: job.keys[idx]},
+					jobIdx: idx, job: job})
+			}
+			c.pending = append(c.pending, sh)
+			c.bump(sh.id)
 		}
-		for idx, e := range rj.done {
-			if e.Err == "" && e.Result != nil && rj.keys[idx] != "" {
-				c.cache.Put(rj.keys[idx], e.Result)
+	case recTypeDone:
+		c.resolveReplayed(r)
+	case recTypeLease:
+		for i, sh := range c.pending {
+			if sh.id == r.Shard {
+				c.pending = append(c.pending[:i], c.pending[i+1:]...)
+				sh.attempt = r.Attempt
+				c.leases[r.ID] = &fedLease{id: r.ID, workerID: r.Worker, shard: sh,
+					deadline: time.UnixMilli(r.Deadline)}
+				c.bump(r.ID)
+				break
 			}
 		}
-		if rj.label == "" {
+	case recTypeRenew:
+		if ls := c.leases[r.ID]; ls != nil {
+			ls.deadline = time.UnixMilli(r.Deadline)
+		}
+	case recTypeBurn:
+		if ls := c.leases[r.ID]; ls != nil {
+			delete(c.leases, r.ID)
+			c.pending = append([]*fedShard{ls.shard}, c.pending...)
+		}
+	case recTypeJobDone:
+		c.dropJobLocked(r.Job)
+	case recTypeSpan:
+		c.rec.Load(obs.Timeline{TraceID: r.Trace, Label: r.Label, Dropped: r.Dropped, Spans: r.Spans})
+	default:
+		return fmt.Errorf("sweep: replay: unknown wal record type %d", rec.Type)
+	}
+	return nil
+}
+
+// bump seeds the id sequence above every replayed id.
+func (c *Coordinator) bump(id string) {
+	if n := idSeq(id); n > c.seq {
+		c.seq = n
+	}
+}
+
+// resolveReplayed slots replayed outcomes into their job (tallies and
+// progress wait for settleReplayLocked) and strips the resolved units
+// from every shard, dropping queued shards left empty — the live strip
+// path's effect. An index that is already resolved keeps its first
+// outcome.
+func (c *Coordinator) resolveReplayed(r walRec) {
+	job := c.jobs[r.Job]
+	if job == nil {
+		return
+	}
+	for _, e := range r.Entries {
+		if job.res.Outcomes[e.Idx] == nil {
+			job.res.Outcomes[e.Idx] = &Outcome{Point: job.points[e.Idx], Key: job.keys[e.Idx],
+				Cached: e.Cached, Err: e.Err, Result: e.Result}
+		}
+	}
+	strip := func(sh *fedShard) bool {
+		kept := sh.units[:0]
+		for _, u := range sh.units {
+			if u.job.res.Outcomes[u.jobIdx] == nil {
+				kept = append(kept, u)
+			}
+		}
+		sh.units = kept
+		return len(kept) > 0
+	}
+	for _, ls := range c.leases {
+		strip(ls.shard)
+	}
+	c.pending = filterShards(c.pending, strip)
+}
+
+// dropJobLocked forgets a job along with its queued and leased shards.
+func (c *Coordinator) dropJobLocked(id string) {
+	delete(c.jobs, id)
+	other := func(sh *fedShard) bool { return sh.job() == nil || sh.job().id != id }
+	c.pending = filterShards(c.pending, other)
+	for lid, ls := range c.leases {
+		if !other(ls.shard) {
+			delete(c.leases, lid)
+		}
+	}
+}
+
+func filterShards(shards []*fedShard, keep func(*fedShard) bool) []*fedShard {
+	kept := shards[:0]
+	for _, sh := range shards {
+		if keep(sh) {
+			kept = append(kept, sh)
+		}
+	}
+	return kept
+}
+
+// settleReplayLocked ends a replay. Every replayed result re-enters
+// the cache, so recovery never depends on the cache store having been
+// synced before the crash. Anonymous jobs (explorer rounds) are
+// dropped — a restarted exploration re-derives the round
+// deterministically against that cache. Labeled jobs tally their
+// outcomes through finishLocked, with span emission suppressed because
+// the replayed timeline already holds the history.
+func (c *Coordinator) settleReplayLocked() {
+	c.adopting = true
+	defer func() { c.adopting = false }()
+	for _, job := range c.jobsInOrderLocked() {
+		for idx, o := range job.res.Outcomes {
+			if o == nil {
+				continue
+			}
+			if o.Err == "" && o.Result != nil && o.Key != "" {
+				c.cache.Put(o.Key, o.Result)
+			}
+			if job.label != "" {
+				c.finishLocked(job, idx, o)
+			}
+		}
+		if job.label == "" {
+			c.dropJobLocked(job.id)
 			continue
 		}
-		job := &fedJob{
-			id: rj.id, label: rj.label, trace: rj.trace, meta: rj.meta,
-			points: rj.points, keys: rj.keys,
-			res:    newResults(len(rj.points)),
-			doneCh: make(chan struct{}),
-		}
-		idxs := make([]int, 0, len(rj.done))
-		for idx := range rj.done {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			e := rj.done[idx]
-			c.finishLocked(job, idx, &Outcome{Point: rj.points[idx], Key: rj.keys[idx],
-				Cached: e.Cached, Err: e.Err, Result: e.Result})
-		}
-		kept[job.id] = job
-		c.jobs[job.id] = job
 		c.recovered = append(c.recovered, RecoveredJob{Label: job.label, Trace: job.trace,
 			Meta: job.meta, Total: job.res.Stats.Points, Done: job.res.Stats.done()})
-	}
-	mkShard := func(rs *rshard) *fedShard {
-		job := kept[rs.job]
-		if job == nil {
-			return nil
-		}
-		sh := &fedShard{id: rs.id, attempt: rs.attempt}
-		for _, idx := range rs.idx {
-			sh.units = append(sh.units, workUnit{
-				item:   WorkItem{Point: job.points[idx], Key: job.keys[idx]},
-				jobIdx: idx, job: job})
-		}
-		return sh
-	}
-	for _, rs := range st.pending {
-		if sh := mkShard(rs); sh != nil {
-			c.pending = append(c.pending, sh)
-		}
-	}
-	lids := make([]string, 0, len(st.leases))
-	for id := range st.leases {
-		lids = append(lids, id)
-	}
-	sort.Slice(lids, func(a, b int) bool { return idSeq(lids[a]) < idSeq(lids[b]) })
-	for _, id := range lids {
-		rl := st.leases[id]
-		if sh := mkShard(rl.shard); sh != nil {
-			c.leases[rl.id] = &fedLease{id: rl.id, workerID: rl.worker,
-				shard: sh, deadline: rl.deadline}
-		}
 	}
 }
 
@@ -648,7 +471,7 @@ func (c *Coordinator) adopt(st *replayState) {
 // ResumeRecovered to keep making progress.
 func (c *Coordinator) Recovered() []RecoveredJob {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return append([]RecoveredJob(nil), c.recovered...)
 }
 
@@ -667,22 +490,22 @@ func (c *Coordinator) ResumeRecovered(label string, onProgress func(Progress)) (
 		}
 	}
 	if job == nil {
-		c.mu.Unlock()
+		c.unlock()
 		return nil, fmt.Errorf("sweep: no recovered job %q", label)
 	}
 	job.onProg = onProgress
-	c.mu.Unlock()
+	c.unlock()
 	return c.wait(job)
 }
 
 // Halt detaches the coordinator from its state dir without the
-// graceful-shutdown snapshot — the crash-simulation hook the resume
-// tests use: whatever the WAL and last snapshot already hold is
-// exactly what a hard kill would leave behind. Waiters get ErrClosed,
-// workers see a closed coordinator.
+// graceful-shutdown compaction — the crash-simulation hook the resume
+// tests use: whatever the WAL already holds is exactly what a hard
+// kill would leave behind. Waiters get ErrClosed, workers see a closed
+// coordinator.
 func (c *Coordinator) Halt() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if c.closed {
 		return
 	}

@@ -3,10 +3,17 @@ package sweep
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
+
+	"earlyrelease/internal/pipeline"
+	"earlyrelease/internal/sweep/durable"
 )
 
 // openTestCoordinator is newTestCoordinator for durable coordinators.
@@ -38,6 +45,17 @@ func runLabeledAsync(c *Coordinator, label string, pts []Point) chan runResult {
 		time.Sleep(time.Millisecond)
 	}
 	return ch
+}
+
+// walRecords reads the state dir's log as a reopen would see it.
+func walRecords(t *testing.T, dir string) []durable.Record {
+	t.Helper()
+	w, recs, err := durable.OpenWAL(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	return recs
 }
 
 // completeWithEngine resolves a grant with real simulation results, so
@@ -146,8 +164,8 @@ func TestDonePreferredOverQuit(t *testing.T) {
 }
 
 // TestCrashResumeReplaysQueue is the coordinator-level kill-and-resume
-// proof: hard-halt mid-job (no snapshot — recovery runs on the WAL,
-// including a garbage tail), reopen with a cold cache, and the queue
+// proof: hard-halt mid-job (no compaction — recovery runs on the raw
+// WAL, including a garbage tail), reopen with a cold cache, and the queue
 // comes back exactly — resolved outcomes, the in-flight lease with its
 // worker and attempt count, and the remaining pending work. Completing
 // it yields Results byte-identical to an uninterrupted run with zero
@@ -175,7 +193,7 @@ func TestCrashResumeReplaysQueue(t *testing.T) {
 		t.Fatalf("second lease: %+v %v", g2, err)
 	}
 
-	c1.Halt() // crash: no graceful snapshot
+	c1.Halt() // crash: no graceful compaction
 	if r := <-done; !errors.Is(r.err, ErrClosed) {
 		t.Fatalf("halted waiter: %v", r.err)
 	}
@@ -245,10 +263,10 @@ func TestCrashResumeReplaysQueue(t *testing.T) {
 	}
 }
 
-// TestGracefulResumeFromSnapshot is the SIGTERM variant: Close writes
-// the snapshot, a reopened coordinator resumes from it, and a lease
-// whose TTL lapsed across the restart is reaped into a requeue with
-// its attempt counter intact.
+// TestGracefulResumeFromSnapshot is the SIGTERM variant: Close
+// compacts the WAL into a snapshot of the queue, a reopened
+// coordinator resumes from it, and a lease whose TTL lapsed across the
+// restart is reaped into a requeue with its attempt counter intact.
 func TestGracefulResumeFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{t: time.Unix(1000, 0)}
@@ -272,9 +290,16 @@ func TestGracefulResumeFromSnapshot(t *testing.T) {
 	if r := <-done; !errors.Is(r.err, ErrClosed) {
 		t.Fatalf("closed waiter: %v", r.err)
 	}
-	// Graceful shutdown compacted: recovery reads the snapshot alone.
-	if fi, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil || fi.Size() != 0 {
-		t.Fatalf("wal after graceful close: %v size=%d", err, fi.Size())
+	// Graceful shutdown compacted: the log holds the id sequence, the
+	// job, its outcomes, the plan and the one lease — none of the
+	// lease traffic that led there.
+	for _, r := range walRecords(t, dir) {
+		if r.Type == recTypeRenew || r.Type == recTypeBurn {
+			t.Fatalf("wal after graceful close holds a type-%d record", r.Type)
+		}
+	}
+	if recs := walRecords(t, dir); len(recs) == 0 || recs[0].Type != recTypeSeq {
+		t.Fatalf("wal after graceful close does not start with the id sequence: %d records", len(recs))
 	}
 
 	// The restart takes longer than the lease TTL: the restored lease
@@ -345,4 +370,379 @@ func TestAnonymousJobsDropOnRecovery(t *testing.T) {
 	if n := c2.Cache().Len(); n != len(g1.Items) {
 		t.Fatalf("recovered cache holds %d results, want %d", n, len(g1.Items))
 	}
+}
+
+// TestRecoveryIdempotentAcrossInterruptedCompaction: a crash before a
+// compaction's rename leaves the log exactly as it stood before the
+// compaction. Reopening from that copy after a compaction already ran
+// must recover each job once — a second copy of the queue in another
+// file would replay the same jobs twice. Repeated open/halt cycles
+// then leave the recovered queue unchanged, and the resumed job still
+// finishes byte-identical to a direct run.
+func TestRecoveryIdempotentAcrossInterruptedCompaction(t *testing.T) {
+	dir := t.TempDir()
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	cfg := CoordConfig{LeaseTTL: time.Minute, Planner: ShardPlanner{MaxPoints: 4},
+		StateDir: dir}
+	c1 := openTestCoordinator(t, clk, cfg)
+	w1, _ := c1.RegisterWorker("w1")
+	pts := testPoints(8)
+	done := runLabeledAsync(c1, "sw-1", pts)
+	g1, err := c1.LeaseShard(w1.WorkerID)
+	if err != nil || g1 == nil {
+		t.Fatalf("first lease: %+v %v", g1, err)
+	}
+	completeWithEngine(t, c1, w1.WorkerID, g1)
+	g2, err := c1.LeaseShard(w1.WorkerID)
+	if err != nil || g2 == nil {
+		t.Fatalf("second lease: %+v %v", g2, err)
+	}
+	c1.Halt()
+	<-done
+
+	walPath := filepath.Join(dir, "wal.log")
+	before, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	openTestCoordinator(t, clk, cfg).Halt() // open compacts
+	if err := os.WriteFile(walPath, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := openTestCoordinator(t, clk, cfg)
+	rec, st := c.Recovered(), c.Status()
+	if len(rec) != 1 || rec[0].Label != "sw-1" || rec[0].Done != 4 || rec[0].Total != 8 {
+		t.Fatalf("recovered: %+v", rec)
+	}
+	if len(st.Leases) != 1 || st.Leases[0].ID != g2.LeaseID || st.Leases[0].Worker != w1.WorkerID ||
+		st.Leases[0].Attempt != 1 || st.PendingShards != 0 {
+		t.Fatalf("recovered queue: %+v", st)
+	}
+	for i := 0; i < 2; i++ {
+		c.Halt()
+		c = openTestCoordinator(t, clk, cfg)
+		if got := c.Recovered(); !reflect.DeepEqual(got, rec) {
+			t.Fatalf("reopen %d recovered %+v, want %+v", i+1, got, rec)
+		}
+		if got := c.Status(); !reflect.DeepEqual(got, st) {
+			t.Fatalf("reopen %d status %+v, want %+v", i+1, got, st)
+		}
+	}
+
+	resumed := make(chan runResult, 1)
+	go func() {
+		res, err := c.ResumeRecovered("sw-1", nil)
+		resumed <- runResult{res, err}
+	}()
+	completeWithEngine(t, c, w1.WorkerID, g2)
+	r := <-resumed
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	direct, err := (&Engine{Cache: NewCache()}).RunPoints(pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(r.res.Outcomes)
+	want, _ := json.Marshal(direct.Outcomes)
+	if string(got) != string(want) {
+		t.Fatalf("resumed outcomes differ from a direct run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCompactionBetweenOperations: automatic compaction must capture
+// a state that matches the log, never one caught mid-operation — a
+// rejected lease's shard is out of the lease table but not yet
+// requeued when its burn is journaled. Lease/reject cycles run past
+// several automatic compactions, and after each one the log must
+// reopen to the live queue: the job's one shard pending, nothing lost.
+func TestCompactionBetweenOperations(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	cfg := CoordConfig{LeaseTTL: time.Minute, MaxAttempts: 1 << 20, StateDir: t.TempDir()}
+	c := openTestCoordinator(t, clk, cfg)
+	w, _ := c.RegisterWorker("w")
+	runLabeledAsync(c, "sw-1", testPoints(2))
+	for cycle, checked := 0, 0; checked < 5; cycle++ {
+		if cycle > 20*compactEvery {
+			t.Fatal("too few automatic compactions")
+		}
+		before := c.Counters().JournalCompactions
+		g, err := c.LeaseShard(w.WorkerID)
+		if err != nil || g == nil {
+			t.Fatalf("cycle %d lease: %v %v", cycle, g, err)
+		}
+		bad := fakeOutcomes(g)
+		bad[0].Key = "not-the-planned-key"
+		if err := c.CompleteShard(&CompleteRequest{LeaseID: g.LeaseID, WorkerID: w.WorkerID,
+			Outcomes: bad}); !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("cycle %d reject: %v", cycle, err)
+		}
+		if c.Counters().JournalCompactions == before {
+			continue
+		}
+		checked++
+		log, err := os.ReadFile(filepath.Join(cfg.StateDir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := openTestCoordinator(t, clk, CoordConfig{LeaseTTL: time.Minute, StateDir: dir})
+		if st := r.Status(); st.PendingShards != 1 || st.PendingPoints != 2 || st.ActiveLeases != 0 {
+			t.Fatalf("cycle %d: log compacted mid-operation reopens to %+v", cycle, st)
+		}
+		r.Halt()
+	}
+}
+
+// TestOpenRefusesLegacySnapshot: a state dir written by the
+// snapshot-plus-WAL format is refused by name, not half-read.
+func TestOpenRefusesLegacySnapshot(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "snapshot.json")
+	if err := os.WriteFile(legacy, []byte(`{"seq":3,"jobs":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenCoordinator(nil, CoordConfig{StateDir: dir})
+	if err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("open over a legacy snapshot: %v", err)
+	}
+}
+
+// FuzzJournalCompaction drives a durable coordinator through a random
+// sequence of submit, lease, complete, reject, expire, renew and halt
+// operations, then reopens the log it left twice: once raw, and once
+// from that log's compaction. Both must recover the same jobs,
+// pending shards, leases and attempts, and resume to the same
+// outcomes.
+func FuzzJournalCompaction(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 1, 5, 3, 6, 1, 2})
+	f.Add([]byte{0, 7, 1, 1, 4, 1, 3, 1, 2, 6, 14, 1, 9, 2, 13})
+	f.Add([]byte{21, 0, 1, 8, 1, 2, 3, 1, 4, 6, 1, 5, 6, 2, 0, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 48 {
+			ops = ops[:48]
+		}
+		clk := &fakeClock{t: time.Unix(1000, 0)}
+		cfg := CoordConfig{LeaseTTL: time.Minute, MaxAttempts: 2,
+			Planner: ShardPlanner{MaxPoints: 2}, StateDir: t.TempDir()}
+		c := openTestCoordinator(t, clk, cfg)
+		w, _ := c.RegisterWorker("w")
+		pool := testPoints(6)
+		var held []*LeaseGrant
+		labels := 0
+		for _, b := range ops {
+			arg := int(b / 7)
+			switch b % 7 {
+			case 0: // submit, labeled on even args
+				start := arg % 4
+				pts := pool[start : start+1+arg%3]
+				label := ""
+				if arg%2 == 0 {
+					labels++
+					label = fmt.Sprintf("sw-%d", labels)
+				}
+				submitJournaled(t, c, label, pts)
+			case 1: // lease
+				if g, err := c.LeaseShard(w.WorkerID); err == nil && g != nil {
+					held = append(held, g)
+				}
+			case 2: // complete, with errors on odd args
+				if len(held) > 0 {
+					c.CompleteShard(&CompleteRequest{LeaseID: held[0].LeaseID,
+						WorkerID: w.WorkerID, Outcomes: fuzzOutcomes(held[0], arg%2 == 1)})
+					held = held[1:]
+				}
+			case 3: // reject: a key that does not match the plan
+				if len(held) > 0 {
+					bad := fuzzOutcomes(held[0], false)
+					bad[0].Key = "not-the-planned-key"
+					c.CompleteShard(&CompleteRequest{LeaseID: held[0].LeaseID,
+						WorkerID: w.WorkerID, Outcomes: bad})
+					held = held[1:]
+				}
+			case 4: // expire every lease
+				clk.advance(2 * time.Minute)
+				c.Status()
+				held = nil
+			case 5: // renew
+				if len(held) > 0 {
+					c.RenewLease(w.WorkerID, held[0].LeaseID)
+				}
+			case 6: // crash and restart
+				c.Halt()
+				c = openTestCoordinator(t, clk, cfg)
+				for _, rj := range c.Recovered() {
+					go c.ResumeRecovered(rj.Label, nil)
+				}
+			}
+			settleJournal(t, c)
+		}
+		c.Halt()
+		raw, err := os.ReadFile(filepath.Join(cfg.StateDir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The clock stands still from here on: no restored lease expires,
+		// so nothing requeues in lease-table order.
+		reopen := func(log []byte) (*Coordinator, string) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "wal.log"), log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c := openTestCoordinator(t, clk, CoordConfig{LeaseTTL: cfg.LeaseTTL,
+				MaxAttempts: cfg.MaxAttempts, Planner: cfg.Planner, StateDir: dir})
+			return c, dir
+		}
+		fromRaw, dirRaw := reopen(raw)
+		compacted, err := os.ReadFile(filepath.Join(dirRaw, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromCompact, _ := reopen(compacted)
+
+		if a, b := fromRaw.Recovered(), fromCompact.Recovered(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("recovered jobs differ:\nraw       %+v\ncompacted %+v", a, b)
+		}
+		if a, b := queueOf(fromRaw), queueOf(fromCompact); !reflect.DeepEqual(a, b) {
+			t.Fatalf("recovered queues differ:\nraw       %+v\ncompacted %+v", a, b)
+		}
+		if a, b := resumeAll(t, fromRaw), resumeAll(t, fromCompact); !reflect.DeepEqual(a, b) {
+			t.Fatalf("resumed outcomes differ:\nraw       %v\ncompacted %v", a, b)
+		}
+	})
+}
+
+// submitJournaled starts a submission and returns once the coordinator
+// has queued it (classification and planning run under one lock hold,
+// so the submitted counter moving means both are done).
+func submitJournaled(t *testing.T, c *Coordinator, label string, pts []Point) {
+	t.Helper()
+	before := c.Counters().JobsSubmitted
+	go c.RunJob("", label, json.RawMessage(`{"fuzz":true}`), pts, nil)
+	for end := time.Now().Add(5 * time.Second); c.Counters().JobsSubmitted == before; {
+		if time.Now().After(end) {
+			t.Fatal("submission never queued")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// settleJournal waits until every finished job's waiter has journaled
+// its completion, so goroutine scheduling does not change the log a
+// fuzz input writes.
+func settleJournal(t *testing.T, c *Coordinator) {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); ; {
+		c.mu.Lock()
+		busy := false
+		for _, j := range c.jobs {
+			busy = busy || (!c.closed && j.res.Stats.done() == j.res.Stats.Points)
+		}
+		c.mu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(end) {
+			t.Fatal("finished job never collected")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// fuzzOutcomes completes a grant with results derived from each key,
+// so completions fill the cache and later plans strip cached points.
+func fuzzOutcomes(g *LeaseGrant, fail bool) []WireOutcome {
+	out := make([]WireOutcome, len(g.Items))
+	for i, it := range g.Items {
+		out[i] = WireOutcome{Key: it.Key, Result: &pipeline.Result{Name: it.Key[:8], Cycles: int64(i + 1)}}
+		if fail {
+			out[i] = WireOutcome{Key: it.Key, Err: "fuzz failure"}
+		}
+	}
+	return out
+}
+
+type queueState struct {
+	Seq     int
+	Pending []shardRec
+	Leases  []walRec
+	Shards  []shardRec // the leased shards, in lease order
+}
+
+func queueOf(c *Coordinator) queueState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	q := queueState{Seq: c.seq}
+	for _, sh := range c.pending {
+		q.Pending = append(q.Pending, shardState(sh))
+	}
+	ids := make([]string, 0, len(c.leases))
+	for id := range c.leases {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool { return idSeq(ids[a]) < idSeq(ids[b]) })
+	for _, id := range ids {
+		ls := c.leases[id]
+		q.Leases = append(q.Leases, leaseRecOf(ls))
+		q.Shards = append(q.Shards, shardState(ls.shard))
+	}
+	return q
+}
+
+// resumeAll finishes every recovered job: each restored lease is
+// completed by its pre-crash worker in lease order, a fresh worker
+// completes the rest, and each job's results come back as JSON keyed
+// by label.
+func resumeAll(t *testing.T, c *Coordinator) map[string]string {
+	t.Helper()
+	rec := c.Recovered()
+	results := make(chan [2]string, len(rec))
+	for _, rj := range rec {
+		go func(label string) {
+			res, err := c.ResumeRecovered(label, nil)
+			blob, _ := json.Marshal(res)
+			results <- [2]string{label, fmt.Sprint(string(blob), err)}
+		}(rj.Label)
+	}
+	complete := func(g *LeaseGrant, workerID string) {
+		if err := c.CompleteShard(&CompleteRequest{LeaseID: g.LeaseID, WorkerID: workerID,
+			Outcomes: fuzzOutcomes(g, false)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range queueOf(c).Leases {
+		g := &LeaseGrant{LeaseID: l.ID}
+		c.mu.Lock()
+		for _, u := range c.leases[l.ID].shard.units {
+			g.Items = append(g.Items, u.item)
+		}
+		c.mu.Unlock()
+		complete(g, l.Worker)
+	}
+	w, _ := c.RegisterWorker("resume")
+	for {
+		g, err := c.LeaseShard(w.WorkerID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g == nil {
+			break
+		}
+		complete(g, w.WorkerID)
+	}
+	out := map[string]string{}
+	for range rec {
+		select {
+		case r := <-results:
+			out[r[0]] = r[1]
+		case <-time.After(5 * time.Second):
+			t.Fatal("recovered job never finished")
+		}
+	}
+	return out
 }
