@@ -169,6 +169,7 @@ func TestFederationEndToEnd(t *testing.T) {
 // flips and swapped keys), and the sweep must still finish with
 // results identical to a local run — leases expire and requeue, bad
 // payloads bounce off verification, and the cache is never poisoned.
+// Once idle, the healthy workers report their trace cache on /workers.
 func TestFederationChaos(t *testing.T) {
 	srvCfg := ServerConfig{
 		LocalWorkers: -1,
@@ -279,6 +280,26 @@ func TestFederationChaos(t *testing.T) {
 	}
 	if job.Results.Stats.Errors != 0 {
 		t.Fatalf("chaos sweep stats: %+v", job.Results.Stats)
+	}
+
+	// Once idle, the healthy workers heartbeat the traces their process
+	// built, and /workers shows them per worker.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		var ws []sweep.WorkerStatus
+		if err := json.Unmarshal(getRaw(t, ts, "/workers"), &ws); err != nil {
+			t.Fatal(err)
+		}
+		reported := false
+		for _, w := range ws {
+			reported = reported || w.Name == "healthy" && w.TraceCache.Entries > 0 && w.TraceCache.Bytes > 0
+		}
+		if reported {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no healthy worker reported its trace cache: %+v", ws)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// The doomed worker's lease expired and its shard was requeued. (If

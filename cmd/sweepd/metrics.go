@@ -324,6 +324,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.sample("sweepd_worker_points_per_sec",
 			labels("worker", wk.Name, "id", wk.ID), wk.PointsPerSec)
 	}
+	// Each worker's trace cache, as its last heartbeat reported it: the
+	// memory a remote worker's traces hold, which its own process
+	// exports nowhere.
+	p.header("sweepd_worker_trace_cache_entries", "Emulated traces memoized in the worker's process, per worker.", "gauge")
+	for _, wk := range st.Workers {
+		p.sample("sweepd_worker_trace_cache_entries",
+			labels("worker", wk.Name, "id", wk.ID), float64(wk.TraceCache.Entries))
+	}
+	p.header("sweepd_worker_trace_cache_bytes", "Heap bytes held by the worker process's memoized traces, per worker.", "gauge")
+	for _, wk := range st.Workers {
+		p.sample("sweepd_worker_trace_cache_bytes",
+			labels("worker", wk.Name, "id", wk.ID), float64(wk.TraceCache.Bytes))
+	}
 
 	cc := s.coord.Counters()
 	p.counter("sweepd_journal_compactions_total", "Write-ahead log compactions (atomic rewrites) completed.", cc.JournalCompactions)

@@ -150,6 +150,15 @@ func TestMetricsExpositionLint(t *testing.T) {
 		IntRegs: []int{40, 48}, Scale: testScale}
 	id, _ := submitTraced(t, ts, g, "")
 	pollDone(t, ts, id)
+	// A remote worker reports its process's trace cache on heartbeats.
+	remote := sweep.NewClient(ts.URL)
+	reg, err := remote.RegisterWorker("remote")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := remote.HeartbeatWorker(reg.WorkerID, sweep.TraceCache{Entries: 3, Bytes: 12345}); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -305,6 +314,18 @@ func TestMetricsExpositionLint(t *testing.T) {
 		"sweepd_gc_pause_seconds_total", "sweepd_worker_points_per_sec"} {
 		if _, ok := typed[name]; !ok {
 			t.Errorf("runtime/worker metric %s missing", name)
+		}
+	}
+	for name, want := range map[string]float64{
+		"sweepd_worker_trace_cache_entries": 3,
+		"sweepd_worker_trace_cache_bytes":   12345,
+	} {
+		if typed[name] != "gauge" {
+			t.Errorf("%s: not exposed as a gauge (%q)", name, typed[name])
+		}
+		series := name + labels("worker", "remote", "id", reg.WorkerID)
+		if v, ok := values[series]; !ok || v != want {
+			t.Errorf("%s = %g (exposed %v), want %g from the heartbeat", series, v, ok, want)
 		}
 	}
 	// Job-store occupancy and journal health: the one sweep above is

@@ -860,13 +860,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var in struct {
-		WorkerID string `json:"worker_id"`
-	}
+	var in sweep.Heartbeat
 	if !decodeBounded(w, r, "heartbeat", &in) {
 		return
 	}
-	if err := s.coord.HeartbeatWorker(in.WorkerID); err != nil {
+	if err := s.coord.HeartbeatWorker(in.WorkerID, in.TraceCache); err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}

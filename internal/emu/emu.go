@@ -49,21 +49,27 @@ func (e *ErrLimit) Error() string {
 // recording the dynamic trace. It returns ErrLimit if the budget is
 // exhausted, or the fault that stopped execution; the partial trace is
 // still returned either way. Run first executes a clone of the machine
-// to count the instructions and their nonzero effective addresses, then
-// records into columns of exactly those sizes (trace.New), so every
-// column's capacity equals its length and the trace is never copied to
-// grow. The clone's memory is garbage once the counts are known.
+// to count the instructions, the memory instructions among them and the
+// JALRs that another instruction retires after, then records into
+// columns of exactly those sizes (trace.New), so every column's
+// capacity equals its length and the trace is never copied to grow.
+// The clone's memory is garbage once the counts are known.
 func (m *Machine) Run(maxInsts uint64) (*trace.Trace, error) {
 	// The counting run meets the same ErrLimit or fault as the
 	// recording run below.
 	probe := m.clone()
-	addrs := 0
+	mem, jalrs, jumped := 0, 0, false
 	_ = probe.each(maxInsts, func(e trace.Entry) {
-		if e.EffAddr != 0 {
-			addrs++
+		if jumped {
+			jalrs++
 		}
+		in := m.Prog.Insts[e.Idx]
+		if in.IsMem() {
+			mem++
+		}
+		jumped = in.IsIndirect()
 	})
-	tr := trace.New(m.Prog, int(probe.ICount-m.ICount), addrs)
+	tr := trace.New(m.Prog, int(probe.ICount-m.ICount), mem, jalrs)
 	err := m.each(maxInsts, tr.Append)
 	tr.End = m.PC
 	return tr, err

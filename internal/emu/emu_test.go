@@ -253,10 +253,10 @@ func TestTraceEntries(t *testing.T) {
 	checkTraceReplay(t, p, tr)
 	// Store entry must carry its effective address.
 	var sawStore bool
-	for i := 0; i < tr.Len(); i++ {
-		if tr.Inst(i).IsStore() {
+	for c := tr.Start(); c.Index() < tr.Len(); {
+		if e := tr.Next(&c); p.Insts[e.Idx].IsStore() {
 			sawStore = true
-			if tr.EffAddr(i) == 0 {
+			if e.EffAddr == 0 {
 				t.Error("store entry missing effective address")
 			}
 		}
@@ -349,40 +349,44 @@ func checkRunState(t *testing.T, p *program.Program, maxInsts uint64, m *Machine
 }
 
 // exactBytes is what tr's columns hold when each one's capacity equals
-// its length: the size trace.New reserves for tr's entry and address
-// counts.
+// its length: a taken bit per entry in 8-byte words, 8 bytes per
+// memory entry and 4 per JALR that has a successor.
 func exactBytes(tr *trace.Trace) int64 {
-	addrs := 0
-	for i := 0; i < tr.Len(); i++ {
-		if tr.EffAddr(i) != 0 {
-			addrs++
+	var mem, jalrs int64
+	jumped := false
+	for c := tr.Start(); c.Index() < tr.Len(); {
+		if jumped {
+			jalrs++
 		}
+		in := tr.Prog.Insts[tr.Next(&c).Idx]
+		if in.IsMem() {
+			mem++
+		}
+		jumped = in.IsIndirect()
 	}
-	return trace.New(tr.Prog, tr.Len(), addrs).Bytes()
+	return 8*((int64(tr.Len())+63)/64) + 8*mem + 4*jalrs
 }
 
-// checkTraceReplay steps a fresh machine through p alongside tr: every
-// entry must match the step, tr.PC(i) must be the PC before step i and
-// tr.NextPC(i) the PC after it (End for the last entry).
+// checkTraceReplay steps a fresh machine through p alongside a cursor
+// over tr: every entry must match the step, tr.PC must be the PC before
+// the step and, past it, the PC after (End past the last entry).
 func checkTraceReplay(t *testing.T, p *program.Program, tr *trace.Trace) {
 	t.Helper()
 	m := New(p)
-	for i := 0; i < tr.Len(); i++ {
-		if got := tr.PC(i); got != m.PC {
+	for c := tr.Start(); c.Index() < tr.Len(); {
+		i := c.Index()
+		if got := tr.PC(c); got != m.PC {
 			t.Fatalf("entry %d: PC = %#x, machine at %#x", i, got, m.PC)
-		}
-		if in, _ := p.FetchAt(m.PC); tr.Inst(i) != in {
-			t.Fatalf("entry %d: Inst = %v, machine fetches %v", i, tr.Inst(i), in)
 		}
 		e, err := m.Step()
 		if err != nil {
 			t.Fatalf("entry %d: replay step: %v", i, err)
 		}
-		if e != tr.At(i) {
-			t.Fatalf("entry %d: %+v, replay gives %+v", i, tr.At(i), e)
+		if got := tr.Next(&c); got != e {
+			t.Fatalf("entry %d: %+v, replay gives %+v", i, got, e)
 		}
-		if got := tr.NextPC(i); got != m.PC {
-			t.Fatalf("entry %d: NextPC = %#x, machine at %#x", i, got, m.PC)
+		if got := tr.PC(c); got != m.PC {
+			t.Fatalf("entry %d: next PC = %#x, machine at %#x", i, got, m.PC)
 		}
 	}
 	if tr.End != m.PC {

@@ -96,7 +96,7 @@ func (c *Core) skipIdle(maxCycles int64) {
 	// If fetch could make progress the moment its stall window closes,
 	// the window's end bounds the skip.
 	if !c.haltFetched && c.fqLen < c.cfg.FetchQueue &&
-		(c.wrongPath || c.cursor < c.tr.Len()) {
+		(c.wrongPath || c.cursor.Index() < c.tr.Len()) {
 		if c.fetchStallTil <= c.cycle {
 			// Fetch can act right now; the machine was not actually idle.
 			return

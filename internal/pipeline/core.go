@@ -18,9 +18,9 @@ const farFuture int64 = 1 << 60
 type uop struct {
 	release.Slot
 
-	inst     isa.Inst
-	pc       uint64
-	traceIdx int // index into the driving trace; -1 on the wrong path
+	inst isa.Inst
+	pc   uint64
+	cur  trace.Cursor // position in the driving trace; correct path only
 
 	// Predicates of inst, decoded once at fetch so the per-cycle loops
 	// never go back to the opcode table.
@@ -56,7 +56,8 @@ type fetchItem struct {
 	inst       isa.Inst
 	meta       instMeta
 	pc         uint64
-	traceIdx   int
+	cur        trace.Cursor
+	effAddr    uint64
 	wrongPath  bool
 	predTaken  bool
 	predNext   uint64
@@ -161,7 +162,7 @@ type Core struct {
 	fqLen  int
 
 	// fetch state
-	cursor        int // next trace index to fetch on the correct path
+	cursor        trace.Cursor // next trace entry to fetch on the correct path
 	wrongPath     bool
 	wrongPC       uint64
 	fetchStallTil int64
@@ -327,7 +328,7 @@ func (c *Core) init(cfg Config, tr *trace.Trace) error {
 		c.faults = nil
 	}
 
-	c.cursor = 0
+	c.cursor = tr.Start()
 	c.wrongPath, c.wrongPC = false, 0
 	c.fetchStallTil = 0
 	c.haltFetched = false
@@ -509,9 +510,9 @@ func (c *Core) commitStage() {
 			// uops are always younger than their unresolved branch.
 			panic("pipeline: wrong-path uop reached commit")
 		}
-		if c.faults != nil && c.faults[u.traceIdx] {
-			delete(c.faults, u.traceIdx)
-			c.raiseException(u.traceIdx)
+		if c.faults != nil && c.faults[u.cur.Index()] {
+			delete(c.faults, u.cur.Index())
+			c.raiseException(u.cur)
 			return
 		}
 		// Architectural checks (§4.3 taint) before the rename commit.
@@ -557,11 +558,11 @@ func (c *Core) commitStage() {
 	}
 }
 
-// raiseException performs precise-exception recovery at the instruction
-// with the given trace index: flush the window, rebuild the rename state
-// from the In-Order Map Tables, and restart fetch at the faulting
-// instruction (the handler's return point).
-func (c *Core) raiseException(traceIdx int) {
+// raiseException performs precise-exception recovery at the trace entry
+// at cur: flush the window, rebuild the rename state from the In-Order
+// Map Tables, and restart fetch at the faulting instruction (the
+// handler's return point) by restoring its cursor.
+func (c *Core) raiseException(cur trace.Cursor) {
 	c.exceptions++
 	// Flush every in-flight instruction. The free lists are rebuilt
 	// wholesale below, so individual squash releases are not performed.
@@ -592,7 +593,7 @@ func (c *Core) raiseException(traceIdx int) {
 	}
 	c.resyncAfterException()
 
-	c.cursor = traceIdx
+	c.cursor = cur
 	c.wrongPath = false
 	c.haltFetched = false
 	c.fetchStallTil = c.cycle + c.cfg.ExceptionPenalty

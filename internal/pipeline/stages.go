@@ -26,7 +26,7 @@ func (c *Core) fetchStage() {
 		if c.wrongPath {
 			pc = c.wrongPC
 		} else {
-			if c.cursor >= c.tr.Len() {
+			if c.cursor.Index() >= c.tr.Len() {
 				return
 			}
 			pc = c.tr.PC(c.cursor)
@@ -73,28 +73,27 @@ func (c *Core) fetchStage() {
 // the predictors, and switches to wrong-path mode if a prediction
 // diverges from the recorded execution.
 func (c *Core) fetchOnTrace(item *fetchItem) {
-	idx := c.tr.Idx(c.cursor)
-	taken := c.tr.Taken(c.cursor)
-	in := c.tr.Prog.Insts[idx]
-	pc := program.IndexToPC(int(idx))
-	next := c.tr.NextPC(c.cursor)
+	item.cur = c.cursor
+	e := c.tr.Next(&c.cursor)
+	in := c.tr.Prog.Insts[e.Idx]
+	pc := program.IndexToPC(int(e.Idx))
+	next := c.tr.PC(c.cursor)
 	item.inst = in
-	item.meta = c.dec.meta[idx]
+	item.meta = c.dec.meta[e.Idx]
 	item.pc = pc
-	item.traceIdx = c.cursor
+	item.effAddr = e.EffAddr
 	item.wrongPath = false
 	item.predTaken = false
 	item.predNext = 0
-	item.actTaken = taken
+	item.actTaken = e.Taken
 	item.actNext = next
 	item.snap = bpred.Snapshot{}
 	item.mispredict = false
-	c.cursor++
 	switch {
 	case item.meta.is(mBranch):
 		item.snap = c.bp.Snap()
 		item.predTaken = c.bp.Predict(pc)
-		if item.predTaken == taken {
+		if item.predTaken == e.Taken {
 			item.predNext = next
 		} else {
 			item.mispredict = true
@@ -142,7 +141,11 @@ func (c *Core) fetchWrongPath(pc uint64, item *fetchItem) {
 	item.inst = in
 	item.meta = *c.dec.at(pc)
 	item.pc = pc
-	item.traceIdx = -1
+	item.effAddr = 0
+	if item.meta.is(mMem) {
+		// Wrong-path memory op: synthesize a deterministic address.
+		item.effAddr = program.DataBase + (pc*2654435761)%(1<<16)
+	}
 	item.wrongPath = true
 	item.predTaken = false
 	item.actTaken = false
@@ -265,7 +268,7 @@ func (c *Core) renameStage() {
 		u.Slot = release.Slot{Seq: seq, WrongPath: item.wrongPath}
 		u.inst = in
 		u.pc = item.pc
-		u.traceIdx = item.traceIdx
+		u.cur = item.cur
 		u.isLoad = m.is(mLoad)
 		u.isStore = m.is(mStore)
 		u.isMem = m.is(mMem)
@@ -285,16 +288,8 @@ func (c *Core) renameStage() {
 		u.snap = item.snap
 		u.resolved = false
 		u.mispredicted = false
-		u.effAddr = 0
+		u.effAddr = item.effAddr
 		u.srcVer[0], u.srcVer[1] = 0, 0
-		if u.isMem {
-			if item.traceIdx >= 0 {
-				u.effAddr = c.tr.EffAddr(item.traceIdx)
-			} else {
-				// Wrong-path memory op: synthesize a deterministic address.
-				u.effAddr = program.DataBase + (item.pc*2654435761)%(1<<16)
-			}
-		}
 		// Operand classes for the release engine.
 		u.SrcClass = m.srcClass
 		u.SrcLog = [2]isa.Reg{in.Rs1, in.Rs2}
@@ -656,10 +651,10 @@ func (c *Core) recover(br *uop) {
 		c.tracer.note(c.cycle, fmt.Sprintf("RECOVER    seq=%d pc=%#06x squashed=%d",
 			br.Seq, br.pc, 0))
 	}
-	// Redirect fetch to the correct path.
+	// Redirect fetch to the correct path. Wrong-path fetch never moved
+	// the cursor, so it already stands at the entry after br.
 	c.wrongPath = false
 	c.haltFetched = false
-	c.cursor = br.traceIdx + 1
 	c.fetchStallTil = c.cycle + 1
 	c.lastFetchLine = 0
 }

@@ -79,6 +79,17 @@ type WorkerStatus struct {
 	// fed by the w:simulate span each completion piggybacks (0 until
 	// the first timed completion).
 	PointsPerSec float64 `json:"points_per_sec,omitempty"`
+	// TraceCache is the worker process's trace cache as of its last
+	// heartbeat (zero until the first).
+	TraceCache TraceCache `json:"trace_cache"`
+}
+
+// TraceCache is a worker process's memoized traces, as
+// workloads.TraceCacheStats counts them; workers send it on every
+// heartbeat.
+type TraceCache struct {
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 }
 
 // RegisterReply tells a fresh worker its identity and how often to
@@ -521,22 +532,29 @@ func (c *Coordinator) finishLocked(job *fedJob, idx int, o *Outcome) {
 // reapLocked expires overdue leases: each one's shard is requeued at
 // the front (another worker picks it up next) until MaxAttempts lease
 // grants have been burned, after which the shard's points fail with an
-// error outcome.
+// error outcome. Leases expiring together are burned in grant order,
+// not map order, so the queue, the journal and the spans they leave
+// are the same on every run: the last granted leads the queue, as
+// replaying the burn records rebuilds it.
 func (c *Coordinator) reapLocked(now time.Time) {
-	for id, ls := range c.leases {
-		if now.Before(ls.deadline) {
-			continue
+	var expired []*fedLease
+	for _, ls := range c.leases {
+		if !now.Before(ls.deadline) {
+			expired = append(expired, ls)
 		}
-		delete(c.leases, id)
+	}
+	sort.Slice(expired, func(i, j int) bool { return idSeq(expired[i].id) < idSeq(expired[j].id) })
+	for _, ls := range expired {
+		delete(c.leases, ls.id)
 		c.counters.LeaseExpiries++
-		c.journal(recTypeBurn, walRec{ID: id})
+		c.journal(recTypeBurn, walRec{ID: ls.id})
 		if w := c.workers[ls.workerID]; w != nil {
 			w.ActiveLeases--
 			w.Expiries++
 		}
 		c.spanLocked(ls.shard.job(), obs.Span{Name: "expire", Ref: ls.shard.id,
 			Worker: ls.workerID, StartNS: now.UnixNano(), EndNS: now.UnixNano(),
-			Detail: fmt.Sprintf("lease %s ttl elapsed", id)})
+			Detail: fmt.Sprintf("lease %s ttl elapsed", ls.id)})
 		c.abandonOrRequeueLocked(ls.shard, now)
 	}
 	for id, w := range c.workers {
@@ -597,8 +615,9 @@ func (c *Coordinator) RegisterWorker(name string) (RegisterReply, error) {
 	return RegisterReply{WorkerID: id, LeaseTTL: c.cfg.LeaseTTL}, nil
 }
 
-// HeartbeatWorker refreshes a worker's liveness timestamp.
-func (c *Coordinator) HeartbeatWorker(workerID string) error {
+// HeartbeatWorker refreshes a worker's liveness timestamp and records
+// its process's trace cache.
+func (c *Coordinator) HeartbeatWorker(workerID string, traces TraceCache) error {
 	c.mu.Lock()
 	defer c.unlock()
 	w := c.workers[workerID]
@@ -606,6 +625,7 @@ func (c *Coordinator) HeartbeatWorker(workerID string) error {
 		return ErrUnknownWorker
 	}
 	w.LastSeen = c.cfg.now()
+	w.TraceCache = traces
 	return nil
 }
 

@@ -290,7 +290,7 @@ func TestWorkerRegistryExpiry(t *testing.T) {
 
 	// Heartbeats keep a worker alive across the expiry horizon…
 	clk.advance(8 * time.Minute)
-	if err := c.HeartbeatWorker(stay.WorkerID); err != nil {
+	if err := c.HeartbeatWorker(stay.WorkerID, TraceCache{}); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(8 * time.Minute) // 16min > 10×TTL since `gone` was seen

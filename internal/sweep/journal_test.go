@@ -746,3 +746,65 @@ func resumeAll(t *testing.T, c *Coordinator) map[string]string {
 	}
 	return out
 }
+
+// TestReapBurnsInGrantOrder expires several leases in one reap, 100
+// times over: the burn records must follow grant order and the
+// requeued shards lead the queue last-granted first, the order that
+// replaying those records rebuilds. The lease ids cross from one digit
+// to two, where string order and grant order part.
+func TestReapBurnsInGrantOrder(t *testing.T) {
+	for rep := 0; rep < 100; rep++ {
+		clk := &fakeClock{t: time.Unix(1000, 0)}
+		dir := t.TempDir()
+		c := openTestCoordinator(t, clk, CoordConfig{StateDir: dir, LeaseTTL: time.Minute,
+			Planner: ShardPlanner{MaxPoints: 1}})
+		wk, _ := c.RegisterWorker("w")
+		done := runLabeledAsync(c, "reap", testPoints(4))
+		var leases, shards []string
+		for {
+			g, err := c.LeaseShard(wk.WorkerID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g == nil {
+				break
+			}
+			leases, shards = append(leases, g.LeaseID), append(shards, g.ShardID)
+		}
+		if len(leases) != 4 || leases[0] != "ls-8" || leases[3] != "ls-11" {
+			t.Fatalf("granted %v; want ls-8 … ls-11", leases)
+		}
+		clk.advance(2 * time.Minute)
+		c.Status() // one reap expires all four
+
+		c.mu.Lock()
+		var pending []string
+		for _, sh := range c.pending {
+			pending = append(pending, sh.id)
+		}
+		c.mu.Unlock()
+		var burned []string
+		for _, r := range walRecords(t, dir) {
+			if r.Type == recTypeBurn {
+				var w walRec
+				if err := json.Unmarshal(r.Payload, &w); err != nil {
+					t.Fatal(err)
+				}
+				burned = append(burned, w.ID)
+			}
+		}
+		if !reflect.DeepEqual(burned, leases) {
+			t.Fatalf("rep %d: burned %v; granted %v", rep, burned, leases)
+		}
+		if len(pending) != len(shards) {
+			t.Fatalf("rep %d: pending %v after expiring %v", rep, pending, shards)
+		}
+		for i, id := range pending {
+			if want := shards[len(shards)-1-i]; id != want {
+				t.Fatalf("rep %d: pending %v; want the granted shards %v last first", rep, pending, shards)
+			}
+		}
+		c.Close()
+		<-done
+	}
+}

@@ -275,8 +275,14 @@ func (c *Client) RegisterWorker(name string) (RegisterReply, error) {
 }
 
 // HeartbeatWorker implements WorkSource.
-func (c *Client) HeartbeatWorker(workerID string) error {
-	return c.postJSON(context.Background(), "/workers/heartbeat", map[string]string{"worker_id": workerID}, nil)
+func (c *Client) HeartbeatWorker(workerID string, traces TraceCache) error {
+	return c.postJSON(context.Background(), "/workers/heartbeat", Heartbeat{workerID, traces}, nil)
+}
+
+// Heartbeat is the body of POST /workers/heartbeat.
+type Heartbeat struct {
+	WorkerID   string     `json:"worker_id"`
+	TraceCache TraceCache `json:"trace_cache"`
 }
 
 // LeaseShard implements WorkSource: 204 means an empty queue, 404 an

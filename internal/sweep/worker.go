@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"earlyrelease/internal/obs"
+	"earlyrelease/internal/workloads"
 )
 
 // WorkSource is the coordinator surface a worker pulls from. The
@@ -16,7 +17,9 @@ import (
 // worker).
 type WorkSource interface {
 	RegisterWorker(name string) (RegisterReply, error)
-	HeartbeatWorker(workerID string) error
+	// HeartbeatWorker keeps an idle worker registered and reports its
+	// process's trace cache.
+	HeartbeatWorker(workerID string, traces TraceCache) error
 	// LeaseShard returns the next shard, or nil when the queue is empty.
 	LeaseShard(workerID string) (*LeaseGrant, error)
 	// RenewLease extends a lease this worker holds; the coordinator
@@ -92,8 +95,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		if grant == nil {
 			idle++
-			if idle%40 == 0 {
-				w.Source.HeartbeatWorker(id) // liveness while the queue is dry
+			if idle%40 == 1 {
+				// Liveness while the queue is dry, and the traces the
+				// work so far has left memoized.
+				n, b := workloads.TraceCacheStats()
+				w.Source.HeartbeatWorker(id, TraceCache{Entries: n, Bytes: b})
 			}
 			if !sleepCtx(ctx, poll) {
 				return nil

@@ -21,7 +21,7 @@ func (s *leaseSource) RegisterWorker(string) (RegisterReply, error) {
 	return RegisterReply{WorkerID: "wk-1"}, nil
 }
 
-func (s *leaseSource) HeartbeatWorker(string) error { return nil }
+func (s *leaseSource) HeartbeatWorker(string, TraceCache) error { return nil }
 
 func (s *leaseSource) LeaseShard(string) (*LeaseGrant, error) {
 	s.mu.Lock()

@@ -9,122 +9,164 @@ package trace
 
 import (
 	"fmt"
-	"math/bits"
 
 	"earlyrelease/internal/isa"
 	"earlyrelease/internal/program"
 )
 
 // Entry is one dynamically executed (retired) instruction, as the
-// emulator's Step returns it. The instruction itself and its address are
-// functions of Idx, and the address of the next retired instruction is
-// the next entry's, so neither is stored; Trace's accessors reconstruct
-// them.
+// emulator's Step returns it.
 type Entry struct {
 	EffAddr uint64 // effective address for memory operations
 	Idx     uint32 // index of the instruction in Prog.Insts
 	Taken   bool   // for control instructions: transfer taken
 }
 
-// Trace is a complete dynamic execution of a program, stored by column:
-// one instruction index per entry, one taken bit and one address bit per
-// entry, and only the nonzero effective addresses. Entry i's address is
-// addrs[rank[i/64] + (address bits set below i in its word)], so every
-// accessor is O(1) and random access (the pipeline's exception rewind)
-// costs no scan. An entry whose EffAddr is 0 stores no address and
-// reads back 0, the same value, so every Entry round-trips.
+// Trace is a complete dynamic execution of a program. It stores only
+// what the program cannot tell: one taken bit per entry, the effective
+// address of every memory entry (zeros included), and the instruction
+// index after every JALR that has a successor. Every other entry's
+// instruction follows from its predecessor's: the fall-through, or the
+// encoded target of a taken branch or JAL. A trace is therefore read
+// forward, through a Cursor. The zero Trace is not usable; call New.
 type Trace struct {
 	Prog *program.Program
-	End  uint64 // PC after the last entry: NextPC of the last instruction
+	End  uint64 // PC after the last entry, where the emulator stopped
 
-	idx   []uint32 // instruction index per entry
-	taken []uint64 // taken bit per entry, 64 entries per word
-	nz    []uint64 // nonzero-address bit per entry, 64 entries per word
-	rank  []uint32 // per word of nz: addresses stored before it
-	addrs []uint64 // the nonzero effective addresses, in trace order
+	n       int
+	first   uint32   // instruction index of entry 0
+	taken   []uint64 // taken bit per entry, 64 entries per word
+	addrs   []uint64 // effective address per memory entry
+	targets []uint32 // instruction index after each JALR, but the last entry
+
+	steps []step // per static instruction: how a cursor moves past it
+
+	// Append's state: the index the next entry must have, unless the
+	// last entry was a JALR, whose successor only the next entry tells.
+	want   uint32
+	jumped bool
 }
 
-// New returns an empty trace whose columns have room for exactly n
-// entries holding addrs nonzero effective addresses, so that appending
-// that many leaves every column's capacity equal to its length.
-func New(p *program.Program, n, addrs int) *Trace {
-	words := (n + 63) / 64
-	return &Trace{
-		Prog:  p,
-		idx:   make([]uint32, 0, n),
-		taken: make([]uint64, 0, words),
-		nz:    make([]uint64, 0, words),
-		rank:  make([]uint32, 0, words),
-		addrs: make([]uint64, 0, addrs),
+// step is what a cursor needs to move past one static instruction.
+type step struct {
+	taken uint32 // instruction index after a taken transfer
+	mem   bool   // the entry has an address in addrs
+	jalr  bool   // the successor comes from targets
+}
+
+// Cursor is a position in a trace: the entry number, that entry's
+// instruction index, and the positions of its address and target in
+// their columns. It is a small value; saving it and assigning it back
+// rewinds the trace with no scan.
+type Cursor struct {
+	i, idx, addr, tgt uint32
+}
+
+// Index returns the number of the entry at c.
+func (c Cursor) Index() int { return int(c.i) }
+
+// New returns an empty trace of p whose columns have room for exactly
+// n entries, mem memory entries and jalrs JALR targets, so that
+// appending that many leaves every column's capacity equal to its
+// length.
+func New(p *program.Program, n, mem, jalrs int) *Trace {
+	t := &Trace{
+		Prog:    p,
+		taken:   make([]uint64, 0, (n+63)/64),
+		addrs:   make([]uint64, 0, mem),
+		targets: make([]uint32, 0, jalrs),
+		steps:   make([]step, len(p.Insts)),
 	}
+	for i, in := range p.Insts {
+		s := &t.steps[i]
+		s.taken = uint32(i + 1)
+		if in.IsBranch() || in.Op == isa.JAL {
+			s.taken = uint32(int64(i) + 1 + in.Imm)
+		}
+		s.mem = in.IsMem()
+		s.jalr = in.IsIndirect()
+	}
+	return t
 }
 
-// Append records e as the trace's next entry.
+// Append records e as the trace's next entry. It panics if e does not
+// follow its predecessor, or if a non-memory entry carries an address:
+// the emulator is the only producer, so either is an emulator bug.
 func (t *Trace) Append(e Entry) {
-	i := len(t.idx)
-	if i&63 == 0 {
+	switch {
+	case t.n == 0:
+		t.first = e.Idx
+	case t.jumped:
+		t.targets = append(t.targets, e.Idx)
+	case e.Idx != t.want:
+		panic(fmt.Sprintf("trace: entry %d is instruction %d, but its predecessor leads to %d",
+			t.n, e.Idx, t.want))
+	}
+	s := &t.steps[e.Idx]
+	if t.n&63 == 0 {
 		t.taken = append(t.taken, 0)
-		t.nz = append(t.nz, 0)
-		t.rank = append(t.rank, uint32(len(t.addrs)))
 	}
-	bit := uint64(1) << (i & 63)
 	if e.Taken {
-		t.taken[i>>6] |= bit
+		t.taken[t.n>>6] |= 1 << (t.n & 63)
 	}
-	if e.EffAddr != 0 {
-		t.nz[i>>6] |= bit
+	if s.mem {
 		t.addrs = append(t.addrs, e.EffAddr)
+	} else if e.EffAddr != 0 {
+		panic(fmt.Sprintf("trace: entry %d (instruction %d) has address %#x but no memory access",
+			t.n, e.Idx, e.EffAddr))
 	}
-	t.idx = append(t.idx, e.Idx)
+	t.n++
+	t.jumped = s.jalr
+	t.want = e.Idx + 1
+	if e.Taken {
+		t.want = s.taken
+	}
 }
 
 // Len returns the number of dynamic instructions.
-func (t *Trace) Len() int { return len(t.idx) }
+func (t *Trace) Len() int { return t.n }
 
-// Idx returns the i-th dynamic instruction's index in Prog.Insts.
-func (t *Trace) Idx(i int) uint32 { return t.idx[i] }
+// Start returns a cursor at the first entry.
+func (t *Trace) Start() Cursor { return Cursor{idx: t.first} }
 
-// Taken reports whether the i-th dynamic instruction transferred
-// control.
-func (t *Trace) Taken(i int) bool { return t.taken[i>>6]>>(i&63)&1 != 0 }
-
-// EffAddr returns the i-th dynamic instruction's effective address, 0
-// for an instruction that has none.
-func (t *Trace) EffAddr(i int) uint64 {
-	w, b := i>>6, uint(i&63)
-	m := t.nz[w]
-	if m>>b&1 == 0 {
-		return 0
+// Next returns the entry at c and advances c past it. c must be before
+// the end of the trace.
+func (t *Trace) Next(c *Cursor) Entry {
+	s := &t.steps[c.idx]
+	e := Entry{Idx: c.idx, Taken: t.taken[c.i>>6]>>(c.i&63)&1 != 0}
+	if s.mem {
+		e.EffAddr = t.addrs[c.addr]
+		c.addr++
 	}
-	return t.addrs[int(t.rank[w])+bits.OnesCount64(m&(1<<b-1))]
+	switch {
+	case s.jalr:
+		if int(c.tgt) < len(t.targets) {
+			c.idx = t.targets[c.tgt]
+		}
+		c.tgt++
+	case e.Taken:
+		c.idx = s.taken
+	default:
+		c.idx++
+	}
+	c.i++
+	return e
 }
 
-// At returns the i-th dynamic instruction as the emulator recorded it.
-func (t *Trace) At(i int) Entry {
-	return Entry{EffAddr: t.EffAddr(i), Idx: t.idx[i], Taken: t.Taken(i)}
+// PC returns the address of the entry at c, or End past the last
+// entry.
+func (t *Trace) PC(c Cursor) uint64 {
+	if int(c.i) >= t.n {
+		return t.End
+	}
+	return program.IndexToPC(int(c.idx))
 }
 
 // Bytes returns the heap bytes the trace's columns hold: their
 // capacities times their element sizes.
 func (t *Trace) Bytes() int64 {
-	return 4*int64(cap(t.idx)) + 8*int64(cap(t.taken)+cap(t.nz)) +
-		4*int64(cap(t.rank)) + 8*int64(cap(t.addrs))
+	return 8*int64(cap(t.taken)+cap(t.addrs)) + 4*int64(cap(t.targets))
 }
-
-// PC returns the address of the i-th dynamic instruction.
-func (t *Trace) PC(i int) uint64 { return program.IndexToPC(int(t.idx[i])) }
-
-// NextPC returns the address of the instruction retired after the i-th:
-// the next entry's PC, or End for the last entry.
-func (t *Trace) NextPC(i int) uint64 {
-	if i+1 < len(t.idx) {
-		return t.PC(i + 1)
-	}
-	return t.End
-}
-
-// Inst returns the i-th dynamic instruction's static instruction.
-func (t *Trace) Inst(i int) isa.Inst { return t.Prog.Insts[t.idx[i]] }
 
 // Mix summarizes the dynamic instruction mix of a trace; the workload
 // tests use it to verify SPEC95-like characteristics.
@@ -145,13 +187,14 @@ type Mix struct {
 // DynamicMix computes the dynamic instruction mix.
 func (t *Trace) DynamicMix() Mix {
 	var m Mix
-	m.Total = len(t.idx)
-	for i, idx := range t.idx {
-		in := t.Prog.Insts[idx]
+	m.Total = t.n
+	for c := t.Start(); c.Index() < t.n; {
+		e := t.Next(&c)
+		in := t.Prog.Insts[e.Idx]
 		switch {
 		case in.IsBranch():
 			m.Branches++
-			if t.Taken(i) {
+			if e.Taken {
 				m.TakenBr++
 			}
 		case in.IsJump():

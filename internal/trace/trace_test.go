@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -41,87 +40,94 @@ func TestDynamicMix(t *testing.T) {
 	}
 }
 
+// TestAccessors reads a trace with a loop, a call and a return back
+// through a cursor: every entry, the PC before and after it, and End
+// past the last one; a saved cursor rewinds the walk.
 func TestAccessors(t *testing.T) {
-	prog := &program.Program{Insts: []isa.Inst{{Op: isa.NOP}, {Op: isa.ADD, Rd: 3}, {Op: isa.HALT}}}
-	tr := build(prog, []Entry{{Idx: 1}, {Idx: 2}})
-	tr.End = 0x100c
-	if tr.Len() != 2 || tr.At(1).Idx != 2 || tr.Idx(0) != 1 {
-		t.Errorf("Len/At/Idx broken")
+	prog := &program.Program{Insts: []isa.Inst{
+		{Op: isa.LD, Rd: 1},               // 0
+		{Op: isa.BNE, Rs1: 1, Imm: -2},    // 1: back to 0
+		{Op: isa.JAL, Rd: isa.RA, Imm: 1}, // 2: call 4
+		{Op: isa.HALT},                    // 3
+		{Op: isa.JALR, Rs1: isa.RA},       // 4: return to 3
+	}}
+	es := []Entry{
+		{Idx: 0, EffAddr: 0x2000}, {Idx: 1, Taken: true},
+		{Idx: 0}, {Idx: 1},
+		{Idx: 2, Taken: true}, {Idx: 4, Taken: true}, {Idx: 3},
 	}
-	if tr.PC(0) != 0x1004 || tr.PC(1) != 0x1008 {
-		t.Errorf("PC = %#x, %#x", tr.PC(0), tr.PC(1))
+	tr := build(prog, es)
+	tr.End = 0x1010
+	if tr.Len() != len(es) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(es))
 	}
-	if tr.NextPC(0) != 0x1008 || tr.NextPC(1) != tr.End {
-		t.Errorf("NextPC = %#x, %#x", tr.NextPC(0), tr.NextPC(1))
+	// 8 B of taken bits, two addresses (the zero one too), one target.
+	if tr.Bytes() != 8+2*8+4 {
+		t.Errorf("Bytes = %d, want %d", tr.Bytes(), 8+2*8+4)
 	}
-	if tr.Inst(0).Op != isa.ADD || tr.Inst(1).Op != isa.HALT {
-		t.Errorf("Inst = %v, %v", tr.Inst(0), tr.Inst(1))
+	var mark Cursor
+	for pass := 0; pass < 2; pass++ {
+		c := tr.Start()
+		if pass == 1 {
+			c = mark
+		}
+		for c.Index() < tr.Len() {
+			i := c.Index()
+			if i == 2 {
+				mark = c
+			}
+			if pc := tr.PC(c); pc != program.IndexToPC(int(es[i].Idx)) {
+				t.Fatalf("pass %d entry %d: PC = %#x", pass, i, pc)
+			}
+			if e := tr.Next(&c); e != es[i] {
+				t.Fatalf("pass %d entry %d = %+v, appended %+v", pass, i, e, es[i])
+			}
+		}
+		if tr.PC(c) != tr.End {
+			t.Errorf("PC past the end = %#x, want End %#x", tr.PC(c), tr.End)
+		}
+	}
+}
+
+// TestAppendRejectsAnUnfollowedEntry appends an entry its predecessor
+// cannot lead to, and one that carries an address without a memory
+// access: both are emulator bugs, and Append must panic.
+func TestAppendRejectsAnUnfollowedEntry(t *testing.T) {
+	prog := &program.Program{Insts: []isa.Inst{
+		{Op: isa.ADD, Rd: 1}, {Op: isa.BEQ, Imm: 1}, {Op: isa.NOP}, {Op: isa.HALT},
+	}}
+	for name, es := range map[string][]Entry{
+		"skips fall-through": {{Idx: 0}, {Idx: 2}},
+		"ignores taken":      {{Idx: 1, Taken: true}, {Idx: 2}},
+		"takes not-taken":    {{Idx: 1}, {Idx: 3}},
+		"address on an ADD":  {{Idx: 0, EffAddr: 8}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Append did not panic", name)
+				}
+			}()
+			build(prog, es)
+		}()
 	}
 }
 
 // build appends es to a trace sized for them by New.
 func build(p *program.Program, es []Entry) *Trace {
-	addrs := 0
-	for _, e := range es {
-		if e.EffAddr != 0 {
-			addrs++
+	mem, jalrs := 0, 0
+	for i, e := range es {
+		in := p.Insts[e.Idx]
+		if in.IsMem() {
+			mem++
+		}
+		if in.IsIndirect() && i+1 < len(es) {
+			jalrs++
 		}
 	}
-	tr := New(p, len(es), addrs)
+	tr := New(p, len(es), mem, jalrs)
 	for _, e := range es {
 		tr.Append(e)
 	}
 	return tr
-}
-
-// FuzzTraceColumns appends a seeded stream of n entries, each with a
-// nonzero address with probability density/256, and reads every entry
-// back through At and the column accessors. The seeds cover the empty
-// trace, all-zero and all-nonzero address runs, and lengths on each
-// side of the 64-entry word boundaries. A trace sized by New holds
-// exactly its columns' lengths; one grown from the zero Trace reads
-// back the same.
-func FuzzTraceColumns(f *testing.F) {
-	for _, n := range []uint16{0, 1, 63, 64, 65, 127, 128, 129, 200} {
-		for _, density := range []uint8{0, 64, 255} {
-			f.Add(n, density, uint64(n)*31+uint64(density))
-		}
-	}
-	f.Fuzz(func(t *testing.T, n uint16, density uint8, seed uint64) {
-		n %= 4096
-		rng := rand.New(rand.NewSource(int64(seed)))
-		es := make([]Entry, n)
-		addrs := 0
-		for i := range es {
-			es[i] = Entry{Idx: rng.Uint32(), Taken: rng.Intn(2) == 1}
-			if rng.Intn(256) < int(density) {
-				es[i].EffAddr = rng.Uint64() | 1
-				addrs++
-			}
-		}
-		tr := build(nil, es)
-		var grown Trace
-		for _, e := range es {
-			grown.Append(e)
-		}
-		if tr.Len() != len(es) || grown.Len() != len(es) {
-			t.Fatalf("Len = %d, %d; want %d", tr.Len(), grown.Len(), len(es))
-		}
-		for i, e := range es {
-			if got := tr.At(i); got != e {
-				t.Fatalf("At(%d) = %+v, appended %+v", i, got, e)
-			}
-			if got := grown.At(i); got != e {
-				t.Fatalf("grown At(%d) = %+v, appended %+v", i, got, e)
-			}
-			if tr.Idx(i) != e.Idx || tr.Taken(i) != e.Taken || tr.EffAddr(i) != e.EffAddr {
-				t.Fatalf("entry %d: Idx/Taken/EffAddr = %d/%v/%#x, appended %+v",
-					i, tr.Idx(i), tr.Taken(i), tr.EffAddr(i), e)
-			}
-		}
-		words := (int64(n) + 63) / 64
-		if exact := 4*int64(n) + 20*words + 8*int64(addrs); tr.Bytes() != exact {
-			t.Fatalf("%d entries, %d addresses hold %d B; %d B at exact size", n, addrs, tr.Bytes(), exact)
-		}
-	})
 }

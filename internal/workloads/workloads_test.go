@@ -1,12 +1,14 @@
 package workloads
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"earlyrelease/internal/emu"
 	"earlyrelease/internal/isa"
+	"earlyrelease/internal/trace"
 )
 
 const testScale = 60_000
@@ -151,9 +153,10 @@ func TestTraceSharedAcrossScales(t *testing.T) {
 		t.Fatalf("shared trace has %d entries ending at %#x; fresh emulation %d at %#x",
 			large.Len(), large.End, fresh.Len(), fresh.End)
 	}
-	for i := 0; i < fresh.Len(); i++ {
-		if fresh.At(i) != large.At(i) {
-			t.Fatalf("entry %d: shared %+v, fresh %+v", i, large.At(i), fresh.At(i))
+	shared := entries(large)
+	for i, e := range entries(fresh) {
+		if e != shared[i] {
+			t.Fatalf("entry %d: shared %+v, fresh %+v", i, shared[i], e)
 		}
 	}
 
@@ -167,15 +170,16 @@ func TestTraceSharedAcrossScales(t *testing.T) {
 }
 
 // TestTraceFootprint pins the trace's memory layout. Each column holds
-// exactly its length: a 4-byte instruction index per entry, a taken and
-// an address bitmap word and a 4-byte rank per 64 entries, and 8 bytes
-// per nonzero address. No column keeps the emulator's instruction budget
-// (scale×8 + 1e6 entries here, about a hundred times the length) or
-// append's growth slack, and the 16 traces together hold at most 8 B
-// per instruction. The trace's program keeps no data segment.
+// exactly its length: a taken bit per entry in 8-byte words, 8 bytes per
+// memory entry and 4 bytes per JALR target. No column keeps the
+// emulator's instruction budget (scale×8 + 1e6 entries here, about a
+// hundred times the length) or append's growth slack, and the 16
+// traces together hold at most 3 B per instruction. The trace's
+// program keeps no data segment.
 // The traces build concurrently while TraceCacheStats is polled, as a
 // /metrics scrape would, and it must end up counting exactly these
-// traces and their bytes.
+// traces and their bytes. Appending a kernel's entries again with one
+// that does not follow its predecessor panics.
 func TestTraceFootprint(t *testing.T) {
 	ClearTraceCache()
 	defer ClearTraceCache()
@@ -201,16 +205,20 @@ func TestTraceFootprint(t *testing.T) {
 	var bytes, insts int64
 	for _, w := range All() {
 		tr := w.MustTrace(scale)
-		n, addrs := int64(tr.Len()), int64(0)
-		for i := 0; i < tr.Len(); i++ {
-			if tr.EffAddr(i) != 0 {
-				addrs++
+		es := entries(tr)
+		n, mem, jalrs := int64(len(es)), int64(0), int64(0)
+		for i, e := range es {
+			in := tr.Prog.Insts[e.Idx]
+			if in.IsMem() {
+				mem++
+			}
+			if in.IsIndirect() && i+1 < len(es) {
+				jalrs++
 			}
 		}
-		words := (n + 63) / 64
-		if exact := 4*n + (8+8+4)*words + 8*addrs; tr.Bytes() != exact {
-			t.Errorf("%s: %d entries, %d addresses hold %d B; %d B at exact size",
-				w.Name, n, addrs, tr.Bytes(), exact)
+		if exact := 8*((n+63)/64) + 8*mem + 4*jalrs; tr.Bytes() != exact {
+			t.Errorf("%s: %d entries, %d memory, %d JALR targets hold %d B; %d B at exact size",
+				w.Name, n, mem, jalrs, tr.Bytes(), exact)
 		}
 		if tr.Prog.Data != nil {
 			t.Errorf("%s: memoized trace keeps a %d-byte data segment", w.Name, len(tr.Prog.Data))
@@ -221,9 +229,43 @@ func TestTraceFootprint(t *testing.T) {
 	if n, b := TraceCacheStats(); n != len(All()) || b != bytes {
 		t.Errorf("TraceCacheStats = %d traces, %d B; want %d, %d", n, b, len(All()), bytes)
 	}
-	if perInst := float64(bytes) / float64(insts); perInst > 8 {
-		t.Errorf("traces hold %.2f B per instruction, want at most 8", perInst)
+	perInst := float64(bytes) / float64(insts)
+	if perInst > 3 {
+		t.Errorf("traces hold %.2f B per instruction, want at most 3", perInst)
 	}
+	t.Logf("%d traces, %d instructions: %.2f B per instruction", len(All()), insts, perInst)
+
+	w, _ := ByName("tomcatv")
+	tr := w.MustTrace(scale)
+	es := entries(tr)
+	es[len(es)/2].Idx++ // no instruction leads to its successor
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "predecessor") {
+			t.Errorf("Append of an entry that does not follow its predecessor: panic %q", msg)
+		}
+	}()
+	bad := trace.New(tr.Prog, len(es), 0, 0)
+	for _, e := range es {
+		bad.Append(e)
+	}
+}
+
+// entries reads every entry of tr through a cursor.
+func entries(tr *trace.Trace) []trace.Entry {
+	es := make([]trace.Entry, 0, tr.Len())
+	for c := tr.Start(); c.Index() < tr.Len(); {
+		es = append(es, tr.Next(&c))
+	}
+	return es
+}
+
+// insts returns the static instruction of every entry of tr.
+func insts(tr *trace.Trace) []isa.Inst {
+	ins := make([]isa.Inst, 0, tr.Len())
+	for _, e := range entries(tr) {
+		ins = append(ins, tr.Prog.Insts[e.Idx])
+	}
+	return ins
 }
 
 // TestGoUsesRealCalls ensures the go kernel exercises JAL/JALR (the RAS
@@ -232,8 +274,7 @@ func TestGoUsesRealCalls(t *testing.T) {
 	w, _ := ByName("go")
 	tr := w.MustTrace(testScale)
 	var calls, rets int
-	for i := 0; i < tr.Len(); i++ {
-		in := tr.Inst(i)
+	for _, in := range insts(tr) {
 		if in.Op == isa.JAL && in.Rd == isa.RA {
 			calls++
 		}
@@ -292,8 +333,7 @@ func TestRdescentIsCallHeavy(t *testing.T) {
 	w, _ := ByName("rdescent")
 	tr := w.MustTrace(testScale)
 	var calls, rets int
-	for i := 0; i < tr.Len(); i++ {
-		in := tr.Inst(i)
+	for _, in := range insts(tr) {
 		if in.Op == isa.JAL && in.Rd == isa.RA {
 			calls++
 		}
@@ -327,8 +367,8 @@ func TestAppluHasDivides(t *testing.T) {
 	w, _ := ByName("applu")
 	tr := w.MustTrace(testScale)
 	var divs int
-	for i := 0; i < tr.Len(); i++ {
-		if tr.Inst(i).Op == isa.FDIV {
+	for _, in := range insts(tr) {
+		if in.Op == isa.FDIV {
 			divs++
 		}
 	}
