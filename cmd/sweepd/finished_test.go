@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -47,8 +48,10 @@ func encodeDoc(t *testing.T, v any) []byte {
 
 // runKeepingResults runs g the way runJob does, but keeps the
 // coordinator's full Results and returns the document a server that
-// retained them would serve: the job with Results attached.
-func runKeepingResults(t *testing.T, srv *Server, g sweep.Grid) (id string, full []byte) {
+// retained them would serve: the job with Results attached. saveErr
+// stands in for a cache-persistence failure, and jobErr for a job
+// that failed.
+func runKeepingResults(t *testing.T, srv *Server, g sweep.Grid, saveErr string, jobErr error) (id string, full []byte) {
 	t.Helper()
 	job := &sweepJob{State: "running", Grid: g, TraceID: "tr-doc"}
 	srv.mu.Lock()
@@ -69,9 +72,13 @@ func runKeepingResults(t *testing.T, srv *Server, g sweep.Grid) (id string, full
 	srv.mu.Lock()
 	doc := *job
 	srv.mu.Unlock()
+	res.SaveErr = saveErr
 	doc.State, doc.Results = "done", res
+	if jobErr != nil {
+		doc.Err = jobErr.Error()
+	}
 	full = encodeDoc(t, doc)
-	srv.finishJob(job, res, nil)
+	srv.finishJob(job, res, jobErr)
 	return job.ID, full
 }
 
@@ -107,9 +114,12 @@ func checkFinishedDoc(t *testing.T, srv *Server, ts *httptest.Server, id string,
 
 // TestFinishedDocumentByteIdentity pins the GET /sweep/{id} bytes of a
 // compacted finished job to those of the same job holding its full
-// outcome list: fresh, fully cached, and with both key errors (an
-// unknown policy fails Point.Key) and simulation errors (an unknown
-// workload keys fine but fails to run).
+// outcome list: fresh, fully cached, with both key errors (an unknown
+// policy fails Point.Key) and simulation errors (an unknown workload
+// keys fine but fails to run), with a cache-persistence error, and
+// with a job error. The streamed writer lays out the results object,
+// save_err and err by hand; the strings carry characters the encoder
+// escapes.
 func TestFinishedDocumentByteIdentity(t *testing.T) {
 	ts, srv := newTestServer(t)
 	grids := map[string]sweep.Grid{
@@ -118,12 +128,20 @@ func TestFinishedDocumentByteIdentity(t *testing.T) {
 		"errors": {Workloads: []string{"go", "nope"}, Policies: []string{"conv", "bogus"},
 			IntRegs: []int{48}, BPredBits: []int{31, 0}, Scale: 2000},
 	}
-	for _, name := range []string{"fresh", "cached", "errors"} {
+	for _, name := range []string{"fresh", "cached", "errors", "save_err", "err"} {
 		g, ok := grids[name]
 		if !ok {
 			g = grids["fresh"]
 		}
-		id, full := runKeepingResults(t, srv, g)
+		var saveErr string
+		var jobErr error
+		switch name {
+		case "save_err":
+			saveErr = "store: sync <segment> & \"manifest\": no space left on device"
+		case "err":
+			jobErr = errors.New("sweep: coordinator closed <&> \"mid-job\"")
+		}
+		id, full := runKeepingResults(t, srv, g, saveErr, jobErr)
 		t.Run(name, func(t *testing.T) { checkFinishedDoc(t, srv, ts, id, full) })
 	}
 
@@ -150,6 +168,50 @@ func TestFinishedDocumentByteIdentity(t *testing.T) {
 	if keyErrs == 0 || simErrs == 0 {
 		t.Errorf("errors job: %d key errors, %d simulation errors", keyErrs, simErrs)
 	}
+
+	// Layouts no grid produces: an empty outcome list (every grid
+	// expands to at least one point), and an outcome with no cached
+	// flag, error or result.
+	t.Run("empty", func(t *testing.T) {
+		job, _ := srv.snapshot("sw-5")
+		if job.finished == nil || job.Err == "" {
+			t.Fatal("sw-5 is not a compacted failed job")
+		}
+		points, keys := gridOutcomeKeys(job.Grid)
+		bare := *job.finished
+		bare.results = append([]*pipeline.Result(nil), bare.results...)
+		bare.cached = append([]bool(nil), bare.cached...)
+		bare.results[0], bare.cached[0] = nil, false
+		cases := []struct {
+			name   string
+			f      *finishedSweep
+			points []sweep.Point
+			keys   []string
+		}{
+			{"no outcomes", &finishedSweep{}, nil, nil},
+			{"bare outcome", &bare, points, keys},
+		}
+		for _, c := range cases {
+			doc := job
+			doc.Results = expandRef(c.f, c.points, c.keys)
+			rec := httptest.NewRecorder()
+			c.f.writeFinished(rec, job, c.points, c.keys)
+			if got, want := rec.Body.Bytes(), encodeDoc(t, doc); !bytes.Equal(got, want) {
+				t.Errorf("%s: streamed document differs\ngot:  %.600s\nwant: %.600s", c.name, got, want)
+			}
+		}
+	})
+}
+
+// expandRef rebuilds the full Results that f holds in compact form:
+// the oracle the streamed document is checked against.
+func expandRef(f *finishedSweep, points []sweep.Point, keys []string) *sweep.Results {
+	res := &sweep.Results{Outcomes: []*sweep.Outcome{}, Stats: f.stats, SaveErr: f.saveErr}
+	for i, pt := range points {
+		res.Outcomes = append(res.Outcomes, &sweep.Outcome{Point: pt, Key: keys[i],
+			Cached: f.cached[i], Err: f.errs[i], Result: f.results[i]})
+	}
+	return res
 }
 
 // TestFinishedJobKeepsMismatchedResults: results whose outcome keys do
@@ -554,5 +616,134 @@ func TestJournalDegradedGauge(t *testing.T) {
 	}
 	if v := metricValue(t, m, "sweepd_journal_compactions_total"); v != 1 {
 		t.Errorf("failed compaction counted: sweepd_journal_compactions_total %g", v)
+	}
+}
+
+// discardResponse is a ResponseWriter that counts and drops the body.
+type discardResponse struct {
+	header http.Header
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// finishedAcceptanceSweep returns the handler of a pure coordinator
+// holding one finished, fully cached acceptance-grid sweep, and the
+// sweep's id.
+// The cached results are the pipeline's golden fixtures, cycled over
+// the grid's keys, so the document has the size of a simulated one.
+func finishedAcceptanceSweep(tb testing.TB) (http.Handler, string) {
+	tb.Helper()
+	blob, err := os.ReadFile(filepath.Join("..", "..", "internal", "pipeline", "testdata", "golden.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var golden map[string]*pipeline.Result
+	if err := json.Unmarshal(blob, &golden); err != nil {
+		tb.Fatal(err)
+	}
+	var results []*pipeline.Result
+	for _, r := range golden {
+		results = append(results, r)
+	}
+	g := acceptanceGrid(testScale)
+	cache := sweep.NewCache()
+	for i, key := range gridKeys(g) {
+		cache.Put(key, results[i%len(results)])
+	}
+	srv := NewServerWith(ServerConfig{Cache: cache, LocalWorkers: -1})
+	tb.Cleanup(srv.Close)
+	h := srv.Handler()
+	body, err := json.Marshal(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+	var sub struct{ ID string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil {
+		tb.Fatalf("submit: %v: %s", err, rec.Body.Bytes())
+	}
+	deadline := time.Now().Add(time.Minute)
+	for job, _ := srv.snapshot(sub.ID); job.finished == nil; job, _ = srv.snapshot(sub.ID) {
+		if time.Now().After(deadline) {
+			tb.Fatalf("job %s was not compacted: %+v", sub.ID, job)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return h, sub.ID
+}
+
+// getFinished serves one GET /sweep/{id} into a discarding writer and
+// returns the body's size.
+func getFinished(h http.Handler, id string) int {
+	w := &discardResponse{header: http.Header{}}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/sweep/"+id, nil))
+	return w.n
+}
+
+// TestFinishedGetAllocatesUnderDocumentSize: reading a finished sweep
+// costs memory for one outcome at a time, not for the document. A GET
+// of a cached 192-point acceptance-grid sweep must allocate less than
+// the bytes it sends; building the outcome list and marshalling the
+// whole document allocated about 5.3 times them.
+func TestFinishedGetAllocatesUnderDocumentSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation figures under the race detector")
+	}
+	h, id := finishedAcceptanceSweep(t)
+	size := getFinished(h, id)
+	const reads = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		getFinished(h, id)
+	}
+	runtime.ReadMemStats(&after)
+	per := int64(after.TotalAlloc-before.TotalAlloc) / reads
+	t.Logf("GET of a %d B document allocates %d B (%.2f×)", size, per, float64(per)/float64(size))
+	if per >= int64(size) {
+		t.Errorf("GET of a %d B finished document allocates %d B, want less than the document", size, per)
+	}
+}
+
+// failingResponse is a ResponseWriter whose connection is gone: every
+// write fails.
+type failingResponse struct {
+	discardResponse
+	writes int
+}
+
+func (f *failingResponse) Write([]byte) (int, error) {
+	f.writes++
+	return 0, io.ErrClosedPipe
+}
+
+// TestFinishedStreamStopsAtWriteError: a finished document goes out in
+// several writes, and a failed one ends the stream.
+func TestFinishedStreamStopsAtWriteError(t *testing.T) {
+	h, id := finishedAcceptanceSweep(t)
+	if size := getFinished(h, id); size < 2*streamFlushBytes {
+		t.Fatalf("a %d B document does not take several writes", size)
+	}
+	w := &failingResponse{discardResponse: discardResponse{header: http.Header{}}}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/sweep/"+id, nil))
+	if w.writes != 1 {
+		t.Errorf("%d writes after the first one failed, want none", w.writes-1)
+	}
+}
+
+// BenchmarkFinishedSweepGet serves GET /sweep/{id} of a finished, fully
+// cached 192-point acceptance-grid sweep into a discarding writer,
+// through the server's whole handler chain.
+func BenchmarkFinishedSweepGet(b *testing.B) {
+	h, id := finishedAcceptanceSweep(b)
+	b.SetBytes(int64(getFinished(h, id)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		getFinished(h, id)
 	}
 }

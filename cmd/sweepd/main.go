@@ -42,6 +42,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -72,6 +73,12 @@ func main() {
 	flag.Func("tenant", "provision one tenant, name:token[:rate=R][:burst=B][:grid=N][:pending=N][:jobs=N] (repeatable; implies enforcement)",
 		func(s string) error { tenantSpecs = append(tenantSpecs, s); return nil })
 	flag.Parse()
+	if !*enablePprof {
+		// No route can read a heap profile, so sample none: the
+		// profiler's bucket table is resident memory every process
+		// would otherwise carry.
+		runtime.MemProfileRate = 0
+	}
 
 	switch *role {
 	case "worker":

@@ -167,9 +167,9 @@ const maxRetainedSweeps = 128
 // document stays byte-identical to the pre-tenancy API.
 //
 // A finished job keeps its results in the compact finished form, and
-// Results stays nil: GET /sweep/{id} rebuilds it for each read. Results
-// is retained only for a job whose outcomes do not match its grid (see
-// compactResults).
+// Results stays nil: GET /sweep/{id} streams the outcomes from it for
+// each read. Results is retained only for a job whose outcomes do not
+// match its grid (see compactChecked).
 type sweepJob struct {
 	ID       string         `json:"id"`
 	State    string         `json:"state"` // "running" or "done"
@@ -480,18 +480,22 @@ func (s *Server) runJob(job *sweepJob, g sweep.Grid, points []sweep.Point, adm *
 		job.Progress = p
 		s.mu.Unlock()
 	})
-	s.finishJob(job, res, err)
+	s.publishJob(job, res, compactResults(res), err)
 }
 
-// finishJob publishes a sweep's terminal state, shared by the submit
-// and resume paths. The results are compacted first, off the lock; the
-// grid it reads never changes after submission.
+// finishJob publishes the terminal state of a sweep whose outcomes did
+// not come from a RunJob over its grid's expansion (a resumed job's),
+// compacting them only if they match the grid. The check runs off the
+// lock; the grid it reads never changes after submission.
 func (s *Server) finishJob(job *sweepJob, res *sweep.Results, err error) {
-	var finished *finishedSweep
-	if res != nil {
-		if finished = compactResults(job.Grid, res); finished != nil {
-			res = nil
-		}
+	s.publishJob(job, res, compactChecked(job.Grid, res), err)
+}
+
+// publishJob publishes a sweep's terminal state: the compact finished
+// form when there is one, else the full results.
+func (s *Server) publishJob(job *sweepJob, res *sweep.Results, finished *finishedSweep, err error) {
+	if finished != nil {
+		res = nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -520,8 +524,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
 		return
 	}
-	if job.finished != nil {
-		job.Results = job.finished.expand(job.Grid) // off the lock: job is a copy
+	if f := job.finished; f != nil {
+		points, keys := gridOutcomeKeys(job.Grid) // off the lock: job is a copy
+		f.writeFinished(w, job, points, keys)
+		return
 	}
 	writeJSON(w, http.StatusOK, job)
 }

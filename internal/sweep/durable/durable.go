@@ -39,6 +39,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Record is one WAL entry: an opaque payload under a schema-defined
@@ -53,18 +54,19 @@ type Record struct {
 // without letting a corrupt length prefix allocate the address space).
 const maxRecordBytes = 64 << 20
 
-// EncodeFrame builds the on-disk frame for one record — the framing
-// every durable file in the system shares (the coordinator WAL here,
-// the result store's segment logs in internal/sweep/store):
-// uvarint length, type byte + payload body, little-endian CRC-32.
-func EncodeFrame(typ byte, payload []byte) []byte {
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, typ)
-	body = append(body, payload...)
-	frame := make([]byte, 0, binary.MaxVarintLen64+len(body)+4)
-	frame = binary.AppendUvarint(frame, uint64(len(body)))
-	frame = append(frame, body...)
-	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
+// AppendFrame appends the on-disk frame for one record to dst and
+// returns the extended slice — the framing every durable file in the
+// system shares (the coordinator WAL here, the result store's segment
+// logs in internal/sweep/store): uvarint length, type byte + payload
+// body, little-endian CRC-32. The body is copied once, straight into
+// dst, and checksummed where it lands.
+func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
+	dst = slices.Grow(dst, binary.MaxVarintLen64+1+len(payload)+4)
+	dst = binary.AppendUvarint(dst, uint64(1+len(payload)))
+	start := len(dst)
+	dst = append(dst, typ)
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // DecodeFrame parses the frame at the start of data. ok is false when
@@ -96,6 +98,27 @@ type WAL struct {
 	path   string
 	size   int64 // bytes of valid, believed records
 	closed bool
+
+	// frame is the buffer every record is framed in, reused from one
+	// append to the next while it stays under maxKeptFrame; enc is
+	// AppendJSON's encoder, writing into it.
+	frame frameBuf
+	enc   *json.Encoder
+}
+
+// maxKeptFrame caps the frame buffer a WAL keeps between appends. A
+// record that grows it past the cap still goes out in one write, but
+// the buffer is dropped afterwards, so one huge grid's done record
+// does not pin its size for the life of the log.
+const maxKeptFrame = 1 << 20
+
+// frameBuf is an io.Writer that appends to itself: the target of
+// AppendJSON's encoder.
+type frameBuf []byte
+
+func (b *frameBuf) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
 }
 
 // OpenWAL opens (creating if absent) the log at path and scans it,
@@ -163,26 +186,56 @@ func (w *WAL) Append(typ byte, payload []byte, sync bool) error {
 	if w.closed {
 		return errors.New("durable: append to closed wal")
 	}
-	frame := EncodeFrame(typ, payload)
-	if _, err := w.f.Write(frame); err != nil {
+	w.frame = AppendFrame(w.frame[:0], typ, payload)
+	return w.write(w.frame, sync)
+}
+
+// AppendJSON appends the JSON encoding of v under typ. The frame is
+// built in place in the WAL's reused buffer: room for the longest
+// length prefix, the type byte, then the encoder writes the payload
+// straight after it; the real prefix goes right-aligned in front of
+// the body once its length is known, and the checksum after it. The
+// bytes are exactly AppendFrame's over json.Marshal(v).
+func (w *WAL) AppendJSON(typ byte, v any, sync bool) error {
+	if w.closed {
+		return errors.New("durable: append to closed wal")
+	}
+	if w.enc == nil {
+		w.enc = json.NewEncoder(&w.frame)
+	}
+	const room = binary.MaxVarintLen64
+	w.frame = append(w.frame[:0], make([]byte, room)...)
+	w.frame = append(w.frame, typ)
+	if err := w.enc.Encode(v); err != nil {
+		return fmt.Errorf("durable: encode wal record: %w", err)
+	}
+	body := w.frame[room : len(w.frame)-1] // Encode ends the value with a newline
+	var prefix [room]byte
+	start := room - binary.PutUvarint(prefix[:], uint64(len(body)))
+	copy(w.frame[start:], prefix[:room-start])
+	w.frame = binary.LittleEndian.AppendUint32(w.frame[:len(w.frame)-1], crc32.ChecksumIEEE(body))
+	return w.write(w.frame[start:], sync)
+}
+
+// write appends one framed record to the log file, then drops the
+// frame buffer if it has grown past maxKeptFrame.
+func (w *WAL) write(frame []byte, sync bool) error {
+	_, err := w.f.Write(frame)
+	if err == nil {
+		w.size += int64(len(frame))
+	}
+	if cap(w.frame) > maxKeptFrame {
+		w.frame = nil
+	}
+	if err != nil {
 		return fmt.Errorf("durable: append wal: %w", err)
 	}
-	w.size += int64(len(frame))
 	if sync {
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("durable: sync wal: %w", err)
 		}
 	}
 	return nil
-}
-
-// AppendJSON marshals v and appends it under typ.
-func (w *WAL) AppendJSON(typ byte, v any, sync bool) error {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("durable: encode wal record: %w", err)
-	}
-	return w.Append(typ, blob, sync)
 }
 
 // Rewrite atomically replaces the log with recs — the compaction
@@ -204,8 +257,12 @@ func (w *WAL) Rewrite(recs []Record) error {
 	bw := bufio.NewWriter(tmp)
 	size := int64(0)
 	for _, r := range recs {
-		n, _ := bw.Write(EncodeFrame(r.Type, r.Payload)) // a write error sticks until Flush
+		w.frame = AppendFrame(w.frame[:0], r.Type, r.Payload)
+		n, _ := bw.Write(w.frame) // a write error sticks until Flush
 		size += int64(n)
+	}
+	if cap(w.frame) > maxKeptFrame {
+		w.frame = nil
 	}
 	err = bw.Flush()
 	if err == nil {

@@ -139,7 +139,7 @@ func TestWALRewrite(t *testing.T) {
 	if err := w.Rewrite(state); err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(len(EncodeFrame(9, []byte("seq"))) + len(EncodeFrame(2, []byte("plan")))); w.Size() != want {
+	if want := int64(len(AppendFrame(nil, 9, []byte("seq"))) + len(AppendFrame(nil, 2, []byte("plan")))); w.Size() != want {
 		t.Fatalf("size after rewrite = %d, want %d", w.Size(), want)
 	}
 	if err := w.Append(3, []byte("new"), true); err != nil {
@@ -190,7 +190,7 @@ func TestOpenWALRemovesStaleRewrite(t *testing.T) {
 	}
 	w.Close()
 	stale := filepath.Join(dir, ".wal.log-123")
-	if err := os.WriteFile(stale, EncodeFrame(9, []byte("half")), 0o644); err != nil {
+	if err := os.WriteFile(stale, AppendFrame(nil, 9, []byte("half")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, recs := openT(t, path)

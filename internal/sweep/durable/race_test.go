@@ -1,0 +1,8 @@
+//go:build race
+
+package durable
+
+// raceEnabled reports a race-detector build, under which allocation
+// figures mean nothing: the detector instruments allocations and drops
+// sync.Pool entries at random.
+const raceEnabled = true

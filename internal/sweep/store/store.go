@@ -391,7 +391,7 @@ func (s *Store) Put(key string, val []byte) error {
 	if key == "" {
 		return errors.New("store: empty key")
 	}
-	frame := durable.EncodeFrame(recPut, putPayload(key, val))
+	frame := durable.AppendFrame(nil, recPut, putPayload(key, val))
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -473,7 +473,7 @@ func (sh *shard) delete(key string) error {
 	// One past the current active sequence: on replay the tombstone
 	// kills this put wherever it sits, and nothing written after it.
 	bound := sh.activeSeq + 1
-	frame := durable.EncodeFrame(recDel, delPayload(bound, key))
+	frame := durable.AppendFrame(nil, recDel, delPayload(bound, key))
 	if _, _, err := sh.append(frame); err != nil {
 		return err
 	}
