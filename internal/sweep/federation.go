@@ -143,7 +143,7 @@ type FederationStatus struct {
 	PendingPoints int            `json:"pending_points"`
 	ActiveLeases  int            `json:"active_leases"`
 	Workers       []WorkerStatus `json:"workers"`
-	// Leases lists in-flight leases, oldest first.
+	// Leases lists in-flight leases, oldest first (ties in grant order).
 	Leases []LeaseStatus `json:"leases,omitempty"`
 	// JournalErr surfaces a sticky state-dir persistence failure: the
 	// coordinator keeps serving (degraded to memory-only durability)
@@ -160,32 +160,28 @@ type Coordinator struct {
 	cfg   CoordConfig
 	cache *Cache
 
-	mu      sync.Mutex
-	pending []*fedShard // FIFO; expiry requeues push to the front
-	leases  map[string]*fedLease
-	workers map[string]*workerState
-	// workerIDs keeps registration order for listings; entries whose
-	// worker aged out of the registry are skipped (and compacted) on
-	// Status.
-	workerIDs []string
-	seq       int
-	closed    bool
-	quit      chan struct{}
-	counters  CoordCounters
+	mu       sync.Mutex
+	jobs     map[string]*fedJob // every submission, until its waiter collects it
+	pending  []*fedShard        // FIFO; expiry requeues push to the front
+	leases   map[string]*fedLease
+	workers  map[string]*workerState
+	seq      int
+	closed   bool
+	quit     chan struct{}
+	counters CoordCounters
 
 	// Durability (journal.go). jrn is nil on a memory-only
-	// coordinator; jobs tracks journaled submissions until their
-	// waiters collect results; recovered lists what OpenCoordinator
-	// replayed from the state dir.
+	// coordinator, where journal is a no-op; recovered lists what
+	// OpenCoordinator replayed from the state dir.
 	jrn       *journal
-	jobs      map[string]*fedJob
 	recovered []RecoveredJob
 
 	// Observability (DESIGN.md §4.9). rec assembles per-trace
 	// timelines; the histograms aggregate orchestration latencies and
 	// have their own locks (Observe never contends on c.mu). adopting
-	// suppresses span emission while recovery replays finishLocked —
-	// the replayed spans already carry the history.
+	// is set while recovery replays the log: it suppresses spans, which
+	// the replayed span records already hold, and counter increments,
+	// which count only this process's work.
 	rec       *obs.Recorder
 	queueWait *obs.Histogram // shard queue wait, seconds
 	service   *obs.Histogram // worker-reported shard service time, seconds
@@ -199,9 +195,9 @@ type fedJob struct {
 	onProg func(Progress)
 	doneCh chan struct{}
 
-	// Journaled submissions keep their identity and full point list so
-	// a compacted log is self-contained; all zero on a memory-only
-	// coordinator.
+	// Every submission keeps its identity and full point list: shards
+	// name their points as slots into it, and a compacted log is
+	// self-contained.
 	id     string
 	label  string
 	meta   json.RawMessage
@@ -213,30 +209,15 @@ type fedJob struct {
 	trace string
 }
 
-// workUnit binds a planned WorkItem to its slot in the submitting job.
-type workUnit struct {
-	item   WorkItem
-	jobIdx int
-	job    *fedJob
-}
-
+// fedShard is a shard as the journal records it — its unresolved
+// slots in its job's point list and its lease grants so far — plus the
+// job itself and when the shard (re)entered the pending queue: the
+// next grant observes now-queuedAt as queue wait. queuedAt is zero on
+// shards rebuilt by crash recovery (their wait is not observed).
 type fedShard struct {
-	id      string
-	units   []workUnit
-	attempt int // lease grants so far
-	// queuedAt is when the shard (re)entered the pending queue; the
-	// next grant observes now-queuedAt as queue wait. Zero on shards
-	// rebuilt by crash recovery (their wait is not observed).
+	shardRec
+	job      *fedJob
 	queuedAt time.Time
-}
-
-// trace names the timeline of the shard's owning job (every unit in a
-// shard belongs to one submission).
-func (sh *fedShard) job() *fedJob {
-	if len(sh.units) == 0 {
-		return nil
-	}
-	return sh.units[0].job
 }
 
 type fedLease struct {
@@ -297,24 +278,25 @@ func (c *Coordinator) LeaseTTL() time.Duration { return c.cfg.LeaseTTL }
 // coordinator the journal is compacted first — Close is the
 // graceful-shutdown path, and a reopened coordinator resumes exactly
 // this state.
-func (c *Coordinator) Close() {
+func (c *Coordinator) Close() { c.shutdown(true) }
+
+// shutdown detaches the journal, compacting it first if asked, then
+// marks the coordinator closed and empties the queue and lease table,
+// so no late CompleteShard or lease-strip can call finishLocked again
+// — a waiter that returned ErrClosed never races a write to its job's
+// results.
+func (c *Coordinator) shutdown(compact bool) {
 	c.mu.Lock()
 	defer c.unlock()
 	if c.closed {
 		return
 	}
 	if c.jrn != nil {
-		c.compactLocked()
+		if compact {
+			c.compactLocked()
+		}
 		c.jrn.fail(c.jrn.wal.Close())
 	}
-	c.closeLocked()
-}
-
-// closeLocked marks the coordinator closed and empties the queue and
-// lease table, so no late CompleteShard or lease-strip can call
-// finishLocked again — a waiter that returned ErrClosed never races a
-// write to its job's results.
-func (c *Coordinator) closeLocked() {
 	c.closed = true
 	close(c.quit)
 	c.pending = nil
@@ -342,15 +324,11 @@ func (c *Coordinator) RunPoints(points []Point, onProgress func(Progress)) (*Res
 // submission, or adopts the client's traceparent); empty makes the
 // coordinator mint its own.
 func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points []Point, onProgress func(Progress)) (*Results, error) {
-	job := &fedJob{
-		res:    newResults(len(points)),
-		onProg: onProgress,
-		doneCh: make(chan struct{}),
-	}
 	submitAt := c.cfg.now()
-
 	// Resolve keys off the lock (hashing is CPU work), then classify.
 	keys, keyErrs := Keys(points)
+	job := &fedJob{res: newResults(len(points)), onProg: onProgress, doneCh: make(chan struct{}),
+		label: label, meta: meta, points: points, keys: keys}
 
 	c.mu.Lock()
 	if c.closed {
@@ -365,29 +343,22 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 	}
 	job.trace = traceID
 	c.rec.Begin(traceID, label)
-	if c.jrn != nil {
-		c.seq++
-		job.id = fmt.Sprintf("job-%d", c.seq)
-		job.label, job.meta, job.points, job.keys = label, meta, points, keys
-		c.jobs[job.id] = job
-		c.journal(recTypeJob, jobRecOf(job))
-	}
+	c.seq++
+	job.id = fmt.Sprintf("job-%d", c.seq)
+	c.jobs[job.id] = job
+	c.journal(recTypeJob, jobRecOf(job))
+	var resolved []doneEntry
 	var missIdx []int
-	for i, pt := range points {
+	for i, key := range keys {
 		if err := keyErrs[i]; err != nil {
-			keys[i] = ""
-			c.finishLocked(job, i, &Outcome{Point: pt, Err: err.Error()})
-			continue
+			resolved = append(resolved, doneEntry{Idx: i, Err: err.Error()})
+		} else if r, ok := c.cache.Get(key); ok {
+			resolved = append(resolved, doneEntry{Idx: i, Cached: true, Result: r})
+		} else {
+			missIdx = append(missIdx, i)
 		}
-		if r, ok := c.cache.Get(keys[i]); ok {
-			c.finishLocked(job, i, &Outcome{Point: pt, Key: keys[i], Cached: true, Result: r})
-			continue
-		}
-		missIdx = append(missIdx, i)
 	}
-	if c.jrn != nil && job.res.Stats.done() > 0 {
-		c.journal(recTypeDone, doneRecOf(job))
-	}
+	c.resolveLocked(job, resolved, nil)
 	classifiedAt := c.cfg.now()
 	c.spanLocked(job, obs.Span{Name: "submit",
 		StartNS: submitAt.UnixNano(), EndNS: classifiedAt.UnixNano(),
@@ -402,35 +373,26 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 			planner.MinShards = n
 		}
 		var plan walRec
-		var shardSpans []obs.Span
 		for _, group := range planner.Plan(missPts) {
 			c.seq++
-			sh := &fedShard{id: fmt.Sprintf("sh-%d", c.seq)}
-			for _, j := range group {
-				i := missIdx[j]
-				sh.units = append(sh.units, workUnit{
-					item: WorkItem{Point: points[i], Key: keys[i]}, jobIdx: i, job: job})
+			sh := &fedShard{job: job, shardRec: shardRec{
+				ID: fmt.Sprintf("sh-%d", c.seq), Job: job.id, Idx: make([]int, len(group))}}
+			for n, j := range group {
+				sh.Idx[n] = missIdx[j]
 			}
 			c.pending = append(c.pending, sh)
-			if c.jrn != nil {
-				plan.Shards = append(plan.Shards, shardState(sh))
-			}
-			shardSpans = append(shardSpans, obs.Span{Name: "shard", Ref: sh.id,
-				Detail: fmt.Sprintf("%d points", len(sh.units))})
+			plan.Shards = append(plan.Shards, sh.shardRec)
 		}
-		if c.jrn != nil {
-			c.journal(recTypePlan, plan)
-		}
+		c.journal(recTypePlan, plan)
 		plannedAt := c.cfg.now()
-		for _, sh := range c.pending[len(c.pending)-len(shardSpans):] {
-			sh.queuedAt = plannedAt
-		}
 		c.spanLocked(job, obs.Span{Name: "plan",
 			StartNS: classifiedAt.UnixNano(), EndNS: plannedAt.UnixNano(),
-			Detail: fmt.Sprintf("%d shards for %d misses", len(shardSpans), len(missIdx))})
-		for _, s := range shardSpans {
-			s.StartNS, s.EndNS = plannedAt.UnixNano(), plannedAt.UnixNano()
-			c.spanLocked(job, s)
+			Detail: fmt.Sprintf("%d shards for %d misses", len(plan.Shards), len(missIdx))})
+		for _, sh := range c.pending[len(c.pending)-len(plan.Shards):] {
+			sh.queuedAt = plannedAt
+			c.spanLocked(job, obs.Span{Name: "shard", Ref: sh.ID,
+				StartNS: plannedAt.UnixNano(), EndNS: plannedAt.UnixNano(),
+				Detail: fmt.Sprintf("%d points", len(sh.Idx))})
 		}
 	}
 	c.unlock()
@@ -438,18 +400,16 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 	return c.wait(job)
 }
 
-// spanLocked records one span on the job's timeline and journals it on
-// a durable coordinator so timelines survive crash-resume. Callers
-// hold c.mu. No-op while recovery replays (adopting) — the restored
-// timeline already holds history — and on pre-trace jobs.
+// spanLocked records one span on the job's timeline and journals it so
+// timelines survive crash-resume. Callers hold c.mu. No-op while
+// recovery replays (adopting) — the restored timeline already holds
+// history — and on jobs with no trace.
 func (c *Coordinator) spanLocked(job *fedJob, s obs.Span) {
-	if job == nil || job.trace == "" || c.adopting {
+	if job.trace == "" || c.adopting {
 		return
 	}
 	c.rec.Record(job.trace, s)
-	if c.jrn != nil && job.id != "" {
-		c.journal(recTypeSpan, walRec{Trace: job.trace, Label: job.label, Spans: []obs.Span{s}})
-	}
+	c.journal(recTypeSpan, walRec{Trace: job.trace, Label: job.label, Spans: []obs.Span{s}})
 }
 
 // wait blocks until the job completes or the coordinator closes. The
@@ -489,7 +449,7 @@ func (c *Coordinator) wait(job *fedJob) (*Results, error) {
 	}
 
 	c.mu.Lock()
-	if c.jrn != nil && !c.closed && job.id != "" {
+	if !c.closed {
 		c.journal(recTypeJobDone, walRec{Job: job.id})
 		delete(c.jobs, job.id)
 	}
@@ -501,25 +461,59 @@ func (c *Coordinator) wait(job *fedJob) (*Results, error) {
 	return job.res, nil
 }
 
+// resolveLocked is the one path by which points resolve: submit-time
+// hits and key errors, lease-time strips, verified completions,
+// abandonments and replayed done records all come through it. It
+// drops entries whose slot is already resolved (the first outcome
+// stands; entries is filtered in place), puts each successful result
+// in the cache, records each outcome through finishLocked, and
+// journals the rest as one done record. settled, if non-nil, runs between the outcomes and the
+// record, so the spans it records precede the record in the log.
+func (c *Coordinator) resolveLocked(job *fedJob, entries []doneEntry, settled func()) {
+	fresh := entries[:0]
+	for _, e := range entries {
+		if job.res.Outcomes[e.Idx] != nil {
+			continue
+		}
+		key := job.keys[e.Idx]
+		if e.Err == "" {
+			c.cache.Put(key, e.Result)
+		}
+		c.finishLocked(job, e.Idx, &Outcome{Point: job.points[e.Idx], Key: key,
+			Cached: e.Cached, Err: e.Err, Result: e.Result})
+		fresh = append(fresh, e)
+	}
+	if settled != nil {
+		settled()
+	}
+	if len(fresh) > 0 {
+		c.journal(recTypeDone, walRec{Job: job.id, Entries: fresh})
+	}
+}
+
 // finishLocked records one resolved point and publishes progress.
 // Callers hold c.mu, so progress callbacks are serialized with
 // strictly increasing Done counts (the Engine.Run contract).
 func (c *Coordinator) finishLocked(job *fedJob, idx int, o *Outcome) {
 	p := job.res.record(idx, o)
-	c.counters.PointsDone++
-	switch {
-	case o.Cached:
-		c.counters.PointsCached++
-	case o.Err != "":
-		c.counters.PointsFailed++
-	default:
-		c.counters.PointsSimulated++
+	if !c.adopting {
+		c.counters.PointsDone++
+		switch {
+		case o.Cached:
+			c.counters.PointsCached++
+		case o.Err != "":
+			c.counters.PointsFailed++
+		default:
+			c.counters.PointsSimulated++
+		}
 	}
 	if job.onProg != nil {
 		job.onProg(p)
 	}
 	if p.Done == p.Total {
-		c.counters.JobsDone++
+		if !c.adopting {
+			c.counters.JobsDone++
+		}
 		now := c.cfg.now().UnixNano()
 		st := job.res.Stats
 		c.spanLocked(job, obs.Span{Name: "done", StartNS: now, EndNS: now,
@@ -545,14 +539,11 @@ func (c *Coordinator) reapLocked(now time.Time) {
 	}
 	sort.Slice(expired, func(i, j int) bool { return idSeq(expired[i].id) < idSeq(expired[j].id) })
 	for _, ls := range expired {
-		delete(c.leases, ls.id)
 		c.counters.LeaseExpiries++
-		c.journal(recTypeBurn, walRec{ID: ls.id})
-		if w := c.workers[ls.workerID]; w != nil {
-			w.ActiveLeases--
+		if w := c.burnLocked(ls); w != nil {
 			w.Expiries++
 		}
-		c.spanLocked(ls.shard.job(), obs.Span{Name: "expire", Ref: ls.shard.id,
+		c.spanLocked(ls.shard.job, obs.Span{Name: "expire", Ref: ls.shard.ID,
 			Worker: ls.workerID, StartNS: now.UnixNano(), EndNS: now.UnixNano(),
 			Detail: fmt.Sprintf("lease %s ttl elapsed", ls.id)})
 		c.abandonOrRequeueLocked(ls.shard, now)
@@ -564,6 +555,19 @@ func (c *Coordinator) reapLocked(now time.Time) {
 	}
 }
 
+// burnLocked ends a lease — expired, rejected or completed: it leaves
+// the table, the journal records the burn, and its worker (returned,
+// nil if it aged out) holds one lease fewer.
+func (c *Coordinator) burnLocked(ls *fedLease) *workerState {
+	delete(c.leases, ls.id)
+	c.journal(recTypeBurn, walRec{ID: ls.id})
+	w := c.workers[ls.workerID]
+	if w != nil {
+		w.ActiveLeases--
+	}
+	return w
+}
+
 // workerExpiry is how long a silent, lease-free worker stays in the
 // registry. Workers heartbeat while idle and touch LastSeen on every
 // lease call, so only the genuinely departed age out — keeping the
@@ -573,31 +577,28 @@ func (c *Coordinator) workerExpiry() time.Duration {
 	return 10 * c.cfg.LeaseTTL
 }
 
-// abandonOrRequeueLocked gives a recovered shard back to the queue, or
-// fails its points once MaxAttempts lease grants have been burned.
+// abandonOrRequeueLocked gives the shard of a burned lease (expired or
+// rejected) back to the queue, or fails its points once MaxAttempts
+// lease grants have been burned.
 func (c *Coordinator) abandonOrRequeueLocked(sh *fedShard, now time.Time) {
-	if sh.attempt >= c.cfg.MaxAttempts {
+	if sh.Attempt >= c.cfg.MaxAttempts {
 		c.counters.ShardsAbandoned++
-		msg := fmt.Sprintf("sweep: shard %s abandoned after %d burned leases", sh.id, sh.attempt)
-		c.spanLocked(sh.job(), obs.Span{Name: "abandon", Ref: sh.id,
+		msg := fmt.Sprintf("sweep: shard %s abandoned after %d burned leases", sh.ID, sh.Attempt)
+		c.spanLocked(sh.job, obs.Span{Name: "abandon", Ref: sh.ID,
 			StartNS: now.UnixNano(), EndNS: now.UnixNano(),
-			Detail: fmt.Sprintf("%d burned leases", sh.attempt)})
-		rec := walRec{}
-		for _, u := range sh.units {
-			rec.Job = u.job.id
-			rec.Entries = append(rec.Entries, doneEntry{Idx: u.jobIdx, Err: msg})
-			c.finishLocked(u.job, u.jobIdx, &Outcome{Point: u.item.Point, Key: u.item.Key, Err: msg})
+			Detail: fmt.Sprintf("%d burned leases", sh.Attempt)})
+		failed := make([]doneEntry, len(sh.Idx))
+		for n, i := range sh.Idx {
+			failed[n] = doneEntry{Idx: i, Err: msg}
 		}
-		if c.jrn != nil && rec.Job != "" {
-			c.journal(recTypeDone, rec)
-		}
+		c.resolveLocked(sh.job, failed, nil)
 		return
 	}
 	c.counters.ShardsRequeued++
 	sh.queuedAt = now
-	c.spanLocked(sh.job(), obs.Span{Name: "requeue", Ref: sh.id,
+	c.spanLocked(sh.job, obs.Span{Name: "requeue", Ref: sh.ID,
 		StartNS: now.UnixNano(), EndNS: now.UnixNano(),
-		Detail: fmt.Sprintf("attempt %d of %d", sh.attempt, c.cfg.MaxAttempts)})
+		Detail: fmt.Sprintf("attempt %d of %d", sh.Attempt, c.cfg.MaxAttempts)})
 	c.pending = append([]*fedShard{sh}, c.pending...)
 }
 
@@ -611,7 +612,6 @@ func (c *Coordinator) RegisterWorker(name string) (RegisterReply, error) {
 		name = id
 	}
 	c.workers[id] = &workerState{WorkerStatus: WorkerStatus{ID: id, Name: name, LastSeen: c.cfg.now()}}
-	c.workerIDs = append(c.workerIDs, id)
 	return RegisterReply{WorkerID: id, LeaseTTL: c.cfg.LeaseTTL}, nil
 }
 
@@ -654,36 +654,29 @@ func (c *Coordinator) LeaseShard(workerID string) (*LeaseGrant, error) {
 		sh := c.pending[0]
 		c.pending = c.pending[1:]
 
-		job := sh.job() // before stripping: an emptied shard forgets its owner
-		kept := sh.units[:0]
-		var strips walRec
-		for _, u := range sh.units {
-			if r, ok := c.cache.Get(u.item.Key); ok {
-				strips.Job = u.job.id
-				strips.Entries = append(strips.Entries,
-					doneEntry{Idx: u.jobIdx, Cached: true, Result: r})
-				c.finishLocked(u.job, u.jobIdx,
-					&Outcome{Point: u.item.Point, Key: u.item.Key, Cached: true, Result: r})
-				continue
+		var hits []doneEntry
+		kept := sh.Idx[:0]
+		for _, i := range sh.Idx {
+			if r, ok := c.cache.Get(sh.job.keys[i]); ok {
+				hits = append(hits, doneEntry{Idx: i, Cached: true, Result: r})
+			} else {
+				kept = append(kept, i)
 			}
-			kept = append(kept, u)
 		}
-		sh.units = kept
-		if c.jrn != nil && strips.Job != "" {
-			c.journal(recTypeDone, strips)
-		}
-		if len(sh.units) == 0 {
+		sh.Idx = kept
+		c.resolveLocked(sh.job, hits, nil)
+		if len(sh.Idx) == 0 {
 			// The whole shard was satisfied by results a sibling job put
 			// in the shared cache since planning. That still completes the
 			// shard — the timeline must say so, or a shard span would dangle
 			// with no matching complete.
-			c.spanLocked(job, obs.Span{Name: "complete", Ref: sh.id,
+			c.spanLocked(sh.job, obs.Span{Name: "complete", Ref: sh.ID,
 				StartNS: now.UnixNano(), EndNS: now.UnixNano(),
 				Detail: "served from shared cache"})
 			continue
 		}
 
-		sh.attempt++
+		sh.Attempt++
 		c.seq++
 		ls := &fedLease{
 			id:        fmt.Sprintf("ls-%d", c.seq),
@@ -701,19 +694,16 @@ func (c *Coordinator) LeaseShard(workerID string) (*LeaseGrant, error) {
 			wait = now.Sub(sh.queuedAt)
 			c.queueWait.Observe(wait.Seconds())
 		}
-		c.spanLocked(job, obs.Span{Name: "lease", Ref: sh.id, Worker: workerID,
+		c.spanLocked(sh.job, obs.Span{Name: "lease", Ref: sh.ID, Worker: workerID,
 			StartNS: now.UnixNano(), EndNS: now.UnixNano(),
 			Detail: fmt.Sprintf("lease %s attempt %d, %d points, queued %dms",
-				ls.id, sh.attempt, len(sh.units), wait.Milliseconds())})
+				ls.id, sh.Attempt, len(sh.Idx), wait.Milliseconds())})
 		grant := &LeaseGrant{
-			LeaseID: ls.id, ShardID: sh.id, Attempt: sh.attempt, TTL: c.cfg.LeaseTTL,
-			Items: make([]WorkItem, len(sh.units)),
+			LeaseID: ls.id, ShardID: sh.ID, Attempt: sh.Attempt, TTL: c.cfg.LeaseTTL,
+			TraceID: sh.job.trace, Items: make([]WorkItem, len(sh.Idx)),
 		}
-		if job != nil {
-			grant.TraceID = job.trace
-		}
-		for i, u := range sh.units {
-			grant.Items[i] = u.item
+		for n, i := range sh.Idx {
+			grant.Items[n] = WorkItem{Point: sh.job.points[i], Key: sh.job.keys[i]}
 		}
 		return grant, nil
 	}
@@ -767,49 +757,27 @@ func (c *Coordinator) CompleteShard(req *CompleteRequest) error {
 	if ls.workerID != req.WorkerID {
 		return ErrWrongWorker
 	}
-	sh := ls.shard
+	sh, job := ls.shard, ls.shard.job
 
-	verify := func() error {
-		if len(req.Outcomes) != len(sh.units) {
-			return fmt.Errorf("%w: %d outcomes for %d leased points",
-				ErrBadPayload, len(req.Outcomes), len(sh.units))
-		}
-		for i, o := range req.Outcomes {
-			if o.Key != sh.units[i].item.Key {
-				return fmt.Errorf("%w: outcome %d key %.12s… does not match planned key %.12s…",
-					ErrBadPayload, i, o.Key, sh.units[i].item.Key)
-			}
-			if (o.Err == "") == (o.Result == nil) {
-				return fmt.Errorf("%w: outcome %d must carry exactly one of result or error",
-					ErrBadPayload, i)
-			}
-		}
-		return nil
-	}
-	if err := verify(); err != nil {
+	outcomes, err := verifyOutcomes(job, sh.Idx, req.Outcomes)
+	if err != nil {
 		// Burn this lease and requeue at the front so a healthy worker
 		// retries without waiting out the TTL — under the same
 		// MaxAttempts budget as expiry, so a worker that persistently
 		// reports garbage cannot cycle the shard forever.
 		c.counters.CompletionsRejected++
-		delete(c.leases, req.LeaseID)
-		c.journal(recTypeBurn, walRec{ID: req.LeaseID})
-		if w := c.workers[ls.workerID]; w != nil {
-			w.ActiveLeases--
-		}
-		c.spanLocked(sh.job(), obs.Span{Name: "reject", Ref: sh.id, Worker: ls.workerID,
+		c.burnLocked(ls)
+		c.spanLocked(job, obs.Span{Name: "reject", Ref: sh.ID, Worker: ls.workerID,
 			StartNS: now.UnixNano(), EndNS: now.UnixNano(), Detail: err.Error()})
 		c.abandonOrRequeueLocked(sh, now)
 		return err
 	}
 
-	delete(c.leases, req.LeaseID)
 	c.counters.ShardsCompleted++
 	// In the journal a completion is a burn (the lease is gone, the
 	// shard notionally requeued) followed by its outcomes resolving —
 	// which empties the shard out of the queue again on replay.
-	c.journal(recTypeBurn, walRec{ID: req.LeaseID})
-	job := sh.job()
+	w := c.burnLocked(ls)
 	// Adopt the worker's piggybacked spans onto the job's timeline,
 	// stamped with the lease's worker id (the lease, not the payload,
 	// is the authority on who ran the shard). The w:simulate span also
@@ -818,7 +786,7 @@ func (c *Coordinator) CompleteShard(req *CompleteRequest) error {
 	for _, ws := range req.Spans {
 		ws.Worker = ls.workerID
 		if ws.Ref == "" {
-			ws.Ref = sh.id
+			ws.Ref = sh.ID
 		}
 		if ws.Name == "w:simulate" {
 			simSec = ws.Duration().Seconds()
@@ -833,46 +801,52 @@ func (c *Coordinator) CompleteShard(req *CompleteRequest) error {
 	if simSec > 0 {
 		c.service.Observe(simSec)
 	}
-	w := c.workers[ls.workerID]
 	if w != nil {
-		w.ActiveLeases--
 		w.ShardsDone++
-		w.PointsDone += len(sh.units)
+		w.PointsDone += len(sh.Idx)
 		if simSec > 0 {
-			w.rate.Observe(float64(len(sh.units)) / simSec)
+			w.rate.Observe(float64(len(sh.Idx)) / simSec)
 			w.PointsPerSec = w.rate.Value()
 		}
 	}
 	if !ls.grantedAt.IsZero() {
 		age := now.Sub(ls.grantedAt)
 		c.leaseAge.Observe(age.Seconds())
-		c.spanLocked(job, obs.Span{Name: "run", Ref: sh.id, Worker: ls.workerID,
+		c.spanLocked(job, obs.Span{Name: "run", Ref: sh.ID, Worker: ls.workerID,
 			StartNS: ls.grantedAt.UnixNano(), EndNS: now.UnixNano(),
 			Detail: fmt.Sprintf("lease %s", ls.id)})
 	}
-	rec := walRec{}
 	putStart := c.cfg.now()
-	for i, u := range sh.units {
-		o := req.Outcomes[i]
-		if o.Err == "" {
-			c.cache.Put(u.item.Key, o.Result)
-		}
-		rec.Job = u.job.id
-		rec.Entries = append(rec.Entries, doneEntry{Idx: u.jobIdx, Err: o.Err, Result: o.Result})
-		c.finishLocked(u.job, u.jobIdx,
-			&Outcome{Point: u.item.Point, Key: u.item.Key, Result: o.Result, Err: o.Err})
-	}
-	putEnd := c.cfg.now()
-	c.spanLocked(job, obs.Span{Name: "cacheput", Ref: sh.id,
-		StartNS: putStart.UnixNano(), EndNS: putEnd.UnixNano(),
-		Detail: "shared-cache write-back"})
-	c.spanLocked(job, obs.Span{Name: "complete", Ref: sh.id, Worker: ls.workerID,
-		StartNS: putEnd.UnixNano(), EndNS: putEnd.UnixNano(),
-		Detail: fmt.Sprintf("%d points", len(sh.units))})
-	if c.jrn != nil && rec.Job != "" {
-		c.journal(recTypeDone, rec)
-	}
+	c.resolveLocked(job, outcomes, func() {
+		putEnd := c.cfg.now()
+		c.spanLocked(job, obs.Span{Name: "cacheput", Ref: sh.ID,
+			StartNS: putStart.UnixNano(), EndNS: putEnd.UnixNano(),
+			Detail: "shared-cache write-back"})
+		c.spanLocked(job, obs.Span{Name: "complete", Ref: sh.ID, Worker: ls.workerID,
+			StartNS: putEnd.UnixNano(), EndNS: putEnd.UnixNano(),
+			Detail: fmt.Sprintf("%d points", len(sh.Idx))})
+	})
 	return nil
+}
+
+// verifyOutcomes checks a completion against the leased slots of its
+// job and returns its outcomes as done entries.
+func verifyOutcomes(job *fedJob, slots []int, outs []WireOutcome) ([]doneEntry, error) {
+	if len(outs) != len(slots) {
+		return nil, fmt.Errorf("%w: %d outcomes for %d leased points", ErrBadPayload, len(outs), len(slots))
+	}
+	entries := make([]doneEntry, len(slots))
+	for n, o := range outs {
+		if want := job.keys[slots[n]]; o.Key != want {
+			return nil, fmt.Errorf("%w: outcome %d key %.12s… does not match planned key %.12s…",
+				ErrBadPayload, n, o.Key, want)
+		}
+		if (o.Err == "") == (o.Result == nil) {
+			return nil, fmt.Errorf("%w: outcome %d must carry exactly one of result or error", ErrBadPayload, n)
+		}
+		entries[n] = doneEntry{Idx: slots[n], Err: o.Err, Result: o.Result}
+	}
+	return entries, nil
 }
 
 // Counters snapshots the coordinator's lifetime totals.
@@ -898,30 +872,29 @@ func (c *Coordinator) Status() FederationStatus {
 		}
 	}
 	for _, sh := range c.pending {
-		st.PendingPoints += len(sh.units)
+		st.PendingPoints += len(sh.Idx)
 	}
-	live := c.workerIDs[:0]
-	for _, id := range c.workerIDs {
-		if w, ok := c.workers[id]; ok {
-			live = append(live, id)
-			st.Workers = append(st.Workers, w.WorkerStatus)
-		}
+	for _, w := range c.workers {
+		st.Workers = append(st.Workers, w.WorkerStatus)
 	}
-	c.workerIDs = live
+	sort.Slice(st.Workers, func(a, b int) bool { return idSeq(st.Workers[a].ID) < idSeq(st.Workers[b].ID) })
 	now := c.cfg.now()
 	for _, ls := range c.leases {
-		l := LeaseStatus{ID: ls.id, Shard: ls.shard.id, Worker: ls.workerID,
-			Attempt: ls.shard.attempt, Points: len(ls.shard.units),
-			LeftMS: ls.deadline.Sub(now).Milliseconds()}
+		l := LeaseStatus{ID: ls.id, Shard: ls.shard.ID, Worker: ls.workerID,
+			Attempt: ls.shard.Attempt, Points: len(ls.shard.Idx),
+			LeftMS: ls.deadline.Sub(now).Milliseconds(), Trace: ls.shard.job.trace}
 		if !ls.grantedAt.IsZero() {
 			l.AgeMS = now.Sub(ls.grantedAt).Milliseconds()
 		}
-		if job := ls.shard.job(); job != nil {
-			l.Trace = job.trace
-		}
 		st.Leases = append(st.Leases, l)
 	}
-	sort.Slice(st.Leases, func(a, b int) bool { return st.Leases[a].AgeMS > st.Leases[b].AgeMS })
+	sort.Slice(st.Leases, func(a, b int) bool {
+		la, lb := st.Leases[a], st.Leases[b]
+		if la.AgeMS != lb.AgeMS {
+			return la.AgeMS > lb.AgeMS
+		}
+		return idSeq(la.ID) < idSeq(lb.ID) // granted together: grant order
+	})
 	return st
 }
 

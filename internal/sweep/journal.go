@@ -70,7 +70,8 @@ type walRec struct {
 	Seq      int             `json:"seq,omitempty"`         // seq
 }
 
-// shardRec names a shard's units as slots into its job's point list.
+// shardRec names a shard's points as slots into its job's point list;
+// a live fedShard is one of these plus its job.
 type shardRec struct {
 	ID      string `json:"id"`
 	Job     string `json:"job"`
@@ -108,10 +109,10 @@ func (j *journal) fail(err error) {
 // journal appends one record, fsyncing the data-bearing types (jobs
 // and outcomes must survive a machine crash once acknowledged; a lost
 // lease or plan record only costs re-simulation time, never results).
-func (c *Coordinator) journal(typ byte, v any) {
+func (c *Coordinator) journal(typ byte, r walRec) {
 	if j := c.jrn; j != nil {
 		sync := typ == recTypeJob || typ == recTypeDone
-		j.fail(j.wal.AppendJSON(typ, v, sync))
+		j.fail(j.wal.AppendJSON(typ, r, sync))
 		j.appends++
 	}
 }
@@ -163,7 +164,7 @@ func (c *Coordinator) Compact() {
 // submission order; one plan holding the pending shards in queue
 // order, then the leased ones; a lease record per lease; and one span
 // record per retained timeline. Shards and leases always belong to
-// journaled jobs (jobs leave c.jobs only after their shards are gone).
+// jobs in c.jobs (a job leaves it only after its shards are gone).
 func (c *Coordinator) stateRecordsLocked() ([]durable.Record, error) {
 	var recs []durable.Record
 	var err error
@@ -177,8 +178,14 @@ func (c *Coordinator) stateRecordsLocked() ([]durable.Record, error) {
 	add(recTypeSeq, walRec{Seq: c.seq})
 	for _, job := range c.jobsInOrderLocked() {
 		add(recTypeJob, jobRecOf(job))
-		if rec := doneRecOf(job); len(rec.Entries) > 0 {
-			add(recTypeDone, rec)
+		done := walRec{Job: job.id}
+		for i, o := range job.res.Outcomes {
+			if o != nil {
+				done.Entries = append(done.Entries, doneEntry{Idx: i, Cached: o.Cached, Err: o.Err, Result: o.Result})
+			}
+		}
+		if len(done.Entries) > 0 {
+			add(recTypeDone, done)
 		}
 	}
 	leases := make([]*fedLease, 0, len(c.leases))
@@ -188,10 +195,10 @@ func (c *Coordinator) stateRecordsLocked() ([]durable.Record, error) {
 	sort.Slice(leases, func(a, b int) bool { return idSeq(leases[a].id) < idSeq(leases[b].id) })
 	var plan walRec
 	for _, sh := range c.pending {
-		plan.Shards = append(plan.Shards, shardState(sh))
+		plan.Shards = append(plan.Shards, sh.shardRec)
 	}
 	for _, ls := range leases {
-		plan.Shards = append(plan.Shards, shardState(ls.shard))
+		plan.Shards = append(plan.Shards, ls.shard.shardRec)
 	}
 	if len(plan.Shards) > 0 {
 		add(recTypePlan, plan)
@@ -205,7 +212,7 @@ func (c *Coordinator) stateRecordsLocked() ([]durable.Record, error) {
 	return recs, err
 }
 
-// jobsInOrderLocked lists the journaled jobs in submission order.
+// jobsInOrderLocked lists the jobs in submission order.
 func (c *Coordinator) jobsInOrderLocked() []*fedJob {
 	jobs := make([]*fedJob, 0, len(c.jobs))
 	for _, job := range c.jobs {
@@ -221,30 +228,8 @@ func jobRecOf(job *fedJob) walRec {
 }
 
 func leaseRecOf(ls *fedLease) walRec {
-	return walRec{ID: ls.id, Worker: ls.workerID, Shard: ls.shard.id,
-		Attempt: ls.shard.attempt, Deadline: ls.deadline.UnixMilli()}
-}
-
-// doneRecOf lists every outcome the job has resolved so far.
-func doneRecOf(job *fedJob) walRec {
-	rec := walRec{Job: job.id}
-	for i, o := range job.res.Outcomes {
-		if o != nil {
-			rec.Entries = append(rec.Entries, doneEntry{Idx: i, Cached: o.Cached, Err: o.Err, Result: o.Result})
-		}
-	}
-	return rec
-}
-
-func shardState(sh *fedShard) shardRec {
-	r := shardRec{ID: sh.id, Attempt: sh.attempt}
-	if job := sh.job(); job != nil {
-		r.Job = job.id
-	}
-	for _, u := range sh.units {
-		r.Idx = append(r.Idx, u.jobIdx)
-	}
-	return r
+	return walRec{ID: ls.id, Worker: ls.workerID, Shard: ls.shard.ID,
+		Attempt: ls.shard.Attempt, Deadline: ls.deadline.UnixMilli()}
 }
 
 // idSeq extracts the numeric suffix of an id like "sh-12" (0 if none);
@@ -295,26 +280,45 @@ func OpenCoordinator(cache *Cache, cfg CoordConfig) (*Coordinator, error) {
 	}
 	c.mu.Lock()
 	defer c.unlock()
+	collected := collectedJobs(recs)
+	c.adopting = true
 	for _, rec := range recs {
-		if err := c.apply(rec); err != nil {
+		if err := c.apply(rec, collected); err != nil {
 			wal.Close()
 			return nil, err
 		}
 	}
 	c.settleReplayLocked()
+	c.adopting = false
 	// Compact immediately: dropped anonymous jobs disappear for good.
 	c.jrn = &journal{wal: wal}
 	c.compactLocked()
 	return c, nil
 }
 
+// collectedJobs lists the jobs whose waiter collected them (a jobdone
+// record). Replay skips their records from the start: they are gone
+// for good, so their results stay out of the rebuilt cache just as
+// they stay out of a compacted log.
+func collectedJobs(recs []durable.Record) map[string]bool {
+	collected := make(map[string]bool)
+	for _, rec := range recs {
+		var r walRec
+		if rec.Type == recTypeJobDone && json.Unmarshal(rec.Payload, &r) == nil {
+			collected[r.Job] = true
+		}
+	}
+	return collected
+}
+
 // apply replays one WAL record into the coordinator, which has no
-// journal yet. Decode failures abort recovery (the durable layer
-// already dropped torn tails, so an undecodable record means a schema
-// bug, not crash damage); references that no longer resolve — a renew
-// for a burned lease, a plan for a dropped job — are skipped, as the
-// live coordinator treats stale ids.
-func (c *Coordinator) apply(rec durable.Record) error {
+// journal yet. Decode failures and slot indices outside their job's
+// point list abort recovery (the durable layer already dropped torn
+// tails, so either means a schema bug, not crash damage); references
+// that no longer resolve — a renew for a burned lease, a plan for a
+// collected job — are skipped, as the live coordinator treats stale
+// ids.
+func (c *Coordinator) apply(rec durable.Record, collected map[string]bool) error {
 	var r walRec
 	if err := json.Unmarshal(rec.Payload, &r); err != nil {
 		return fmt.Errorf("sweep: replay wal record type %d: %w", rec.Type, err)
@@ -323,35 +327,48 @@ func (c *Coordinator) apply(rec durable.Record) error {
 	case recTypeSeq:
 		c.seq = max(c.seq, r.Seq)
 	case recTypeJob:
-		c.jobs[r.ID] = &fedJob{id: r.ID, label: r.Label, trace: r.Trace, meta: r.Meta,
-			points: r.Points, keys: r.Keys,
-			res: newResults(len(r.Points)), doneCh: make(chan struct{})}
 		c.bump(r.ID)
+		if len(r.Keys) != len(r.Points) {
+			return fmt.Errorf("sweep: replay job record %s: %d keys for %d points", r.ID, len(r.Keys), len(r.Points))
+		}
+		if !collected[r.ID] {
+			c.jobs[r.ID] = &fedJob{id: r.ID, label: r.Label, trace: r.Trace, meta: r.Meta,
+				points: r.Points, keys: r.Keys,
+				res: newResults(len(r.Points)), doneCh: make(chan struct{})}
+		}
 	case recTypePlan:
 		for _, sr := range r.Shards {
+			c.bump(sr.ID)
 			job := c.jobs[sr.Job]
-			if job == nil {
-				continue
+			if job == nil || job.label == "" {
+				continue // anonymous jobs are dropped at the end of replay
 			}
-			sh := &fedShard{id: sr.ID, attempt: sr.Attempt}
-			for _, idx := range sr.Idx {
-				sh.units = append(sh.units, workUnit{
-					item:   WorkItem{Point: job.points[idx], Key: job.keys[idx]},
-					jobIdx: idx, job: job})
+			for _, i := range sr.Idx {
+				if err := job.slotErr("plan", i); err != nil {
+					return err
+				}
 			}
-			c.pending = append(c.pending, sh)
-			c.bump(sh.id)
+			c.pending = append(c.pending, &fedShard{shardRec: sr, job: job})
 		}
 	case recTypeDone:
-		c.resolveReplayed(r)
+		job := c.jobs[r.Job]
+		if job == nil {
+			break
+		}
+		for _, e := range r.Entries {
+			if err := job.slotErr("done", e.Idx); err != nil {
+				return err
+			}
+		}
+		c.resolveLocked(job, r.Entries, nil)
 	case recTypeLease:
+		c.bump(r.ID)
 		for i, sh := range c.pending {
-			if sh.id == r.Shard {
+			if sh.ID == r.Shard {
 				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				sh.attempt = r.Attempt
+				sh.Attempt = r.Attempt
 				c.leases[r.ID] = &fedLease{id: r.ID, workerID: r.Worker, shard: sh,
 					deadline: time.UnixMilli(r.Deadline)}
-				c.bump(r.ID)
 				break
 			}
 		}
@@ -365,7 +382,7 @@ func (c *Coordinator) apply(rec durable.Record) error {
 			c.pending = append([]*fedShard{ls.shard}, c.pending...)
 		}
 	case recTypeJobDone:
-		c.dropJobLocked(r.Job)
+		// collectedJobs already kept the job out of the replay.
 	case recTypeSpan:
 		c.rec.Load(obs.Timeline{TraceID: r.Trace, Label: r.Label, Dropped: r.Dropped, Spans: r.Spans})
 	default:
@@ -381,89 +398,53 @@ func (c *Coordinator) bump(id string) {
 	}
 }
 
-// resolveReplayed slots replayed outcomes into their job (tallies and
-// progress wait for settleReplayLocked) and strips the resolved units
-// from every shard, dropping queued shards left empty — the live strip
-// path's effect. An index that is already resolved keeps its first
-// outcome.
-func (c *Coordinator) resolveReplayed(r walRec) {
-	job := c.jobs[r.Job]
-	if job == nil {
-		return
+// slotErr refuses a replayed slot index outside the job's point list.
+func (job *fedJob) slotErr(rec string, idx int) error {
+	if idx < 0 || idx >= len(job.points) {
+		return fmt.Errorf("sweep: replay %s record for %s: slot %d outside its %d points", rec, job.id, idx, len(job.points))
 	}
-	for _, e := range r.Entries {
-		if job.res.Outcomes[e.Idx] == nil {
-			job.res.Outcomes[e.Idx] = &Outcome{Point: job.points[e.Idx], Key: job.keys[e.Idx],
-				Cached: e.Cached, Err: e.Err, Result: e.Result}
-		}
-	}
-	strip := func(sh *fedShard) bool {
-		kept := sh.units[:0]
-		for _, u := range sh.units {
-			if u.job.res.Outcomes[u.jobIdx] == nil {
-				kept = append(kept, u)
-			}
-		}
-		sh.units = kept
-		return len(kept) > 0
-	}
-	for _, ls := range c.leases {
-		strip(ls.shard)
-	}
-	c.pending = filterShards(c.pending, strip)
+	return nil
 }
 
-// dropJobLocked forgets a job along with its queued and leased shards.
-func (c *Coordinator) dropJobLocked(id string) {
-	delete(c.jobs, id)
-	other := func(sh *fedShard) bool { return sh.job() == nil || sh.job().id != id }
-	c.pending = filterShards(c.pending, other)
-	for lid, ls := range c.leases {
-		if !other(ls.shard) {
-			delete(c.leases, lid)
-		}
-	}
-}
-
-func filterShards(shards []*fedShard, keep func(*fedShard) bool) []*fedShard {
-	kept := shards[:0]
-	for _, sh := range shards {
-		if keep(sh) {
-			kept = append(kept, sh)
-		}
-	}
-	return kept
-}
-
-// settleReplayLocked ends a replay. Every replayed result re-enters
-// the cache, so recovery never depends on the cache store having been
-// synced before the crash. Anonymous jobs (explorer rounds) are
-// dropped — a restarted exploration re-derives the round
-// deterministically against that cache. Labeled jobs tally their
-// outcomes through finishLocked, with span emission suppressed because
-// the replayed timeline already holds the history.
+// settleReplayLocked ends a replay, whose done records already
+// resolved every replayed outcome and put its result in the cache —
+// so recovery never depends on the cache store having been synced
+// before the crash. Anonymous jobs (explorer rounds) are dropped: a
+// restarted exploration re-derives the round deterministically against
+// that cache. Labeled jobs are listed for ResumeRecovered, and their
+// shards shed the resolved slots, as the live queue did when it
+// stripped cached points at lease time or emptied a completed or
+// abandoned shard out of the queue.
 func (c *Coordinator) settleReplayLocked() {
-	c.adopting = true
-	defer func() { c.adopting = false }()
 	for _, job := range c.jobsInOrderLocked() {
-		for idx, o := range job.res.Outcomes {
-			if o == nil {
-				continue
-			}
-			if o.Err == "" && o.Result != nil && o.Key != "" {
-				c.cache.Put(o.Key, o.Result)
-			}
-			if job.label != "" {
-				c.finishLocked(job, idx, o)
-			}
-		}
 		if job.label == "" {
-			c.dropJobLocked(job.id)
+			delete(c.jobs, job.id)
 			continue
 		}
 		c.recovered = append(c.recovered, RecoveredJob{Label: job.label, Trace: job.trace,
 			Meta: job.meta, Total: job.res.Stats.Points, Done: job.res.Stats.done()})
 	}
+	for _, ls := range c.leases {
+		ls.shard.stripResolved()
+	}
+	queued := c.pending[:0]
+	for _, sh := range c.pending {
+		if sh.stripResolved(); len(sh.Idx) > 0 {
+			queued = append(queued, sh)
+		}
+	}
+	c.pending = queued
+}
+
+// stripResolved drops the slots the shard's job has resolved.
+func (sh *fedShard) stripResolved() {
+	kept := sh.Idx[:0]
+	for _, i := range sh.Idx {
+		if sh.job.res.Outcomes[i] == nil {
+			kept = append(kept, i)
+		}
+	}
+	sh.Idx = kept
 }
 
 // Recovered lists the labeled jobs replayed from the state dir, in
@@ -503,14 +484,4 @@ func (c *Coordinator) ResumeRecovered(label string, onProgress func(Progress)) (
 // tests use: whatever the WAL already holds is exactly what a hard
 // kill would leave behind. Waiters get ErrClosed, workers see a closed
 // coordinator.
-func (c *Coordinator) Halt() {
-	c.mu.Lock()
-	defer c.unlock()
-	if c.closed {
-		return
-	}
-	if c.jrn != nil {
-		c.jrn.fail(c.jrn.wal.Close())
-	}
-	c.closeLocked()
-}
+func (c *Coordinator) Halt() { c.shutdown(false) }

@@ -519,9 +519,9 @@ func TestOpenRefusesLegacySnapshot(t *testing.T) {
 // pending shards, leases and attempts, and resume to the same
 // outcomes.
 func FuzzJournalCompaction(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0, 1, 5, 3, 6, 1, 2})
-	f.Add([]byte{0, 7, 1, 1, 4, 1, 3, 1, 2, 6, 14, 1, 9, 2, 13})
-	f.Add([]byte{21, 0, 1, 8, 1, 2, 3, 1, 4, 6, 1, 5, 6, 2, 0, 1})
+	for _, ops := range journalScriptSeeds {
+		f.Add(ops)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 48 {
 			ops = ops[:48]
@@ -530,54 +530,15 @@ func FuzzJournalCompaction(f *testing.F) {
 		cfg := CoordConfig{LeaseTTL: time.Minute, MaxAttempts: 2,
 			Planner: ShardPlanner{MaxPoints: 2}, StateDir: t.TempDir()}
 		c := openTestCoordinator(t, clk, cfg)
-		w, _ := c.RegisterWorker("w")
-		pool := testPoints(6)
-		var held []*LeaseGrant
-		labels := 0
+		s := newOpScript(t, clk, c)
 		for _, b := range ops {
-			arg := int(b / 7)
-			switch b % 7 {
-			case 0: // submit, labeled on even args
-				start := arg % 4
-				pts := pool[start : start+1+arg%3]
-				label := ""
-				if arg%2 == 0 {
-					labels++
-					label = fmt.Sprintf("sw-%d", labels)
-				}
-				submitJournaled(t, c, label, pts)
-			case 1: // lease
-				if g, err := c.LeaseShard(w.WorkerID); err == nil && g != nil {
-					held = append(held, g)
-				}
-			case 2: // complete, with errors on odd args
-				if len(held) > 0 {
-					c.CompleteShard(&CompleteRequest{LeaseID: held[0].LeaseID,
-						WorkerID: w.WorkerID, Outcomes: fuzzOutcomes(held[0], arg%2 == 1)})
-					held = held[1:]
-				}
-			case 3: // reject: a key that does not match the plan
-				if len(held) > 0 {
-					bad := fuzzOutcomes(held[0], false)
-					bad[0].Key = "not-the-planned-key"
-					c.CompleteShard(&CompleteRequest{LeaseID: held[0].LeaseID,
-						WorkerID: w.WorkerID, Outcomes: bad})
-					held = held[1:]
-				}
-			case 4: // expire every lease
-				clk.advance(2 * time.Minute)
-				c.Status()
-				held = nil
-			case 5: // renew
-				if len(held) > 0 {
-					c.RenewLease(w.WorkerID, held[0].LeaseID)
-				}
-			case 6: // crash and restart
+			if s.do(b) { // crash and restart
 				c.Halt()
 				c = openTestCoordinator(t, clk, cfg)
 				for _, rj := range c.Recovered() {
 					go c.ResumeRecovered(rj.Label, nil)
 				}
+				s.c = c
 			}
 			settleJournal(t, c)
 		}
@@ -619,17 +580,23 @@ func FuzzJournalCompaction(f *testing.F) {
 
 // submitJournaled starts a submission and returns once the coordinator
 // has queued it (classification and planning run under one lock hold,
-// so the submitted counter moving means both are done).
-func submitJournaled(t *testing.T, c *Coordinator, label string, pts []Point) {
+// so the submitted counter moving means both are done). The channel
+// receives the job's Results when its waiter collects them.
+func submitJournaled(t *testing.T, c *Coordinator, label string, pts []Point) chan *Results {
 	t.Helper()
 	before := c.Counters().JobsSubmitted
-	go c.RunJob("", label, json.RawMessage(`{"fuzz":true}`), pts, nil)
+	done := make(chan *Results, 1)
+	go func() {
+		res, _ := c.RunJob("", label, json.RawMessage(`{"fuzz":true}`), pts, nil)
+		done <- res
+	}()
 	for end := time.Now().Add(5 * time.Second); c.Counters().JobsSubmitted == before; {
 		if time.Now().After(end) {
 			t.Fatal("submission never queued")
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
+	return done
 }
 
 // settleJournal waits until every finished job's waiter has journaled
@@ -667,6 +634,79 @@ func fuzzOutcomes(g *LeaseGrant, fail bool) []WireOutcome {
 	return out
 }
 
+// journalScriptSeeds are FuzzJournalCompaction's seed scripts.
+var journalScriptSeeds = [][]byte{
+	{0, 1, 2, 0, 1, 5, 3, 6, 1, 2},
+	{0, 7, 1, 1, 4, 1, 3, 1, 2, 6, 14, 1, 9, 2, 13},
+	{21, 0, 1, 8, 1, 2, 3, 1, 4, 6, 1, 5, 6, 2, 0, 1},
+}
+
+// opScript runs operation scripts against a coordinator: each byte is
+// one submit, lease, complete, reject, expire, renew or halt operation
+// (b % 7) with an argument (b / 7).
+type opScript struct {
+	t      *testing.T
+	clk    *fakeClock
+	c      *Coordinator
+	worker string
+	pool   []Point
+	held   []*LeaseGrant
+	labels int
+	// results holds one channel per submission, in submission order;
+	// each receives the job's Results once its waiter collects them.
+	results []chan *Results
+}
+
+func newOpScript(t *testing.T, clk *fakeClock, c *Coordinator) *opScript {
+	w, _ := c.RegisterWorker("w")
+	return &opScript{t: t, clk: clk, c: c, worker: w.WorkerID, pool: testPoints(6)}
+}
+
+// do applies one operation. A halt is left to the caller: do reports
+// it and changes nothing.
+func (s *opScript) do(b byte) (halt bool) {
+	c, arg := s.c, int(b/7)
+	switch b % 7 {
+	case 0: // submit, labeled on even args
+		start := arg % 4
+		label := ""
+		if arg%2 == 0 {
+			s.labels++
+			label = fmt.Sprintf("sw-%d", s.labels)
+		}
+		s.results = append(s.results, submitJournaled(s.t, c, label, s.pool[start:start+1+arg%3]))
+	case 1: // lease
+		if g, err := c.LeaseShard(s.worker); err == nil && g != nil {
+			s.held = append(s.held, g)
+		}
+	case 2: // complete, with errors on odd args
+		if len(s.held) > 0 {
+			c.CompleteShard(&CompleteRequest{LeaseID: s.held[0].LeaseID,
+				WorkerID: s.worker, Outcomes: fuzzOutcomes(s.held[0], arg%2 == 1)})
+			s.held = s.held[1:]
+		}
+	case 3: // reject: a key that does not match the plan
+		if len(s.held) > 0 {
+			bad := fuzzOutcomes(s.held[0], false)
+			bad[0].Key = "not-the-planned-key"
+			c.CompleteShard(&CompleteRequest{LeaseID: s.held[0].LeaseID,
+				WorkerID: s.worker, Outcomes: bad})
+			s.held = s.held[1:]
+		}
+	case 4: // expire every lease
+		s.clk.advance(2 * time.Minute)
+		c.Status()
+		s.held = nil
+	case 5: // renew
+		if len(s.held) > 0 {
+			c.RenewLease(s.worker, s.held[0].LeaseID)
+		}
+	case 6: // crash and restart
+		return true
+	}
+	return false
+}
+
 type queueState struct {
 	Seq     int
 	Pending []shardRec
@@ -679,7 +719,7 @@ func queueOf(c *Coordinator) queueState {
 	defer c.mu.Unlock()
 	q := queueState{Seq: c.seq}
 	for _, sh := range c.pending {
-		q.Pending = append(q.Pending, shardState(sh))
+		q.Pending = append(q.Pending, sh.shardRec)
 	}
 	ids := make([]string, 0, len(c.leases))
 	for id := range c.leases {
@@ -689,7 +729,7 @@ func queueOf(c *Coordinator) queueState {
 	for _, id := range ids {
 		ls := c.leases[id]
 		q.Leases = append(q.Leases, leaseRecOf(ls))
-		q.Shards = append(q.Shards, shardState(ls.shard))
+		q.Shards = append(q.Shards, ls.shard.shardRec)
 	}
 	return q
 }
@@ -718,8 +758,9 @@ func resumeAll(t *testing.T, c *Coordinator) map[string]string {
 	for _, l := range queueOf(c).Leases {
 		g := &LeaseGrant{LeaseID: l.ID}
 		c.mu.Lock()
-		for _, u := range c.leases[l.ID].shard.units {
-			g.Items = append(g.Items, u.item)
+		sh := c.leases[l.ID].shard
+		for _, i := range sh.Idx {
+			g.Items = append(g.Items, WorkItem{Point: sh.job.points[i], Key: sh.job.keys[i]})
 		}
 		c.mu.Unlock()
 		complete(g, l.Worker)
@@ -780,7 +821,7 @@ func TestReapBurnsInGrantOrder(t *testing.T) {
 		c.mu.Lock()
 		var pending []string
 		for _, sh := range c.pending {
-			pending = append(pending, sh.id)
+			pending = append(pending, sh.ID)
 		}
 		c.mu.Unlock()
 		var burned []string
@@ -806,5 +847,101 @@ func TestReapBurnsInGrantOrder(t *testing.T) {
 		}
 		c.Close()
 		<-done
+	}
+}
+
+// loggedRec is one record for writeLog.
+type loggedRec struct {
+	typ byte
+	rec walRec
+}
+
+// writeLog writes records into a fresh state dir's WAL, frame for
+// frame as a coordinator would, and returns the dir.
+func writeLog(t *testing.T, recs ...loggedRec) string {
+	t.Helper()
+	dir := t.TempDir()
+	w, _, err := durable.OpenWAL(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.AppendJSON(r.typ, r.rec, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestReplayRefusesBadSlots: a log of well-formed frames whose slot
+// indices do not fit their job is refused with an error naming the
+// record and the job, never a panic.
+func TestReplayRefusesBadSlots(t *testing.T) {
+	pts := testPoints(2)
+	keys, _ := Keys(pts)
+	one := walRec{ID: "job-1", Label: "sw-1", Points: pts[:1], Keys: keys[:1]}
+	for _, tc := range []struct {
+		name string
+		recs []loggedRec
+		want string
+	}{
+		{"plan slot past the points", []loggedRec{{recTypeJob, one},
+			{recTypePlan, walRec{Shards: []shardRec{{ID: "sh-2", Job: "job-1", Idx: []int{5}}}}}},
+			"replay plan record for job-1"},
+		{"negative done slot", []loggedRec{{recTypeJob, one},
+			{recTypeDone, walRec{Job: "job-1", Entries: []doneEntry{{Idx: -1, Err: "x"}}}}},
+			"replay done record for job-1"},
+		{"fewer keys than points", []loggedRec{
+			{recTypeJob, walRec{ID: "job-1", Label: "sw-1", Points: pts, Keys: keys[:1]}},
+			{recTypePlan, walRec{Shards: []shardRec{{ID: "sh-2", Job: "job-1", Idx: []int{0, 1}}}}}},
+			"replay job record job-1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := OpenCoordinator(nil, CoordConfig{StateDir: writeLog(t, tc.recs...)})
+			if err == nil {
+				c.Close()
+				t.Fatal("replay accepted the log")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("replay error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestReplayBumpsNoCounters: lifetime counters count only this
+// process's work. Replaying a finished but uncollected labeled job, a
+// half-done one and an anonymous one resolves their outcomes again,
+// but a reopened coordinator's counters read zero — apart from the
+// compaction it runs at open.
+func TestReplayBumpsNoCounters(t *testing.T) {
+	pts := testPoints(3)
+	keys, _ := Keys(pts)
+	done := func(job string, idx ...int) loggedRec {
+		r := walRec{Job: job}
+		for _, i := range idx {
+			r.Entries = append(r.Entries, doneEntry{Idx: i, Err: "fabricated for test"})
+		}
+		return loggedRec{recTypeDone, r}
+	}
+	dir := writeLog(t,
+		loggedRec{recTypeJob, walRec{ID: "job-1", Label: "sw-1", Points: pts, Keys: keys}},
+		done("job-1", 0, 1, 2),
+		loggedRec{recTypeJob, walRec{ID: "job-2", Label: "sw-2", Points: pts, Keys: keys}},
+		loggedRec{recTypePlan, walRec{Shards: []shardRec{{ID: "sh-3", Job: "job-2", Idx: []int{1, 2}}}}},
+		done("job-2", 0),
+		loggedRec{recTypeJob, walRec{ID: "job-4", Points: pts[:1], Keys: keys[:1]}},
+		done("job-4", 0),
+	)
+	c := openTestCoordinator(t, nil, CoordConfig{StateDir: dir})
+	rec := c.Recovered()
+	if len(rec) != 2 || rec[0].Done != 3 || rec[1].Done != 1 {
+		t.Fatalf("recovered: %+v", rec)
+	}
+	if got := c.Counters(); got != (CoordCounters{JournalCompactions: 1}) {
+		t.Fatalf("counters after replay: %+v", got)
 	}
 }
