@@ -575,7 +575,7 @@ func TestRetainPassesRunningSweep(t *testing.T) {
 
 // TestJournalDegradedGauge: sweepd_journal_degraded flips to 1 once the
 // state dir stops taking writes, and the journal's size and compaction
-// count are on /metrics.
+// count are on /metrics, both 0 on a fresh state dir.
 func TestJournalDegradedGauge(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := OpenServerWith(resumeConfig(dir))
@@ -589,13 +589,21 @@ func TestJournalDegradedGauge(t *testing.T) {
 	if v := metricValue(t, m, "sweepd_journal_degraded"); v != 0 {
 		t.Fatalf("healthy journal: sweepd_journal_degraded %g", v)
 	}
-	// Open compacts once, and a compacted log holds at least the id
-	// sequence.
+	// Open does not compact an empty log, so a fresh state dir shows
+	// none; a compaction then writes at least the id sequence.
+	if v := metricValue(t, m, "sweepd_journal_compactions_total"); v != 0 {
+		t.Fatalf("sweepd_journal_compactions_total %g after a fresh open, want 0", v)
+	}
+	if v := metricValue(t, m, "sweepd_journal_wal_bytes"); v != 0 {
+		t.Fatalf("sweepd_journal_wal_bytes %g after a fresh open, want 0", v)
+	}
+	srv.Coordinator().Compact()
+	m = scrapeMetrics(t, ts)
 	if v := metricValue(t, m, "sweepd_journal_compactions_total"); v != 1 {
-		t.Fatalf("sweepd_journal_compactions_total %g after open, want 1", v)
+		t.Fatalf("sweepd_journal_compactions_total %g after one compaction, want 1", v)
 	}
 	if v := metricValue(t, m, "sweepd_journal_wal_bytes"); v <= 0 {
-		t.Fatalf("sweepd_journal_wal_bytes %g after open", v)
+		t.Fatalf("sweepd_journal_wal_bytes %g after a compaction", v)
 	}
 	// A non-empty directory where the log goes makes the compaction's
 	// rename fail.

@@ -27,11 +27,11 @@ type Machine struct {
 	ICount uint64
 }
 
-// New loads the program into a fresh machine: data segment copied to
-// DataBase, PC at the entry point, SP at the top of the stack.
+// New loads the program into a fresh machine: the data segment at
+// DataBase, read in place and never written (Memory), PC at the entry
+// point, SP at the top of the stack.
 func New(p *program.Program) *Machine {
-	m := &Machine{Prog: p, Mem: NewMemory(), PC: p.Entry()}
-	m.Mem.LoadBytes(program.DataBase, p.Data)
+	m := &Machine{Prog: p, Mem: NewMemory(program.DataBase, p.Data), PC: p.Entry()}
 	m.IntR[isa.SP] = program.StackBase
 	m.IntR[isa.GP] = program.DataBase
 	return m
@@ -49,34 +49,25 @@ func (e *ErrLimit) Error() string {
 // recording the dynamic trace. It returns ErrLimit if the budget is
 // exhausted, or the fault that stopped execution; the partial trace is
 // still returned either way. Run first executes a clone of the machine
-// to count the instructions, the memory instructions among them and the
-// JALRs that another instruction retires after, then records into
-// columns of exactly those sizes (trace.New), so every column's
+// through a trace.Sizer, which measures every column, then records
+// into columns of exactly those sizes (trace.New), so every column's
 // capacity equals its length and the trace is never copied to grow.
-// The clone's memory is garbage once the counts are known.
+// The clone shares the program's data segment and copies no page until
+// it writes one; those pages are garbage once the sizes are known.
 func (m *Machine) Run(maxInsts uint64) (*trace.Trace, error) {
 	// The counting run meets the same ErrLimit or fault as the
 	// recording run below.
-	probe := m.clone()
-	mem, jalrs, jumped := 0, 0, false
-	_ = probe.each(maxInsts, func(e trace.Entry) {
-		if jumped {
-			jalrs++
-		}
-		in := m.Prog.Insts[e.Idx]
-		if in.IsMem() {
-			mem++
-		}
-		jumped = in.IsIndirect()
-	})
-	tr := trace.New(m.Prog, int(probe.ICount-m.ICount), mem, jalrs)
+	var sz trace.Sizer
+	_ = m.clone().each(maxInsts, func(e trace.Entry) { sz.Add(m.Prog, e) })
+	tr := trace.New(m.Prog, sz)
 	err := m.each(maxInsts, tr.Append)
 	tr.End = m.PC
 	return tr, err
 }
 
 // clone returns an independent copy of the machine: registers, PC,
-// counters and memory pages. The program is shared; it is immutable.
+// counters and memory (Memory.clone). The program is shared; it is
+// immutable.
 func (m *Machine) clone() *Machine {
 	c := *m
 	c.Mem = m.Mem.clone()

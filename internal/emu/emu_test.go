@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -349,22 +350,27 @@ func checkRunState(t *testing.T, p *program.Program, maxInsts uint64, m *Machine
 }
 
 // exactBytes is what tr's columns hold when each one's capacity equals
-// its length: a taken bit per entry in 8-byte words, 8 bytes per
-// memory entry and 4 per JALR that has a successor.
+// its length: a taken bit per entry in 8-byte words, the zigzag varint
+// of each memory entry's address minus the previous memory entry's (0
+// before the first), and 4 bytes per JALR that has a successor.
 func exactBytes(tr *trace.Trace) int64 {
-	var mem, jalrs int64
+	var deltas, jalrs int64
+	var buf [binary.MaxVarintLen64]byte
+	var prev uint64
 	jumped := false
 	for c := tr.Start(); c.Index() < tr.Len(); {
 		if jumped {
 			jalrs++
 		}
-		in := tr.Prog.Insts[tr.Next(&c).Idx]
+		e := tr.Next(&c)
+		in := tr.Prog.Insts[e.Idx]
 		if in.IsMem() {
-			mem++
+			deltas += int64(binary.PutVarint(buf[:], int64(e.EffAddr-prev)))
+			prev = e.EffAddr
 		}
 		jumped = in.IsIndirect()
 	}
-	return 8*((int64(tr.Len())+63)/64) + 8*mem + 4*jalrs
+	return 8*((int64(tr.Len())+63)/64) + deltas + 4*jalrs
 }
 
 // checkTraceReplay steps a fresh machine through p alongside a cursor
@@ -432,7 +438,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestMemoryPageCrossing(t *testing.T) {
-	m := NewMemory()
+	m := NewMemory(0, nil)
 	addr := uint64(pageSize - 3) // crosses the first page boundary
 	m.Write(addr, 8, 0x0123456789ABCDEF)
 	if got := m.Read(addr, 8); got != 0x0123456789ABCDEF {
@@ -444,7 +450,7 @@ func TestMemoryPageCrossing(t *testing.T) {
 }
 
 func TestMemoryZeroDefault(t *testing.T) {
-	m := NewMemory()
+	m := NewMemory(0, nil)
 	if m.Read(0xDEAD0000, 8) != 0 {
 		t.Error("unmapped memory should read as zero")
 	}

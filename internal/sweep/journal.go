@@ -258,8 +258,9 @@ type RecoveredJob struct {
 
 // OpenCoordinator is NewCoordinator plus durability: with
 // cfg.StateDir set, the WAL is replayed (torn tail tolerated) into the
-// new coordinator, compacted, and every queue transition from here on
-// is journaled. With an empty StateDir it is exactly NewCoordinator.
+// new coordinator, compacted unless it held no record, and every queue
+// transition from here on is journaled. With an empty StateDir it is
+// exactly NewCoordinator.
 func OpenCoordinator(cache *Cache, cfg CoordConfig) (*Coordinator, error) {
 	c := NewCoordinator(cache, cfg)
 	if cfg.StateDir == "" {
@@ -291,8 +292,12 @@ func OpenCoordinator(cache *Cache, cfg CoordConfig) (*Coordinator, error) {
 	c.settleReplayLocked()
 	c.adopting = false
 	// Compact immediately: dropped anonymous jobs disappear for good.
+	// An empty log has nothing to drop, so a fresh start writes and
+	// syncs nothing.
 	c.jrn = &journal{wal: wal}
-	c.compactLocked()
+	if len(recs) > 0 {
+		c.compactLocked()
+	}
 	return c, nil
 }
 

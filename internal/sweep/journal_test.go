@@ -498,6 +498,42 @@ func TestCompactionBetweenOperations(t *testing.T) {
 	}
 }
 
+// TestFreshStateDirOpensWithoutCompaction opens a coordinator on an
+// empty state dir: replay read nothing, so it compacts nothing and the
+// log stays empty. Halted and reopened, it recovers an empty queue. A
+// log with records is still compacted at open.
+func TestFreshStateDirOpensWithoutCompaction(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "wal.log")
+	c := openTestCoordinator(t, nil, CoordConfig{StateDir: dir})
+	if n := c.Counters().JournalCompactions; n != 0 {
+		t.Errorf("a fresh open compacted %d times", n)
+	}
+	if fi, err := os.Stat(walPath); err != nil || fi.Size() != 0 {
+		t.Fatalf("fresh log: %v, %v; want an empty file", fi, err)
+	}
+	c.Halt()
+
+	c = openTestCoordinator(t, nil, CoordConfig{StateDir: dir})
+	if n := c.Counters().JournalCompactions; n != 0 {
+		t.Errorf("reopening an empty log compacted %d times", n)
+	}
+	if rec, q := c.Recovered(), queueOf(c); len(rec) != 0 || !reflect.DeepEqual(q, queueState{}) {
+		t.Fatalf("reopened an empty log: recovered %+v, queue %+v", rec, q)
+	}
+	submitJournaled(t, c, "sw-1", testPoints(2))
+	settleJournal(t, c)
+	c.Halt()
+
+	c = openTestCoordinator(t, nil, CoordConfig{StateDir: dir})
+	if n := c.Counters().JournalCompactions; n != 1 {
+		t.Errorf("reopening a log with a job compacted %d times, want 1", n)
+	}
+	if rec := c.Recovered(); len(rec) != 1 || rec[0].Label != "sw-1" {
+		t.Errorf("recovered %+v, want sw-1", rec)
+	}
+}
+
 // TestOpenRefusesLegacySnapshot: a state dir written by the
 // snapshot-plus-WAL format is refused by name, not half-read.
 func TestOpenRefusesLegacySnapshot(t *testing.T) {
@@ -529,20 +565,7 @@ func FuzzJournalCompaction(f *testing.F) {
 		clk := &fakeClock{t: time.Unix(1000, 0)}
 		cfg := CoordConfig{LeaseTTL: time.Minute, MaxAttempts: 2,
 			Planner: ShardPlanner{MaxPoints: 2}, StateDir: t.TempDir()}
-		c := openTestCoordinator(t, clk, cfg)
-		s := newOpScript(t, clk, c)
-		for _, b := range ops {
-			if s.do(b) { // crash and restart
-				c.Halt()
-				c = openTestCoordinator(t, clk, cfg)
-				for _, rj := range c.Recovered() {
-					go c.ResumeRecovered(rj.Label, nil)
-				}
-				s.c = c
-			}
-			settleJournal(t, c)
-		}
-		c.Halt()
+		runWithRestarts(t, clk, cfg, ops).c.Halt()
 		raw, err := os.ReadFile(filepath.Join(cfg.StateDir, "wal.log"))
 		if err != nil {
 			t.Fatal(err)
@@ -576,6 +599,43 @@ func FuzzJournalCompaction(f *testing.F) {
 			t.Fatalf("resumed outcomes differ:\nraw       %v\ncompacted %v", a, b)
 		}
 	})
+}
+
+// runWithRestarts runs ops against a durable coordinator on cfg's
+// state dir. A halt op crashes it and opens the log again, and the
+// script's worker registers again with the new coordinator, which does
+// not know its old id. The returned script holds the last coordinator,
+// still running.
+func runWithRestarts(t *testing.T, clk *fakeClock, cfg CoordConfig, ops []byte) *opScript {
+	t.Helper()
+	s := newOpScript(t, clk, openTestCoordinator(t, clk, cfg))
+	for _, b := range ops {
+		if s.do(b) { // crash and restart
+			s.c.Halt()
+			c := openTestCoordinator(t, clk, cfg)
+			for _, rj := range c.Recovered() {
+				go c.ResumeRecovered(rj.Label, nil)
+			}
+			s.register(c)
+			s.restarts++
+		}
+		settleJournal(t, s.c)
+	}
+	return s
+}
+
+// TestScriptLeasesAfterRestart runs the second journal seed, whose
+// halt comes before a submission and a lease: the script must lease
+// again from the reopened coordinator.
+func TestScriptLeasesAfterRestart(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	cfg := CoordConfig{LeaseTTL: time.Minute, MaxAttempts: 2,
+		Planner: ShardPlanner{MaxPoints: 2}, StateDir: t.TempDir()}
+	s := runWithRestarts(t, clk, cfg, journalScriptSeeds[1])
+	if s.restarts == 0 || s.leasesAfterRestart == 0 {
+		t.Fatalf("%d restarts, %d leases granted after one; want at least one of each",
+			s.restarts, s.leasesAfterRestart)
+	}
 }
 
 // submitJournaled starts a submission and returns once the coordinator
@@ -648,18 +708,38 @@ type opScript struct {
 	t      *testing.T
 	clk    *fakeClock
 	c      *Coordinator
-	worker string
+	worker string // the id the script's worker leases under
 	pool   []Point
-	held   []*LeaseGrant
+	held   []heldLease
 	labels int
 	// results holds one channel per submission, in submission order;
 	// each receives the job's Results once its waiter collects them.
 	results []chan *Results
+
+	restarts, leasesAfterRestart int
+}
+
+// heldLease is a grant and the worker id it was leased under, which a
+// restart does not change: replay restores the lease to that id.
+type heldLease struct {
+	*LeaseGrant
+	worker string
 }
 
 func newOpScript(t *testing.T, clk *fakeClock, c *Coordinator) *opScript {
-	w, _ := c.RegisterWorker("w")
-	return &opScript{t: t, clk: clk, c: c, worker: w.WorkerID, pool: testPoints(6)}
+	s := &opScript{t: t, clk: clk, pool: testPoints(6)}
+	s.register(c)
+	return s
+}
+
+// register makes c the script's coordinator and registers the script's
+// worker with it.
+func (s *opScript) register(c *Coordinator) {
+	w, err := c.RegisterWorker("w")
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	s.c, s.worker = c, w.WorkerID
 }
 
 // do applies one operation. A halt is left to the caller: do reports
@@ -677,20 +757,23 @@ func (s *opScript) do(b byte) (halt bool) {
 		s.results = append(s.results, submitJournaled(s.t, c, label, s.pool[start:start+1+arg%3]))
 	case 1: // lease
 		if g, err := c.LeaseShard(s.worker); err == nil && g != nil {
-			s.held = append(s.held, g)
+			s.held = append(s.held, heldLease{g, s.worker})
+			if s.restarts > 0 {
+				s.leasesAfterRestart++
+			}
 		}
 	case 2: // complete, with errors on odd args
 		if len(s.held) > 0 {
 			c.CompleteShard(&CompleteRequest{LeaseID: s.held[0].LeaseID,
-				WorkerID: s.worker, Outcomes: fuzzOutcomes(s.held[0], arg%2 == 1)})
+				WorkerID: s.held[0].worker, Outcomes: fuzzOutcomes(s.held[0].LeaseGrant, arg%2 == 1)})
 			s.held = s.held[1:]
 		}
 	case 3: // reject: a key that does not match the plan
 		if len(s.held) > 0 {
-			bad := fuzzOutcomes(s.held[0], false)
+			bad := fuzzOutcomes(s.held[0].LeaseGrant, false)
 			bad[0].Key = "not-the-planned-key"
 			c.CompleteShard(&CompleteRequest{LeaseID: s.held[0].LeaseID,
-				WorkerID: s.worker, Outcomes: bad})
+				WorkerID: s.held[0].worker, Outcomes: bad})
 			s.held = s.held[1:]
 		}
 	case 4: // expire every lease
@@ -699,7 +782,7 @@ func (s *opScript) do(b byte) (halt bool) {
 		s.held = nil
 	case 5: // renew
 		if len(s.held) > 0 {
-			c.RenewLease(s.worker, s.held[0].LeaseID)
+			c.RenewLease(s.held[0].worker, s.held[0].LeaseID)
 		}
 	case 6: // crash and restart
 		return true

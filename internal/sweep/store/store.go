@@ -137,12 +137,18 @@ type Store struct {
 
 	statMu      sync.Mutex
 	compactions int64 // segments rewritten or dropped
+
+	// The manifest is written with the first segment, not by Open, so
+	// that opening and closing an empty store writes nothing.
+	manifestMu sync.Mutex
+	manifested bool
 }
 
 // Open opens (creating if absent) the store rooted at dir and rebuilds
 // the key index by scanning every segment. Torn tails are truncated
 // back to the last intact record, so a store that was killed mid-append
-// reopens clean.
+// reopens clean. A new store's manifest is written with its first
+// segment, so opening an empty store writes and syncs nothing.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -160,13 +166,9 @@ func Open(dir string, opts Options) (*Store, error) {
 				mpath, m.Version, m.Shards)
 		}
 		opts.Shards = m.Shards
-	} else {
-		if err := durable.WriteSnapshot(mpath, manifest{Version: 1, Shards: opts.Shards}); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
 	}
 
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{dir: dir, opts: opts, manifested: ok}
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{st: s, id: i, index: map[string]ref{}, segs: map[int]*segMeta{}}
@@ -345,6 +347,9 @@ func (sh *shard) roll() error {
 		}
 		sh.active = nil
 	}
+	if err := sh.st.writeManifest(); err != nil {
+		return err
+	}
 	seq := sh.activeSeq + 1
 	f, err := os.OpenFile(sh.st.segPath(sh.id, seq), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -353,6 +358,23 @@ func (sh *shard) roll() error {
 	sh.active = f
 	sh.activeSeq = seq
 	sh.segs[seq] = &segMeta{seq: seq}
+	return nil
+}
+
+// writeManifest writes MANIFEST.json unless it exists. roll calls it
+// before it creates a segment, so no segment is ever on disk without
+// the shard count it was hashed with.
+func (s *Store) writeManifest() error {
+	s.manifestMu.Lock()
+	defer s.manifestMu.Unlock()
+	if s.manifested {
+		return nil
+	}
+	mpath := filepath.Join(s.dir, "MANIFEST.json")
+	if err := durable.WriteSnapshot(mpath, manifest{Version: 1, Shards: s.opts.Shards}); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	s.manifested = true
 	return nil
 }
 

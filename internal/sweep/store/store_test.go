@@ -361,3 +361,43 @@ func TestSegmentRolling(t *testing.T) {
 		t.Fatalf("expected ≥3 segment files, got %d", len(segs))
 	}
 }
+
+// TestManifestWithFirstSegment opens and closes a store without a
+// write: it leaves the directory empty, so a fresh start syncs nothing.
+// Written later, the store creates its manifest before its first
+// segment, and the manifest's shard count wins over the options of any
+// later open.
+func TestManifestWithFirstSegment(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("an empty store left %d files, the first %s", len(ents), ents[0].Name())
+	}
+
+	s = openTest(t, dir)
+	put(t, s, "k", "v")
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST.json")); err != nil {
+		t.Fatalf("first segment written without a manifest: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir, Options{Shards: 16, CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if len(s.shards) != testOptions().Shards {
+		t.Errorf("reopened with %d shards, the manifest says %d", len(s.shards), testOptions().Shards)
+	}
+	if v, ok := get(t, s, "k"); !ok || v != "v" {
+		t.Errorf("Get(k) after reopen = %q, %v", v, ok)
+	}
+}

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -14,9 +15,9 @@ import (
 // stores), appends them to a trace sized by New, and walks a cursor
 // over it with random save-and-restore rewinds: every Entry, the PC
 // before and after it, and End past the last must match what the
-// emulator did. A trace sized by New holds exactly its columns'
-// lengths: 8 B per 64 entries, 8 B per memory entry and 4 B per JALR
-// with a successor.
+// emulator did. A trace sized by a Sizer holds exactly its columns'
+// lengths: 8 B per 64 entries, the zigzag varint of each memory
+// entry's address delta and 4 B per JALR with a successor.
 func FuzzTraceColumns(f *testing.F) {
 	// Programs of 0 to 200 templates (calls among them), each walked
 	// under three rewind seeds.
@@ -39,7 +40,9 @@ func FuzzTraceColumns(f *testing.F) {
 		m := emu.New(p)
 		var es []trace.Entry
 		var pcs []uint64
-		mem, jalrs := 0, 0
+		var sz trace.Sizer
+		var buf [binary.MaxVarintLen64]byte
+		addrBytes, jalrs, prev := 0, 0, uint64(0)
 		for !m.Halted {
 			pc := m.PC
 			e, err := m.Step()
@@ -50,13 +53,15 @@ func FuzzTraceColumns(f *testing.F) {
 				jalrs++
 			}
 			if p.Insts[e.Idx].IsMem() {
-				mem++
+				addrBytes += binary.PutVarint(buf[:], int64(e.EffAddr-prev))
+				prev = e.EffAddr
 			}
+			sz.Add(p, e)
 			es, pcs = append(es, e), append(pcs, pc)
 		}
 		pcs = append(pcs, m.PC)
 
-		tr := trace.New(p, len(es), mem, jalrs)
+		tr := trace.New(p, sz)
 		for _, e := range es {
 			tr.Append(e)
 		}
@@ -65,9 +70,9 @@ func FuzzTraceColumns(f *testing.F) {
 			t.Fatalf("Len = %d, appended %d", tr.Len(), len(es))
 		}
 		words := (int64(len(es)) + 63) / 64
-		if exact := 8*words + 8*int64(mem) + 4*int64(jalrs); tr.Bytes() != exact {
-			t.Fatalf("%d entries, %d memory, %d JALR targets hold %d B; %d B at exact size",
-				len(es), mem, jalrs, tr.Bytes(), exact)
+		if exact := 8*words + int64(addrBytes) + 4*int64(jalrs); tr.Bytes() != exact {
+			t.Fatalf("%d entries, %d B of address deltas, %d JALR targets hold %d B; %d B at exact size",
+				len(es), addrBytes, jalrs, tr.Bytes(), exact)
 		}
 
 		rng := rand.New(rand.NewSource(int64(seed)))

@@ -8,7 +8,9 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"earlyrelease/internal/isa"
 	"earlyrelease/internal/program"
@@ -25,10 +27,14 @@ type Entry struct {
 // Trace is a complete dynamic execution of a program. It stores only
 // what the program cannot tell: one taken bit per entry, the effective
 // address of every memory entry (zeros included), and the instruction
-// index after every JALR that has a successor. Every other entry's
-// instruction follows from its predecessor's: the fall-through, or the
-// encoded target of a taken branch or JAL. A trace is therefore read
-// forward, through a Cursor. The zero Trace is not usable; call New.
+// index after every JALR that has a successor. An address is stored as
+// its difference from the previous memory entry's address (from 0 for
+// the first), zigzag-encoded as a uvarint, the encoding of
+// binary.AppendVarint: consecutive accesses are usually close, so most
+// take one or two bytes. Every other entry's instruction follows from
+// its predecessor's: the fall-through, or the encoded target of a taken
+// branch or JAL. A trace is therefore read forward, through a Cursor.
+// The zero Trace is not usable; call New.
 type Trace struct {
 	Prog *program.Program
 	End  uint64 // PC after the last entry, where the emulator stopped
@@ -36,15 +42,17 @@ type Trace struct {
 	n       int
 	first   uint32   // instruction index of entry 0
 	taken   []uint64 // taken bit per entry, 64 entries per word
-	addrs   []uint64 // effective address per memory entry
+	addrs   []byte   // address delta per memory entry, as a zigzag uvarint
 	targets []uint32 // instruction index after each JALR, but the last entry
 
 	steps []step // per static instruction: how a cursor moves past it
 
 	// Append's state: the index the next entry must have, unless the
-	// last entry was a JALR, whose successor only the next entry tells.
+	// last entry was a JALR, whose successor only the next entry tells;
+	// and the last memory entry's address.
 	want   uint32
 	jumped bool
+	prev   uint64
 }
 
 // step is what a cursor needs to move past one static instruction.
@@ -55,26 +63,60 @@ type step struct {
 }
 
 // Cursor is a position in a trace: the entry number, that entry's
-// instruction index, and the positions of its address and target in
-// their columns. It is a small value; saving it and assigning it back
-// rewinds the trace with no scan.
+// instruction index, the positions of its address and target in their
+// columns, and the last address before it, which its address delta is
+// taken from. It is a 24-byte value; saving it and assigning it back
+// rewinds the trace with no scan. The column positions share a field
+// so that the cursor has four: the compiler copies a struct of five
+// fields through memory instead of keeping it in registers, which made
+// a walk over a trace more than twice as slow.
 type Cursor struct {
-	i, idx, addr, tgt uint32
+	i, idx uint32
+	col    struct{ addr, tgt uint32 }
+	prev   uint64
 }
 
 // Index returns the number of the entry at c.
 func (c Cursor) Index() int { return int(c.i) }
 
+// Sizer measures the columns of a trace from its entries, fed in order
+// through Add, so that New can allocate each at exactly its length.
+type Sizer struct {
+	n, jalrs, addrBytes int
+	prev                uint64
+	jumped              bool
+}
+
+// Add counts e, an entry of a trace of p, as the next entry.
+func (s *Sizer) Add(p *program.Program, e Entry) {
+	if s.jumped {
+		s.jalrs++
+	}
+	in := p.Insts[e.Idx]
+	if in.IsMem() {
+		s.addrBytes += deltaLen(e.EffAddr - s.prev)
+		s.prev = e.EffAddr
+	}
+	s.jumped = in.IsIndirect()
+	s.n++
+}
+
+// deltaLen is the length of d's zigzag uvarint, as AppendVarint
+// writes it.
+func deltaLen(d uint64) int {
+	z := d<<1 ^ uint64(int64(d)>>63)
+	return (bits.Len64(z|1) + 6) / 7
+}
+
 // New returns an empty trace of p whose columns have room for exactly
-// n entries, mem memory entries and jalrs JALR targets, so that
-// appending that many leaves every column's capacity equal to its
-// length.
-func New(p *program.Program, n, mem, jalrs int) *Trace {
+// the entries sz was fed, so that appending them leaves every column's
+// capacity equal to its length.
+func New(p *program.Program, sz Sizer) *Trace {
 	t := &Trace{
 		Prog:    p,
-		taken:   make([]uint64, 0, (n+63)/64),
-		addrs:   make([]uint64, 0, mem),
-		targets: make([]uint32, 0, jalrs),
+		taken:   make([]uint64, 0, (sz.n+63)/64),
+		addrs:   make([]byte, 0, sz.addrBytes),
+		targets: make([]uint32, 0, sz.jalrs),
 		steps:   make([]step, len(p.Insts)),
 	}
 	for i, in := range p.Insts {
@@ -110,7 +152,8 @@ func (t *Trace) Append(e Entry) {
 		t.taken[t.n>>6] |= 1 << (t.n & 63)
 	}
 	if s.mem {
-		t.addrs = append(t.addrs, e.EffAddr)
+		t.addrs = binary.AppendVarint(t.addrs, int64(e.EffAddr-t.prev))
+		t.prev = e.EffAddr
 	} else if e.EffAddr != 0 {
 		panic(fmt.Sprintf("trace: entry %d (instruction %d) has address %#x but no memory access",
 			t.n, e.Idx, e.EffAddr))
@@ -135,15 +178,21 @@ func (t *Trace) Next(c *Cursor) Entry {
 	s := &t.steps[c.idx]
 	e := Entry{Idx: c.idx, Taken: t.taken[c.i>>6]>>(c.i&63)&1 != 0}
 	if s.mem {
-		e.EffAddr = t.addrs[c.addr]
-		c.addr++
+		// Most deltas take one byte; Uvarint reads the rest.
+		z, k := uint64(t.addrs[c.col.addr]), 1
+		if z >= 0x80 {
+			z, k = binary.Uvarint(t.addrs[c.col.addr:])
+		}
+		c.prev += z>>1 ^ -(z & 1) // undo the zigzag
+		c.col.addr += uint32(k)
+		e.EffAddr = c.prev
 	}
 	switch {
 	case s.jalr:
-		if int(c.tgt) < len(t.targets) {
-			c.idx = t.targets[c.tgt]
+		if int(c.col.tgt) < len(t.targets) {
+			c.idx = t.targets[c.col.tgt]
 		}
-		c.tgt++
+		c.col.tgt++
 	case e.Taken:
 		c.idx = s.taken
 	default:
@@ -165,7 +214,7 @@ func (t *Trace) PC(c Cursor) uint64 {
 // Bytes returns the heap bytes the trace's columns hold: their
 // capacities times their element sizes.
 func (t *Trace) Bytes() int64 {
-	return 8*int64(cap(t.taken)+cap(t.addrs)) + 4*int64(cap(t.targets))
+	return 8*int64(cap(t.taken)) + int64(cap(t.addrs)) + 4*int64(cap(t.targets))
 }
 
 // Mix summarizes the dynamic instruction mix of a trace; the workload

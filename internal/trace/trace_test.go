@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -61,9 +63,10 @@ func TestAccessors(t *testing.T) {
 	if tr.Len() != len(es) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(es))
 	}
-	// 8 B of taken bits, two addresses (the zero one too), one target.
-	if tr.Bytes() != 8+2*8+4 {
-		t.Errorf("Bytes = %d, want %d", tr.Bytes(), 8+2*8+4)
+	// 8 B of taken bits; the address deltas +0x2000 (3 B) and -0x2000
+	// (2 B), the zero address too; one 4 B target.
+	if tr.Bytes() != 8+3+2+4 {
+		t.Errorf("Bytes = %d, want %d", tr.Bytes(), 8+3+2+4)
 	}
 	var mark Cursor
 	for pass := 0; pass < 2; pass++ {
@@ -85,6 +88,56 @@ func TestAccessors(t *testing.T) {
 		}
 		if tr.PC(c) != tr.End {
 			t.Errorf("PC past the end = %#x, want End %#x", tr.PC(c), tr.End)
+		}
+	}
+}
+
+// TestExtremeAddresses stores addresses whose deltas wrap (0 to
+// MaxUint64 is a delta of -1), go backwards, and take the longest
+// varint (a delta of 1<<63 takes 10 bytes). The trace holds exactly
+// its columns, reads every address back, and a cursor saved at any
+// entry, in the middle of the address stream too, rewinds to it.
+func TestExtremeAddresses(t *testing.T) {
+	prog := &program.Program{Insts: []isa.Inst{
+		{Op: isa.LD, Rd: 1},            // 0
+		{Op: isa.BNE, Rs1: 1, Imm: -2}, // 1: back to 0
+		{Op: isa.HALT},                 // 2
+	}}
+	addrs := []uint64{
+		0, math.MaxUint64, 0, 1 << 63, 0, 1 << 62, math.MaxUint64, 1 << 63,
+		0x2000, 0x1000, 0x1000, 0xfff, math.MaxUint64 - 7, 8, 1<<63 - 1, 1 << 63,
+	}
+	var es []Entry
+	var deltas int
+	var buf [binary.MaxVarintLen64]byte
+	prev, longest := uint64(0), 0
+	for i, a := range addrs {
+		es = append(es, Entry{Idx: 0, EffAddr: a}, Entry{Idx: 1, Taken: i+1 < len(addrs)})
+		k := binary.PutVarint(buf[:], int64(a-prev))
+		deltas, prev, longest = deltas+k, a, max(longest, k)
+	}
+	es = append(es, Entry{Idx: 2})
+	if longest != binary.MaxVarintLen64 {
+		t.Fatalf("longest delta takes %d B, want %d", longest, binary.MaxVarintLen64)
+	}
+	tr := build(prog, es)
+	if want := int64(8 + deltas); tr.Bytes() != want {
+		t.Errorf("Bytes = %d, want %d", tr.Bytes(), want)
+	}
+	for mark := 0; mark < len(es); mark++ {
+		var saved Cursor
+		c := tr.Start()
+		for pass := 0; pass < 2; pass++ {
+			for c.Index() < tr.Len() {
+				i := c.Index()
+				if i == mark && pass == 0 {
+					saved = c
+				}
+				if e := tr.Next(&c); e != es[i] {
+					t.Fatalf("mark %d pass %d: entry %d = %+v, appended %+v", mark, pass, i, e, es[i])
+				}
+			}
+			c = saved
 		}
 	}
 }
@@ -113,19 +166,13 @@ func TestAppendRejectsAnUnfollowedEntry(t *testing.T) {
 	}
 }
 
-// build appends es to a trace sized for them by New.
+// build appends es to a trace sized for them by a Sizer.
 func build(p *program.Program, es []Entry) *Trace {
-	mem, jalrs := 0, 0
-	for i, e := range es {
-		in := p.Insts[e.Idx]
-		if in.IsMem() {
-			mem++
-		}
-		if in.IsIndirect() && i+1 < len(es) {
-			jalrs++
-		}
+	var sz Sizer
+	for _, e := range es {
+		sz.Add(p, e)
 	}
-	tr := New(p, len(es), mem, jalrs)
+	tr := New(p, sz)
 	for _, e := range es {
 		tr.Append(e)
 	}

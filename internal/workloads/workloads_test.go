@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -170,11 +171,12 @@ func TestTraceSharedAcrossScales(t *testing.T) {
 }
 
 // TestTraceFootprint pins the trace's memory layout. Each column holds
-// exactly its length: a taken bit per entry in 8-byte words, 8 bytes per
-// memory entry and 4 bytes per JALR target. No column keeps the
-// emulator's instruction budget (scale×8 + 1e6 entries here, about a
-// hundred times the length) or append's growth slack, and the 16
-// traces together hold at most 3 B per instruction. The trace's
+// exactly its length: a taken bit per entry in 8-byte words, the
+// zigzag varint of each memory entry's address minus the previous
+// memory entry's (0 before the first), and 4 bytes per JALR target. No
+// column keeps the emulator's instruction budget (scale×8 + 1e6 entries
+// here, about a hundred times the length) or append's growth slack, and
+// the 16 traces together hold at most 1 B per instruction. The trace's
 // program keeps no data segment.
 // The traces build concurrently while TraceCacheStats is polled, as a
 // /metrics scrape would, and it must end up counting exactly these
@@ -206,19 +208,22 @@ func TestTraceFootprint(t *testing.T) {
 	for _, w := range All() {
 		tr := w.MustTrace(scale)
 		es := entries(tr)
-		n, mem, jalrs := int64(len(es)), int64(0), int64(0)
+		n, deltas, jalrs := int64(len(es)), int64(0), int64(0)
+		var buf [binary.MaxVarintLen64]byte
+		var prev uint64
 		for i, e := range es {
 			in := tr.Prog.Insts[e.Idx]
 			if in.IsMem() {
-				mem++
+				deltas += int64(binary.PutVarint(buf[:], int64(e.EffAddr-prev)))
+				prev = e.EffAddr
 			}
 			if in.IsIndirect() && i+1 < len(es) {
 				jalrs++
 			}
 		}
-		if exact := 8*((n+63)/64) + 8*mem + 4*jalrs; tr.Bytes() != exact {
-			t.Errorf("%s: %d entries, %d memory, %d JALR targets hold %d B; %d B at exact size",
-				w.Name, n, mem, jalrs, tr.Bytes(), exact)
+		if exact := 8*((n+63)/64) + deltas + 4*jalrs; tr.Bytes() != exact {
+			t.Errorf("%s: %d entries, %d B of address deltas, %d JALR targets hold %d B; %d B at exact size",
+				w.Name, n, deltas, jalrs, tr.Bytes(), exact)
 		}
 		if tr.Prog.Data != nil {
 			t.Errorf("%s: memoized trace keeps a %d-byte data segment", w.Name, len(tr.Prog.Data))
@@ -230,8 +235,8 @@ func TestTraceFootprint(t *testing.T) {
 		t.Errorf("TraceCacheStats = %d traces, %d B; want %d, %d", n, b, len(All()), bytes)
 	}
 	perInst := float64(bytes) / float64(insts)
-	if perInst > 3 {
-		t.Errorf("traces hold %.2f B per instruction, want at most 3", perInst)
+	if perInst > 1 {
+		t.Errorf("traces hold %.2f B per instruction, want at most 1", perInst)
 	}
 	t.Logf("%d traces, %d instructions: %.2f B per instruction", len(All()), insts, perInst)
 
@@ -244,7 +249,7 @@ func TestTraceFootprint(t *testing.T) {
 			t.Errorf("Append of an entry that does not follow its predecessor: panic %q", msg)
 		}
 	}()
-	bad := trace.New(tr.Prog, len(es), 0, 0)
+	bad := trace.New(tr.Prog, trace.Sizer{})
 	for _, e := range es {
 		bad.Append(e)
 	}
