@@ -7,7 +7,7 @@
 //	sweep -workloads tomcatv,swim -policies conv,extended -int-regs 40,48,64
 //	sweep -cache sweep-cache -scale 300000        # incremental reruns
 //
-// -cache names a directory holding the sharded segment-log store
+// -cache names a directory holding the segment-log store
 // (DESIGN.md §4.7), created on first use; each new result is appended,
 // never rewritten with the corpus. Cache maintenance verbs run against
 // it and exit: -export streams the corpus as NDJSON, -import merges an

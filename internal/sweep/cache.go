@@ -30,10 +30,10 @@ type Cache struct {
 	mu  sync.Mutex
 	mem map[string]*pipeline.Result
 
-	// store is the sharded segment-log tier behind OpenCache; nil for
-	// an in-memory cache. With a store, mem is only a decode cache for
+	// store is the segment-log tier behind OpenCache; nil for an
+	// in-memory cache. With a store, mem is only a decode cache for
 	// results already on disk — every Put appends to the store
-	// immediately and Save is one fsync per dirty shard.
+	// immediately and Save is one fsync.
 	store     *store.Store
 	storeErrs uint64
 
@@ -45,8 +45,8 @@ func NewCache() *Cache {
 	return &Cache{mem: make(map[string]*pipeline.Result)}
 }
 
-// OpenCache opens the persistent cache at dir, a sharded segment-log
-// store directory that is created if absent. A path that exists as a
+// OpenCache opens the persistent cache at dir, a segment-log store
+// directory that is created if absent. A path that exists as a
 // regular file is refused and left untouched: the cache is always a
 // directory. SWEEP_STORE_SEG_BYTES overrides the segment roll size (a
 // CI/test hook for forcing many small segments).
@@ -79,7 +79,9 @@ func OpenCache(dir string) (*Cache, error) {
 // stall behind disk. A store hit is cached in memory and counted as a
 // hit. A miss re-checks memory before answering: a concurrent Put may
 // have landed during the probe, and reporting it as a miss would
-// trigger a redundant re-simulation.
+// trigger a redundant re-simulation. A record that cannot be read or
+// decoded is counted in StoreErrors and tombstoned, so the
+// re-simulated result's Put replaces it.
 func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 	c.mu.Lock()
 	if r, ok := c.mem[key]; ok {
@@ -90,32 +92,60 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 	st := c.store
 	c.mu.Unlock()
 
+	var bad bool
 	if st != nil {
-		if raw, ok, err := st.Get(key); err == nil && ok {
-			r := new(pipeline.Result)
-			if err := json.Unmarshal(raw, r); err == nil {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				c.hits++
-				if have, exists := c.mem[key]; exists {
-					return have, true // a concurrent Put won the race
-				}
-				c.mem[key] = r // decode cache only — already durable
-				return r, true
+		r, err := load(st, key)
+		if r != nil {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			c.hits++
+			if have, exists := c.mem[key]; exists {
+				return have, true // a concurrent Put won the race
 			}
+			c.mem[key] = r // decode cache only — already durable
+			return r, true
 		}
-		// A store miss (or an unreadable record) falls through to a
-		// re-simulation.
+		bad = err != nil
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if bad {
+		c.dropUnreadable(st, key)
+	}
 	if r, ok := c.mem[key]; ok {
 		c.hits++
 		return r, true // a concurrent Put landed during the store probe
 	}
 	c.misses++
 	return nil, false
+}
+
+// load reads and decodes key's stored result; (nil, nil) if absent.
+func load(st *store.Store, key string) (*pipeline.Result, error) {
+	raw, ok, err := st.Get(key)
+	if err != nil || !ok {
+		return nil, err
+	}
+	r := new(pipeline.Result)
+	if err := json.Unmarshal(raw, r); err != nil {
+		return nil, fmt.Errorf("sweep: decode %s: %w", key, err)
+	}
+	return r, nil
+}
+
+// dropUnreadable counts and tombstones key's unreadable store record.
+// It reads the record again first: another caller may have replaced or
+// dropped it since the failed probe. Called with c.mu held, which every
+// store write also takes.
+func (c *Cache) dropUnreadable(st *store.Store, key string) {
+	if _, err := load(st, key); err == nil {
+		return
+	}
+	c.storeErrs++
+	if err := st.Delete(key); err != nil {
+		c.storeErrs++
+	}
 }
 
 // persist makes a freshly added result durable-on-Save: it appends to
@@ -171,8 +201,8 @@ func (c *Cache) Len() int {
 }
 
 // Save fsyncs the store. Every Put already appended its record, so
-// Save costs one fsync per dirty shard — O(new data) however large the
-// corpus. A no-op for an in-memory cache.
+// Save costs one fsync — O(new data) however large the corpus. A no-op
+// for an in-memory cache.
 func (c *Cache) Save() error {
 	c.mu.Lock()
 	st := c.store
@@ -194,7 +224,8 @@ type CacheStats struct {
 	HitRate float64 `json:"hit_rate"` // hits / (hits+misses), 0 if no lookups
 
 	// Store reports the segment store's on-disk shape for an opened
-	// cache, plus any write-through append failures (best-effort).
+	// cache, plus any write-through append failures and unreadable
+	// records (best-effort).
 	Store       *store.Stats `json:"store,omitempty"`
 	StoreErrors uint64       `json:"store_errors,omitempty"`
 }
@@ -282,10 +313,11 @@ func (c *Cache) Export(w io.Writer) error {
 }
 
 // Import reads an NDJSON export from r, storing each record under its
-// key. Existing keys are skipped unless overwrite is set (counted in
-// skipped). Store-backed caches take the result bytes verbatim, so an
-// export/import round-trip is byte-preserving; call Save afterwards to
-// make the batch durable.
+// key. A result that does not decode is refused. Existing keys are
+// skipped unless overwrite is set (counted in skipped). Store-backed
+// caches take the result bytes verbatim, so an export/import
+// round-trip is byte-preserving; call Save afterwards to make the
+// batch durable.
 func (c *Cache) Import(r io.Reader, overwrite bool) (added, skipped int, err error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	for {
@@ -297,6 +329,10 @@ func (c *Cache) Import(r io.Reader, overwrite bool) (added, skipped int, err err
 		}
 		if rec.Key == "" || len(rec.Result) == 0 {
 			return added, skipped, fmt.Errorf("sweep: import: record missing key or result")
+		}
+		res := new(pipeline.Result)
+		if err := json.Unmarshal(rec.Result, res); err != nil {
+			return added, skipped, fmt.Errorf("sweep: import %s: %w", rec.Key, err)
 		}
 		c.mu.Lock()
 		if !overwrite && c.has(rec.Key) {
@@ -312,11 +348,6 @@ func (c *Cache) Import(r io.Reader, overwrite bool) (added, skipped int, err err
 				return added, skipped, fmt.Errorf("sweep: import: %w", err)
 			}
 		} else {
-			res := new(pipeline.Result)
-			if err := json.Unmarshal(rec.Result, res); err != nil {
-				c.mu.Unlock()
-				return added, skipped, fmt.Errorf("sweep: import %s: %w", rec.Key, err)
-			}
 			c.mem[rec.Key] = res
 			c.mu.Unlock()
 		}

@@ -340,3 +340,107 @@ func TestCacheGC(t *testing.T) {
 		}
 	}
 }
+
+// TestUnreadableRecordIsReplaced: a stored record that cannot be
+// decoded, or whose bytes fail their checksum, reads as a miss that is
+// counted in StoreErrors, and the re-simulated result's Put replaces
+// it, so the next lookup hits.
+func TestUnreadableRecordIsReplaced(t *testing.T) {
+	t.Parallel()
+	res := &pipeline.Result{Cycles: 11, Committed: 7}
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, c *Cache, dir, key string)
+	}{
+		{"undecodable", func(t *testing.T, c *Cache, dir, key string) {
+			if err := c.store.Put(key, []byte("[1]")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"bad checksum", func(t *testing.T, c *Cache, dir, key string) {
+			c.Put(key, res)
+			if err := c.Save(); err != nil {
+				t.Fatal(err)
+			}
+			c.mu.Lock()
+			delete(c.mem, key) // force the next Get to read the disk
+			c.mu.Unlock()
+			segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+			if len(segs) != 1 {
+				t.Fatalf("%d segments, want 1", len(segs))
+			}
+			f, err := os.OpenFile(segs[0], os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fi, _ := f.Stat()
+			if _, err := f.WriteAt([]byte{0xff}, fi.Size()-1); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}},
+	} {
+		dir := filepath.Join(t.TempDir(), "store")
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const key = "spoiled"
+		tc.spoil(t, c, dir, key)
+		for round := 1; round <= 3; round++ {
+			r, ok := c.Get(key)
+			if round == 1 {
+				if ok {
+					t.Fatalf("%s: Get served an unreadable record as %+v", tc.name, r)
+				}
+				if n := c.Stats().StoreErrors; n != 1 {
+					t.Errorf("%s: StoreErrors = %d after an unreadable record, want 1", tc.name, n)
+				}
+				c.Put(key, res)
+				// A second Get whose probe failed before this Put must
+				// leave the replacement alone.
+				c.mu.Lock()
+				c.dropUnreadable(c.store, key)
+				c.mu.Unlock()
+				continue
+			}
+			if !ok || r.Cycles != res.Cycles || r.Committed != res.Committed {
+				t.Fatalf("%s: round %d Get after the re-simulated Put = %+v, %v", tc.name, round, r, ok)
+			}
+			c.mu.Lock()
+			delete(c.mem, key) // the next round reads the store again
+			c.mu.Unlock()
+		}
+		if n := c.Stats().StoreErrors; n != 1 {
+			t.Errorf("%s: StoreErrors = %d after the record was replaced, want 1", tc.name, n)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestImportRefusesUndecodableResult: an export line whose result is
+// not a pipeline.Result is refused before it reaches the store.
+func TestImportRefusesUndecodableResult(t *testing.T) {
+	t.Parallel()
+	for _, mode := range []string{"memory", "store"} {
+		c := NewCache()
+		if mode == "store" {
+			var err error
+			if c, err = OpenCache(filepath.Join(t.TempDir(), "store")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		added, _, err := c.Import(strings.NewReader(`{"key":"k","result":[1]}`+"\n"), false)
+		if err == nil || !strings.Contains(err.Error(), "import k") {
+			t.Errorf("%s: Import of an undecodable result: err %v", mode, err)
+		}
+		if added != 0 || c.Len() != 0 {
+			t.Errorf("%s: Import added %d (len %d) from an undecodable result", mode, added, c.Len())
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

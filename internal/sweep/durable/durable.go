@@ -2,10 +2,11 @@
 // coordinator's crash-resume (DESIGN.md §4.3 "Durability"): an
 // append-only write-ahead log of checksummed records, which compacts
 // by an atomic rewrite of itself, and atomic point-in-time JSON
-// snapshots for small state files (the explore registry, frontier
-// files and the result store's manifest). The package knows nothing
-// about the coordinator — records are (type, payload) pairs and
-// snapshots are opaque JSON values.
+// snapshots for small state files (the explore registry and frontier
+// files). The result store (internal/sweep/store) frames its segment
+// records with the same AppendFrame and DecodeFrame. The package knows
+// nothing about the coordinator — records are (type, payload) pairs
+// and snapshots are opaque JSON values.
 //
 // The layering follows kubo's repo/datastore split: this package is
 // the datastore (bytes on disk, integrity, fsck on open), and

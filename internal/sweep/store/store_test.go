@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -14,7 +15,7 @@ import (
 // multi-segment scans, and compaction, and disables the background
 // compactor so tests control when rewrites happen.
 func testOptions() Options {
-	return Options{Shards: 4, MaxSegmentBytes: 256, CompactInterval: -1}
+	return Options{MaxSegmentBytes: 256, CompactInterval: -1}
 }
 
 func openTest(t *testing.T, dir string) *Store {
@@ -101,7 +102,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Tear every shard's highest segment: append half a plausible frame.
+	// Tear every segment: append half a plausible frame.
 	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("glob segments: %v (%d)", err, len(segs))
@@ -277,7 +278,7 @@ func TestGC(t *testing.T) {
 // under -race this is the store's data-race check.
 func TestConcurrentUse(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Shards: 8, MaxSegmentBytes: 1024, CompactInterval: -1})
+	s, err := Open(dir, Options{MaxSegmentBytes: 1024, CompactInterval: -1})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -319,33 +320,9 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestManifestPinsShardCount: reopening with a different Shards option
-// must keep the creation-time geometry.
-func TestManifestPinsShardCount(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{Shards: 4, CompactInterval: -1})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	put(t, s, "k", "v")
-	s.Close()
-
-	s, err = Open(dir, Options{Shards: 32, CompactInterval: -1})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s.Close()
-	if got := s.Stats().Shards; got != 4 {
-		t.Fatalf("Shards after reopen = %d, want pinned 4", got)
-	}
-	if v, ok := get(t, s, "k"); !ok || v != "v" {
-		t.Fatalf("k = (%q, %v)", v, ok)
-	}
-}
-
 func TestSegmentRolling(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Shards: 1, MaxSegmentBytes: 128, CompactInterval: -1})
+	s, err := Open(dir, Options{MaxSegmentBytes: 128, CompactInterval: -1})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -362,12 +339,9 @@ func TestSegmentRolling(t *testing.T) {
 	}
 }
 
-// TestManifestWithFirstSegment opens and closes a store without a
+// TestEmptyStoreWritesNothing opens and closes a store without a
 // write: it leaves the directory empty, so a fresh start syncs nothing.
-// Written later, the store creates its manifest before its first
-// segment, and the manifest's shard count wins over the options of any
-// later open.
-func TestManifestWithFirstSegment(t *testing.T) {
+func TestEmptyStoreWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir)
 	if err := s.Sync(); err != nil {
@@ -379,25 +353,62 @@ func TestManifestWithFirstSegment(t *testing.T) {
 	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
 		t.Fatalf("an empty store left %d files, the first %s", len(ents), ents[0].Name())
 	}
+}
 
-	s = openTest(t, dir)
-	put(t, s, "k", "v")
-	if _, err := os.Stat(filepath.Join(dir, "MANIFEST.json")); err != nil {
-		t.Fatalf("first segment written without a manifest: %v", err)
+// TestOpenRefusesShardedStore: a directory holding MANIFEST.json was
+// written by the key-hash-sharded layout. Open must refuse it with an
+// error naming the manifest, and leave every byte of it alone.
+func TestOpenRefusesShardedStore(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"MANIFEST.json": `{"version":1,"shards":16}`,
+		"00-000001.seg": "\x05Pabcd\x00\x00\x00\x00",
+		"0f-000002.seg": "torn",
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	s, err := Open(dir, Options{Shards: 16, CompactInterval: -1})
+	s, err := Open(dir, testOptions())
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a sharded store directory")
+	}
+	if mpath := filepath.Join(dir, "MANIFEST.json"); !strings.Contains(err.Error(), mpath) {
+		t.Errorf("error %q does not name %s", err, mpath)
+	}
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if len(s.shards) != testOptions().Shards {
-		t.Errorf("reopened with %d shards, the manifest says %d", len(s.shards), testOptions().Shards)
+	if len(ents) != len(files) {
+		t.Errorf("directory holds %d files after Open, want %d", len(ents), len(files))
 	}
-	if v, ok := get(t, s, "k"); !ok || v != "v" {
-		t.Errorf("Get(k) after reopen = %q, %v", v, ok)
+	for name, want := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(got) != want {
+			t.Errorf("%s after Open = %q, %v; want %q", name, got, err, want)
+		}
+	}
+}
+
+// TestFailedSyncStaysDirty: a Sync whose fsync fails must leave the
+// store dirty, so the next Sync (the next cache Save) fails as well
+// instead of reporting unsynced records as durable.
+func TestFailedSyncStaysDirty(t *testing.T) {
+	s := openTest(t, t.TempDir())
+	defer s.Close()
+	put(t, s, "k", "v")
+	if err := s.active.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.Sync(); err == nil {
+			t.Fatalf("Sync %d succeeded on a closed segment", i+1)
+		}
+		if !s.dirty {
+			t.Fatalf("Sync %d failed but marked the store clean", i+1)
+		}
 	}
 }
