@@ -168,13 +168,11 @@ func routeLabel(r *http.Request) string {
 
 // httpStats aggregates request counts and latencies per route. The
 // per-route latency histogram shares the coordinator's duration bucket
-// scheme (DESIGN.md §4.9); the running sum/count ride along so the
-// soak harness's latency reconciliation keeps working unchanged.
+// scheme (DESIGN.md §4.9), and its exact running sum and count are
+// what the soak harness's latency reconciliation reads.
 type httpStats struct {
 	mu       sync.Mutex
 	requests map[string]uint64 // "route|code" → count
-	latSum   map[string]float64
-	latCount map[string]uint64
 	latHist  map[string]*obs.Histogram
 }
 
@@ -183,13 +181,9 @@ func (h *httpStats) record(route string, code int, elapsed time.Duration) {
 	defer h.mu.Unlock()
 	if h.requests == nil {
 		h.requests = make(map[string]uint64)
-		h.latSum = make(map[string]float64)
-		h.latCount = make(map[string]uint64)
 		h.latHist = make(map[string]*obs.Histogram)
 	}
 	h.requests[route+"|"+strconv.Itoa(code)]++
-	h.latSum[route] += elapsed.Seconds()
-	h.latCount[route]++
 	hist, ok := h.latHist[route]
 	if !ok {
 		hist = obs.NewHistogram(obs.DurationBuckets())
@@ -443,20 +437,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.sample("sweepd_http_requests_total",
 			labels("route", route, "code", code), float64(s.httpStats.requests[k]))
 	}
-	latKeys := make([]string, 0, len(s.httpStats.latCount))
-	for k := range s.httpStats.latCount {
+	latKeys := make([]string, 0, len(s.httpStats.latHist))
+	for k := range s.httpStats.latHist {
 		latKeys = append(latKeys, k)
 	}
 	sort.Strings(latKeys)
-	// Per-route latency as a real histogram. The _sum/_count pair is
-	// part of the exposition (fed from the precise running sums, not
-	// the buckets), so dashboards built on the old summary still work.
+	// Per-route latency as a real histogram. Its _sum/_count pair is the
+	// exact running total, not derived from the buckets, so dashboards
+	// built on the old summary still work.
 	p.header("sweepd_http_request_seconds", "Request latency, per route.", "histogram")
 	for _, k := range latKeys {
-		snap := s.httpStats.latHist[k].Snapshot()
-		snap.Sum = s.httpStats.latSum[k]
-		snap.Count = s.httpStats.latCount[k]
-		p.histSeries("sweepd_http_request_seconds", snap, "route", k)
+		p.histSeries("sweepd_http_request_seconds", s.httpStats.latHist[k].Snapshot(), "route", k)
 	}
 	s.httpStats.mu.Unlock()
 

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"earlyrelease/internal/obs"
 	"earlyrelease/internal/sweep"
@@ -358,5 +359,75 @@ func TestMetricsExpositionLint(t *testing.T) {
 		if values[name] <= 0 {
 			t.Errorf("%s = %g after a simulated sweep, want > 0", name, values[name])
 		}
+	}
+}
+
+// TestHTTPLatencyExposition pins the HTTP families of /metrics for a
+// fixed sequence of recorded requests: the request counters and, per
+// route, the latency histogram's buckets, sum and count, the sum
+// accumulated in the order the requests were recorded.
+func TestHTTPLatencyExposition(t *testing.T) {
+	srv := NewServerWith(ServerConfig{LocalWorkers: -1})
+	t.Cleanup(srv.Close)
+	for _, r := range []struct {
+		route string
+		code  int
+		us    int
+	}{
+		{"GET /sweep", 200, 90}, {"GET /sweep", 200, 110}, {"GET /sweep", 404, 30},
+		{"POST /work/lease", 200, 2100}, {"GET /sweep", 200, 1_700_000}, {"POST /work/lease", 200, 130},
+	} {
+		srv.httpStats.record(r.route, r.code, time.Duration(r.us)*time.Microsecond)
+	}
+	rec := httptest.NewRecorder()
+	srv.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var lines []string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.Contains(line, "sweepd_http_") {
+			lines = append(lines, line)
+		}
+	}
+	got := strings.Join(lines, "\n")
+	const want = `# HELP sweepd_http_requests_total HTTP requests served, per route and status.
+# TYPE sweepd_http_requests_total counter
+sweepd_http_requests_total{route="GET /sweep",code="200"} 3
+sweepd_http_requests_total{route="GET /sweep",code="404"} 1
+sweepd_http_requests_total{route="POST /work/lease",code="200"} 2
+# HELP sweepd_http_request_seconds Request latency, per route.
+# TYPE sweepd_http_request_seconds histogram
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="0.001"} 3
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="0.0025"} 3
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="0.005"} 3
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="0.01"} 3
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="0.025"} 3
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="0.05"} 3
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="0.1"} 3
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="0.25"} 3
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="0.5"} 3
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="1"} 3
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="2.5"} 4
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="5"} 4
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="10"} 4
+sweepd_http_request_seconds_bucket{route="GET /sweep",le="+Inf"} 4
+sweepd_http_request_seconds_sum{route="GET /sweep"} 1.70023
+sweepd_http_request_seconds_count{route="GET /sweep"} 4
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="0.001"} 1
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="0.0025"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="0.005"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="0.01"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="0.025"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="0.05"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="0.1"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="0.25"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="0.5"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="1"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="2.5"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="5"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="10"} 2
+sweepd_http_request_seconds_bucket{route="POST /work/lease",le="+Inf"} 2
+sweepd_http_request_seconds_sum{route="POST /work/lease"} 0.0022299999999999998
+sweepd_http_request_seconds_count{route="POST /work/lease"} 2`
+	if got != want {
+		t.Fatalf("HTTP metrics changed:\n%s", got)
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -19,10 +18,10 @@ import (
 // This file is the server half of crash recovery (the coordinator half
 // is the sweep package's journal): interrupted sweeps resurface in the
 // job table under their original ids with resume goroutines attached,
-// and explorations reload from a small JSON index beside the journal —
-// finished frontiers fsck'd from disk, unfinished ones re-run
-// deterministically against the recovered warm cache (same seed, same
-// space ⇒ the same candidate sequence, now mostly cache hits).
+// and explorations reload from one record each beside the journal —
+// finished frontiers fsck'd, unfinished ones re-run deterministically
+// against the recovered warm cache (same seed, same space ⇒ the same
+// candidate sequence, now mostly cache hits).
 
 // restore re-registers a recovered job under its original "{prefix}-{n}"
 // id, bumping the sequence so new submissions never collide with it.
@@ -77,84 +76,60 @@ func (s *Server) resumeJob(job *sweepJob) {
 
 // --- exploration persistence ---------------------------------------------
 
-// exploreRec is one exploration in the persisted index: the normalized
-// spec and terminal state travel in the index, the frontier in its own
-// per-job file (it can be large, and the index rewrites on every
-// submission).
-type exploreRec struct {
-	ID    string      `json:"id"`
-	State string      `json:"state"`
-	Spec  search.Spec `json:"spec"`
-	Err   string      `json:"err,omitempty"`
-}
+// explorePath names an exploration's record: one file per job in the
+// state dir, holding the job document exactly as GET /explore/{id}
+// serves it. It is written when the job is submitted and again when it
+// finishes (before the job is published as done), and removed when the
+// job is evicted, so the state dir holds one record per retained job.
+func (s *Server) explorePath(id string) string { return filepath.Join(s.stateDir, id+".json") }
 
-func (s *Server) exploresPath() string { return filepath.Join(s.stateDir, "explores.json") }
-
-func (s *Server) frontierPath(id string) string {
-	return filepath.Join(s.stateDir, "frontier-"+id+".json")
-}
-
-// saveExploresLocked rewrites the exploration index (callers hold
-// s.mu). Persistence is best-effort here — an unwritable state dir
-// must not fail a submission the coordinator already accepted.
-func (s *Server) saveExploresLocked() {
-	if s.stateDir == "" {
-		return
-	}
-	recs := []exploreRec{}
-	for _, j := range s.explores.all() {
-		recs = append(recs, exploreRec{ID: j.ID, State: j.State, Spec: j.Spec, Err: j.Err})
-	}
-	if err := durable.WriteSnapshot(s.exploresPath(), recs); err != nil {
-		log.Printf("persist explores index: %v", err)
-	}
-}
-
-// recoverExplores reloads the exploration index. Finished jobs get
-// their frontier back from disk after the load fsck; a job that was
-// running at the crash — or whose frontier file did not survive — is
-// re-run from its spec: exploration is deterministic in (seed, budget,
-// space), so the re-run replays the same candidate sequence against
-// the warm recovered cache and re-derives the same frontier.
+// recoverExplores restores every record under its id, after removing
+// the temp files of writes a crash cut short (the record each was
+// replacing is intact). A finished job is served as it was once its
+// frontier passes the fsck (search.CheckFrontier). A job that was
+// running, or whose record fails to decode or fails the fsck, is re-run
+// from its spec: exploration is deterministic in (seed, budget, space),
+// so the re-run replays the same candidate sequence against the warm
+// recovered cache and re-derives the same frontier. encoding/json
+// fills every field it can before it reports a decode error, so a
+// damaged frontier leaves the spec readable; a record that yields no
+// id yields no spec either, and is refused by name.
 func (s *Server) recoverExplores() error {
 	if s.stateDir == "" {
 		return nil
 	}
-	var recs []exploreRec
-	ok, err := durable.ReadSnapshot(s.exploresPath(), &recs)
-	if err != nil || !ok {
-		return err
+	stale, _ := filepath.Glob(filepath.Join(s.stateDir, ".ex-*.json-*"))
+	for _, path := range stale {
+		os.Remove(path)
 	}
-	for _, rec := range recs {
-		job := &exploreJob{ID: rec.ID, State: rec.State, Spec: rec.Spec, Err: rec.Err}
-		if err := s.explores.restore(job.ID, job); err != nil {
+	paths, _ := filepath.Glob(filepath.Join(s.stateDir, "ex-*.json"))
+	for _, path := range paths {
+		id := strings.TrimSuffix(filepath.Base(path), ".json")
+		job := &exploreJob{}
+		_, err := durable.ReadSnapshot(path, job)
+		if job.ID != id {
+			return fmt.Errorf("sweepd: exploration record %s is unreadable, so its spec is lost: %v", path, err)
+		}
+		if err == nil && job.State == "done" && job.Err == "" {
+			err = search.CheckFrontier(job.Frontier)
+		}
+		if err != nil {
+			// Fail the fsck loudly in the log, then recompute rather
+			// than serve bad data.
+			log.Printf("exploration %s: %v; re-running", id, err)
+		}
+		rerun := err != nil || job.State != "done"
+		if rerun {
+			job = &exploreJob{ID: id, State: "running", Tenant: job.Tenant, Spec: job.Spec}
+		}
+		if err := s.explores.restore(id, job); err != nil {
 			return err
 		}
-		if job.State == "done" && job.Err == "" {
-			fr, err := search.LoadFrontier(s.frontierPath(job.ID))
-			switch {
-			case err == nil:
-				job.Frontier = fr
-				continue
-			case errors.Is(err, os.ErrNotExist):
-				log.Printf("exploration %s: frontier file missing; re-running", job.ID)
-			default:
-				// Corrupt or out-of-space frontier: fail the fsck loudly
-				// in the log, then recompute rather than serve bad data.
-				log.Printf("exploration %s: %v; re-running", job.ID, err)
-			}
-			job.State = "running"
-			job.Err = ""
-		}
-		if job.State != "done" {
-			job.State = "running"
+		if rerun {
 			// nil admission: the crashed submission was admitted before
 			// the restart, and quotas track live in-flight work only.
 			go s.runExploreJob(job, job.Spec, nil)
 		}
 	}
-	s.mu.Lock()
-	s.saveExploresLocked()
-	s.mu.Unlock()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -259,63 +260,228 @@ func TestServerGracefulRestartResume(t *testing.T) {
 }
 
 // TestExploreResumeAcrossRestart covers both exploration recovery
-// paths: a finished exploration reloads its persisted frontier
-// byte-identically, and one interrupted mid-run is deterministically
-// re-run against the recovered warm cache to the same frontier.
+// paths, for a crash (Halt) and a graceful stop (Close): a finished
+// exploration serves the same GET /explore/{id} document after the
+// restart, progress included, and one interrupted mid-run is
+// deterministically re-run against the recovered warm cache to the
+// same frontier.
 func TestExploreResumeAcrossRestart(t *testing.T) {
+	for _, stop := range []struct {
+		name string
+		stop func(*Server)
+	}{{"halt", (*Server).Halt}, {"close", (*Server).Close}} {
+		t.Run(stop.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := ServerConfig{LocalWorkers: 2, StateDir: dir,
+				LeaseTTL: time.Second, Planner: sweep.ShardPlanner{MaxPoints: 4}}
+			srv1, err := OpenServerWith(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts1 := httptest.NewServer(srv1.Handler())
+
+			id1 := postExplore(t, ts1, exploreSpec("random"))
+			if job := pollExploreDone(t, ts1, id1); job.Err != "" || job.Frontier == nil {
+				t.Fatalf("exploration failed: %+v", job)
+			}
+			before := getRaw(t, ts1, "/explore/"+id1)
+
+			// Second exploration dies mid-run: submit, then stop at once.
+			spec2 := exploreSpec("hillclimb")
+			spec2.Seed = 99
+			id2 := postExplore(t, ts1, spec2)
+			ts1.Close()
+			stop.stop(srv1)
+
+			srv2, err := OpenServerWith(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv2.Close)
+			ts2 := httptest.NewServer(srv2.Handler())
+			t.Cleanup(ts2.Close)
+
+			if after := getRaw(t, ts2, "/explore/"+id1); !bytes.Equal(before, after) {
+				t.Fatalf("finished exploration changed across restart:\nwant %s\nhave %s", before, after)
+			}
+			redone := pollExploreDone(t, ts2, id2)
+			if redone.Err != "" || redone.Frontier == nil {
+				t.Fatalf("re-run exploration failed: %+v", redone)
+			}
+			checkDirectFrontier(t, spec2, redone)
+		})
+	}
+}
+
+// checkDirectFrontier asserts that job found the frontier of an
+// uninterrupted direct run of spec. Same seed, same space ⇒ the same
+// frontier; work accounting differs (a warm cache turns simulations
+// into hits), so only the discovered evals are compared.
+func checkDirectFrontier(t *testing.T, spec search.Spec, job *exploreJob) {
+	t.Helper()
+	direct, err := (&search.Explorer{}).Run(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(direct.Frontier)
+	got, _ := json.Marshal(job.Frontier.Frontier)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("%s frontier diverged from a direct run:\nwant %s\nhave %s", job.ID, want, got)
+	}
+}
+
+// stateFiles lists the names in a state dir.
+func stateFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestExploreRecordsFollowRetention checks that the state dir keeps
+// one record per retained exploration: evicting a job removes its
+// record, so disk use is bounded by the retention cap.
+func TestExploreRecordsFollowRetention(t *testing.T) {
 	dir := t.TempDir()
-	cfg := ServerConfig{LocalWorkers: 2, StateDir: dir,
-		LeaseTTL: time.Second, Planner: sweep.ShardPlanner{MaxPoints: 4}}
+	srv, err := OpenServerWith(ServerConfig{LocalWorkers: 2, StateDir: dir, RetainJobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	for i := 0; i < 4; i++ {
+		spec := exploreSpec("random")
+		spec.Seed = int64(i + 1)
+		pollExploreDone(t, ts, postExplore(t, ts, spec))
+	}
+	ts.Close()
+	srv.Close()
+	if got, want := strings.Join(stateFiles(t, dir), " "), "ex-4.json wal.log"; got != want {
+		t.Fatalf("state dir holds %q, want %q", got, want)
+	}
+}
+
+// TestOpenRefusesOldExploreIndex checks that a state dir written by a
+// version that kept explorations in an index is refused by name and
+// left byte-identical.
+func TestOpenRefusesOldExploreIndex(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"explores.json":      `[{"id":"ex-1","state":"done","spec":{"seed":1}}]`,
+		"frontier-ex-1.json": `{"spec":{"seed":1},"frontier":[]}`,
+		"wal.log":            "journal bytes",
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := OpenServerWith(resumeConfig(dir))
+	if err == nil {
+		srv.Close()
+		t.Fatal("a state dir holding explores.json was opened")
+	}
+	if !strings.Contains(err.Error(), filepath.Join(dir, "explores.json")) {
+		t.Fatalf("error does not name the index: %v", err)
+	}
+	if names := stateFiles(t, dir); len(names) != len(files) {
+		t.Fatalf("state dir now holds %v", names)
+	}
+	for name, data := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(got) != data {
+			t.Fatalf("%s changed: %q (err %v)", name, got, err)
+		}
+	}
+}
+
+// TestExploreDamagedRecordsRerun plants records next to a finished
+// exploration's: one whose frontier does not decode, and one whose
+// frontier names a candidate outside its space, which fails the fsck.
+// Both carry their spec, so a restart re-runs each to the frontier of
+// a direct run, rewrites its record, and removes the temp file a
+// crashed write left behind. A record with no readable id or spec
+// cannot be re-run, and the restart refuses it by name.
+func TestExploreDamagedRecordsRerun(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ServerConfig{LocalWorkers: 2, StateDir: dir}
 	srv1, err := OpenServerWith(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
-
-	spec1 := exploreSpec("random")
-	id1 := postExplore(t, ts1, spec1)
-	before := pollExploreDone(t, ts1, id1)
-	if before.Err != "" || before.Frontier == nil {
-		t.Fatalf("exploration failed: %+v", before)
-	}
-
-	// Second exploration dies mid-run: submit, then crash immediately.
-	spec2 := exploreSpec("hillclimb")
-	spec2.Seed = 99
-	id2 := postExplore(t, ts1, spec2)
+	spec := exploreSpec("random")
+	pollExploreDone(t, ts1, postExplore(t, ts1, spec))
 	ts1.Close()
-	srv1.Halt()
+	srv1.Close()
+
+	good, err := os.ReadFile(filepath.Join(dir, "ex-1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant := func(id string, edit func(rec map[string]any)) {
+		var rec map[string]any
+		if err := json.Unmarshal(good, &rec); err != nil {
+			t.Fatal(err)
+		}
+		rec["id"] = id
+		edit(rec)
+		data, _ := json.Marshal(rec)
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plant("ex-2", func(rec map[string]any) { rec["frontier"] = "garbage" })
+	plant("ex-3", func(rec map[string]any) {
+		evals := rec["frontier"].(map[string]any)["frontier"].([]any)
+		evals[0].(map[string]any)["candidate"].(map[string]any)["int_regs"] = 72
+	})
+	stale := filepath.Join(dir, ".ex-3.json-12345")
+	if err := os.WriteFile(stale, []byte(`{"id":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	srv2, err := OpenServerWith(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv2.Close)
 	ts2 := httptest.NewServer(srv2.Handler())
-	t.Cleanup(ts2.Close)
-
-	after := pollExploreDone(t, ts2, id1)
-	wantJSON, _ := json.Marshal(before.Frontier)
-	gotJSON, _ := json.Marshal(after.Frontier)
-	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Fatalf("finished frontier changed across restart:\nwant %s\nhave %s", wantJSON, gotJSON)
+	for _, id := range []string{"ex-2", "ex-3"} {
+		job := pollExploreDone(t, ts2, id)
+		if job.Err != "" || job.Frontier == nil {
+			t.Fatalf("re-run %s failed: %+v", id, job)
+		}
+		checkDirectFrontier(t, spec, job)
+	}
+	ts2.Close()
+	srv2.Close()
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale temp file survived recovery: %v", err)
+	}
+	for _, id := range []string{"ex-2", "ex-3"} {
+		var job exploreJob
+		if _, err := durable.ReadSnapshot(filepath.Join(dir, id+".json"), &job); err != nil {
+			t.Fatal(err)
+		}
+		if job.State != "done" || search.CheckFrontier(job.Frontier) != nil {
+			t.Fatalf("%s record not rewritten after its re-run: state %q", id, job.State)
+		}
 	}
 
-	redone := pollExploreDone(t, ts2, id2)
-	if redone.Err != "" || redone.Frontier == nil {
-		t.Fatalf("re-run exploration failed: %+v", redone)
-	}
-	// Same seed, same space ⇒ the same frontier as an uninterrupted
-	// run. Work accounting differs (the warm cache turns pre-crash
-	// simulations into hits), so compare the discovered evals.
-	direct, err := (&search.Explorer{}).Run(spec2, nil)
-	if err != nil {
+	garbage := filepath.Join(dir, "ex-4.json")
+	if err := os.WriteFile(garbage, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wantFr, _ := json.Marshal(direct.Frontier)
-	gotFr, _ := json.Marshal(redone.Frontier.Frontier)
-	if !bytes.Equal(wantFr, gotFr) {
-		t.Fatalf("re-run frontier diverged:\nwant %s\nhave %s", wantFr, gotFr)
+	if srv, err := OpenServerWith(cfg); err == nil {
+		srv.Close()
+		t.Fatal("an unreadable exploration record was accepted")
+	} else if !strings.Contains(err.Error(), garbage) {
+		t.Fatalf("error does not name the record: %v", err)
 	}
 }
 

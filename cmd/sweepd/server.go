@@ -11,12 +11,15 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
 	"earlyrelease/internal/obs"
 	"earlyrelease/internal/search"
 	"earlyrelease/internal/sweep"
+	"earlyrelease/internal/sweep/durable"
 	"earlyrelease/internal/tenant"
 )
 
@@ -100,12 +103,13 @@ type Server struct {
 // evicted, but they pin nothing: eviction passes over them. All
 // methods require the server's lock.
 type jobStore[J any] struct {
-	prefix string
-	retain int // retention cap
-	done   func(*J) bool
-	jobs   map[string]*J
-	ids    []int // retained ids, ascending
-	next   int
+	prefix  string
+	retain  int // retention cap
+	done    func(*J) bool
+	evicted func(id string) // if set, called for each evicted job
+	jobs    map[string]*J
+	ids     []int // retained ids, ascending
+	next    int
 }
 
 func newJobStore[J any](prefix string, retain int, done func(*J) bool) *jobStore[J] {
@@ -127,6 +131,9 @@ func (st *jobStore[J]) put(j *J) string {
 		for _, n := range st.ids {
 			if oid := st.id(n); excess > 0 && st.done(st.jobs[oid]) {
 				delete(st.jobs, oid)
+				if st.evicted != nil {
+					st.evicted(oid)
+				}
 				excess--
 				continue
 			}
@@ -253,11 +260,16 @@ func NewServerWith(cfg ServerConfig) *Server {
 // OpenServerWith builds a server from an explicit configuration. With
 // cfg.StateDir set the coordinator replays its journal first, and every
 // interrupted sweep resurfaces under its original id — already carrying
-// its pre-crash completions — with a resume goroutine attached;
-// explorations are reloaded from the explores index (finished frontiers
-// fsck'd from disk, running ones deterministically re-run against the
-// recovered warm cache).
+// its pre-crash completions — with a resume goroutine attached — and
+// each exploration is restored from its record, <id>.json (see
+// recoverExplores). A state dir holding explores.json, an older
+// version's exploration index, is refused by name and left untouched.
 func OpenServerWith(cfg ServerConfig) (*Server, error) {
+	if old := filepath.Join(cfg.StateDir, "explores.json"); cfg.StateDir != "" {
+		if _, err := os.Lstat(old); err == nil {
+			return nil, fmt.Errorf("sweepd: state dir holds %s from an older exploration format, which this version cannot read", old)
+		}
+	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = sweep.NewCache()
@@ -285,6 +297,11 @@ func OpenServerWith(cfg ServerConfig) (*Server, error) {
 		started:     time.Now(),
 		sweeps:      newJobStore("sw", cfg.RetainJobs, func(j *sweepJob) bool { return j.State == "done" }),
 		explores:    newJobStore("ex", cfg.RetainJobs, func(j *exploreJob) bool { return j.State == "done" }),
+	}
+	if s.stateDir != "" {
+		// A record a failed remove leaves behind is restored at the next
+		// start and evicted again, so the error changes nothing here.
+		s.explores.evicted = func(id string) { _ = os.Remove(s.explorePath(id)) }
 	}
 	s.recoverSweeps()
 	if err := s.recoverExplores(); err != nil {
@@ -727,9 +744,16 @@ func (s *Server) handleExploreSubmit(w http.ResponseWriter, r *http.Request) {
 		job.Tenant = adm.Tenant()
 	}
 	job.ID = s.explores.put(job)
-	s.saveExploresLocked()
+	doc := *job
 	s.mu.Unlock()
 
+	// Best-effort: an unwritable state dir must not fail a submission
+	// that was already admitted.
+	if s.stateDir != "" {
+		if err := durable.WriteSnapshot(s.explorePath(doc.ID), doc); err != nil {
+			log.Printf("exploration %s: %v", doc.ID, err)
+		}
+	}
 	go s.runExploreJob(job, spec, adm)
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID})
 }
@@ -745,26 +769,26 @@ func (s *Server) runExploreJob(job *exploreJob, spec search.Spec, adm *tenant.Ad
 		job.Progress = p
 		s.mu.Unlock()
 	})
-	if err == nil && fr != nil && s.stateDir != "" {
-		// Persist the frontier before publishing "done": once the index
-		// marks the job finished, a restarted server must find the file.
-		if serr := search.SaveFrontier(s.frontierPath(job.ID), fr); serr != nil {
-			err = fmt.Errorf("persist frontier: %w", serr)
+	s.mu.Lock()
+	doc := *job
+	s.mu.Unlock()
+	doc.State, doc.Frontier = "done", fr
+	if err != nil {
+		doc.Err = err.Error()
+	}
+	// Persist the finished document before publishing it: once a client
+	// reads "done", a restarted server must serve the same document. A
+	// job that died because the coordinator shut down under it is not a
+	// terminal failure — its record keeps saying "running", so the next
+	// start re-runs it (deterministically, against the warm cache).
+	if s.stateDir != "" && !errors.Is(err, sweep.ErrClosed) {
+		if serr := durable.WriteSnapshot(s.explorePath(doc.ID), doc); serr != nil && err == nil {
+			doc.Err = fmt.Sprintf("persist exploration: %v", serr)
 		}
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	job.State = "done"
-	job.Frontier = fr
-	if err != nil {
-		job.Err = err.Error()
-	}
-	// A job that died because the coordinator shut down under it is not
-	// a terminal failure — leave the index saying "running" so the next
-	// start re-runs it (deterministically, against the warm cache).
-	if !errors.Is(err, sweep.ErrClosed) {
-		s.saveExploresLocked()
-	}
+	*job = doc
+	s.mu.Unlock()
 }
 
 func (s *Server) snapshotExplore(id string) (exploreJob, bool) {

@@ -54,8 +54,7 @@ type Config struct {
 	FPRegs  int    // physical FP registers (>= 32)
 	Scale   int    // approximate dynamic instructions to simulate
 	Check   bool   // enable release-safety invariant checking
-	Reuse   bool   // register reuse on committed redefinitions (default on)
-	NoReuse bool   // disable reuse (ablation)
+	NoReuse bool   // disable register reuse on committed redefinitions (ablation)
 	Eager   bool   // Farkas/Moudgill-style eager release (ablation)
 }
 

@@ -2,22 +2,18 @@ package search
 
 import (
 	"fmt"
-	"os"
 
 	"earlyrelease/internal/sweep"
-	"earlyrelease/internal/sweep/durable"
 )
 
-// This file is the frontier's durability surface: SaveFrontier and
-// LoadFrontier move a finished (or in-flight) exploration's Frontier
-// through an atomic JSON snapshot on disk, and RebuildArchive
-// reconstructs the in-memory archive — including each eval's genome,
-// which never leaves the process in the JSON — so a restarted sweepd
-// can resume serving and extending a recovered exploration. Loading
-// fscks the snapshot: the spec must normalize, every candidate must
-// re-encode into the space, and the set must be mutually non-dominated,
-// so a corrupt or hand-edited file fails loudly instead of seeding a
-// resumed run with impossible state.
+// This file is the frontier's fsck: a frontier read back from outside
+// the process (sweepd keeps each exploration as one JSON record in its
+// state dir) is only served once CheckFrontier passes — the spec must
+// normalize, every candidate must re-encode into the space, and the set
+// must be mutually non-dominated — so a corrupt or hand-edited record
+// fails loudly instead of serving impossible state. RebuildArchive
+// reconstructs the in-memory archive behind a frontier, including each
+// eval's genome, which never leaves the process in the JSON.
 
 // encode maps a candidate back to its genome — the inverse of decode,
 // used when rebuilding an archive from persisted evals. The space must
@@ -136,28 +132,4 @@ func CheckFrontier(fr *Frontier) error {
 		return fmt.Errorf("search: frontier is not mutually non-dominated")
 	}
 	return nil
-}
-
-// SaveFrontier atomically persists a frontier as JSON (temp file +
-// fsync + rename, via the durable snapshot helper). The JSON is the
-// same byte-stable encoding the HTTP API serves.
-func SaveFrontier(path string, fr *Frontier) error {
-	return durable.WriteSnapshot(path, fr)
-}
-
-// LoadFrontier reads a frontier written by SaveFrontier and runs
-// CheckFrontier over it. A missing file reports os.ErrNotExist.
-func LoadFrontier(path string) (*Frontier, error) {
-	fr := &Frontier{}
-	ok, err := durable.ReadSnapshot(path, fr)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("search: frontier %s: %w", path, os.ErrNotExist)
-	}
-	if err := CheckFrontier(fr); err != nil {
-		return nil, fmt.Errorf("search: frontier %s: %w", path, err)
-	}
-	return fr, nil
 }

@@ -2,10 +2,7 @@ package search
 
 import (
 	"encoding/json"
-	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -66,24 +63,29 @@ func exploreFrontier(t *testing.T) *Frontier {
 	return fr
 }
 
-func TestFrontierSaveLoadRoundTrip(t *testing.T) {
+// TestFrontierJSONRoundTripPassesCheck reads a frontier back the way
+// sweepd recovers one from its state dir: decoded from its JSON and
+// fsck'd by CheckFrontier.
+func TestFrontierJSONRoundTripPassesCheck(t *testing.T) {
 	fr := exploreFrontier(t)
-	path := filepath.Join(t.TempDir(), "explore-x1.json")
-	if err := SaveFrontier(path, fr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFrontier(path)
+	want, err := json.Marshal(fr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := json.Marshal(fr)
+	got := &Frontier{}
+	if err := json.Unmarshal(want, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckFrontier(got); err != nil {
+		t.Fatal(err)
+	}
 	have, _ := json.Marshal(got)
 	if string(want) != string(have) {
-		t.Fatalf("frontier changed across save/load:\nwant %s\nhave %s", want, have)
+		t.Fatalf("frontier changed across the round trip:\nwant %s\nhave %s", want, have)
 	}
 
-	// The rebuilt archive reproduces the persisted frontier exactly —
-	// genomes were re-derived, not trusted from the file.
+	// The rebuilt archive reproduces the decoded frontier exactly —
+	// genomes were re-derived, not trusted from the JSON.
 	arch, err := RebuildArchive(got)
 	if err != nil {
 		t.Fatal(err)
@@ -95,31 +97,6 @@ func TestFrontierSaveLoadRoundTrip(t *testing.T) {
 	wantFront, _ := json.Marshal(fr.Frontier)
 	if string(refront) != string(wantFront) {
 		t.Fatalf("rebuilt frontier differs:\nwant %s\nhave %s", wantFront, refront)
-	}
-}
-
-func TestLoadFrontierMissingAndCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := LoadFrontier(filepath.Join(dir, "absent.json")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing file: got %v, want ErrNotExist", err)
-	}
-
-	garbage := filepath.Join(dir, "garbage.json")
-	os.WriteFile(garbage, []byte("{not json"), 0o644)
-	if _, err := LoadFrontier(garbage); err == nil {
-		t.Fatal("corrupt snapshot loaded without error")
-	}
-
-	// A frontier whose candidate fell outside its own space must be
-	// rejected by the fsck, not silently re-archived.
-	fr := exploreFrontier(t)
-	fr.Frontier[0].Candidate.IntRegs = 72
-	bad := filepath.Join(dir, "bad.json")
-	if err := SaveFrontier(bad, fr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFrontier(bad); err == nil {
-		t.Fatal("out-of-space candidate passed the load fsck")
 	}
 }
 

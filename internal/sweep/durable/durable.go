@@ -2,8 +2,8 @@
 // coordinator's crash-resume (DESIGN.md §4.3 "Durability"): an
 // append-only write-ahead log of checksummed records, which compacts
 // by an atomic rewrite of itself, and atomic point-in-time JSON
-// snapshots for small state files (the explore registry and frontier
-// files). The result store (internal/sweep/store) frames its segment
+// snapshots for small state files (sweepd's exploration records).
+// The result store (internal/sweep/store) frames its segment
 // records with the same AppendFrame and DecodeFrame. The package knows
 // nothing about the coordinator — records are (type, payload) pairs
 // and snapshots are opaque JSON values.
@@ -72,8 +72,11 @@ func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
 
 // DecodeFrame parses the frame at the start of data. ok is false when
 // the frame is torn, its length prefix is garbage, or its checksum
-// does not match — the scanner's cue to stop believing the file. The
-// returned payload aliases data; callers that outlive data must copy.
+// does not match — the scanner's cue to stop believing the file. Only
+// in the last case is frameLen set: the frame is complete, so a
+// scanner that knows the file was written whole (a sealed store
+// segment) can skip it. The returned payload aliases data; callers
+// that outlive data must copy.
 func DecodeFrame(data []byte) (rec Record, frameLen int64, ok bool) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 || n == 0 || n > maxRecordBytes {
@@ -86,7 +89,7 @@ func DecodeFrame(data []byte) (rec Record, frameLen int64, ok bool) {
 	body := data[used : int64(used)+int64(n)]
 	sum := binary.LittleEndian.Uint32(data[int64(used)+int64(n):])
 	if crc32.ChecksumIEEE(body) != sum {
-		return Record{}, 0, false
+		return Record{}, frameLen, false
 	}
 	return Record{Type: body[0], Payload: body[1:]}, frameLen, true
 }

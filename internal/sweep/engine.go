@@ -210,9 +210,10 @@ func (e *Engine) RunPointsCtx(ctx context.Context, points []Point, onProgress fu
 
 	// Resolve keys and serve cache hits synchronously; queue the rest.
 	var misses []miss
+	keys, errs := Keys(points)
 	for i, pt := range points {
-		key, err := pt.Key()
-		if err != nil {
+		key := keys[i]
+		if err := errs[i]; err != nil {
 			finish(i, &Outcome{Point: pt, Err: err.Error()})
 			continue
 		}

@@ -26,9 +26,13 @@
 // compaction can never shadow a newer put of the same key.
 //
 // Open scans every segment in (sequence, offset) order and rebuilds the
-// in-memory key → (segment, offset, length) index; a torn or corrupt
-// tail is truncated back to the last intact record exactly like the
-// WAL. Writes append to the active segment and never rewrite existing
+// in-memory key → (segment, offset, length) index. A torn or corrupt
+// tail of the active segment is truncated back to the last intact
+// record exactly like the WAL. A sealed segment was synced whole, so a
+// bad frame in it is corruption, not a tear: a complete frame whose
+// checksum fails is skipped (by compaction too), the scan stops at a
+// length prefix that does not parse, and the file is never truncated.
+// Writes append to the active segment and never rewrite existing
 // data; Sync fsyncs the active segment (the cache calls it once per
 // Save). Compaction rewrites sealed segments whose live-byte ratio has
 // dropped below one half by copying their still-live records to the
@@ -94,7 +98,7 @@ type ref struct {
 // segMeta is the accounting for one segment file.
 type segMeta struct {
 	seq   int
-	size  int64 // believed bytes (post tear-truncation)
+	size  int64 // bytes on disk (the active segment's torn tail truncated)
 	live  int64 // bytes of index-referenced put frames
 	liveN int   // count of index-referenced put records
 }
@@ -113,6 +117,7 @@ type Store struct {
 	active      *os.File // nil until the first append
 	activeSeq   int
 	dirty       bool  // appended since the last Sync
+	closed      bool  // Close was called: writes fail
 	compactions int64 // segments rewritten or dropped
 
 	stopBg chan struct{}
@@ -170,47 +175,59 @@ func (s *Store) segPath(seq int) string {
 }
 
 // load scans one segment into the index. isLast marks the highest
-// sequence, which becomes the active segment; only it stays open, so a
-// failed load leaves no file open.
+// sequence, which becomes the active segment: only it is opened for
+// writing, and only its torn tail is truncated.
 func (s *Store) load(seq int, isLast bool) error {
 	path := s.segPath(seq)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: open segment: %w", err)
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		f.Close()
 		return fmt.Errorf("store: read segment: %w", err)
 	}
-	meta := &segMeta{seq: seq}
+	meta := &segMeta{seq: seq, size: int64(len(data))}
 	s.segs[seq] = meta
+	good, _ := eachFrame(data, !isLast, func(rec durable.Record, off, flen int64) error {
+		s.apply(rec, seq, off, flen, meta)
+		return nil
+	})
+	if !isLast {
+		return nil
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err == nil && good < meta.size {
+		err = f.Truncate(good)
+		meta.size = good
+	}
+	if err == nil {
+		_, err = f.Seek(good, 0)
+	}
+	if err != nil {
+		f.Close() // nil-safe
+		return fmt.Errorf("store: open active segment: %w", err)
+	}
+	s.active = f
+	s.activeSeq = seq
+	return nil
+}
+
+// eachFrame calls fn for every intact frame of a segment, in order,
+// and returns the offset where the scan stopped. A bad frame ends the
+// scan, except in a sealed segment, where a complete frame whose
+// checksum fails is skipped. An error from fn ends the scan too.
+func eachFrame(data []byte, sealed bool, fn func(rec durable.Record, off, flen int64) error) (int64, error) {
 	off := int64(0)
 	for off < int64(len(data)) {
 		rec, flen, ok := durable.DecodeFrame(data[off:])
-		if !ok {
-			break // torn or corrupt tail: stop believing the file here
+		if !ok && (!sealed || flen == 0) {
+			break
 		}
-		s.apply(rec, seq, off, flen, meta)
+		if ok {
+			if err := fn(rec, off, flen); err != nil {
+				return off, err
+			}
+		}
 		off += flen
 	}
-	meta.size = off
-	if off < int64(len(data)) {
-		if err := f.Truncate(off); err != nil {
-			f.Close()
-			return fmt.Errorf("store: truncate torn segment tail: %w", err)
-		}
-	}
-	if isLast {
-		if _, err := f.Seek(off, 0); err != nil {
-			f.Close()
-			return fmt.Errorf("store: seek segment: %w", err)
-		}
-		s.active = f
-		s.activeSeq = seq
-		return nil
-	}
-	return f.Close()
+	return off, nil
 }
 
 // apply replays one scanned record against the index.
@@ -308,6 +325,9 @@ func (s *Store) roll() error {
 // first if it is full, and returns the record's offset. Callers hold
 // s.mu.
 func (s *Store) append(frame []byte) (seq int, off int64, err error) {
+	if s.closed {
+		return 0, 0, errClosed
+	}
 	if s.active == nil {
 		if err := s.roll(); err != nil {
 			return 0, 0, err
@@ -406,6 +426,9 @@ func (s *Store) Has(key string) bool {
 func (s *Store) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return errClosed
+	}
 	return s.delete(key)
 }
 
@@ -515,12 +538,7 @@ func (s *Store) rewrite(seq int, m *segMeta, st *CompactStats) error {
 		data = data[:m.size]
 	}
 	moved := false
-	off := int64(0)
-	for off < int64(len(data)) {
-		rec, flen, ok := durable.DecodeFrame(data[off:])
-		if !ok {
-			break // believed size should preclude this; stop cleanly
-		}
+	_, err = eachFrame(data, true, func(rec durable.Record, off, flen int64) error {
 		frame := data[off : off+flen]
 		switch rec.Type {
 		case recPut:
@@ -548,7 +566,10 @@ func (s *Store) rewrite(seq int, m *segMeta, st *CompactStats) error {
 				moved = true
 			}
 		}
-		off += flen
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if moved {
 		if err := s.active.Sync(); err != nil {
@@ -641,6 +662,9 @@ func (s *Store) background() {
 	}
 }
 
+// errClosed is what a write to a closed store returns.
+var errClosed = errors.New("store: closed")
+
 // Close stops background compaction, then fsyncs and closes the active
 // segment. Further writes fail; the store can be re-Opened.
 func (s *Store) Close() error {
@@ -651,6 +675,7 @@ func (s *Store) Close() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	if s.active == nil {
 		return nil
 	}

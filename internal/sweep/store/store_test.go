@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -90,8 +91,10 @@ func TestReopenRebuildsIndex(t *testing.T) {
 }
 
 // TestTornTailTruncatedOnReopen simulates a crash mid-append: garbage
-// at a segment's tail must be dropped and truncated on reopen, with
-// every record before the tear still served.
+// at the active segment's tail must be dropped and truncated on
+// reopen, with every record before the tear still served. The same
+// garbage at a sealed segment's tail is ignored but left in place:
+// sealed segments are never truncated.
 func TestTornTailTruncatedOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir)
@@ -134,13 +137,18 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 			t.Fatalf("key-%03d after torn reopen: got (%q, %v)", i, v, ok)
 		}
 	}
-	for seg, want := range sizes {
+	sort.Strings(segs)
+	for i, seg := range segs {
 		fi, err := os.Stat(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := sizes[seg] + 4 // a sealed segment keeps its tail
+		if i == len(segs)-1 {
+			want = sizes[seg]
+		}
 		if fi.Size() != want {
-			t.Fatalf("%s not truncated: size %d, want %d", seg, fi.Size(), want)
+			t.Fatalf("%s: size %d, want %d", seg, fi.Size(), want)
 		}
 	}
 	// The store must still accept appends onto the truncated tails.
@@ -410,5 +418,85 @@ func TestFailedSyncStaysDirty(t *testing.T) {
 		if !s.dirty {
 			t.Fatalf("Sync %d failed but marked the store clean", i+1)
 		}
+	}
+}
+
+// TestSealedSegmentSkipsCorruptRecord flips one byte inside the first
+// record of a sealed segment. Reopening loses exactly that record and
+// leaves the file as it is, and a forced compaction carries every
+// intact record of the segment forward.
+func TestSealedSegmentSkipsCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir)
+	const n = 20
+	for i := 0; i < n; i++ {
+		put(t, s, fmt.Sprintf("key-%03d", i), fmt.Sprintf("value-%03d", i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed := filepath.Join(dir, "000001.seg")
+	data, err := os.ReadFile(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "000002.seg")); err != nil {
+		t.Fatalf("want a second segment, so the first is sealed: %v", err)
+	}
+	data[5] ^= 0xff // inside the first record's key
+	if err := os.WriteFile(sealed, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s = openTest(t, dir)
+	defer s.Close()
+	if s.Len() != n-1 {
+		t.Fatalf("Len after reopen = %d, want %d", s.Len(), n-1)
+	}
+	if fi, err := os.Stat(sealed); err != nil || fi.Size() != int64(len(data)) {
+		t.Fatalf("sealed segment changed size: %v, %v; want %d", fi.Size(), err, len(data))
+	}
+	inSealed := 0
+	for _, r := range s.index {
+		if r.seq == 1 {
+			inSealed++
+		}
+	}
+	st, err := s.Compact(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CopiedKey != inSealed || inSealed == 0 {
+		t.Fatalf("compaction copied %d records, want the %d intact ones", st.CopiedKey, inSealed)
+	}
+	for i := 1; i < n; i++ {
+		if v, ok := get(t, s, fmt.Sprintf("key-%03d", i)); !ok || v != fmt.Sprintf("value-%03d", i) {
+			t.Fatalf("key-%03d after compaction: got (%q, %v)", i, v, ok)
+		}
+	}
+	if _, ok := get(t, s, "key-000"); ok {
+		t.Fatal("the corrupt record is served")
+	}
+}
+
+// TestWritesAfterCloseFail: Put and Delete on a closed store return an
+// error and create no segment.
+func TestWritesAfterCloseFail(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir)
+	put(t, s, "k", "v")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("k2", []byte("v")); err == nil {
+		t.Error("Put after Close succeeded")
+	}
+	for _, key := range []string{"k", "absent"} {
+		if err := s.Delete(key); err == nil {
+			t.Errorf("Delete(%s) after Close succeeded", key)
+		}
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*.seg")); len(segs) != 1 {
+		t.Fatalf("directory holds %d segments, want 1", len(segs))
 	}
 }

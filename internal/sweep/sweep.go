@@ -220,8 +220,9 @@ func plainJSON(s string) bool {
 // encodes each distinct machine configuration once. A point's Config
 // depends on neither its workload nor its scale, and a grid repeats
 // every configuration once per workload, so the acceptance grid's 192
-// points share 64 encodings. The coordinator keys every submitted
-// grid, and sweepd rebuilds a finished sweep's keys on each read.
+// points share 64 encodings. It is the one keying path: the engine
+// and the coordinator key every batch of points through it, and sweepd
+// rebuilds a finished sweep's keys with it on each read.
 func Keys(points []Point) ([]string, []error) {
 	type encoded struct {
 		blob []byte
