@@ -578,7 +578,7 @@ func TestRetainPassesRunningSweep(t *testing.T) {
 // count are on /metrics, both 0 on a fresh state dir.
 func TestJournalDegradedGauge(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServerWith(resumeConfig(dir))
+	srv, err := openStateServer(t, resumeConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -392,6 +392,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.gauge("sweepd_cache_entries", "Results in the shared cache.", float64(cs.Entries))
 	p.counter("sweepd_cache_hits_total", "Cache lookups served locally.", uint64(cs.Hits))
 	p.counter("sweepd_cache_misses_total", "Cache lookups that missed.", uint64(cs.Misses))
+	p.counter("sweepd_cache_store_errors_total", "Result store append failures, unreadable records and failed syncs.", cs.StoreErrors)
 
 	tenants := s.tenants.Snapshot()
 	p.header("sweepd_tenant_accepted_total", "Submissions admitted, per tenant.", "counter")

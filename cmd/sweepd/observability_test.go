@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"earlyrelease/internal/obs"
+	"earlyrelease/internal/pipeline"
 	"earlyrelease/internal/sweep"
 )
 
@@ -329,15 +332,16 @@ func TestMetricsExpositionLint(t *testing.T) {
 			t.Errorf("%s = %g (exposed %v), want %g from the heartbeat", series, v, ok, want)
 		}
 	}
-	// Job-store occupancy and journal health: the one sweep above is
-	// retained, and a memory-only coordinator has no journal to
-	// degrade, size or compact.
+	// Job-store occupancy and persistence health: the one sweep above
+	// is retained, a memory-only coordinator has no journal to degrade,
+	// size or compact, and a memory-only cache has no store to fail.
 	for name, want := range map[string]float64{
 		"sweepd_sweeps_retained":           1,
 		"sweepd_explores_retained":         0,
 		"sweepd_journal_degraded":          0,
 		"sweepd_journal_wal_bytes":         0,
 		"sweepd_journal_compactions_total": 0,
+		"sweepd_cache_store_errors_total":  0,
 	} {
 		kind := "gauge"
 		if strings.HasSuffix(name, "_total") {
@@ -429,5 +433,52 @@ sweepd_http_request_seconds_sum{route="POST /work/lease"} 0.0022299999999999998
 sweepd_http_request_seconds_count{route="POST /work/lease"} 2`
 	if got != want {
 		t.Fatalf("HTTP metrics changed:\n%s", got)
+	}
+}
+
+// TestMetricsCountStoreErrors: a stored result that no longer reads
+// back is counted on /metrics. The store holds a result under a grid
+// point's key; its bytes on disk are then damaged behind an open
+// cache, so the submission's lookup fails, tombstones the record and
+// simulates the point again.
+func TestMetricsCountStoreErrors(t *testing.T) {
+	dir := t.TempDir()
+	g := sweep.Grid{Workloads: []string{"go"}, Policies: []string{"conv"}, IntRegs: []int{40}, Scale: testScale}
+	keys, _ := sweep.Keys(g.Expand())
+	seed, err := sweep.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed.Put(keys[0], &pipeline.Result{Name: "stale"})
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := sweep.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if len(segs) != 1 {
+		t.Fatalf("store segments: %v", segs)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-8] ^= 0xff // inside the value: the frame's checksum fails
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := NewServer(cache, 0)
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	if job := pollDone(t, ts, postGrid(t, ts, g)); job.Err != "" || job.Results.Stats.Simulated != 1 {
+		t.Fatalf("sweep over a damaged record: err %q, stats %+v", job.Err, job.Results.Stats)
+	}
+	if v := metricValue(t, scrapeMetrics(t, ts), "sweepd_cache_store_errors_total"); v != 1 {
+		t.Fatalf("sweepd_cache_store_errors_total = %g after one unreadable record, want 1", v)
 	}
 }

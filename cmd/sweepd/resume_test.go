@@ -31,12 +31,25 @@ func resumeConfig(dir string) ServerConfig {
 	}
 }
 
-// openResumeServer opens a durable server on dir with a fresh
-// in-memory cache — cold on purpose, so everything a restarted server
-// knows provably came out of the journal, not a surviving cache.
+// openStateServer opens a durable server on cfg.StateDir with a fresh
+// cache on the state dir's result store, cache/, as sweepd -state
+// does. The cache's memory starts cold, so every result a restarted
+// server knows came back from the store, named by the journal.
+func openStateServer(t *testing.T, cfg ServerConfig) (*Server, error) {
+	t.Helper()
+	cache, err := sweep.OpenCache(filepath.Join(cfg.StateDir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	cfg.Cache = cache
+	return OpenServerWith(cfg)
+}
+
+// openResumeServer is openStateServer on resumeConfig(dir), serving.
 func openResumeServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := OpenServerWith(resumeConfig(dir))
+	srv, err := openStateServer(t, resumeConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +184,7 @@ func runResumeScenario(t *testing.T, nShards int, crash func(srv *Server, ts *ht
 		t.Fatalf("recovered jobs: %+v (want sw-1 %d/%d)", rec, done, total)
 	}
 	if n := srv2.Coordinator().Cache().Len(); n != done {
-		t.Fatalf("recovered cache holds %d results, want %d", n, done)
+		t.Fatalf("the result store holds %d results, want the %d completed before the crash", n, done)
 	}
 
 	mid, ok := srv2.snapshot("sw-1")
@@ -274,7 +287,7 @@ func TestExploreResumeAcrossRestart(t *testing.T) {
 			dir := t.TempDir()
 			cfg := ServerConfig{LocalWorkers: 2, StateDir: dir,
 				LeaseTTL: time.Second, Planner: sweep.ShardPlanner{MaxPoints: 4}}
-			srv1, err := OpenServerWith(cfg)
+			srv1, err := openStateServer(t, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +306,7 @@ func TestExploreResumeAcrossRestart(t *testing.T) {
 			ts1.Close()
 			stop.stop(srv1)
 
-			srv2, err := OpenServerWith(cfg)
+			srv2, err := openStateServer(t, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +362,7 @@ func stateFiles(t *testing.T, dir string) []string {
 // record, so disk use is bounded by the retention cap.
 func TestExploreRecordsFollowRetention(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServerWith(ServerConfig{LocalWorkers: 2, StateDir: dir, RetainJobs: 1})
+	srv, err := openStateServer(t, ServerConfig{LocalWorkers: 2, StateDir: dir, RetainJobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +374,7 @@ func TestExploreRecordsFollowRetention(t *testing.T) {
 	}
 	ts.Close()
 	srv.Close()
-	if got, want := strings.Join(stateFiles(t, dir), " "), "ex-4.json wal.log"; got != want {
+	if got, want := strings.Join(stateFiles(t, dir), " "), "cache ex-4.json wal.log"; got != want {
 		t.Fatalf("state dir holds %q, want %q", got, want)
 	}
 }
@@ -410,7 +423,7 @@ func TestOpenRefusesOldExploreIndex(t *testing.T) {
 func TestExploreDamagedRecordsRerun(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ServerConfig{LocalWorkers: 2, StateDir: dir}
-	srv1, err := OpenServerWith(cfg)
+	srv1, err := openStateServer(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +459,7 @@ func TestExploreDamagedRecordsRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, err := OpenServerWith(cfg)
+	srv2, err := openStateServer(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +490,7 @@ func TestExploreDamagedRecordsRerun(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if srv, err := OpenServerWith(cfg); err == nil {
+	if srv, err := openStateServer(t, cfg); err == nil {
 		srv.Close()
 		t.Fatal("an unreadable exploration record was accepted")
 	} else if !strings.Contains(err.Error(), garbage) {

@@ -221,7 +221,8 @@ type ServerConfig struct {
 	Planner     sweep.ShardPlanner
 	// StateDir makes the coordinator durable (DESIGN.md §4.3): queue
 	// state is journaled there and a restarted server resumes every
-	// interrupted sweep and exploration. Empty = memory only.
+	// interrupted sweep and exploration. It needs a store-backed Cache
+	// (sweep.OpenCache), which keeps the results. Empty = memory only.
 	StateDir string
 
 	// Tenants is the admission registry (DESIGN.md §4.8). Nil = the

@@ -82,10 +82,14 @@ func OpenCache(dir string) (*Cache, error) {
 // trigger a redundant re-simulation. A record that cannot be read or
 // decoded is counted in StoreErrors and tombstoned, so the
 // re-simulated result's Put replaces it.
-func (c *Cache) Get(key string) (*pipeline.Result, bool) {
+func (c *Cache) Get(key string) (*pipeline.Result, bool) { return c.get(key, 1) }
+
+// get is Get adding n to the hit or miss count; coordinator replay
+// passes 0, so its reads count no lookup.
+func (c *Cache) get(key string, n uint64) (*pipeline.Result, bool) {
 	c.mu.Lock()
 	if r, ok := c.mem[key]; ok {
-		c.hits++
+		c.hits += n
 		c.mu.Unlock()
 		return r, true
 	}
@@ -98,7 +102,7 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 		if r != nil {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			c.hits++
+			c.hits += n
 			if have, exists := c.mem[key]; exists {
 				return have, true // a concurrent Put won the race
 			}
@@ -114,10 +118,10 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) {
 		c.dropUnreadable(st, key)
 	}
 	if r, ok := c.mem[key]; ok {
-		c.hits++
+		c.hits += n
 		return r, true // a concurrent Put landed during the store probe
 	}
-	c.misses++
+	c.misses += n
 	return nil, false
 }
 
@@ -200,9 +204,9 @@ func (c *Cache) Len() int {
 	return len(c.mem)
 }
 
-// Save fsyncs the store. Every Put already appended its record, so
-// Save costs one fsync — O(new data) however large the corpus. A no-op
-// for an in-memory cache.
+// Save fsyncs the store: every Put already appended its record, so it
+// costs one fsync if any came since the last Save, else nothing. A
+// failure is counted in StoreErrors. A no-op for an in-memory cache.
 func (c *Cache) Save() error {
 	c.mu.Lock()
 	st := c.store
@@ -211,6 +215,9 @@ func (c *Cache) Save() error {
 		return nil
 	}
 	if err := st.Sync(); err != nil {
+		c.mu.Lock()
+		c.storeErrs++
+		c.mu.Unlock()
 		return fmt.Errorf("sweep: save cache: %w", err)
 	}
 	return nil
@@ -224,8 +231,8 @@ type CacheStats struct {
 	HitRate float64 `json:"hit_rate"` // hits / (hits+misses), 0 if no lookups
 
 	// Store reports the segment store's on-disk shape for an opened
-	// cache, plus any write-through append failures and unreadable
-	// records (best-effort).
+	// cache, plus any write-through append failures, unreadable
+	// records and failed syncs (best-effort).
 	Store       *store.Stats `json:"store,omitempty"`
 	StoreErrors uint64       `json:"store_errors,omitempty"`
 }

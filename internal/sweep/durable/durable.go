@@ -50,9 +50,10 @@ type Record struct {
 	Payload []byte
 }
 
-// maxRecordBytes bounds a single decoded record (a planned shard or a
-// completed shard of results is well under 1 MiB; 64 MiB leaves room
-// without letting a corrupt length prefix allocate the address space).
+// maxRecordBytes bounds a single decoded record (a journaled job's
+// points and keys, or a store segment's result, is well under 1 MiB;
+// 64 MiB leaves room without letting a corrupt length prefix allocate
+// the address space).
 const maxRecordBytes = 64 << 20
 
 // AppendFrame appends the on-disk frame for one record to dst and

@@ -94,8 +94,10 @@ func TestWALReplaysReferenceFrames(t *testing.T) {
 	}
 }
 
-// doneRecord mirrors the coordinator's done record: one entry per
-// resolved point, each carrying its result.
+// doneRecord is the coordinator's done record as versions that
+// journaled results wrote it: one entry per resolved point, each
+// carrying its result. The journal no longer writes results; the shape
+// stays as a large, result-heavy payload for the framing tests.
 type doneRecord struct {
 	Job     string      `json:"job,omitempty"`
 	Entries []doneEntry `json:"entries,omitempty"`
@@ -200,10 +202,11 @@ func TestAppendJSONFrames(t *testing.T) {
 	}
 }
 
-// BenchmarkWALAppendJSON appends a warm 192-point job's done record
-// (about 176 KB) to a log whose file is swapped for the null device,
-// so the figure is the encoding and framing cost and the disk does
-// not fill.
+// BenchmarkWALAppendJSON appends a 176 KB record, a warm 192-point
+// job's done record as versions that journaled results wrote it (no
+// record the journal writes now is that large), to a log whose file is
+// swapped for the null device, so the figure is the encoding and
+// framing cost and the disk does not fill.
 func BenchmarkWALAppendJSON(b *testing.B) {
 	w, _, err := OpenWAL(filepath.Join(b.TempDir(), "wal.log"))
 	if err != nil {

@@ -364,25 +364,7 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 		StartNS: submitAt.UnixNano(), EndNS: classifiedAt.UnixNano(),
 		Detail: fmt.Sprintf("%d points, %d cached", len(points), job.res.Stats.CacheHits)})
 	if len(missIdx) > 0 {
-		missPts := make([]Point, len(missIdx))
-		for j, i := range missIdx {
-			missPts[j] = points[i]
-		}
-		planner := c.cfg.Planner
-		if n := len(c.workers); n > planner.MinShards {
-			planner.MinShards = n
-		}
-		var plan walRec
-		for _, group := range planner.Plan(missPts) {
-			c.seq++
-			sh := &fedShard{job: job, shardRec: shardRec{
-				ID: fmt.Sprintf("sh-%d", c.seq), Job: job.id, Idx: make([]int, len(group))}}
-			for n, j := range group {
-				sh.Idx[n] = missIdx[j]
-			}
-			c.pending = append(c.pending, sh)
-			plan.Shards = append(plan.Shards, sh.shardRec)
-		}
+		plan := c.planLocked(job, missIdx)
 		c.journal(recTypePlan, plan)
 		plannedAt := c.cfg.now()
 		c.spanLocked(job, obs.Span{Name: "plan",
@@ -398,6 +380,30 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 	c.unlock()
 
 	return c.wait(job)
+}
+
+// planLocked splits the job's slots into cost-balanced shards, at
+// least one per registered worker, queues them and returns their plan.
+func (c *Coordinator) planLocked(job *fedJob, slots []int) (plan walRec) {
+	pts := make([]Point, len(slots))
+	for j, i := range slots {
+		pts[j] = job.points[i]
+	}
+	planner := c.cfg.Planner
+	if n := len(c.workers); n > planner.MinShards {
+		planner.MinShards = n
+	}
+	for _, group := range planner.Plan(pts) {
+		c.seq++
+		sh := &fedShard{job: job, shardRec: shardRec{
+			ID: fmt.Sprintf("sh-%d", c.seq), Job: job.id, Idx: make([]int, len(group))}}
+		for n, j := range group {
+			sh.Idx[n] = slots[j]
+		}
+		c.pending = append(c.pending, sh)
+		plan.Shards = append(plan.Shards, sh.shardRec)
+	}
+	return plan
 }
 
 // spanLocked records one span on the job's timeline and journals it so
@@ -465,14 +471,15 @@ func (c *Coordinator) wait(job *fedJob) (*Results, error) {
 // hits and key errors, lease-time strips, verified completions,
 // abandonments and replayed done records all come through it. It
 // drops entries whose slot is already resolved (the first outcome
-// stands; entries is filtered in place), puts each successful result
-// in the cache, records each outcome through finishLocked, and
-// journals the rest as one done record. settled, if non-nil, runs between the outcomes and the
-// record, so the spans it records precede the record in the log.
+// stands; entries is filtered in place) or that carry no result and no
+// error (replayed ones the store lost), puts each successful result in
+// the cache, records each outcome through finishLocked, and journals
+// the rest as one done record. settled, if non-nil, runs between the
+// outcomes and the record, so the spans it records precede the record.
 func (c *Coordinator) resolveLocked(job *fedJob, entries []doneEntry, settled func()) {
 	fresh := entries[:0]
 	for _, e := range entries {
-		if job.res.Outcomes[e.Idx] != nil {
+		if job.res.Outcomes[e.Idx] != nil || (e.Err == "" && e.Result == nil) {
 			continue
 		}
 		key := job.keys[e.Idx]

@@ -23,8 +23,8 @@ import (
 // the live queue. Recovery applies every record straight to a fresh
 // Coordinator and reconstructs exactly the pre-crash queue: pending
 // shards in order, in-flight leases with their absolute deadlines and
-// attempt counts, and every resolved outcome (results included, so the
-// shared cache is rebuilt even if its store never got synced).
+// attempt counts, and every resolved outcome. Results are not journaled:
+// replay reads them from the store, and one it lost is simulated again.
 //
 // Two deliberate non-goals: the worker registry is not persisted
 // (workers re-register through the existing ErrUnknownWorker path when
@@ -79,14 +79,14 @@ type shardRec struct {
 	Attempt int    `json:"attempt,omitempty"`
 }
 
-// doneEntry is one resolved point. The result rides in the record even
-// when the cache also holds it: replay must be able to rebuild both
-// the job's outcomes and the cache without any other file surviving.
+// doneEntry is one resolved point. Its result is not journaled (older
+// logs that carry it still decode): the store keeps it under the job's
+// content key.
 type doneEntry struct {
 	Idx    int              `json:"idx"`
 	Cached bool             `json:"cached,omitempty"`
 	Err    string           `json:"err,omitempty"`
-	Result *pipeline.Result `json:"result,omitempty"`
+	Result *pipeline.Result `json:"-"`
 }
 
 // journal owns the coordinator's WAL. All methods are called under
@@ -109,8 +109,13 @@ func (j *journal) fail(err error) {
 // journal appends one record, fsyncing the data-bearing types (jobs
 // and outcomes must survive a machine crash once acknowledged; a lost
 // lease or plan record only costs re-simulation time, never results).
+// The store is synced before a done record names its results (no-op
+// when no Put came since; a failure is counted in StoreErrors).
 func (c *Coordinator) journal(typ byte, r walRec) {
 	if j := c.jrn; j != nil {
+		if typ == recTypeDone {
+			_ = c.cache.Save()
+		}
 		sync := typ == recTypeJob || typ == recTypeDone
 		j.fail(j.wal.AppendJSON(typ, r, sync))
 		j.appends++
@@ -181,7 +186,7 @@ func (c *Coordinator) stateRecordsLocked() ([]durable.Record, error) {
 		done := walRec{Job: job.id}
 		for i, o := range job.res.Outcomes {
 			if o != nil {
-				done.Entries = append(done.Entries, doneEntry{Idx: i, Cached: o.Cached, Err: o.Err, Result: o.Result})
+				done.Entries = append(done.Entries, doneEntry{Idx: i, Cached: o.Cached, Err: o.Err})
 			}
 		}
 		if len(done.Entries) > 0 {
@@ -259,12 +264,16 @@ type RecoveredJob struct {
 // OpenCoordinator is NewCoordinator plus durability: with
 // cfg.StateDir set, the WAL is replayed (torn tail tolerated) into the
 // new coordinator, compacted unless it held no record, and every queue
-// transition from here on is journaled. With an empty StateDir it is
-// exactly NewCoordinator.
+// transition from here on is journaled. Results live only in the
+// cache's store, so a memory-only cache is refused. With an empty
+// StateDir it is exactly NewCoordinator.
 func OpenCoordinator(cache *Cache, cfg CoordConfig) (*Coordinator, error) {
 	c := NewCoordinator(cache, cfg)
 	if cfg.StateDir == "" {
 		return c, nil
+	}
+	if c.cache.store == nil {
+		return nil, fmt.Errorf("sweep: state dir %s needs a store-backed cache (OpenCache): its journal names results only the store keeps", cfg.StateDir)
 	}
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: state dir: %w", err)
@@ -281,15 +290,15 @@ func OpenCoordinator(cache *Cache, cfg CoordConfig) (*Coordinator, error) {
 	}
 	c.mu.Lock()
 	defer c.unlock()
-	collected := collectedJobs(recs)
 	c.adopting = true
+	lost := make(map[[2]int]bool) // job sequence number, slot: results the store lost
 	for _, rec := range recs {
-		if err := c.apply(rec, collected); err != nil {
+		if err := c.apply(rec, lost); err != nil {
 			wal.Close()
 			return nil, err
 		}
 	}
-	c.settleReplayLocked()
+	c.settleReplayLocked(lost)
 	c.adopting = false
 	// Compact immediately: dropped anonymous jobs disappear for good.
 	// An empty log has nothing to drop, so a fresh start writes and
@@ -301,29 +310,14 @@ func OpenCoordinator(cache *Cache, cfg CoordConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// collectedJobs lists the jobs whose waiter collected them (a jobdone
-// record). Replay skips their records from the start: they are gone
-// for good, so their results stay out of the rebuilt cache just as
-// they stay out of a compacted log.
-func collectedJobs(recs []durable.Record) map[string]bool {
-	collected := make(map[string]bool)
-	for _, rec := range recs {
-		var r walRec
-		if rec.Type == recTypeJobDone && json.Unmarshal(rec.Payload, &r) == nil {
-			collected[r.Job] = true
-		}
-	}
-	return collected
-}
-
 // apply replays one WAL record into the coordinator, which has no
 // journal yet. Decode failures and slot indices outside their job's
 // point list abort recovery (the durable layer already dropped torn
 // tails, so either means a schema bug, not crash damage); references
-// that no longer resolve — a renew for a burned lease, a plan for a
-// collected job — are skipped, as the live coordinator treats stale
-// ids.
-func (c *Coordinator) apply(rec durable.Record, collected map[string]bool) error {
+// that no longer resolve — a renew for a burned lease, a done record
+// for a collected job — are skipped, as the live coordinator treats
+// stale ids; done slots whose result the store lost are added to lost.
+func (c *Coordinator) apply(rec durable.Record, lost map[[2]int]bool) error {
 	var r walRec
 	if err := json.Unmarshal(rec.Payload, &r); err != nil {
 		return fmt.Errorf("sweep: replay wal record type %d: %w", rec.Type, err)
@@ -336,11 +330,9 @@ func (c *Coordinator) apply(rec durable.Record, collected map[string]bool) error
 		if len(r.Keys) != len(r.Points) {
 			return fmt.Errorf("sweep: replay job record %s: %d keys for %d points", r.ID, len(r.Keys), len(r.Points))
 		}
-		if !collected[r.ID] {
-			c.jobs[r.ID] = &fedJob{id: r.ID, label: r.Label, trace: r.Trace, meta: r.Meta,
-				points: r.Points, keys: r.Keys,
-				res: newResults(len(r.Points)), doneCh: make(chan struct{})}
-		}
+		c.jobs[r.ID] = &fedJob{id: r.ID, label: r.Label, trace: r.Trace, meta: r.Meta,
+			points: r.Points, keys: r.Keys,
+			res: newResults(len(r.Points)), doneCh: make(chan struct{})}
 	case recTypePlan:
 		for _, sr := range r.Shards {
 			c.bump(sr.ID)
@@ -360,9 +352,15 @@ func (c *Coordinator) apply(rec durable.Record, collected map[string]bool) error
 		if job == nil {
 			break
 		}
-		for _, e := range r.Entries {
+		for n, e := range r.Entries {
 			if err := job.slotErr("done", e.Idx); err != nil {
 				return err
+			}
+			if e.Err == "" {
+				var ok bool
+				if r.Entries[n].Result, ok = c.cache.get(job.keys[e.Idx], 0); !ok {
+					lost[[2]int{idSeq(job.id), e.Idx}] = true
+				}
 			}
 		}
 		c.resolveLocked(job, r.Entries, nil)
@@ -387,7 +385,7 @@ func (c *Coordinator) apply(rec durable.Record, collected map[string]bool) error
 			c.pending = append([]*fedShard{ls.shard}, c.pending...)
 		}
 	case recTypeJobDone:
-		// collectedJobs already kept the job out of the replay.
+		delete(c.jobs, r.Job) // settleReplayLocked drops its shards
 	case recTypeSpan:
 		c.rec.Load(obs.Timeline{TraceID: r.Trace, Label: r.Label, Dropped: r.Dropped, Spans: r.Spans})
 	default:
@@ -411,41 +409,46 @@ func (job *fedJob) slotErr(rec string, idx int) error {
 	return nil
 }
 
-// settleReplayLocked ends a replay, whose done records already
-// resolved every replayed outcome and put its result in the cache —
-// so recovery never depends on the cache store having been synced
-// before the crash. Anonymous jobs (explorer rounds) are dropped: a
-// restarted exploration re-derives the round deterministically against
-// that cache. Labeled jobs are listed for ResumeRecovered, and their
-// shards shed the resolved slots, as the live queue did when it
-// stripped cached points at lease time or emptied a completed or
-// abandoned shard out of the queue.
-func (c *Coordinator) settleReplayLocked() {
+// settleReplayLocked ends a replay. Anonymous jobs (explorer rounds)
+// are dropped: a restarted exploration re-derives the round against
+// the recovered cache. Labeled jobs are listed for ResumeRecovered.
+// Shards shed their resolved slots, as the live queue did at lease-time
+// strips and completions, and go with their job if it was collected.
+// Slots whose result the store lost leave their shards too (no restored
+// lease's grant holds one) and are planned again in new shards.
+func (c *Coordinator) settleReplayLocked(lost map[[2]int]bool) {
+	for _, ls := range c.leases {
+		ls.shard.stripResolved(lost)
+	}
+	queued := c.pending[:0]
+	for _, sh := range c.pending {
+		if sh.stripResolved(lost); len(sh.Idx) > 0 && c.jobs[sh.Job] != nil {
+			queued = append(queued, sh)
+		}
+	}
+	c.pending = queued
 	for _, job := range c.jobsInOrderLocked() {
 		if job.label == "" {
 			delete(c.jobs, job.id)
 			continue
 		}
+		var orphans []int
+		for i, o := range job.res.Outcomes {
+			if o == nil && lost[[2]int{idSeq(job.id), i}] {
+				orphans = append(orphans, i)
+			}
+		}
+		c.planLocked(job, orphans)
 		c.recovered = append(c.recovered, RecoveredJob{Label: job.label, Trace: job.trace,
 			Meta: job.meta, Total: job.res.Stats.Points, Done: job.res.Stats.done()})
 	}
-	for _, ls := range c.leases {
-		ls.shard.stripResolved()
-	}
-	queued := c.pending[:0]
-	for _, sh := range c.pending {
-		if sh.stripResolved(); len(sh.Idx) > 0 {
-			queued = append(queued, sh)
-		}
-	}
-	c.pending = queued
 }
 
-// stripResolved drops the slots the shard's job has resolved.
-func (sh *fedShard) stripResolved() {
+// stripResolved drops the slots the shard's job has resolved or lost.
+func (sh *fedShard) stripResolved(lost map[[2]int]bool) {
 	kept := sh.Idx[:0]
 	for _, i := range sh.Idx {
-		if sh.job.res.Outcomes[i] == nil {
+		if sh.job.res.Outcomes[i] == nil && !lost[[2]int{idSeq(sh.Job), i}] {
 			kept = append(kept, i)
 		}
 	}

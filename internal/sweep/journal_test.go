@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,20 +16,59 @@ import (
 
 	"earlyrelease/internal/pipeline"
 	"earlyrelease/internal/sweep/durable"
+	"earlyrelease/internal/sweep/store"
 )
 
 // openTestCoordinator is newTestCoordinator for durable coordinators.
+// Like sweepd, it keeps the result store in the state dir's cache/.
 func openTestCoordinator(t *testing.T, clk *fakeClock, cfg CoordConfig) *Coordinator {
 	t.Helper()
 	if clk != nil {
 		cfg.now = clk.now
 	}
-	c, err := OpenCoordinator(nil, cfg)
+	c, err := OpenCoordinator(stateCache(t, cfg.StateDir), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	return c
+}
+
+// stateCache opens the result store in dir/cache, closed when the test
+// ends. A coordinator reopened on dir after a halt gets a second cache
+// on the same store, as a restarted process would.
+func stateCache(t testing.TB, dir string) *Cache {
+	t.Helper()
+	cache, err := OpenCache(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	return cache
+}
+
+// copyState copies dir's result store into a fresh state dir holding
+// log as its WAL, and returns the new dir.
+func copyState(t *testing.T, dir string, log []byte) string {
+	t.Helper()
+	dst := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dst, "wal.log"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "cache", "*.seg"))
+	if err := os.MkdirAll(filepath.Join(dst, "cache"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, "cache", filepath.Base(seg)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
 }
 
 // runLabeledAsync is submitAsync for labeled (journaled) submissions.
@@ -205,8 +246,8 @@ func TestCrashResumeReplaysQueue(t *testing.T) {
 	f.WriteString("torn-half-record")
 	f.Close()
 
-	// Reopen with a cold cache: every recovered result must come from
-	// the journal, not a surviving cache file.
+	// Reopen with a cold in-memory cache: every recovered result must
+	// come back from the store the journal's done records name.
 	c2 := openTestCoordinator(t, clk, cfg)
 	rec := c2.Recovered()
 	if len(rec) != 1 || rec[0].Label != "sw-1" || rec[0].Done != 4 || rec[0].Total != 8 {
@@ -542,9 +583,29 @@ func TestOpenRefusesLegacySnapshot(t *testing.T) {
 	if err := os.WriteFile(legacy, []byte(`{"seq":3,"jobs":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenCoordinator(nil, CoordConfig{StateDir: dir})
+	_, err := OpenCoordinator(stateCache(t, dir), CoordConfig{StateDir: dir})
 	if err == nil || !strings.Contains(err.Error(), legacy) {
 		t.Fatalf("open over a legacy snapshot: %v", err)
+	}
+}
+
+// TestOpenRefusesMemoryCache: the journal names results that only a
+// store keeps, so a state dir over a memory-only cache is refused with
+// the reason, before the state dir is touched.
+func TestOpenRefusesMemoryCache(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	for _, cache := range []*Cache{nil, NewCache()} {
+		c, err := OpenCoordinator(cache, CoordConfig{StateDir: dir})
+		if err == nil {
+			c.Close()
+			t.Fatal("a durable coordinator opened over a memory-only cache")
+		}
+		if !strings.Contains(err.Error(), "store-backed cache") {
+			t.Fatalf("refusal does not say why: %v", err)
+		}
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the refused open touched the state dir: %v", err)
 	}
 }
 
@@ -572,12 +633,10 @@ func FuzzJournalCompaction(f *testing.F) {
 		}
 
 		// The clock stands still from here on: no restored lease expires,
-		// so nothing requeues in lease-table order.
+		// so nothing requeues in lease-table order. Both reopens start
+		// from a copy of the result store the script left.
 		reopen := func(log []byte) (*Coordinator, string) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "wal.log"), log, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			dir := copyState(t, cfg.StateDir, log)
 			c := openTestCoordinator(t, clk, CoordConfig{LeaseTTL: cfg.LeaseTTL,
 				MaxAttempts: cfg.MaxAttempts, Planner: cfg.Planner, StateDir: dir})
 			return c, dir
@@ -983,7 +1042,8 @@ func TestReplayRefusesBadSlots(t *testing.T) {
 			"replay job record job-1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := OpenCoordinator(nil, CoordConfig{StateDir: writeLog(t, tc.recs...)})
+			dir := writeLog(t, tc.recs...)
+			c, err := OpenCoordinator(stateCache(t, dir), CoordConfig{StateDir: dir})
 			if err == nil {
 				c.Close()
 				t.Fatal("replay accepted the log")
@@ -997,9 +1057,11 @@ func TestReplayRefusesBadSlots(t *testing.T) {
 
 // TestReplayBumpsNoCounters: lifetime counters count only this
 // process's work. Replaying a finished but uncollected labeled job, a
-// half-done one and an anonymous one resolves their outcomes again,
-// but a reopened coordinator's counters read zero — apart from the
-// compaction it runs at open.
+// half-done one, an anonymous one and one whose outcomes name stored
+// results — one of them lost — resolves their outcomes again, but a
+// reopened coordinator's counters read zero, apart from the compaction
+// it runs at open, and reading the results back from the store counts
+// no cache hit or miss.
 func TestReplayBumpsNoCounters(t *testing.T) {
 	pts := testPoints(3)
 	keys, _ := Keys(pts)
@@ -1018,13 +1080,253 @@ func TestReplayBumpsNoCounters(t *testing.T) {
 		done("job-2", 0),
 		loggedRec{recTypeJob, walRec{ID: "job-4", Points: pts[:1], Keys: keys[:1]}},
 		done("job-4", 0),
+		loggedRec{recTypeJob, walRec{ID: "job-5", Label: "sw-5", Points: pts, Keys: keys}},
+		loggedRec{recTypeDone, walRec{Job: "job-5", Entries: []doneEntry{{Idx: 0, Cached: true}, {Idx: 1}, {Idx: 2, Cached: true}}}},
 	)
+	seed := stateCache(t, dir)
+	for _, key := range keys[:2] { // keys[2]'s result is lost
+		seed.Put(key, &pipeline.Result{Name: key[:8]})
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
 	c := openTestCoordinator(t, nil, CoordConfig{StateDir: dir})
 	rec := c.Recovered()
-	if len(rec) != 2 || rec[0].Done != 3 || rec[1].Done != 1 {
+	if len(rec) != 3 || rec[0].Done != 3 || rec[1].Done != 1 || rec[2].Done != 2 {
 		t.Fatalf("recovered: %+v", rec)
 	}
 	if got := c.Counters(); got != (CoordCounters{JournalCompactions: 1}) {
 		t.Fatalf("counters after replay: %+v", got)
+	}
+	if st := c.Cache().Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("replay's store reads counted %d hits and %d misses", st.Hits, st.Misses)
+	}
+}
+
+// TestLostResultsResimulate halts a durable coordinator with results
+// resolved three ways — a submit-time hit, a lease-time strip from a
+// shard whose lease is still out, and a completion — and deletes those
+// results from the store before reopening. Replay leaves each slot
+// open, takes it out of its shard (the restored lease then matches its
+// grant, so the pre-crash worker's completion is accepted) and plans it
+// again. Both jobs finish with results byte-identical to a direct
+// engine run, and each lost result is simulated once more.
+func TestLostResultsResimulate(t *testing.T) {
+	dir := t.TempDir()
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	cfg := CoordConfig{LeaseTTL: time.Minute, MaxAttempts: 1, Planner: ShardPlanner{MaxPoints: 2}, StateDir: dir}
+	c1 := openTestCoordinator(t, clk, cfg)
+	w1, _ := c1.RegisterWorker("w1")
+	p := testPoints(5)
+	keys, _ := Keys(p)
+	lease := func(c *Coordinator, workerID string) *LeaseGrant {
+		t.Helper()
+		g, err := c.LeaseShard(workerID)
+		if err != nil || g == nil {
+			t.Fatalf("lease: %+v %v", g, err)
+		}
+		return g
+	}
+
+	first := runLabeledAsync(c1, "sw-1", p[:1])
+	second := runLabeledAsync(c1, "sw-2", []Point{p[0], p[2]}) // one shard, planned before p0 is cached
+	completeWithEngine(t, c1, w1.WorkerID, lease(c1, w1.WorkerID))
+	if r := <-first; r.err != nil {
+		t.Fatal(r.err)
+	}
+	stripped := lease(c1, w1.WorkerID) // p0 is stripped as a hit; p2 stays out
+	if len(stripped.Items) != 1 || stripped.Items[0].Key != keys[2] {
+		t.Fatalf("sw-2's grant: %+v", stripped.Items)
+	}
+	// sw-3: p0 is a submit-time hit, and one of its two shards completes.
+	third := runLabeledAsync(c1, "sw-3", []Point{p[0], p[1], p[3], p[4]})
+	completed := lease(c1, w1.WorkerID)
+	completeWithEngine(t, c1, w1.WorkerID, completed)
+	c1.Halt()
+	for _, ch := range []chan runResult{second, third} {
+		if r := <-ch; !errors.Is(r.err, ErrClosed) {
+			t.Fatalf("halted waiter: %v", r.err)
+		}
+	}
+	if err := c1.Cache().Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(filepath.Join(dir, "cache"), store.Options{CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{keys[0], completed.Items[0].Key} { // the hit and the strip; a completion
+		if err := st.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := openTestCoordinator(t, clk, cfg)
+	rec := c2.Recovered()
+	if len(rec) != 2 || rec[0].Label != "sw-2" || rec[0].Done != 0 || rec[1].Label != "sw-3" || rec[1].Done != 1 {
+		t.Fatalf("recovered: %+v", rec)
+	}
+	// Pending: sw-3's unleased shard, then the lost slots of each job.
+	unleased := 3 - len(completed.Items)
+	if st := c2.Status(); st.PendingShards != 3 || st.PendingPoints != unleased+3 ||
+		len(st.Leases) != 1 || st.Leases[0].Points != 1 {
+		t.Fatalf("recovered queue: %+v", st)
+	}
+	resumed := make(chan runResult, 2)
+	for _, rj := range rec {
+		go func(label string) {
+			res, err := c2.ResumeRecovered(label, nil)
+			resumed <- runResult{res, err}
+		}(rj.Label)
+	}
+	completeWithEngine(t, c2, w1.WorkerID, stripped)
+	w2, _ := c2.RegisterWorker("w2")
+	for {
+		g, err := c2.LeaseShard(w2.WorkerID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g == nil {
+			break
+		}
+		completeWithEngine(t, c2, w2.WorkerID, g)
+	}
+	for range rec {
+		var r runResult
+		select {
+		case r = <-resumed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a resumed job never finished")
+		}
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		pts := make([]Point, len(r.res.Outcomes))
+		for i, o := range r.res.Outcomes {
+			pts[i] = o.Point
+		}
+		direct, err := (&Engine{Cache: NewCache()}).RunPoints(pts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range r.res.Outcomes {
+			got, _ := json.Marshal(o.Result)
+			want, _ := json.Marshal(direct.Outcomes[i].Result)
+			if o.Err != "" || !bytes.Equal(got, want) {
+				t.Errorf("%s: resumed result differs from a direct run (err %q)", o.Point, o.Err)
+			}
+		}
+	}
+	// The fresh worker ran sw-3's unleased shard, p0 once for both jobs
+	// (sw-3's copy is a hit by the time its shard is leased) and the lost
+	// completion; the pre-crash worker ran p2.
+	if ws := c2.Status().Workers; len(ws) != 1 || ws[0].PointsDone != unleased+2 {
+		t.Fatalf("fresh worker: %+v; want %d points simulated", ws, unleased+2)
+	}
+}
+
+// TestRecoverLegacyLog recovers testdata/wal/legacy-raw.log, the raw
+// log TestWALGolden's script left when done records still carried
+// their results, against a store seeded with those results. The
+// recovered jobs, the queue and the resumed outcomes must equal what
+// that version recovered from it (testdata/wal/legacy-recovered.json).
+func TestRecoverLegacyLog(t *testing.T) {
+	log, err := os.ReadFile(filepath.Join("testdata", "wal", "legacy-raw.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "wal", "legacy-recovered.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seed := stateCache(t, dir)
+	keys := map[string][]string{}
+	for _, rec := range walRecords(t, dir) {
+		var r struct {
+			walRec
+			Entries []struct {
+				Idx    int              `json:"idx"`
+				Result *pipeline.Result `json:"result"`
+			} `json:"entries"`
+		}
+		if err := json.Unmarshal(rec.Payload, &r); err != nil {
+			t.Fatal(err)
+		}
+		switch rec.Type {
+		case recTypeJob:
+			keys[r.ID] = r.Keys
+		case recTypeDone:
+			for _, e := range r.Entries {
+				seed.Put(keys[r.Job][e.Idx], e.Result)
+			}
+		}
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c := openTestCoordinator(t, &fakeClock{t: time.Unix(1000, 0)}, CoordConfig{LeaseTTL: time.Minute,
+		MaxAttempts: 2, Planner: ShardPlanner{MaxPoints: 2}, StateDir: dir})
+	got, err := json.MarshalIndent(map[string]any{"recovered": c.Recovered(), "queue": queueOf(c),
+		"outcomes": resumeAll(t, c)}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = append(got, '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("recovering the legacy log differs from its recorded recovery:\n%s", got)
+	}
+}
+
+// TestJournalBytesPerJob runs the 192-point acceptance grid at scale
+// 20 000 through a durable coordinator with one in-process worker,
+// cold and then warm, and bounds the WAL bytes each job appends. Done
+// records name resolved slots and leave their results to the store,
+// so the job record, which carries every point and key, dominates.
+func TestJournalBytesPerJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the 192-point grid at scale 20 000")
+	}
+	c := openTestCoordinator(t, nil, CoordConfig{StateDir: t.TempDir()})
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		(&Worker{Source: c, Poll: 2 * time.Millisecond}).Run(ctx)
+	}()
+	t.Cleanup(func() { cancel(); <-stopped })
+
+	g := acceptanceGrid(20_000)
+	meta, _ := json.Marshal(g)
+	pts := g.Expand()
+	for _, run := range []struct {
+		label string
+		limit int64
+	}{{"cold", 55_000}, {"warm", 45_000}} {
+		before, compactions := c.Status().JournalBytes, c.Counters().JournalCompactions
+		res, err := c.RunJob("", run.label, meta, pts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if run.label == "warm" && res.Stats.CacheHits != len(pts) {
+			t.Fatalf("warm job: %+v", res.Stats)
+		}
+		if c.Counters().JournalCompactions != compactions {
+			t.Fatalf("%s job: the WAL was compacted mid-job, so its growth is not what the job appended", run.label)
+		}
+		appended := c.Status().JournalBytes - before
+		t.Logf("%s job appended %d WAL bytes", run.label, appended)
+		if appended > run.limit {
+			t.Errorf("%s job appended %d WAL bytes, want at most %d", run.label, appended, run.limit)
+		}
 	}
 }
