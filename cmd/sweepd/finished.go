@@ -2,53 +2,59 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"slices"
+	"sync"
 
 	"earlyrelease/internal/pipeline"
 	"earlyrelease/internal/sweep"
 )
 
-// finishedSweep is the form in which sweepd retains a finished sweep's
-// results: one result pointer and one cached flag per point, aligned
-// with Grid.Expand(), plus the per-point errors, which are rare. The
-// results are the ones the shared cache already holds, so a retained
-// job costs about 9 B per point. An Outcome's Point and Key are pure
-// functions of the grid and are rebuilt on read rather than stored; a
-// full outcome list would cost about 264 B per point, or 50 KB for
-// each retained 192-point sweep.
+// finishedSweep is the form in which sweepd retains a finished sweep:
+// per outcome, its key in binary and its cached flag, plus the rare
+// per-point errors, Stats and SaveErr, about 33 B per point. The
+// results stay in the shared cache, which a GET reads by key: the
+// index here, the values in the store, as in Bitcask. Each outcome's
+// point is rebuilt from Grid.Expand() on read, unless the outcomes
+// carried other points (see compactResults).
 type finishedSweep struct {
-	results []*pipeline.Result
+	// keys holds each outcome's key, Point.Key's 64 hex digits, as the
+	// 32 bytes they encode; a key that failed, "", is 32 zero bytes,
+	// which no digest is in practice.
+	keys    [][sha256.Size]byte
 	cached  []bool
 	errs    map[int]string
+	points  []sweep.Point // nil: Grid.Expand()
 	stats   sweep.RunStats
 	saveErr string
 }
 
-// gridOutcomeKeys expands the grid and keys its points as RunJob does:
-// "" where Key fails.
-func gridOutcomeKeys(g sweep.Grid) ([]sweep.Point, []string) {
-	points := g.Expand()
-	keys, _ := sweep.Keys(points)
-	return points, keys
-}
-
-// compactResults returns the retained form of the results RunJob gave
-// for a grid's expansion. RunJob builds outcome i from point i and the
-// key it computed for it, so there is nothing to check: the grid is
-// not expanded or keyed again.
-func compactResults(res *sweep.Results) *finishedSweep {
+// compactResults returns the retained form of res, the outcomes of a
+// job over points: RunJob's, or ResumeRecovered's, which the binary
+// that took the submission journaled. If their points are not points,
+// because that binary's Grid.Expand() gave others (a different default
+// workload list, say), the form keeps them, so the document never
+// changes.
+func compactResults(res *sweep.Results, points []sweep.Point) *finishedSweep {
 	if res == nil {
 		return nil
 	}
+	n := len(res.Outcomes)
 	f := &finishedSweep{
-		results: make([]*pipeline.Result, len(res.Outcomes)),
-		cached:  make([]bool, len(res.Outcomes)),
+		keys:    make([][sha256.Size]byte, n),
+		cached:  make([]bool, n),
+		points:  make([]sweep.Point, n),
 		stats:   res.Stats,
 		saveErr: res.SaveErr,
 	}
 	for i, o := range res.Outcomes {
-		f.results[i], f.cached[i] = o.Result, o.Cached
+		// Every key comes from sweep.Keys, through RunJob or the
+		// journal, so it decodes; "" leaves the zero bytes.
+		hex.Decode(f.keys[i][:], []byte(o.Key))
+		f.cached[i], f.points[i] = o.Cached, o.Point
 		if o.Err != "" {
 			if f.errs == nil {
 				f.errs = make(map[int]string)
@@ -56,57 +62,74 @@ func compactResults(res *sweep.Results) *finishedSweep {
 			f.errs[i] = o.Err
 		}
 	}
+	if slices.Equal(f.points, points) {
+		f.points = nil
+	}
 	return f
 }
 
-// compactChecked is compactResults for outcomes that did not come from
-// a RunJob over g.Expand() — a resumed job's come from the journal. It
-// returns nil when they do not match the grid's expansion point for
-// point and key for key: a job journaled by an older binary could
-// differ, and it keeps its full Results, so the document it serves
-// never changes.
-func compactChecked(g sweep.Grid, res *sweep.Results) *finishedSweep {
-	if res == nil {
-		return nil
-	}
-	points, keys := gridOutcomeKeys(g)
-	if len(points) != len(res.Outcomes) {
-		return nil
-	}
-	for i, o := range res.Outcomes {
-		if o == nil || o.Point != points[i] || o.Key != keys[i] {
-			return nil
+// keyText returns the outcomes' keys as text: "" for a zero key.
+func (f *finishedSweep) keyText() []string {
+	keys := make([]string, len(f.keys))
+	for i, key := range f.keys {
+		if key != ([sha256.Size]byte{}) {
+			keys[i] = hex.EncodeToString(key[:])
 		}
 	}
-	return compactResults(res)
+	return keys
 }
 
 // streamFlushBytes is how much of a finished document writeFinished
 // gathers before handing it to the connection.
 const streamFlushBytes = 32 << 10
 
+// streamBufs holds writeFinished's buffers between reads, each with
+// room for a flush's worth plus the outcome that crosses it.
+var streamBufs = sync.Pool{New: func() any {
+	return bytes.NewBuffer(make([]byte, 0, streamFlushBytes+8<<10))
+}}
+
 // writeFinished serves a finished sweep's document: the bytes writeJSON
 // gives for job with f's outcomes attached as its Results, indentation
-// included, written one outcome at a time. points and keys are the
-// job's grid expanded and keyed (gridOutcomeKeys). Each outcome is
-// rebuilt from f in one reused Outcome and encoded into one reused
-// buffer, so a read costs one outcome's worth of memory, not the
-// document's. The job's fields come from encoding it without Results
-// and Err, which are its last two fields and are omitted when empty;
-// the results object and the error are laid out here by hand, as the
-// encoder would. f is immutable and job a copy, so this runs off the
-// lock.
-func (f *finishedSweep) writeFinished(w http.ResponseWriter, job sweepJob, points []sweep.Point, keys []string) {
+// included, written one outcome at a time. It first reads each result
+// through cache by key, counting no lookup; an outcome with an error
+// or no key has none. A key the cache no longer holds (its store
+// record was unreadable, say) is a 500 naming the sweep and the key,
+// sent before any byte of the document. Each outcome is rebuilt in one
+// reused Outcome, its point from the job's grid, and encoded into one
+// reused buffer, so a read costs one outcome's worth of memory, not
+// the document's. The job's fields come from encoding it without
+// Results and Err, which are its last two fields and are omitted when
+// empty; the results object and the error are laid out here by hand,
+// as the encoder would. f is immutable and job a copy, so this runs
+// off the lock.
+func (f *finishedSweep) writeFinished(w http.ResponseWriter, cache *sweep.Cache, job sweepJob) {
+	keys := f.keyText()
+	results := make([]*pipeline.Result, len(keys))
+	for i, key := range keys {
+		if key != "" && f.errs[i] == "" {
+			var ok bool
+			if results[i], ok = cache.Peek(key); !ok {
+				writeError(w, http.StatusInternalServerError, "sweep %s: result %s is not in the cache", job.ID, key)
+				return
+			}
+		}
+	}
+	points := f.points
+	if points == nil {
+		points = job.Grid.Expand()
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	// Room for a flush's worth plus the outcome that crosses it.
-	buf := bytes.NewBuffer(make([]byte, 0, streamFlushBytes+8<<10))
+	var err error
+	buf := streamBufs.Get().(*bytes.Buffer)
+	defer streamBufs.Put(buf)
+	buf.Reset()
 	enc := json.NewEncoder(buf)
 	// encode appends v's indented encoding, less Encode's newline, as
 	// a value whose enclosing lines are indented by prefix; flush hands
 	// the buffer to the connection. The first failure of either sticks
 	// and ends the stream.
-	var err error
 	encode := func(prefix string, v any) {
 		if err == nil {
 			enc.SetIndent(prefix, "  ")
@@ -122,7 +145,7 @@ func (f *finishedSweep) writeFinished(w http.ResponseWriter, job sweepJob, point
 		buf.Reset()
 	}
 	jobErr := job.Err
-	job.Results, job.Err = nil, ""
+	job.Err = ""
 	encode("", job)
 	if err != nil {
 		return
@@ -136,7 +159,7 @@ func (f *finishedSweep) writeFinished(w http.ResponseWriter, job sweepJob, point
 			buf.WriteByte(',')
 		}
 		buf.WriteString("\n      ")
-		*o = sweep.Outcome{Point: pt, Key: keys[i], Cached: f.cached[i], Err: f.errs[i], Result: f.results[i]}
+		*o = sweep.Outcome{Point: pt, Key: keys[i], Cached: f.cached[i], Err: f.errs[i], Result: results[i]}
 		encode("      ", o)
 		if buf.Len() >= streamFlushBytes {
 			flush()

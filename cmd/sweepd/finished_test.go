@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func runKeepingResults(t *testing.T, srv *Server, g sweep.Grid, saveErr string, 
 		doc.Err = jobErr.Error()
 	}
 	full = encodeDoc(t, doc)
-	srv.finishJob(job, res, jobErr)
+	srv.publishJob(job, compactResults(res, g.Expand()), jobErr)
 	return job.ID, full
 }
 
@@ -96,7 +97,7 @@ func checkFinishedDoc(t *testing.T, srv *Server, ts *httptest.Server, id string,
 	}
 	srv.mu.Lock()
 	job, _ := srv.sweeps.get(id)
-	compacted := job.finished != nil && job.Results == nil
+	compacted := job.finished != nil
 	progress := job.Progress
 	srv.mu.Unlock()
 	if !compacted {
@@ -177,25 +178,22 @@ func TestFinishedDocumentByteIdentity(t *testing.T) {
 		if job.finished == nil || job.Err == "" {
 			t.Fatal("sw-5 is not a compacted failed job")
 		}
-		points, keys := gridOutcomeKeys(job.Grid)
 		bare := *job.finished
-		bare.results = append([]*pipeline.Result(nil), bare.results...)
-		bare.cached = append([]bool(nil), bare.cached...)
-		bare.results[0], bare.cached[0] = nil, false
+		bare.keys = slices.Clone(bare.keys)
+		bare.cached = slices.Clone(bare.cached)
+		bare.keys[0], bare.cached[0] = [32]byte{}, false
 		cases := []struct {
-			name   string
-			f      *finishedSweep
-			points []sweep.Point
-			keys   []string
+			name string
+			f    *finishedSweep
 		}{
-			{"no outcomes", &finishedSweep{}, nil, nil},
-			{"bare outcome", &bare, points, keys},
+			{"no outcomes", &finishedSweep{points: []sweep.Point{}}},
+			{"bare outcome", &bare},
 		}
 		for _, c := range cases {
 			doc := job
-			doc.Results = expandRef(c.f, c.points, c.keys)
+			doc.Results = expandRef(t, c.f, srv.cache, job.Grid)
 			rec := httptest.NewRecorder()
-			c.f.writeFinished(rec, job, c.points, c.keys)
+			c.f.writeFinished(rec, srv.cache, job)
 			if got, want := rec.Body.Bytes(), encodeDoc(t, doc); !bytes.Equal(got, want) {
 				t.Errorf("%s: streamed document differs\ngot:  %.600s\nwant: %.600s", c.name, got, want)
 			}
@@ -203,30 +201,45 @@ func TestFinishedDocumentByteIdentity(t *testing.T) {
 	})
 }
 
-// expandRef rebuilds the full Results that f holds in compact form:
-// the oracle the streamed document is checked against.
-func expandRef(f *finishedSweep, points []sweep.Point, keys []string) *sweep.Results {
+// expandRef rebuilds the full Results that f holds in compact form, for
+// a job over g whose results are in cache: the oracle the streamed
+// document is checked against.
+func expandRef(t *testing.T, f *finishedSweep, cache *sweep.Cache, g sweep.Grid) *sweep.Results {
+	t.Helper()
+	points := f.points
+	if points == nil {
+		points = g.Expand()
+	}
 	res := &sweep.Results{Outcomes: []*sweep.Outcome{}, Stats: f.stats, SaveErr: f.saveErr}
+	keys := f.keyText()
 	for i, pt := range points {
-		res.Outcomes = append(res.Outcomes, &sweep.Outcome{Point: pt, Key: keys[i],
-			Cached: f.cached[i], Err: f.errs[i], Result: f.results[i]})
+		o := &sweep.Outcome{Point: pt, Key: keys[i], Cached: f.cached[i], Err: f.errs[i]}
+		if o.Key != "" && o.Err == "" {
+			var ok bool
+			if o.Result, ok = cache.Peek(o.Key); !ok {
+				t.Fatalf("outcome %d: no result for %s", i, o.Key)
+			}
+		}
+		res.Outcomes = append(res.Outcomes, o)
 	}
 	return res
 }
 
-// TestFinishedJobKeepsMismatchedResults: results whose outcome keys do
-// not match the grid's expansion (as keys journaled by an older binary
-// could) are retained in full and served unchanged.
+// TestFinishedJobKeepsMismatchedResults: outcomes whose points differ
+// from the grid's expansion, as those of a job journaled by a binary
+// whose Grid.Expand() gave other points can, keep their points in the
+// finished form and are served unchanged.
 func TestFinishedJobKeepsMismatchedResults(t *testing.T) {
 	ts, srv := newTestServer(t)
 	g := sweep.Grid{Workloads: []string{"go"}, Policies: []string{"conv"},
 		IntRegs: []int{40, 48}, Scale: 2000}
 	pollDone(t, ts, postGrid(t, ts, g))
-	res, err := srv.coord.RunJob("", "", nil, g.Expand(), nil)
+	points := g.Expand()
+	slices.Reverse(points)
+	res, err := srv.coord.RunJob("", "", nil, points, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Outcomes[1].Key = strings.Repeat("0", 64)
 
 	job := &sweepJob{State: "running", Grid: g}
 	srv.mu.Lock()
@@ -234,12 +247,16 @@ func TestFinishedJobKeepsMismatchedResults(t *testing.T) {
 	doc := *job
 	srv.mu.Unlock()
 	doc.State, doc.Results = "done", res
-	srv.finishJob(job, res, nil)
-	if job.finished != nil || job.Results != res {
-		t.Fatal("mismatched results were compacted")
+	srv.publishJob(job, compactResults(res, g.Expand()), nil)
+	if job.finished == nil || !reflect.DeepEqual(job.finished.points, points) {
+		t.Fatal("the finished form did not keep the outcomes' points")
 	}
 	if got, want := getRaw(t, ts, "/sweep/"+job.ID), encodeDoc(t, doc); !bytes.Equal(got, want) {
 		t.Errorf("served document differs from the full-results document")
+	}
+	// A job whose outcomes match its grid keeps no points.
+	if f := compactResults(res, points); f.points != nil {
+		t.Error("matching outcomes kept their points")
 	}
 }
 
@@ -321,12 +338,14 @@ func TestRecoveredFinishedDocument(t *testing.T) {
 
 // TestFinishedSweepFootprint bounds what the job store holds for a
 // retained finished sweep: 128 fully cached 192-point sweeps must hold
-// under 4 KB of heap each (a full outcome list costs about 50 KB). The
-// heap is read with the jobs retained and again once the store drops
-// them, so traces and other per-process state are not charged.
+// under 40 B of heap per point each, job record included (a 32-byte
+// key and a cached flag per point; a full outcome list costs about
+// 264 B). The heap is read with the jobs retained and again once the
+// store drops them, so traces and other per-process state are not
+// charged.
 func TestFinishedSweepFootprint(t *testing.T) {
-	// The results are shared with the cache and not charged to the
-	// jobs, so stand-ins serve as well as simulated ones.
+	// The results live in the cache and are not charged to the jobs,
+	// so stand-ins serve as well as simulated ones.
 	cache := sweep.NewCache()
 	g := acceptanceGrid(testScale)
 	for _, key := range gridKeys(g) {
@@ -373,9 +392,9 @@ func TestFinishedSweepFootprint(t *testing.T) {
 	srv.sweeps.jobs = map[string]*sweepJob{}
 	srv.mu.Unlock()
 	per := (with - heap()) / maxRetainedSweeps
-	t.Logf("%d B of heap per retained sweep", per)
-	if per >= 4096 {
-		t.Errorf("%d B of heap per retained 192-point sweep, want < 4096", per)
+	t.Logf("%d B of heap per retained sweep, %.1f B per point", per, float64(per)/192)
+	if per >= 40*192 {
+		t.Errorf("%d B of heap per retained 192-point sweep, want < 40 B per point", per)
 	}
 }
 
@@ -411,7 +430,9 @@ func gridKeys(g sweep.Grid) []string {
 
 // TestCacheGCKeepSet: POST /cache/gc keeps exactly the keys of retained
 // sweeps, finished and running, and of retained explorations'
-// frontiers, and drops those of evicted sweeps.
+// frontiers, and drops those of evicted sweeps. A GET of a retained
+// finished sweep after GC never misses: it reads the bytes it read
+// before.
 func TestCacheGCKeepSet(t *testing.T) {
 	cache := sweep.NewCache()
 	srv := NewServerWith(ServerConfig{Cache: cache, RetainJobs: 3})
@@ -429,8 +450,12 @@ func TestCacheGCKeepSet(t *testing.T) {
 		{Workloads: []string{"tomcatv", "nope"}, Policies: []string{"conv", "bogus"},
 			IntRegs: []int{48}, Scale: 2000},
 	}
-	for _, g := range append([]sweep.Grid{evicted}, finished...) {
-		pollDone(t, ts, postGrid(t, ts, g))
+	pollDone(t, ts, postGrid(t, ts, evicted))
+	docs := map[string][]byte{}
+	for _, g := range finished {
+		id := postGrid(t, ts, g)
+		pollDone(t, ts, id)
+		docs[id] = getRaw(t, ts, "/sweep/"+id)
 	}
 	// A running sweep: its keys are in the cache (another client put
 	// them there) but it has not resolved them yet.
@@ -497,6 +522,110 @@ func TestCacheGCKeepSet(t *testing.T) {
 	}
 	if removed := len(before) - len(after); out["removed"] != removed || out["entries"] != len(after) {
 		t.Errorf("gc reported %v; %d removed, %d left", out, removed, len(after))
+	}
+	for id, doc := range docs {
+		if got := getRaw(t, ts, "/sweep/"+id); !bytes.Equal(got, doc) {
+			t.Errorf("%s: GET after gc differs from GET before it", id)
+		}
+	}
+}
+
+// TestFinishedGetLostResult: a finished sweep one of whose results the
+// cache no longer holds answers 500 naming the sweep and the key, not a
+// torn document or a null result.
+func TestFinishedGetLostResult(t *testing.T) {
+	cache, err := sweep.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	srv := NewServer(cache, 0)
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	g := sweep.Grid{Workloads: []string{"go"}, Policies: []string{"conv"},
+		IntRegs: []int{40, 48}, Scale: 2000}
+	id := postGrid(t, ts, g)
+	pollDone(t, ts, id)
+	lost := gridKeys(g)[1]
+	if n, err := cache.GC(func(key string) bool { return key != lost }); err != nil || n != 1 {
+		t.Fatalf("GC removed %d keys: %v", n, err)
+	}
+
+	resp, err := http.Get(ts.URL + "/sweep/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("status %d: the body is not one JSON document: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError ||
+		!strings.Contains(body.Error, id) || !strings.Contains(body.Error, lost) {
+		t.Errorf("GET with %s lost: status %d, error %q; want 500 naming %s and the key",
+			lost, resp.StatusCode, body.Error, id)
+	}
+}
+
+// TestFinishedGetCountsNoLookup: reading a finished sweep moves neither
+// the cache's hits nor its misses, whether its results come from the
+// decode cache or from the store, so GET /cache counts only sweeps'
+// lookups.
+func TestFinishedGetCountsNoLookup(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := sweep.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerWith(ServerConfig{Cache: cache, LocalWorkers: -1})
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { srv.cache.Close() }) // the cache srv holds last
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	g := sweep.Grid{Workloads: []string{"go", "tomcatv"}, Policies: []string{"conv"},
+		IntRegs: []int{48}, Scale: 2000}
+	for _, key := range gridKeys(g) {
+		cache.Put(key, &pipeline.Result{})
+	}
+	id := postGrid(t, ts, g)
+	doc := pollDone(t, ts, id)
+	if st := doc.Results.Stats; st.CacheHits != st.Points {
+		t.Fatalf("sweep not fully cached: %+v", st)
+	}
+	stats := func() sweep.CacheStats {
+		var st sweep.CacheStats
+		if err := json.Unmarshal(getRaw(t, ts, "/cache"), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, from := range []string{"decode cache", "store"} {
+		if from == "store" {
+			reopenCache(t, srv, dir)
+		}
+		before := stats()
+		for i := 0; i < 5; i++ {
+			getRaw(t, ts, "/sweep/"+id)
+		}
+		if after := stats(); after.Hits != before.Hits || after.Misses != before.Misses {
+			t.Errorf("from the %s: 5 GETs moved hits %d → %d, misses %d → %d",
+				from, before.Hits, after.Hits, before.Misses, after.Misses)
+		}
+	}
+}
+
+// TestFinishedKeysRoundTrip: an outcome's key comes back from the
+// finished form as it went in, "" where Point.Key failed as well as
+// the 64 hex digits it gives.
+func TestFinishedKeysRoundTrip(t *testing.T) {
+	keys := append([]string{""}, gridKeys(acceptanceGrid(testScale))[:3]...)
+	res := &sweep.Results{}
+	for _, key := range keys {
+		res.Outcomes = append(res.Outcomes, &sweep.Outcome{Key: key})
+	}
+	if got := compactResults(res, nil).keyText(); !reflect.DeepEqual(got, keys) {
+		t.Errorf("keys %q came back as %q", keys, got)
 	}
 }
 
@@ -637,12 +766,12 @@ func (d *discardResponse) Header() http.Header         { return d.header }
 func (d *discardResponse) WriteHeader(int)             {}
 func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
 
-// finishedAcceptanceSweep returns the handler of a pure coordinator
-// holding one finished, fully cached acceptance-grid sweep, and the
-// sweep's id.
+// finishedAcceptanceSweep returns a pure coordinator on cache holding
+// one finished, fully cached acceptance-grid sweep, its handler, and
+// the sweep's id.
 // The cached results are the pipeline's golden fixtures, cycled over
 // the grid's keys, so the document has the size of a simulated one.
-func finishedAcceptanceSweep(tb testing.TB) (http.Handler, string) {
+func finishedAcceptanceSweep(tb testing.TB, cache *sweep.Cache) (*Server, http.Handler, string) {
 	tb.Helper()
 	blob, err := os.ReadFile(filepath.Join("..", "..", "internal", "pipeline", "testdata", "golden.json"))
 	if err != nil {
@@ -657,7 +786,6 @@ func finishedAcceptanceSweep(tb testing.TB) (http.Handler, string) {
 		results = append(results, r)
 	}
 	g := acceptanceGrid(testScale)
-	cache := sweep.NewCache()
 	for i, key := range gridKeys(g) {
 		cache.Put(key, results[i%len(results)])
 	}
@@ -681,7 +809,23 @@ func finishedAcceptanceSweep(tb testing.TB) (http.Handler, string) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return h, sub.ID
+	return srv, h, sub.ID
+}
+
+// reopenCache closes the store-backed cache srv serves GETs from and
+// gives srv the same store opened again, whose decode cache is empty;
+// the caller closes the last one. srv must be a pure coordinator with
+// no job running.
+func reopenCache(tb testing.TB, srv *Server, dir string) {
+	tb.Helper()
+	if err := srv.cache.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	cache, err := sweep.OpenCache(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv.cache = cache
 }
 
 // getFinished serves one GET /sweep/{id} into a discarding writer and
@@ -693,15 +837,17 @@ func getFinished(h http.Handler, id string) int {
 }
 
 // TestFinishedGetAllocatesUnderDocumentSize: reading a finished sweep
-// costs memory for one outcome at a time, not for the document. A GET
-// of a cached 192-point acceptance-grid sweep must allocate less than
-// the bytes it sends; building the outcome list and marshalling the
-// whole document allocated about 5.3 times them.
+// costs memory for one outcome at a time, not for the document, and
+// does not key the grid again. A GET of a cached 192-point
+// acceptance-grid sweep must allocate under a quarter of the bytes it
+// sends; building the outcome list and marshalling the whole document
+// allocated about 5.3 times them, and keying the grid on each read
+// 0.59 times them.
 func TestFinishedGetAllocatesUnderDocumentSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation figures under the race detector")
 	}
-	h, id := finishedAcceptanceSweep(t)
+	_, h, id := finishedAcceptanceSweep(t, sweep.NewCache())
 	size := getFinished(h, id)
 	const reads = 8
 	var before, after runtime.MemStats
@@ -712,8 +858,8 @@ func TestFinishedGetAllocatesUnderDocumentSize(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := int64(after.TotalAlloc-before.TotalAlloc) / reads
 	t.Logf("GET of a %d B document allocates %d B (%.2f×)", size, per, float64(per)/float64(size))
-	if per >= int64(size) {
-		t.Errorf("GET of a %d B finished document allocates %d B, want less than the document", size, per)
+	if per >= int64(size)/4 {
+		t.Errorf("GET of a %d B finished document allocates %d B, want under a quarter of the document", size, per)
 	}
 }
 
@@ -732,7 +878,7 @@ func (f *failingResponse) Write([]byte) (int, error) {
 // TestFinishedStreamStopsAtWriteError: a finished document goes out in
 // several writes, and a failed one ends the stream.
 func TestFinishedStreamStopsAtWriteError(t *testing.T) {
-	h, id := finishedAcceptanceSweep(t)
+	_, h, id := finishedAcceptanceSweep(t, sweep.NewCache())
 	if size := getFinished(h, id); size < 2*streamFlushBytes {
 		t.Fatalf("a %d B document does not take several writes", size)
 	}
@@ -745,13 +891,36 @@ func TestFinishedStreamStopsAtWriteError(t *testing.T) {
 
 // BenchmarkFinishedSweepGet serves GET /sweep/{id} of a finished, fully
 // cached 192-point acceptance-grid sweep into a discarding writer,
-// through the server's whole handler chain.
+// through the server's whole handler chain: warm, from a memory-only
+// cache holding every result, and cold, from a store-backed cache
+// opened again before each read, so every result is read from its
+// segment and decoded.
 func BenchmarkFinishedSweepGet(b *testing.B) {
-	h, id := finishedAcceptanceSweep(b)
-	b.SetBytes(int64(getFinished(h, id)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		getFinished(h, id)
-	}
+	b.Run("warm", func(b *testing.B) {
+		_, h, id := finishedAcceptanceSweep(b, sweep.NewCache())
+		b.SetBytes(int64(getFinished(h, id)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			getFinished(h, id)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		dir := b.TempDir()
+		cache, err := sweep.OpenCache(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, h, id := finishedAcceptanceSweep(b, cache)
+		b.Cleanup(func() { srv.cache.Close() })
+		b.SetBytes(int64(getFinished(h, id)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			reopenCache(b, srv, dir)
+			b.StartTimer()
+			getFinished(h, id)
+		}
+	})
 }

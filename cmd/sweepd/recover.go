@@ -64,14 +64,15 @@ func (s *Server) recoverSweeps() {
 
 // resumeJob is runJob for a job that outlived a coordinator restart:
 // it attaches to the replayed queue state instead of submitting points
-// again, so nothing already completed is re-simulated.
+// again, so nothing already completed is re-simulated. Its outcomes'
+// points are the journaled ones, which compactResults checks.
 func (s *Server) resumeJob(job *sweepJob) {
 	res, err := s.coord.ResumeRecovered(job.ID, func(p sweep.Progress) {
 		s.mu.Lock()
 		job.Progress = p
 		s.mu.Unlock()
 	})
-	s.finishJob(job, res, err)
+	s.publishJob(job, compactResults(res, job.Grid.Expand()), err)
 }
 
 // --- exploration persistence ---------------------------------------------

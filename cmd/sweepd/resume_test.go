@@ -210,6 +210,11 @@ func runResumeScenario(t *testing.T, nShards int, crash func(srv *Server, ts *ht
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed results are not byte-identical to an uninterrupted run")
 	}
+	// Its journaled points are its grid's expansion, so the finished
+	// form rebuilds them rather than keeping them.
+	if fin, _ := srv2.snapshot("sw-1"); fin.finished == nil || fin.finished.points != nil {
+		t.Error("the resumed job's finished form kept its points")
+	}
 
 	// Zero re-simulation: everything the post-crash fleet executed is
 	// accounted under the fresh workers, and it is exactly the points

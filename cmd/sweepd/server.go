@@ -163,8 +163,9 @@ func (st *jobStore[J]) all() []*J {
 
 // maxRetainedSweeps is the default bound on sweepd's job history:
 // finished sweeps beyond this count are evicted oldest-first (their
-// results stay in the shared cache — only the per-job record goes
-// away). Running sweeps count toward the cap but are never evicted.
+// results stay in the shared cache until POST /cache/gc — only the
+// per-job record, keys and flags, goes away). Running sweeps count
+// toward the cap but are never evicted.
 // ServerConfig.RetainJobs raises it for deployments whose client
 // population can outrun the default between submit and first poll.
 const maxRetainedSweeps = 128
@@ -173,10 +174,10 @@ const maxRetainedSweeps = 128
 // set only when a token registry is enforcing, so the no-token job
 // document stays byte-identical to the pre-tenancy API.
 //
-// A finished job keeps its results in the compact finished form, and
-// Results stays nil: GET /sweep/{id} streams the outcomes from it for
-// each read. Results is retained only for a job whose outcomes do not
-// match its grid (see compactChecked).
+// A finished job keeps its outcomes' keys and flags in the finished
+// form, and Results, the shape of the document's results object, stays
+// nil: GET /sweep/{id} streams the outcomes from that form and the
+// shared cache on each read.
 type sweepJob struct {
 	ID       string         `json:"id"`
 	State    string         `json:"state"` // "running" or "done"
@@ -498,27 +499,15 @@ func (s *Server) runJob(job *sweepJob, g sweep.Grid, points []sweep.Point, adm *
 		job.Progress = p
 		s.mu.Unlock()
 	})
-	s.publishJob(job, res, compactResults(res), err)
+	s.publishJob(job, compactResults(res, points), err)
 }
 
-// finishJob publishes the terminal state of a sweep whose outcomes did
-// not come from a RunJob over its grid's expansion (a resumed job's),
-// compacting them only if they match the grid. The check runs off the
-// lock; the grid it reads never changes after submission.
-func (s *Server) finishJob(job *sweepJob, res *sweep.Results, err error) {
-	s.publishJob(job, res, compactChecked(job.Grid, res), err)
-}
-
-// publishJob publishes a sweep's terminal state: the compact finished
-// form when there is one, else the full results.
-func (s *Server) publishJob(job *sweepJob, res *sweep.Results, finished *finishedSweep, err error) {
-	if finished != nil {
-		res = nil
-	}
+// publishJob publishes a sweep's terminal state: its finished form, nil
+// when the job failed before it resolved every point.
+func (s *Server) publishJob(job *sweepJob, finished *finishedSweep, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job.State = "done"
-	job.Results = res
 	job.finished = finished
 	if err != nil {
 		job.Err = err.Error()
@@ -543,8 +532,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if f := job.finished; f != nil {
-		points, keys := gridOutcomeKeys(job.Grid) // off the lock: job is a copy
-		f.writeFinished(w, job, points, keys)
+		f.writeFinished(w, s.cache, job) // off the lock: job is a copy
 		return
 	}
 	writeJSON(w, http.StatusOK, job)
@@ -651,12 +639,13 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheGC drops every cached result no retained job references:
-// the keep-set is the union of each retained sweep's point keys and
-// each retained exploration's frontier evaluations. Results evicted
-// from the job stores age out of the cache here rather than
-// accumulating forever. The keys are hashed after the lock is
-// released: grids and frontiers never change once set. GC deletes
-// corpus entries, so an enforcing registry requires a known token.
+// the keep-set is the union of each finished sweep's retained keys,
+// each running sweep's point keys and each retained exploration's
+// frontier evaluations. Results evicted from the job stores age out of
+// the cache here rather than accumulating forever. Running sweeps and
+// frontiers are keyed after the lock is released: grids and frontiers
+// never change once set. GC deletes corpus entries, so an enforcing
+// registry requires a known token.
 func (s *Server) handleCacheGC(w http.ResponseWriter, r *http.Request) {
 	if !s.authorize(w, r) {
 		return
@@ -666,15 +655,15 @@ func (s *Server) handleCacheGC(w http.ResponseWriter, r *http.Request) {
 	var frontiers []*search.Frontier
 	s.mu.Lock()
 	for _, job := range s.sweeps.all() {
-		if job.Results != nil {
-			for _, o := range job.Results.Outcomes {
-				keep[o.Key] = struct{}{}
+		switch {
+		case job.finished != nil:
+			for _, key := range job.finished.keyText() {
+				keep[key] = struct{}{}
 			}
-			continue
+		case job.State == "running":
+			// A running sweep will ask for every key its grid names.
+			grids = append(grids, job.Grid)
 		}
-		// A running sweep will ask for every key its grid names, and a
-		// compacted finished sweep's outcome keys are exactly those.
-		grids = append(grids, job.Grid)
 	}
 	for _, job := range s.explores.all() {
 		if fr := job.Frontier; fr != nil && fr.Spec.Space != nil {

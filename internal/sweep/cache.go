@@ -84,8 +84,12 @@ func OpenCache(dir string) (*Cache, error) {
 // re-simulated result's Put replaces it.
 func (c *Cache) Get(key string) (*pipeline.Result, bool) { return c.get(key, 1) }
 
-// get is Get adding n to the hit or miss count; coordinator replay
-// passes 0, so its reads count no lookup.
+// Peek is Get without counting a hit or a miss: it reads results that
+// were already looked up once, as coordinator replay and sweepd's
+// reads of finished sweeps do, so Stats counts only sweeps' lookups.
+func (c *Cache) Peek(key string) (*pipeline.Result, bool) { return c.get(key, 0) }
+
+// get is Get adding n to the hit or miss count.
 func (c *Cache) get(key string, n uint64) (*pipeline.Result, bool) {
 	c.mu.Lock()
 	if r, ok := c.mem[key]; ok {

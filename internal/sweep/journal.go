@@ -358,7 +358,7 @@ func (c *Coordinator) apply(rec durable.Record, lost map[[2]int]bool) error {
 			}
 			if e.Err == "" {
 				var ok bool
-				if r.Entries[n].Result, ok = c.cache.get(job.keys[e.Idx], 0); !ok {
+				if r.Entries[n].Result, ok = c.cache.Peek(job.keys[e.Idx]); !ok {
 					lost[[2]int{idSeq(job.id), e.Idx}] = true
 				}
 			}

@@ -221,8 +221,7 @@ func plainJSON(s string) bool {
 // depends on neither its workload nor its scale, and a grid repeats
 // every configuration once per workload, so the acceptance grid's 192
 // points share 64 encodings. It is the one keying path: the engine
-// and the coordinator key every batch of points through it, and sweepd
-// rebuilds a finished sweep's keys with it on each read.
+// and the coordinator key every batch of points through it.
 func Keys(points []Point) ([]string, []error) {
 	type encoded struct {
 		blob []byte
