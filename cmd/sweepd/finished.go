@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
-	"slices"
 	"sync"
 
 	"earlyrelease/internal/pipeline"
@@ -18,8 +17,8 @@ import (
 // per-point errors, Stats and SaveErr, about 33 B per point. The
 // results stay in the shared cache, which a GET reads by key: the
 // index here, the values in the store, as in Bitcask. Each outcome's
-// point is rebuilt from Grid.Expand() on read, unless the outcomes
-// carried other points (see compactResults).
+// point is computed from the grid's expansion on read, unless the
+// outcomes carried other points (see compactResults).
 type finishedSweep struct {
 	// keys holds each outcome's key, Point.Key's 64 hex digits, as the
 	// 32 bytes they encode; a key that failed, "", is 32 zero bytes,
@@ -46,34 +45,52 @@ func compactResults(res *sweep.Results, points []sweep.Point) *finishedSweep {
 	f := &finishedSweep{
 		keys:    make([][sha256.Size]byte, n),
 		cached:  make([]bool, n),
-		points:  make([]sweep.Point, n),
 		stats:   res.Stats,
 		saveErr: res.SaveErr,
 	}
+	same := len(points) == n
 	for i, o := range res.Outcomes {
 		// Every key comes from sweep.Keys, through RunJob or the
 		// journal, so it decodes; "" leaves the zero bytes.
 		hex.Decode(f.keys[i][:], []byte(o.Key))
-		f.cached[i], f.points[i] = o.Cached, o.Point
+		f.cached[i] = o.Cached
 		if o.Err != "" {
 			if f.errs == nil {
 				f.errs = make(map[int]string)
 			}
 			f.errs[i] = o.Err
 		}
+		same = same && o.Point == points[i]
 	}
-	if slices.Equal(f.points, points) {
-		f.points = nil
+	if !same {
+		f.points = make([]sweep.Point, n)
+		for i, o := range res.Outcomes {
+			f.points[i] = o.Point
+		}
 	}
 	return f
 }
 
-// keyText returns the outcomes' keys as text: "" for a zero key.
-func (f *finishedSweep) keyText() []string {
+// keyText is the text of a key: Point.Key's 64 hex digits.
+type keyText = [2 * sha256.Size]byte
+
+// key writes outcome i's key into text and reports whether it has
+// one; a zero key is "".
+func (f *finishedSweep) key(i int, text *keyText) bool {
+	if f.keys[i] == ([sha256.Size]byte{}) {
+		return false
+	}
+	hex.Encode(text[:], f.keys[i][:])
+	return true
+}
+
+// keyStrings returns the outcomes' keys as strings: "" for a zero key.
+func (f *finishedSweep) keyStrings() []string {
 	keys := make([]string, len(f.keys))
-	for i, key := range f.keys {
-		if key != ([sha256.Size]byte{}) {
-			keys[i] = hex.EncodeToString(key[:])
+	var text keyText
+	for i := range f.keys {
+		if f.key(i, &text) {
+			keys[i] = string(text[:])
 		}
 	}
 	return keys
@@ -83,10 +100,20 @@ func (f *finishedSweep) keyText() []string {
 // gathers before handing it to the connection.
 const streamFlushBytes = 32 << 10
 
-// streamBufs holds writeFinished's buffers between reads, each with
-// room for a flush's worth plus the outcome that crosses it.
+// streamBuf is writeFinished's scratch between reads: a buffer with
+// room for a flush's worth plus the outcome that crosses it, an
+// encoder writing into it, and the point being encoded.
+type streamBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+	pt  sweep.Point
+}
+
 var streamBufs = sync.Pool{New: func() any {
-	return bytes.NewBuffer(make([]byte, 0, streamFlushBytes+8<<10))
+	b := new(streamBuf)
+	b.Grow(streamFlushBytes + 8<<10)
+	b.enc = json.NewEncoder(&b.Buffer)
+	return b
 }}
 
 // writeFinished serves a finished sweep's document: the bytes writeJSON
@@ -95,37 +122,38 @@ var streamBufs = sync.Pool{New: func() any {
 // through cache by key, counting no lookup; an outcome with an error
 // or no key has none. A key the cache no longer holds (its store
 // record was unreadable, say) is a 500 naming the sweep and the key,
-// sent before any byte of the document. Each outcome is rebuilt in one
-// reused Outcome, its point from the job's grid, and encoded into one
-// reused buffer, so a read costs one outcome's worth of memory, not
-// the document's. The job's fields come from encoding it without
+// sent before any byte of the document. Each outcome is laid out by
+// hand into one reused buffer, its point computed from the job's grid
+// and its key written as text, with the encoder doing the point, the
+// error and the result, so a read costs one outcome's worth of memory,
+// not the document's. The job's fields come from encoding it without
 // Results and Err, which are its last two fields and are omitted when
 // empty; the results object and the error are laid out here by hand,
 // as the encoder would. f is immutable and job a copy, so this runs
 // off the lock.
 func (f *finishedSweep) writeFinished(w http.ResponseWriter, cache *sweep.Cache, job sweepJob) {
-	keys := f.keyText()
-	results := make([]*pipeline.Result, len(keys))
-	for i, key := range keys {
-		if key != "" && f.errs[i] == "" {
+	var key keyText
+	results := make([]*pipeline.Result, len(f.keys))
+	for i := range f.keys {
+		if f.key(i, &key) && f.errs[i] == "" {
 			var ok bool
-			if results[i], ok = cache.Peek(key); !ok {
-				writeError(w, http.StatusInternalServerError, "sweep %s: result %s is not in the cache", job.ID, key)
+			if results[i], ok = cache.PeekText(key[:]); !ok {
+				writeError(w, http.StatusInternalServerError, "sweep %s: result %s is not in the cache", job.ID, key[:])
 				return
 			}
 		}
 	}
-	points := f.points
-	if points == nil {
-		points = job.Grid.Expand()
+	var grid sweep.Expansion
+	if f.points == nil {
+		grid = job.Grid.Expansion()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	var err error
-	buf := streamBufs.Get().(*bytes.Buffer)
-	defer streamBufs.Put(buf)
+	sb := streamBufs.Get().(*streamBuf)
+	defer streamBufs.Put(sb)
+	buf, enc, pt := &sb.Buffer, sb.enc, &sb.pt
 	buf.Reset()
-	enc := json.NewEncoder(buf)
 	// encode appends v's indented encoding, less Encode's newline, as
 	// a value whose enclosing lines are indented by prefix; flush hands
 	// the buffer to the connection. The first failure of either sticks
@@ -153,14 +181,38 @@ func (f *finishedSweep) writeFinished(w http.ResponseWriter, cache *sweep.Cache,
 	buf.Truncate(buf.Len() - len("\n}"))
 	buf.WriteString(",\n  \"results\": {\n    \"outcomes\": [")
 
-	o := new(sweep.Outcome)
-	for i, pt := range points {
+	// An outcome is a sweep.Outcome at the outcomes' indentation: its
+	// fields in order, each on a line of its own, the empty ones but
+	// the key omitted.
+	const field, fieldIndent = ",\n        ", "        "
+	for i := range f.keys {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
-		buf.WriteString("\n      ")
-		*o = sweep.Outcome{Point: pt, Key: keys[i], Cached: f.cached[i], Err: f.errs[i], Result: results[i]}
-		encode("      ", o)
+		if f.points != nil {
+			*pt = f.points[i]
+		} else {
+			grid.At(i, pt)
+		}
+		buf.WriteString("\n      {\n        \"point\": ")
+		encode(fieldIndent, pt)
+		buf.WriteString(field + `"key": "`)
+		if f.key(i, &key) {
+			buf.Write(key[:])
+		}
+		buf.WriteByte('"')
+		if f.cached[i] {
+			buf.WriteString(field + `"cached": true`)
+		}
+		if e := f.errs[i]; e != "" {
+			buf.WriteString(field + `"err": `)
+			encode(fieldIndent, e)
+		}
+		if results[i] != nil {
+			buf.WriteString(field + `"result": `)
+			encode(fieldIndent, results[i])
+		}
+		buf.WriteString("\n      }")
 		if buf.Len() >= streamFlushBytes {
 			flush()
 		}
@@ -168,7 +220,7 @@ func (f *finishedSweep) writeFinished(w http.ResponseWriter, cache *sweep.Cache,
 			return
 		}
 	}
-	if len(points) > 0 {
+	if len(f.keys) > 0 {
 		buf.WriteString("\n    ")
 	}
 	buf.WriteString("],\n    \"stats\": ")

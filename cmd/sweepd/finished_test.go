@@ -70,9 +70,7 @@ func runKeepingResults(t *testing.T, srv *Server, g sweep.Grid, saveErr string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.Lock()
-	doc := *job
-	srv.mu.Unlock()
+	doc, _ := srv.snapshot(job.ID)
 	res.SaveErr = saveErr
 	doc.State, doc.Results = "done", res
 	if jobErr != nil {
@@ -211,7 +209,7 @@ func expandRef(t *testing.T, f *finishedSweep, cache *sweep.Cache, g sweep.Grid)
 		points = g.Expand()
 	}
 	res := &sweep.Results{Outcomes: []*sweep.Outcome{}, Stats: f.stats, SaveErr: f.saveErr}
-	keys := f.keyText()
+	keys := f.keyStrings()
 	for i, pt := range points {
 		o := &sweep.Outcome{Point: pt, Key: keys[i], Cached: f.cached[i], Err: f.errs[i]}
 		if o.Key != "" && o.Err == "" {
@@ -624,7 +622,7 @@ func TestFinishedKeysRoundTrip(t *testing.T) {
 	for _, key := range keys {
 		res.Outcomes = append(res.Outcomes, &sweep.Outcome{Key: key})
 	}
-	if got := compactResults(res, nil).keyText(); !reflect.DeepEqual(got, keys) {
+	if got := compactResults(res, nil).keyStrings(); !reflect.DeepEqual(got, keys) {
 		t.Errorf("keys %q came back as %q", keys, got)
 	}
 }
@@ -767,28 +765,11 @@ func (d *discardResponse) WriteHeader(int)             {}
 func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
 
 // finishedAcceptanceSweep returns a pure coordinator on cache holding
-// one finished, fully cached acceptance-grid sweep, its handler, and
-// the sweep's id.
-// The cached results are the pipeline's golden fixtures, cycled over
-// the grid's keys, so the document has the size of a simulated one.
+// one finished, fully cached acceptance-grid sweep (seedAcceptanceGrid),
+// its handler, and the sweep's id.
 func finishedAcceptanceSweep(tb testing.TB, cache *sweep.Cache) (*Server, http.Handler, string) {
 	tb.Helper()
-	blob, err := os.ReadFile(filepath.Join("..", "..", "internal", "pipeline", "testdata", "golden.json"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var golden map[string]*pipeline.Result
-	if err := json.Unmarshal(blob, &golden); err != nil {
-		tb.Fatal(err)
-	}
-	var results []*pipeline.Result
-	for _, r := range golden {
-		results = append(results, r)
-	}
-	g := acceptanceGrid(testScale)
-	for i, key := range gridKeys(g) {
-		cache.Put(key, results[i%len(results)])
-	}
+	g := seedAcceptanceGrid(tb, cache)
 	srv := NewServerWith(ServerConfig{Cache: cache, LocalWorkers: -1})
 	tb.Cleanup(srv.Close)
 	h := srv.Handler()
@@ -810,6 +791,31 @@ func finishedAcceptanceSweep(tb testing.TB, cache *sweep.Cache) (*Server, http.H
 		time.Sleep(time.Millisecond)
 	}
 	return srv, h, sub.ID
+}
+
+// seedAcceptanceGrid puts a result for every point of the acceptance
+// grid at testScale into cache and returns the grid. The results are
+// the pipeline's golden fixtures, cycled over the grid's keys, so a
+// document of the grid has the size of a simulated one.
+func seedAcceptanceGrid(tb testing.TB, cache *sweep.Cache) sweep.Grid {
+	tb.Helper()
+	blob, err := os.ReadFile(filepath.Join("..", "..", "internal", "pipeline", "testdata", "golden.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var golden map[string]*pipeline.Result
+	if err := json.Unmarshal(blob, &golden); err != nil {
+		tb.Fatal(err)
+	}
+	var results []*pipeline.Result
+	for _, r := range golden {
+		results = append(results, r)
+	}
+	g := acceptanceGrid(testScale)
+	for i, key := range gridKeys(g) {
+		cache.Put(key, results[i%len(results)])
+	}
+	return g
 }
 
 // reopenCache closes the store-backed cache srv serves GETs from and

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -372,13 +372,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Go runtime health, so one scrape shows resource pressure next to
 	// queue depth without a sidecar exporter.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.gauge("sweepd_goroutines", "Live goroutines in this process.", float64(runtime.NumGoroutine()))
-	p.gauge("sweepd_heap_alloc_bytes", "Bytes of live heap objects.", float64(ms.HeapAlloc))
+	rt := readRuntime()
+	p.gauge("sweepd_goroutines", "Live goroutines in this process.", float64(rt.goroutines))
+	p.gauge("sweepd_heap_alloc_bytes", "Bytes of live heap objects.", float64(rt.heapAlloc))
+	p.gauge("sweepd_heap_goal_bytes", "Heap size at which the collector's pacing ends the next GC cycle.", float64(rt.heapGoal))
 	p.header("sweepd_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter")
-	p.sample("sweepd_gc_pause_seconds_total", "", float64(ms.PauseTotalNs)/1e9)
-	p.counter("sweepd_gc_cycles_total", "Completed GC cycles.", uint64(ms.NumGC))
+	p.sample("sweepd_gc_pause_seconds_total", "", rt.gcPause)
+	p.counter("sweepd_gc_cycles_total", "Completed GC cycles.", rt.gcCycles)
 
 	// The process-wide trace cache exists only where local workers
 	// simulate; a pure coordinator never builds a trace.
@@ -454,4 +454,61 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write([]byte(p.b.String()))
+}
+
+// runtimeStats is the runtime block of /metrics.
+type runtimeStats struct {
+	goroutines, heapAlloc, heapGoal, gcCycles uint64
+	gcPause                                   float64 // seconds
+}
+
+// runtimeSampleNames are the runtime/metrics readRuntime reads, in the
+// order of its samples.
+var runtimeSampleNames = [...]string{
+	"/sched/goroutines:goroutines",
+	"/memory/classes/heap/objects:bytes", // what MemStats calls HeapAlloc
+	"/gc/heap/goal:bytes",
+	"/gc/cycles/total:gc-cycles",
+	"/sched/pauses/total/gc:seconds",
+}
+
+// readRuntime reads the runtime block from runtime/metrics, which,
+// unlike runtime.ReadMemStats, does not stop the world. The pause
+// total is summed from the runtime's pause histogram, each pause
+// counted at its bucket's midpoint, so it is within a few percent.
+func readRuntime() runtimeStats {
+	var samples [len(runtimeSampleNames)]metrics.Sample
+	for i, name := range runtimeSampleNames {
+		samples[i].Name = name
+	}
+	metrics.Read(samples[:])
+	return runtimeStats{
+		goroutines: samples[0].Value.Uint64(),
+		heapAlloc:  samples[1].Value.Uint64(),
+		heapGoal:   samples[2].Value.Uint64(),
+		gcCycles:   samples[3].Value.Uint64(),
+		gcPause:    histogramSum(samples[4].Value.Float64Histogram()),
+	}
+}
+
+// histogramSum estimates the sum of the values a runtime histogram
+// counted: each bucket's count times its midpoint, or times its finite
+// bound where the other is infinite.
+func histogramSum(h *metrics.Float64Histogram) float64 {
+	sum := 0.0
+	for i, n := range h.Counts {
+		if n == 0 {
+			continue
+		}
+		lo, hi := h.Buckets[i], h.Buckets[i+1]
+		v := (lo + hi) / 2
+		switch {
+		case math.IsInf(hi, 1):
+			v = lo
+		case math.IsInf(lo, -1):
+			v = hi
+		}
+		sum += float64(n) * v
+	}
+	return sum
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -315,10 +316,19 @@ func TestMetricsExpositionLint(t *testing.T) {
 		t.Errorf("http request latency not exposed as histogram")
 	}
 	for _, name := range []string{"sweepd_goroutines", "sweepd_heap_alloc_bytes",
-		"sweepd_gc_pause_seconds_total", "sweepd_worker_points_per_sec"} {
+		"sweepd_heap_goal_bytes", "sweepd_gc_pause_seconds_total", "sweepd_gc_cycles_total",
+		"sweepd_worker_points_per_sec"} {
 		if _, ok := typed[name]; !ok {
 			t.Errorf("runtime/worker metric %s missing", name)
 		}
+	}
+	// The pacing is visible: the collector always has a heap goal, and
+	// it is somewhere above the live heap it was set from.
+	if typed["sweepd_heap_goal_bytes"] != "gauge" {
+		t.Errorf("sweepd_heap_goal_bytes: not exposed as a gauge (%q)", typed["sweepd_heap_goal_bytes"])
+	}
+	if v := values["sweepd_heap_goal_bytes"]; v < 1<<20 {
+		t.Errorf("sweepd_heap_goal_bytes = %g, want a heap goal of at least 1 MiB", v)
 	}
 	for name, want := range map[string]float64{
 		"sweepd_worker_trace_cache_entries": 3,
@@ -480,5 +490,37 @@ func TestMetricsCountStoreErrors(t *testing.T) {
 	}
 	if v := metricValue(t, scrapeMetrics(t, ts), "sweepd_cache_store_errors_total"); v != 1 {
 		t.Fatalf("sweepd_cache_store_errors_total = %g after one unreadable record, want 1", v)
+	}
+}
+
+// TestRuntimeBlockMatchesMemStats: /metrics' runtime block, read from
+// runtime/metrics, says what runtime.ReadMemStats says: the same GC
+// cycles, the live heap, and pause time to within a quarter. The
+// histogram's buckets and its slightly different pause boundaries put
+// it a few percent off either way.
+func TestRuntimeBlockMatchesMemStats(t *testing.T) {
+	var ms runtime.MemStats
+	var rt runtimeStats
+	for try := 0; ; try++ {
+		runtime.GC()
+		rt = readRuntime()
+		runtime.ReadMemStats(&ms)
+		if uint64(ms.NumGC) == rt.gcCycles {
+			break
+		}
+		if try == 10 {
+			t.Fatalf("a GC cycle finished between every pair of reads (%d then %d)", rt.gcCycles, ms.NumGC)
+		}
+	}
+	t.Logf("%d GC cycles: pauses %gs, ReadMemStats %gs", rt.gcCycles, rt.gcPause, float64(ms.PauseTotalNs)/1e9)
+	if pause := float64(ms.PauseTotalNs) / 1e9; rt.gcPause < 0.75*pause || rt.gcPause > 1.33*pause {
+		t.Errorf("GC pause total %gs, ReadMemStats says %gs", rt.gcPause, pause)
+	}
+	if d := int64(rt.heapAlloc) - int64(ms.HeapAlloc); d < -64<<10 || d > 64<<10 {
+		t.Errorf("heap alloc %d B, ReadMemStats says %d B", rt.heapAlloc, ms.HeapAlloc)
+	}
+	if rt.heapGoal < rt.heapAlloc || rt.goroutines == 0 {
+		t.Errorf("just after a GC: heap goal %d B under live heap %d B, or %d goroutines",
+			rt.heapGoal, rt.heapAlloc, rt.goroutines)
 	}
 }

@@ -35,13 +35,13 @@ func resumeConfig(dir string) ServerConfig {
 // cache on the state dir's result store, cache/, as sweepd -state
 // does. The cache's memory starts cold, so every result a restarted
 // server knows came back from the store, named by the journal.
-func openStateServer(t *testing.T, cfg ServerConfig) (*Server, error) {
-	t.Helper()
+func openStateServer(tb testing.TB, cfg ServerConfig) (*Server, error) {
+	tb.Helper()
 	cache, err := sweep.OpenCache(filepath.Join(cfg.StateDir, "cache"))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { cache.Close() })
+	tb.Cleanup(func() { cache.Close() })
 	cfg.Cache = cache
 	return OpenServerWith(cfg)
 }

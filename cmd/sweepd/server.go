@@ -509,12 +509,14 @@ func (s *Server) publishJob(job *sweepJob, finished *finishedSweep, err error) {
 	defer s.mu.Unlock()
 	job.State = "done"
 	job.finished = finished
+	job.Progress = job.Progress.Named()
 	if err != nil {
 		job.Err = err.Error()
 	}
 }
 
-// snapshot copies a job's current public state under the lock.
+// snapshot copies a job's current public state under the lock, its
+// progress named.
 func (s *Server) snapshot(id string) (sweepJob, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -522,7 +524,9 @@ func (s *Server) snapshot(id string) (sweepJob, bool) {
 	if !ok {
 		return sweepJob{}, false
 	}
-	return *job, true
+	cp := *job
+	cp.Progress = cp.Progress.Named()
+	return cp, true
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -615,7 +619,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.sweeps.all()
 	items := make([]item, 0, len(jobs))
 	for _, job := range jobs {
-		items = append(items, item{job.ID, job.State, job.Progress})
+		items = append(items, item{job.ID, job.State, job.Progress.Named()})
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, items)
@@ -657,7 +661,7 @@ func (s *Server) handleCacheGC(w http.ResponseWriter, r *http.Request) {
 	for _, job := range s.sweeps.all() {
 		switch {
 		case job.finished != nil:
-			for _, key := range job.finished.keyText() {
+			for _, key := range job.finished.keyStrings() {
 				keep[key] = struct{}{}
 			}
 		case job.State == "running":

@@ -268,7 +268,7 @@ func (e *Explorer) Run(spec Spec, onProgress func(Progress)) (*Frontier, error) 
 			out.Points.Simulated = base.Simulated + sp.Done - sp.CacheHits - sp.Errors
 			out.Points.CacheHits = base.CacheHits + sp.CacheHits
 			out.Points.Errors = base.Errors + sp.Errors
-			report(sp.Last)
+			report(sp.Named().Last)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("search: evaluate round %d: %w", out.Rounds, err)

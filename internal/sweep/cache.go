@@ -89,6 +89,18 @@ func (c *Cache) Get(key string) (*pipeline.Result, bool) { return c.get(key, 1) 
 // reads of finished sweeps do, so Stats counts only sweeps' lookups.
 func (c *Cache) Peek(key string) (*pipeline.Result, bool) { return c.get(key, 0) }
 
+// PeekText is Peek of the key whose text is key: a caller that keeps
+// keys as bytes looks up a result in memory without making a string.
+func (c *Cache) PeekText(key []byte) (*pipeline.Result, bool) {
+	c.mu.Lock()
+	r, ok := c.mem[string(key)]
+	c.mu.Unlock()
+	if ok {
+		return r, true
+	}
+	return c.Peek(string(key))
+}
+
 // get is Get adding n to the hit or miss count.
 func (c *Cache) get(key string, n uint64) (*pipeline.Result, bool) {
 	c.mu.Lock()

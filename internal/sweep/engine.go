@@ -86,7 +86,23 @@ type Progress struct {
 	Done      int    `json:"done"`
 	CacheHits int    `json:"cache_hits"`
 	Errors    int    `json:"errors"`
-	Last      string `json:"last,omitempty"` // the point that just finished
+	Last      string `json:"last,omitempty"` // the point that just finished; see Named
+
+	// last is the point Last names while unnamed is set. The engine
+	// and the coordinator report it unrendered: most snapshots are
+	// replaced by the next before anyone reads them.
+	last    Point
+	unnamed bool
+}
+
+// Named returns p with Last naming the point that just finished, as
+// Point.String renders it. Call it before reading or encoding Last of
+// a snapshot the engine or the coordinator delivered.
+func (p Progress) Named() Progress {
+	if p.unnamed {
+		p.Last, p.last, p.unnamed = p.last.String(), Point{}, false
+	}
+	return p
 }
 
 // Results collects a sweep's outcomes in grid-expansion order.
@@ -125,7 +141,7 @@ func (r *Results) record(i int, o *Outcome) Progress {
 		st.Simulated++
 	}
 	return Progress{Total: st.Points, Done: st.done(), CacheHits: st.CacheHits,
-		Errors: st.Errors, Last: o.Point.String()}
+		Errors: st.Errors, last: o.Point, unnamed: true}
 }
 
 // done counts the outcomes recorded so far.

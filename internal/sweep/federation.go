@@ -347,7 +347,7 @@ func (c *Coordinator) RunJob(traceID, label string, meta json.RawMessage, points
 	job.id = fmt.Sprintf("job-%d", c.seq)
 	c.jobs[job.id] = job
 	c.journal(recTypeJob, jobRecOf(job))
-	var resolved []doneEntry
+	resolved := make([]doneEntry, 0, len(keys))
 	var missIdx []int
 	for i, key := range keys {
 		if err := keyErrs[i]; err != nil {

@@ -10,12 +10,14 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"earlyrelease/internal/cache"
 	"earlyrelease/internal/pipeline"
@@ -221,34 +223,82 @@ func plainJSON(s string) bool {
 // depends on neither its workload nor its scale, and a grid repeats
 // every configuration once per workload, so the acceptance grid's 192
 // points share 64 encodings. It is the one keying path: the engine
-// and the coordinator key every batch of points through it.
+// and the coordinator key every batch of points through it. The
+// encodings go into one buffer that is kept between calls, so keying
+// a batch allocates little beyond the keys.
 func Keys(points []Point) ([]string, []error) {
-	type encoded struct {
-		blob []byte
-		err  error
-	}
-	byMachine := make(map[Point]encoded)
+	k := keyers.Get().(*keyer)
+	defer k.release()
 	keys := make([]string, len(points))
 	errs := make([]error, len(points))
 	for i, pt := range points {
 		machine := pt
 		machine.Workload, machine.Scale = "", 0
-		enc, ok := byMachine[machine]
+		enc, ok := k.byMachine[machine]
 		if !ok {
-			cfg, err := pt.Config()
-			if err == nil {
-				enc.blob, err = json.Marshal(cfg)
-			}
-			enc.err = err
-			byMachine[machine] = enc
+			enc = k.encode(pt)
+			k.byMachine[machine] = enc
 		}
 		if enc.err != nil {
 			errs[i] = enc.err
 			continue
 		}
-		keys[i], errs[i] = configJSONKey(pt.Workload, pt.Scale, enc.blob)
+		keys[i], errs[i] = configJSONKey(pt.Workload, pt.Scale, k.buf.Bytes()[enc.off:enc.end])
 	}
 	return keys, errs
+}
+
+// keyer is Keys' scratch: each distinct machine configuration's JSON
+// encoding, back to back in buf, indexed by the machine (a point less
+// its workload and scale).
+type keyer struct {
+	buf       bytes.Buffer
+	enc       *json.Encoder
+	cfg       pipeline.Config // encoded from here, so it is not boxed on each call
+	byMachine map[Point]encoding
+}
+
+// encoding is where one machine's configuration encodes in a keyer's
+// buffer, or why it cannot.
+type encoding struct {
+	off, end int
+	err      error
+}
+
+var keyers = sync.Pool{New: func() any {
+	k := &keyer{byMachine: make(map[Point]encoding)}
+	k.enc = json.NewEncoder(&k.buf)
+	return k
+}}
+
+// maxKeyerBytes bounds the encodings a pooled keyer keeps room for:
+// a batch of thousands of distinct machines should not pin its buffer.
+const maxKeyerBytes = 1 << 20
+
+// encode appends the encoding of pt's configuration to the buffer.
+func (k *keyer) encode(pt Point) encoding {
+	var err error
+	if k.cfg, err = pt.Config(); err != nil {
+		return encoding{err: err}
+	}
+	off := k.buf.Len()
+	if err := k.enc.Encode(&k.cfg); err != nil {
+		k.buf.Truncate(off)
+		return encoding{err: err}
+	}
+	// Encode ends the value with a newline, which Marshal does not.
+	return encoding{off: off, end: k.buf.Len() - 1}
+}
+
+// release empties k and returns it to the pool, unless a large batch
+// grew its buffer past maxKeyerBytes.
+func (k *keyer) release() {
+	if k.buf.Cap() > maxKeyerBytes {
+		return
+	}
+	k.buf.Reset()
+	clear(k.byMachine)
+	keyers.Put(k)
 }
 
 // Grid declares a sweep as axes to be crossed. Empty axes take the
@@ -474,24 +524,55 @@ func uniq[T comparable](xs []T) []T {
 // values is a distinct point, in the order of its first occurrence in
 // the full product, and the output is allocated once at its length.
 func (g Grid) Expand() []Point {
-	ws := uniq(orStrings(g.Workloads, workloads.Names()))
-	pols := uniq(orStrings(g.Policies, []string{
-		release.Conventional.String(), release.Basic.String(), release.Extended.String()}))
+	x := g.Expansion()
+	out := make([]Point, x.Len())
+	for r := range out {
+		x.At(r, &out[r])
+	}
+	return out
+}
+
+// Expansion is a grid's expanded point list, computed one point at a
+// time: At(r, pt) sets *pt to Expand()[r], without the slice.
+type Expansion struct {
+	ws, pols       []string
+	sizes          [][2]int
+	noReuse, eager []bool
+	mach           []machineAxis
+	scale, n       int
+	check          bool
+}
+
+// machineAxis is one non-empty machine axis of an expansion, its
+// values canonical and deduplicated.
+type machineAxis struct {
+	ax   IntAxis
+	vals []int
+}
+
+// Expansion resolves the grid's axes as Expand does.
+func (g Grid) Expansion() Expansion {
+	x := Expansion{
+		ws: uniq(orStrings(g.Workloads, workloads.Names())),
+		pols: uniq(orStrings(g.Policies, []string{
+			release.Conventional.String(), release.Basic.String(), release.Extended.String()})),
+		noReuse: uniq(g.NoReuse),
+		eager:   uniq(g.Eager),
+		scale:   g.Scale,
+		check:   g.Check,
+	}
 	ints := g.IntRegs
 	if len(ints) == 0 {
 		ints = []int{48}
 	}
-	scale := g.Scale
-	if scale <= 0 {
-		scale = DefaultScale
+	if x.scale <= 0 {
+		x.scale = DefaultScale
 	}
-	noReuse := uniq(g.NoReuse)
-	if len(noReuse) == 0 {
-		noReuse = []bool{false}
+	if len(x.noReuse) == 0 {
+		x.noReuse = []bool{false}
 	}
-	eager := uniq(g.Eager)
-	if len(eager) == 0 {
-		eager = []bool{false}
+	if len(x.eager) == 0 {
+		x.eager = []bool{false}
 	}
 
 	var sizes [][2]int
@@ -506,14 +587,9 @@ func (g Grid) Expand() []Point {
 			}
 		}
 	}
-	sizes = uniq(sizes)
+	x.sizes = uniq(sizes)
 
-	type machineAxis struct {
-		ax   IntAxis
-		vals []int
-	}
-	var mach []machineAxis
-	n := len(ws) * len(pols) * len(sizes) * len(noReuse) * len(eager)
+	x.n = len(x.ws) * len(x.pols) * len(x.sizes) * len(x.noReuse) * len(x.eager)
 	for _, ax := range machineAxes {
 		vals := ax.GridGet(g)
 		if len(vals) == 0 {
@@ -523,31 +599,35 @@ func (g Grid) Expand() []Point {
 		for i, v := range vals {
 			canon[i] = ax.Canon(v)
 		}
-		mach = append(mach, machineAxis{ax, uniq(canon)})
-		n *= len(mach[len(mach)-1].vals)
+		x.mach = append(x.mach, machineAxis{ax, uniq(canon)})
+		x.n *= len(x.mach[len(x.mach)-1].vals)
 	}
+	return x
+}
 
-	// Point r is the mixed-radix number r read off the axes, the last
-	// machine axis its lowest digit.
-	out := make([]Point, n)
-	for r := range out {
-		pt := &out[r]
-		q := r
-		for j := len(mach) - 1; j >= 0; j-- {
-			m := mach[j]
-			m.ax.Set(pt, m.vals[q%len(m.vals)])
-			q /= len(m.vals)
-		}
-		pt.Eager = eager[q%len(eager)]
-		q /= len(eager)
-		pt.NoReuse = noReuse[q%len(noReuse)]
-		q /= len(noReuse)
-		sz := sizes[q%len(sizes)]
-		pt.IntRegs, pt.FPRegs = sz[0], sz[1]
-		q /= len(sizes)
-		pt.Policy = pols[q%len(pols)]
-		pt.Workload = ws[q/len(pols)]
-		pt.Scale, pt.Check = scale, g.Check
+// Len is the number of points the grid expands to.
+func (x *Expansion) Len() int { return x.n }
+
+// At sets *pt to point r, 0 <= r < Len(): the mixed-radix number r read
+// off the axes, the last machine axis its lowest digit. The point is
+// the caller's because the axes' setters would move a local one to the
+// heap.
+func (x *Expansion) At(r int, pt *Point) {
+	*pt = Point{}
+	q := r
+	for j := len(x.mach) - 1; j >= 0; j-- {
+		m := x.mach[j]
+		m.ax.Set(pt, m.vals[q%len(m.vals)])
+		q /= len(m.vals)
 	}
-	return out
+	pt.Eager = x.eager[q%len(x.eager)]
+	q /= len(x.eager)
+	pt.NoReuse = x.noReuse[q%len(x.noReuse)]
+	q /= len(x.noReuse)
+	sz := x.sizes[q%len(x.sizes)]
+	pt.IntRegs, pt.FPRegs = sz[0], sz[1]
+	q /= len(x.sizes)
+	pt.Policy = x.pols[q%len(x.pols)]
+	pt.Workload = x.ws[q/len(x.pols)]
+	pt.Scale, pt.Check = x.scale, x.check
 }

@@ -521,7 +521,7 @@ func TestProgressReporting(t *testing.T) {
 		t.Fatalf("%d progress snapshots for %d points", len(snaps), res.Stats.Points)
 	}
 	for i, p := range snaps {
-		if p.Total != res.Stats.Points || p.Done != i+1 || p.Last == "" {
+		if p.Total != res.Stats.Points || p.Done != i+1 || p.Named().Last == "" {
 			t.Errorf("snapshot %d: %+v", i, p)
 		}
 	}
