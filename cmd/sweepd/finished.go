@@ -6,25 +6,73 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 
 	"earlyrelease/internal/pipeline"
 	"earlyrelease/internal/sweep"
 )
 
+// outcomeTable is the part of a finished sweep that repeats when one
+// grid is submitted again: each outcome's key and cached flag, about
+// 33 B per point. It never changes once built, and every retained
+// sweep with the same keys and flags holds the same one (shareTable),
+// so the collector frees it with the last of them: no reference count
+// and no eviction hook.
+type outcomeTable struct {
+	// keys holds outcome i's key, Point.Key's 64 hex digits, as the 32
+	// bytes they encode at [32i, 32i+32); a key that failed, "", is 32
+	// zero bytes, which no digest is in practice.
+	keys string
+	// cached holds outcome i's cached flag in bit i%8 of byte i/8.
+	cached string
+}
+
+// zeroKey is the bytes of a key that failed.
+var zeroKey = string(make([]byte, sha256.Size))
+
+// len is the number of outcomes.
+func (t *outcomeTable) len() int { return len(t.keys) / sha256.Size }
+
+// isCached reports outcome i's cached flag.
+func (t *outcomeTable) isCached(i int) bool { return t.cached[i/8]&(1<<(i%8)) != 0 }
+
+// keyText is the text of a key: Point.Key's 64 hex digits.
+type keyText = [2 * sha256.Size]byte
+
+// key writes outcome i's key into text and reports whether it has
+// one; a zero key is "".
+func (t *outcomeTable) key(i int, text *keyText) bool {
+	k := t.keys[i*sha256.Size : (i+1)*sha256.Size]
+	if k == zeroKey {
+		return false
+	}
+	hex.Encode(text[:], []byte(k))
+	return true
+}
+
+// keyStrings returns the outcomes' keys as strings: "" for a zero key.
+func (t *outcomeTable) keyStrings() []string {
+	keys := make([]string, t.len())
+	var text keyText
+	for i := range keys {
+		if t.key(i, &text) {
+			keys[i] = string(text[:])
+		}
+	}
+	return keys
+}
+
 // finishedSweep is the form in which sweepd retains a finished sweep:
-// per outcome, its key in binary and its cached flag, plus the rare
-// per-point errors, Stats and SaveErr, about 33 B per point. The
-// results stay in the shared cache, which a GET reads by key: the
-// index here, the values in the store, as in Bitcask. Each outcome's
-// point is computed from the grid's expansion on read, unless the
-// outcomes carried other points (see compactResults).
+// its outcome table, shared with every retained sweep of the same keys
+// and flags, plus its own rare per-point errors, Stats and SaveErr,
+// about 90 B beside the job record. The results stay in the shared
+// cache, which a GET reads by key: the index here, the values in the
+// store, as in Bitcask. Each outcome's point is computed from the
+// grid's expansion on read, unless the outcomes carried other points
+// (see compactResults).
 type finishedSweep struct {
-	// keys holds each outcome's key, Point.Key's 64 hex digits, as the
-	// 32 bytes they encode; a key that failed, "", is 32 zero bytes,
-	// which no digest is in practice.
-	keys    [][sha256.Size]byte
-	cached  []bool
+	table   *outcomeTable
 	errs    map[int]string
 	points  []sweep.Point // nil: Grid.Expand()
 	stats   sweep.RunStats
@@ -36,24 +84,26 @@ type finishedSweep struct {
 // that took the submission journaled. If their points are not points,
 // because that binary's Grid.Expand() gave others (a different default
 // workload list, say), the form keeps them, so the document never
-// changes.
+// changes. The table is the job's own until publishJob shares it.
 func compactResults(res *sweep.Results, points []sweep.Point) *finishedSweep {
 	if res == nil {
 		return nil
 	}
 	n := len(res.Outcomes)
-	f := &finishedSweep{
-		keys:    make([][sha256.Size]byte, n),
-		cached:  make([]bool, n),
-		stats:   res.Stats,
-		saveErr: res.SaveErr,
-	}
+	f := &finishedSweep{stats: res.Stats, saveErr: res.SaveErr}
+	var keys strings.Builder
+	keys.Grow(n * sha256.Size)
+	cached := make([]byte, (n+7)/8)
 	same := len(points) == n
 	for i, o := range res.Outcomes {
 		// Every key comes from sweep.Keys, through RunJob or the
 		// journal, so it decodes; "" leaves the zero bytes.
-		hex.Decode(f.keys[i][:], []byte(o.Key))
-		f.cached[i] = o.Cached
+		var key [sha256.Size]byte
+		hex.Decode(key[:], []byte(o.Key))
+		keys.Write(key[:])
+		if o.Cached {
+			cached[i/8] |= 1 << (i % 8)
+		}
 		if o.Err != "" {
 			if f.errs == nil {
 				f.errs = make(map[int]string)
@@ -62,6 +112,7 @@ func compactResults(res *sweep.Results, points []sweep.Point) *finishedSweep {
 		}
 		same = same && o.Point == points[i]
 	}
+	f.table = &outcomeTable{keys: keys.String(), cached: string(cached)}
 	if !same {
 		f.points = make([]sweep.Point, n)
 		for i, o := range res.Outcomes {
@@ -71,29 +122,34 @@ func compactResults(res *sweep.Results, points []sweep.Point) *finishedSweep {
 	return f
 }
 
-// keyText is the text of a key: Point.Key's 64 hex digits.
-type keyText = [2 * sha256.Size]byte
-
-// key writes outcome i's key into text and reports whether it has
-// one; a zero key is "".
-func (f *finishedSweep) key(i int, text *keyText) bool {
-	if f.keys[i] == ([sha256.Size]byte{}) {
-		return false
-	}
-	hex.Encode(text[:], f.keys[i][:])
-	return true
-}
-
-// keyStrings returns the outcomes' keys as strings: "" for a zero key.
-func (f *finishedSweep) keyStrings() []string {
-	keys := make([]string, len(f.keys))
-	var text keyText
-	for i := range f.keys {
-		if f.key(i, &text) {
-			keys[i] = string(text[:])
+// shareTable returns the outcome table of a retained finished sweep
+// equal to t, or t if no retained sweep holds one, so the sweeps of a
+// grid submitted again while warm share one table. It compares t with
+// every retained sweep's table, which costs a length comparison, or a
+// key's first bytes, unless the keys are equal. The caller holds s.mu.
+func (s *Server) shareTable(t *outcomeTable) *outcomeTable {
+	for _, job := range s.sweeps.jobs {
+		if f := job.finished; f != nil && *f.table == *t {
+			return f.table
 		}
 	}
-	return keys
+	return t
+}
+
+// distinctTables returns the outcome tables of the finished sweeps
+// among jobs, each table once however many sweeps share it. The caller
+// holds s.mu; the tables never change, so they can be read after it is
+// released.
+func distinctTables(jobs []*sweepJob) []*outcomeTable {
+	seen := make(map[*outcomeTable]bool)
+	var tables []*outcomeTable
+	for _, job := range jobs {
+		if f := job.finished; f != nil && !seen[f.table] {
+			seen[f.table] = true
+			tables = append(tables, f.table)
+		}
+	}
+	return tables
 }
 
 // streamFlushBytes is how much of a finished document writeFinished
@@ -133,9 +189,10 @@ var streamBufs = sync.Pool{New: func() any {
 // off the lock.
 func (f *finishedSweep) writeFinished(w http.ResponseWriter, cache *sweep.Cache, job sweepJob) {
 	var key keyText
-	results := make([]*pipeline.Result, len(f.keys))
-	for i := range f.keys {
-		if f.key(i, &key) && f.errs[i] == "" {
+	t := f.table
+	results := make([]*pipeline.Result, t.len())
+	for i := range results {
+		if t.key(i, &key) && f.errs[i] == "" {
 			var ok bool
 			if results[i], ok = cache.PeekText(key[:]); !ok {
 				writeError(w, http.StatusInternalServerError, "sweep %s: result %s is not in the cache", job.ID, key[:])
@@ -185,7 +242,7 @@ func (f *finishedSweep) writeFinished(w http.ResponseWriter, cache *sweep.Cache,
 	// fields in order, each on a line of its own, the empty ones but
 	// the key omitted.
 	const field, fieldIndent = ",\n        ", "        "
-	for i := range f.keys {
+	for i := range results {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
@@ -197,11 +254,11 @@ func (f *finishedSweep) writeFinished(w http.ResponseWriter, cache *sweep.Cache,
 		buf.WriteString("\n      {\n        \"point\": ")
 		encode(fieldIndent, pt)
 		buf.WriteString(field + `"key": "`)
-		if f.key(i, &key) {
+		if t.key(i, &key) {
 			buf.Write(key[:])
 		}
 		buf.WriteByte('"')
-		if f.cached[i] {
+		if t.isCached(i) {
 			buf.WriteString(field + `"cached": true`)
 		}
 		if e := f.errs[i]; e != "" {
@@ -220,7 +277,7 @@ func (f *finishedSweep) writeFinished(w http.ResponseWriter, cache *sweep.Cache,
 			return
 		}
 	}
-	if len(f.keys) > 0 {
+	if len(results) > 0 {
 		buf.WriteString("\n    ")
 	}
 	buf.WriteString("],\n    \"stats\": ")

@@ -176,16 +176,18 @@ func TestFinishedDocumentByteIdentity(t *testing.T) {
 		if job.finished == nil || job.Err == "" {
 			t.Fatal("sw-5 is not a compacted failed job")
 		}
-		bare := *job.finished
-		bare.keys = slices.Clone(bare.keys)
-		bare.cached = slices.Clone(bare.cached)
-		bare.keys[0], bare.cached[0] = [32]byte{}, false
+		// The bare outcome is sw-5's first with its key and cached
+		// flag cleared, as no compaction of a real job leaves it.
+		ref := expandRef(t, job.finished, srv.cache, job.Grid)
+		ref.Outcomes[0].Key, ref.Outcomes[0].Cached, ref.Outcomes[0].Result = "", false, nil
+		none := compactResults(&sweep.Results{}, nil)
+		none.points = []sweep.Point{}
 		cases := []struct {
 			name string
 			f    *finishedSweep
 		}{
-			{"no outcomes", &finishedSweep{points: []sweep.Point{}}},
-			{"bare outcome", &bare},
+			{"no outcomes", none},
+			{"bare outcome", compactResults(ref, job.Grid.Expand())},
 		}
 		for _, c := range cases {
 			doc := job
@@ -209,9 +211,9 @@ func expandRef(t *testing.T, f *finishedSweep, cache *sweep.Cache, g sweep.Grid)
 		points = g.Expand()
 	}
 	res := &sweep.Results{Outcomes: []*sweep.Outcome{}, Stats: f.stats, SaveErr: f.saveErr}
-	keys := f.keyStrings()
+	keys := f.table.keyStrings()
 	for i, pt := range points {
-		o := &sweep.Outcome{Point: pt, Key: keys[i], Cached: f.cached[i], Err: f.errs[i]}
+		o := &sweep.Outcome{Point: pt, Key: keys[i], Cached: f.table.isCached(i), Err: f.errs[i]}
 		if o.Key != "" && o.Err == "" {
 			var ok bool
 			if o.Result, ok = cache.Peek(o.Key); !ok {
@@ -335,64 +337,188 @@ func TestRecoveredFinishedDocument(t *testing.T) {
 }
 
 // TestFinishedSweepFootprint bounds what the job store holds for a
-// retained finished sweep: 128 fully cached 192-point sweeps must hold
-// under 40 B of heap per point each, job record included (a 32-byte
-// key and a cached flag per point; a full outcome list costs about
-// 264 B). The heap is read with the jobs retained and again once the
-// store drops them, so traces and other per-process state are not
-// charged.
+// retained finished sweep, 128 fully cached 192-point sweeps at a time.
+// Sweeps of one grid share one outcome table, so each holds its job
+// record and a handle: under 1.5 KB (a copy of the keys and flags
+// each cost 7.3 KB). Sweeps of grids whose keys differ hold a table
+// each, 32 B of key and a cached bit per point: under 40 B of heap per
+// point, job record included (a full outcome list costs about 264 B).
+// The heap is read with the jobs retained and again once the store
+// drops them, so the cache, traces and other per-process state are
+// not charged.
 func TestFinishedSweepFootprint(t *testing.T) {
-	// The results live in the cache and are not charged to the jobs,
-	// so stand-ins serve as well as simulated ones.
-	cache := sweep.NewCache()
-	g := acceptanceGrid(testScale)
-	for _, key := range gridKeys(g) {
-		cache.Put(key, &pipeline.Result{})
+	cases := []struct {
+		name    string
+		grid    func(i int) sweep.Grid
+		maxPer  int64
+		maxText string
+		tables  int
+	}{
+		{"shared", func(int) sweep.Grid { return acceptanceGrid(testScale) },
+			1536, "1.5 KB per sweep", 1},
+		{"distinct", func(i int) sweep.Grid { return acceptanceGrid(testScale + i) },
+			40 * 192, "40 B per point", maxRetainedSweeps},
 	}
-	srv := NewServer(cache, 0)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// The results live in the cache and are not charged to the
+			// jobs, so one stand-in serves as well as simulated ones.
+			cache := sweep.NewCache()
+			stand := &pipeline.Result{}
+			for i := 0; i < maxRetainedSweeps; i++ {
+				for _, key := range gridKeys(c.grid(i)) {
+					cache.Put(key, stand)
+				}
+			}
+			srv := NewServer(cache, 0)
+			t.Cleanup(srv.Close)
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			for i := 0; i < maxRetainedSweeps; i++ {
+				// Wait on the job itself rather than reading back its
+				// 192 outcomes over HTTP.
+				id := postGrid(t, ts, c.grid(i))
+				deadline := time.Now().Add(time.Minute)
+				job, _ := srv.snapshot(id)
+				for ; job.State != "done"; job, _ = srv.snapshot(id) {
+					if time.Now().After(deadline) {
+						t.Fatalf("job %s did not finish", id)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if job.Progress.CacheHits != 192 {
+					t.Fatalf("job %s: %d of 192 points cached", id, job.Progress.CacheHits)
+				}
+			}
+
+			heap := func() int64 {
+				// Twice: the first collection only moves sync.Pool
+				// contents (the JSON encoder's buffers) to the victim
+				// cache.
+				runtime.GC()
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return int64(ms.HeapAlloc)
+			}
+			srv.mu.Lock()
+			retained := len(srv.sweeps.jobs)
+			tables := len(distinctTables(srv.sweeps.all()))
+			srv.mu.Unlock()
+			if retained != maxRetainedSweeps || tables != c.tables {
+				t.Fatalf("%d sweeps retained holding %d outcome tables, want %d holding %d",
+					retained, tables, maxRetainedSweeps, c.tables)
+			}
+			with := heap()
+			srv.mu.Lock()
+			srv.sweeps.jobs = map[string]*sweepJob{}
+			srv.sweeps.ids = nil
+			srv.mu.Unlock()
+			per := (with - heap()) / maxRetainedSweeps
+			t.Logf("%d B of heap per retained sweep, %.1f B per point", per, float64(per)/192)
+			if per > c.maxPer {
+				t.Errorf("%d B of heap per retained 192-point sweep, want at most %s", per, c.maxText)
+			}
+		})
+	}
+}
+
+// TestFillAndWarmSweepsKeepTheirFlags: the sweep that fills the cache
+// for a grid and the sweeps that find it warm have the same keys but
+// not the same cached flags, so the fill holds a table of its own and
+// the warm ones share another; retained side by side, each serves its
+// own flags.
+func TestFillAndWarmSweepsKeepTheirFlags(t *testing.T) {
+	ts, srv := newTestServer(t)
+	g := sweep.Grid{Workloads: []string{"go", "tomcatv"}, Policies: []string{"conv"},
+		IntRegs: []int{40, 48}, Scale: testScale}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		id := postGrid(t, ts, g)
+		pollDone(t, ts, id)
+		ids = append(ids, id)
+	}
+	for i, id := range ids {
+		var doc sweepJob
+		if err := json.Unmarshal(getRaw(t, ts, "/sweep/"+id), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Results.Outcomes) != 4 {
+			t.Fatalf("%s: %d outcomes, want 4", id, len(doc.Results.Outcomes))
+		}
+		for j, o := range doc.Results.Outcomes {
+			if want := i > 0; o.Cached != want || o.Key != gridKeys(g)[j] {
+				t.Errorf("%s outcome %d: key %s cached %v, want key %s cached %v",
+					id, j, o.Key, o.Cached, gridKeys(g)[j], want)
+			}
+		}
+	}
+	srv.mu.Lock()
+	tables := len(distinctTables(srv.sweeps.all()))
+	srv.mu.Unlock()
+	if tables != 2 {
+		t.Errorf("a fill and two warm sweeps of one grid hold %d outcome tables, want 2", tables)
+	}
+}
+
+// TestEvictedTableIsFreed: an outcome table lives as long as a
+// retained sweep holds it, and once the store has evicted every sweep
+// sharing it, two collections free it, with no reference count and no
+// eviction hook. A finalizer on the table reports when it became
+// unreachable.
+func TestEvictedTableIsFreed(t *testing.T) {
+	cache := sweep.NewCache()
+	shared := sweep.Grid{Workloads: []string{"go"}, Policies: []string{"conv"},
+		IntRegs: []int{40, 48}, Scale: testScale}
+	other := shared
+	other.Workloads = []string{"tomcatv"}
+	for _, g := range []sweep.Grid{shared, other} {
+		for _, key := range gridKeys(g) {
+			cache.Put(key, &pipeline.Result{})
+		}
+	}
+	srv := NewServerWith(ServerConfig{Cache: cache, RetainJobs: 2})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	for i := 0; i < maxRetainedSweeps; i++ {
-		// Wait on the job itself rather than reading back its 192
-		// outcomes over HTTP.
+	run := func(g sweep.Grid) string {
 		id := postGrid(t, ts, g)
-		deadline := time.Now().Add(time.Minute)
-		job, _ := srv.snapshot(id)
-		for ; job.State != "done"; job, _ = srv.snapshot(id) {
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s did not finish", id)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if job.Progress.CacheHits != 192 {
-			t.Fatalf("job %s: %d of 192 points cached", id, job.Progress.CacheHits)
-		}
+		pollDone(t, ts, id)
+		return id
 	}
 
-	heap := func() int64 {
-		// Twice: the first collection only moves sync.Pool contents
-		// (the JSON encoder's buffers) to the victim cache.
+	first, second := run(shared), run(shared)
+	freed := make(chan struct{})
+	srv.mu.Lock()
+	a, _ := srv.sweeps.get(first)
+	b, _ := srv.sweeps.get(second)
+	sharing := a.finished.table == b.finished.table
+	runtime.SetFinalizer(a.finished.table, func(*outcomeTable) { close(freed) })
+	srv.mu.Unlock()
+	a, b = nil, nil
+	if !sharing {
+		t.Fatal("two warm sweeps of one grid hold two outcome tables")
+	}
+
+	// collect runs two collections and reports whether the table was
+	// found unreachable, waiting up to wait for its finalizer to run.
+	collect := func(wait time.Duration) bool {
 		runtime.GC()
 		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
+		select {
+		case <-freed:
+			return true
+		case <-time.After(wait):
+			return false
+		}
 	}
-	srv.mu.Lock()
-	retained := len(srv.sweeps.jobs)
-	srv.mu.Unlock()
-	if retained != maxRetainedSweeps {
-		t.Fatalf("%d sweeps retained, want %d", retained, maxRetainedSweeps)
+	run(other) // evicts the first sweep; the second still holds the table
+	if collect(50 * time.Millisecond) {
+		t.Fatal("the outcome table was freed while a retained sweep holds it")
 	}
-	with := heap()
-	srv.mu.Lock()
-	srv.sweeps.jobs = map[string]*sweepJob{}
-	srv.mu.Unlock()
-	per := (with - heap()) / maxRetainedSweeps
-	t.Logf("%d B of heap per retained sweep, %.1f B per point", per, float64(per)/192)
-	if per >= 40*192 {
-		t.Errorf("%d B of heap per retained 192-point sweep, want < 40 B per point", per)
+	run(other) // evicts the second
+	if !collect(10 * time.Second) {
+		t.Fatal("the outcome table outlived the last retained sweep holding it")
 	}
 }
 
@@ -622,7 +748,7 @@ func TestFinishedKeysRoundTrip(t *testing.T) {
 	for _, key := range keys {
 		res.Outcomes = append(res.Outcomes, &sweep.Outcome{Key: key})
 	}
-	if got := compactResults(res, nil).keyStrings(); !reflect.DeepEqual(got, keys) {
+	if got := compactResults(res, nil).table.keyStrings(); !reflect.DeepEqual(got, keys) {
 		t.Errorf("keys %q came back as %q", keys, got)
 	}
 }

@@ -69,19 +69,16 @@ func main() {
 		name         = flag.String("name", "", "worker name in the coordinator registry (default: hostname)")
 		retainJobs   = flag.Int("retain", 0, "finished jobs retained for polling (0 = default 128); size above the concurrent client population")
 		tokens       = flag.String("tokens", "", "tenant token file (JSON, see DESIGN.md §4.8); empty = open anonymous access")
-		enablePprof  = flag.Bool("pprof", false, "expose /debug/pprof/* on the coordinator")
 		logRequests  = flag.Bool("log-requests", true, "structured per-request logging (method, route, tenant, status, latency)")
 	)
 	var tenantSpecs []string
 	flag.Func("tenant", "provision one tenant, name:token[:rate=R][:burst=B][:grid=N][:pending=N][:jobs=N] (repeatable; implies enforcement)",
 		func(s string) error { tenantSpecs = append(tenantSpecs, s); return nil })
 	flag.Parse()
-	if !*enablePprof {
-		// No route can read a heap profile, so sample none: the
-		// profiler's bucket table is resident memory every process
-		// would otherwise carry.
-		runtime.MemProfileRate = 0
-	}
+	// sweepd links no profiler, so sample no heap profile: the
+	// profiler's bucket table is resident memory every process would
+	// otherwise carry.
+	runtime.MemProfileRate = 0
 	paceHeap()
 
 	switch *role {
@@ -90,7 +87,7 @@ func main() {
 	case "coordinator":
 		registry := loadRegistry(*tokens, tenantSpecs)
 		runCoordinator(*addr, *cachePath, *stateDir, *parallel, *localWorkers,
-			*leaseTTL, *shardPoints, *retainJobs, registry, *enablePprof, *logRequests)
+			*leaseTTL, *shardPoints, *retainJobs, registry, *logRequests)
 	default:
 		log.Fatalf("unknown role %q (want coordinator or worker)", *role)
 	}
@@ -152,7 +149,7 @@ func loadRegistry(tokensPath string, specs []string) *tenant.Registry {
 
 func runCoordinator(addr, cachePath, stateDir string, parallel, localWorkers int,
 	leaseTTL time.Duration, shardPoints, retainJobs int, registry *tenant.Registry,
-	enablePprof, logRequests bool) {
+	logRequests bool) {
 	if cachePath == "" && stateDir != "" {
 		cachePath = filepath.Join(stateDir, "cache")
 	}
@@ -175,7 +172,6 @@ func runCoordinator(addr, cachePath, stateDir string, parallel, localWorkers int
 		StateDir:       stateDir,
 		Tenants:        registry,
 		RetainJobs:     retainJobs,
-		EnablePprof:    enablePprof,
 	}
 	if logRequests {
 		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))

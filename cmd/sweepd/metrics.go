@@ -160,8 +160,6 @@ func routeLabel(r *http.Request) string {
 		if len(seg) >= 2 {
 			route += "/" + seg[1]
 		}
-	case "debug":
-		route = "/debug/pprof"
 	}
 	return r.Method + " " + route
 }
@@ -299,12 +297,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.gauge("sweepd_journal_wal_bytes", "Bytes in the coordinator's write-ahead log (0 without -state).", float64(st.JournalBytes))
 
 	// Job-store occupancy: what -retain bounds (running jobs count
-	// toward it but are never evicted).
+	// toward it but are never evicted), and how many outcome tables
+	// the finished sweeps among them share.
 	s.mu.Lock()
 	sweeps, explores := len(s.sweeps.jobs), len(s.explores.jobs)
+	jobs := s.sweeps.all()
+	finished := 0
+	for _, job := range jobs {
+		if job.finished != nil {
+			finished++
+		}
+	}
+	tables := len(distinctTables(jobs))
 	s.mu.Unlock()
 	p.gauge("sweepd_sweeps_retained", "Sweeps in the job store, running and finished.", float64(sweeps))
 	p.gauge("sweepd_explores_retained", "Explorations in the job store, running and finished.", float64(explores))
+	p.gauge("sweepd_retained_sweeps", "Finished sweeps retained with their outcomes.", float64(finished))
+	p.gauge("sweepd_retained_outcome_tables", "Distinct outcome tables the retained finished sweeps share.", float64(tables))
 
 	// Per-worker load and throughput (DESIGN.md §4.9): active lanes and
 	// the EWMA points/s fed by each completion's w:simulate span.

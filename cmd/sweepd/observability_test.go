@@ -155,6 +155,11 @@ func TestMetricsExpositionLint(t *testing.T) {
 		IntRegs: []int{40, 48}, Scale: testScale}
 	id, _ := submitTraced(t, ts, g, "")
 	pollDone(t, ts, id)
+	// Two warm resubmissions share one outcome table; the sweep that
+	// filled the cache holds another.
+	for i := 0; i < 2; i++ {
+		pollDone(t, ts, postGrid(t, ts, g))
+	}
 	// A remote worker reports its process's trace cache on heartbeats.
 	remote := sweep.NewClient(ts.URL)
 	reg, err := remote.RegisterWorker("remote")
@@ -342,11 +347,14 @@ func TestMetricsExpositionLint(t *testing.T) {
 			t.Errorf("%s = %g (exposed %v), want %g from the heartbeat", series, v, ok, want)
 		}
 	}
-	// Job-store occupancy and persistence health: the one sweep above
-	// is retained, a memory-only coordinator has no journal to degrade,
-	// size or compact, and a memory-only cache has no store to fail.
+	// Job-store occupancy and persistence health: the three finished
+	// sweeps above are retained, holding two outcome tables, a
+	// memory-only coordinator has no journal to degrade, size or
+	// compact, and a memory-only cache has no store to fail.
 	for name, want := range map[string]float64{
-		"sweepd_sweeps_retained":           1,
+		"sweepd_sweeps_retained":           3,
+		"sweepd_retained_sweeps":           3,
+		"sweepd_retained_outcome_tables":   2,
 		"sweepd_explores_retained":         0,
 		"sweepd_journal_degraded":          0,
 		"sweepd_journal_wal_bytes":         0,

@@ -10,7 +10,6 @@ import (
 	"log"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"sync"
@@ -79,14 +78,12 @@ type Server struct {
 	stateDir string
 
 	// Tenancy & operability (DESIGN.md §4.8): tenants admits every
-	// submission, httpStats and started feed GET /metrics, logger (if
-	// set) emits one structured line per request, enablePprof exposes
-	// /debug/pprof.
-	tenants     *tenant.Registry
-	logger      *slog.Logger
-	enablePprof bool
-	started     time.Time
-	httpStats   httpStats
+	// submission, httpStats and started feed GET /metrics, and logger
+	// (if set) emits one structured line per request.
+	tenants   *tenant.Registry
+	logger    *slog.Logger
+	started   time.Time
+	httpStats httpStats
 
 	stopWorkers context.CancelFunc
 	workerWG    sync.WaitGroup
@@ -235,8 +232,6 @@ type ServerConfig struct {
 	// client population, or finished jobs can be evicted before their
 	// submitters poll the results.
 	RetainJobs int
-	// EnablePprof mounts /debug/pprof/* on the handler.
-	EnablePprof bool
 	// Logger, when set, emits one structured line per HTTP request
 	// (method, route, tenant, status, latency).
 	Logger *slog.Logger
@@ -290,15 +285,14 @@ func OpenServerWith(cfg ServerConfig) (*Server, error) {
 		tenants = tenant.Open()
 	}
 	s := &Server{
-		coord:       coord,
-		cache:       cache,
-		stateDir:    cfg.StateDir,
-		tenants:     tenants,
-		logger:      cfg.Logger,
-		enablePprof: cfg.EnablePprof,
-		started:     time.Now(),
-		sweeps:      newJobStore("sw", cfg.RetainJobs, func(j *sweepJob) bool { return j.State == "done" }),
-		explores:    newJobStore("ex", cfg.RetainJobs, func(j *exploreJob) bool { return j.State == "done" }),
+		coord:    coord,
+		cache:    cache,
+		stateDir: cfg.StateDir,
+		tenants:  tenants,
+		logger:   cfg.Logger,
+		started:  time.Now(),
+		sweeps:   newJobStore("sw", cfg.RetainJobs, func(j *sweepJob) bool { return j.State == "done" }),
+		explores: newJobStore("ex", cfg.RetainJobs, func(j *exploreJob) bool { return j.State == "done" }),
 	}
 	if s.stateDir != "" {
 		// A record a failed remove leaves behind is restored at the next
@@ -386,13 +380,6 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.enablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	return s.instrument(mux)
 }
 
@@ -503,10 +490,14 @@ func (s *Server) runJob(job *sweepJob, g sweep.Grid, points []sweep.Point, adm *
 }
 
 // publishJob publishes a sweep's terminal state: its finished form, nil
-// when the job failed before it resolved every point.
+// when the job failed before it resolved every point, holding the
+// outcome table a retained sweep already holds if one is equal.
 func (s *Server) publishJob(job *sweepJob, finished *finishedSweep, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if finished != nil {
+		finished.table = s.shareTable(finished.table)
+	}
 	job.State = "done"
 	job.finished = finished
 	job.Progress = job.Progress.Named()
@@ -646,25 +637,22 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 // the keep-set is the union of each finished sweep's retained keys,
 // each running sweep's point keys and each retained exploration's
 // frontier evaluations. Results evicted from the job stores age out of
-// the cache here rather than accumulating forever. Running sweeps and
-// frontiers are keyed after the lock is released: grids and frontiers
-// never change once set. GC deletes corpus entries, so an enforcing
+// the cache here rather than accumulating forever. Finished sweeps
+// that share an outcome table add its keys once. Tables, running
+// sweeps and frontiers are keyed after the lock is released: none of
+// them changes once set. GC deletes corpus entries, so an enforcing
 // registry requires a known token.
 func (s *Server) handleCacheGC(w http.ResponseWriter, r *http.Request) {
 	if !s.authorize(w, r) {
 		return
 	}
-	keep := make(map[string]struct{})
 	var grids []sweep.Grid
 	var frontiers []*search.Frontier
 	s.mu.Lock()
-	for _, job := range s.sweeps.all() {
-		switch {
-		case job.finished != nil:
-			for _, key := range job.finished.keyStrings() {
-				keep[key] = struct{}{}
-			}
-		case job.State == "running":
+	jobs := s.sweeps.all()
+	tables := distinctTables(jobs)
+	for _, job := range jobs {
+		if job.State == "running" {
 			// A running sweep will ask for every key its grid names.
 			grids = append(grids, job.Grid)
 		}
@@ -676,20 +664,27 @@ func (s *Server) handleCacheGC(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	addKeys := func(points []sweep.Point) {
-		keys, _ := sweep.Keys(points)
+	keep := make(map[string]struct{})
+	addKeys := func(keys []string) {
 		for _, key := range keys {
 			if key != "" {
 				keep[key] = struct{}{}
 			}
 		}
 	}
+	addPoints := func(points []sweep.Point) {
+		keys, _ := sweep.Keys(points)
+		addKeys(keys)
+	}
+	for _, t := range tables {
+		addKeys(t.keyStrings())
+	}
 	for _, g := range grids {
-		addKeys(g.Expand())
+		addPoints(g.Expand())
 	}
 	for _, fr := range frontiers {
 		for _, e := range fr.Frontier {
-			addKeys(fr.Spec.Space.Points(e.Candidate, fr.Spec.Workloads, fr.Spec.Scale, fr.Spec.Check))
+			addPoints(fr.Spec.Space.Points(e.Candidate, fr.Spec.Workloads, fr.Spec.Scale, fr.Spec.Check))
 		}
 	}
 

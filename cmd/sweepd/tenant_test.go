@@ -572,30 +572,29 @@ func TestNoTokenModeUnchanged(t *testing.T) {
 	wantStatus(t, resp, http.StatusForbidden)
 }
 
-// TestPprofGate: /debug/pprof is a 404 by default and serves with
-// EnablePprof set.
+// TestPprofGate: sweepd links no profiler, so every /debug/pprof route
+// is a 404, with tenancy open or enforced.
 func TestPprofGate(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("pprof without the flag: status %d, want 404", resp.StatusCode)
-	}
-
-	srv := NewServerWith(ServerConfig{EnablePprof: true})
-	t.Cleanup(srv.Close)
-	ts2 := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts2.Close)
-	resp, err = http.Get(ts2.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof with the flag: status %d, want 200", resp.StatusCode)
+	open, _ := newTestServer(t)
+	enforced, _ := newTenantServer(t, tenant.Config{
+		Tenants: []tenant.Tenant{{Name: "ops", Token: "ops-token"}},
+	}, 1)
+	for _, ts := range []*httptest.Server{open, enforced} {
+		for _, route := range []string{"", "cmdline", "profile", "symbol", "trace", "heap"} {
+			req, err := http.NewRequest(http.MethodGet, ts.URL+"/debug/pprof/"+route, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Authorization", "Bearer ops-token")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET /debug/pprof/%s: status %d, want 404", route, resp.StatusCode)
+			}
+		}
 	}
 }
 
