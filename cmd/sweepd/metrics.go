@@ -129,39 +129,51 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// routeLabel normalizes a request path to its route pattern so metric
-// label cardinality stays bounded no matter how many sweep ids or
-// cache keys clients touch.
-func routeLabel(r *http.Request) string {
-	seg := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
-	route := "/" + seg[0]
-	switch seg[0] {
-	case "sweep", "explore":
-		if len(seg) >= 2 {
-			route += "/{id}"
-		}
-		if len(seg) >= 3 {
-			route += "/" + seg[2]
-		}
-	case "cache":
-		if len(seg) >= 2 {
-			switch seg[1] {
-			case "export", "gc":
-				route += "/" + seg[1]
-			default:
-				route += "/{key}"
-			}
-		}
-	case "trace":
-		if len(seg) >= 2 {
-			route += "/{id}"
-		}
-	case "workers", "work":
-		if len(seg) >= 2 {
-			route += "/" + seg[1]
+// routeTable holds the registered route patterns, so that routeLabel
+// can name the route a request matched.
+type routeTable []route
+
+// route is one registered pattern, "METHOD /path", with its path split
+// into segments; a "{name}" segment matches any one non-empty segment.
+type route struct {
+	pattern, method string
+	segs            []string
+}
+
+func (t *routeTable) add(pattern string) {
+	method, path, _ := strings.Cut(pattern, " ")
+	*t = append(*t, route{pattern: pattern, method: method, segs: strings.Split(path, "/")})
+}
+
+// otherRoute labels every request no registered route matches: an
+// unknown path, or a known path with a method it does not serve.
+const otherRoute = "other"
+
+// routeLabel names a request by the pattern of the registered route it
+// matched, and everything else otherRoute, so metric label cardinality
+// stays bounded no matter how many sweep ids clients touch or which
+// paths and methods probes try.
+func (t routeTable) routeLabel(r *http.Request) string {
+	segs := strings.Split(r.URL.Path, "/")
+	for _, rt := range t {
+		if rt.matches(r.Method, segs) {
+			return rt.pattern
 		}
 	}
-	return r.Method + " " + route
+	return otherRoute
+}
+
+// matches reports whether a request's method and path segments fit rt.
+func (rt route) matches(method string, segs []string) bool {
+	if rt.method != method || len(rt.segs) != len(segs) {
+		return false
+	}
+	for i, want := range rt.segs {
+		if got := segs[i]; got != want && (got == "" || !strings.HasPrefix(want, "{")) {
+			return false
+		}
+	}
+	return true
 }
 
 // httpStats aggregates request counts and latencies per route. The
@@ -193,7 +205,7 @@ func (h *httpStats) record(route string, code int, elapsed time.Duration) {
 // instrument wraps the route table with per-request accounting: every
 // response's route/status/latency lands in httpStats, and with a
 // logger configured each request emits one structured line.
-func (s *Server) instrument(next http.Handler) http.Handler {
+func (s *Server) instrument(next http.Handler, routes routeTable) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
@@ -201,7 +213,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		route := routeLabel(r)
+		route := routes.routeLabel(r)
 		elapsed := time.Since(start)
 		s.httpStats.record(route, sw.status, elapsed)
 		if s.logger != nil {

@@ -352,35 +352,41 @@ func (s *Server) Halt() {
 	s.workerWG.Wait()
 }
 
-// Handler returns the route table.
+// Handler returns the route table. Each registered pattern is also an
+// HTTP-metrics route label (routeLabel).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /sweep", s.handleSubmit)
-	mux.HandleFunc("GET /sweep/{id}", s.handleGet)
-	mux.HandleFunc("GET /sweep/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /sweep/{id}/trace", s.handleSweepTrace)
-	mux.HandleFunc("GET /sweeps", s.handleList)
-	mux.HandleFunc("GET /trace/{id}", s.handleTrace)
-	mux.HandleFunc("POST /explore", s.handleExploreSubmit)
-	mux.HandleFunc("GET /explore/{id}", s.handleExploreGet)
-	mux.HandleFunc("GET /explore/{id}/stream", s.handleExploreStream)
-	mux.HandleFunc("GET /explores", s.handleExploreList)
-	mux.HandleFunc("GET /axes", handleAxes)
-	mux.HandleFunc("GET /cache", s.handleCacheStats)
-	mux.HandleFunc("POST /workers/register", s.handleRegister)
-	mux.HandleFunc("POST /workers/heartbeat", s.handleHeartbeat)
-	mux.HandleFunc("GET /workers", s.handleWorkers)
-	mux.HandleFunc("GET /federation", s.handleFederation)
-	mux.HandleFunc("POST /work/lease", s.handleLease)
-	mux.HandleFunc("POST /work/renew", s.handleRenew)
-	mux.HandleFunc("POST /work/complete", s.handleComplete)
-	mux.HandleFunc("GET /cache/export", s.handleCacheExport)
-	mux.HandleFunc("POST /cache/gc", s.handleCacheGC)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	var routes routeTable
+	handle := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, h)
+		routes.add(pattern)
+	}
+	handle("POST /sweep", s.handleSubmit)
+	handle("GET /sweep/{id}", s.handleGet)
+	handle("GET /sweep/{id}/stream", s.handleStream)
+	handle("GET /sweep/{id}/trace", s.handleSweepTrace)
+	handle("GET /sweeps", s.handleList)
+	handle("GET /trace/{id}", s.handleTrace)
+	handle("POST /explore", s.handleExploreSubmit)
+	handle("GET /explore/{id}", s.handleExploreGet)
+	handle("GET /explore/{id}/stream", s.handleExploreStream)
+	handle("GET /explores", s.handleExploreList)
+	handle("GET /axes", handleAxes)
+	handle("GET /cache", s.handleCacheStats)
+	handle("POST /workers/register", s.handleRegister)
+	handle("POST /workers/heartbeat", s.handleHeartbeat)
+	handle("GET /workers", s.handleWorkers)
+	handle("GET /federation", s.handleFederation)
+	handle("POST /work/lease", s.handleLease)
+	handle("POST /work/renew", s.handleRenew)
+	handle("POST /work/complete", s.handleComplete)
+	handle("GET /cache/export", s.handleCacheExport)
+	handle("POST /cache/gc", s.handleCacheGC)
+	handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return s.instrument(mux)
+	handle("GET /metrics", s.handleMetrics)
+	return s.instrument(mux, routes)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -595,6 +596,85 @@ func TestPprofGate(t *testing.T) {
 				t.Errorf("GET /debug/pprof/%s: status %d, want 404", route, resp.StatusCode)
 			}
 		}
+	}
+}
+
+// TestUnknownRoutesShareOneSeries: requests no registered route serves
+// (random paths under the roots whose segments the labels once copied,
+// the removed profiler, an unregistered method) all land on one
+// "other" route, so they add one HTTP-metrics series, not one each.
+func TestUnknownRoutesShareOneSeries(t *testing.T) {
+	ts, _ := newTestServer(t)
+	scrapeMetrics(t, ts) // the first scrape adds GET /metrics itself
+	before := scrapeMetrics(t, ts)
+
+	rng := rand.New(rand.NewSource(1))
+	word := func() string {
+		b := make([]byte, 1+rng.Intn(8))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	paths := []string{"/debug/pprof/heap", "/sweep/x/y/z"}
+	for len(paths) < 100 {
+		switch rng.Intn(6) {
+		case 0:
+			paths = append(paths, "/"+word()+"/"+word())
+		case 1:
+			paths = append(paths, "/sweep/"+word()+"/"+word())
+		case 2:
+			paths = append(paths, "/explore/"+word()+"/"+word()+"/"+word())
+		case 3:
+			paths = append(paths, "/work/"+word())
+		case 4:
+			paths = append(paths, "/workers/"+word())
+		default:
+			paths = append(paths, "/cache/"+word())
+		}
+	}
+	do := func(method, path string) {
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode/100 != 4 {
+			t.Errorf("%s %s: status %d, want 4xx", method, path, resp.StatusCode)
+		}
+	}
+	for _, path := range paths {
+		do(http.MethodGet, path)
+	}
+	do("BREW", "/sweeps")
+	after := scrapeMetrics(t, ts)
+
+	routes := func(text string) map[string]bool {
+		set := map[string]bool{}
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, "sweepd_http_request_seconds_count{") {
+				set[strings.SplitN(line, `"`, 3)[1]] = true
+			}
+		}
+		return set
+	}
+	was, now := routes(before), routes(after)
+	var added []string
+	for r := range now {
+		if !was[r] {
+			added = append(added, r)
+		}
+	}
+	if len(added) != 1 || added[0] != otherRoute || len(now) != len(was)+1 {
+		t.Errorf("unknown requests added route series %q (%d before, %d after), want only %q",
+			added, len(was), len(now), otherRoute)
+	}
+	if v := metricValue(t, after, `sweepd_http_request_seconds_count{route="other"}`); v != 101 {
+		t.Errorf("other route counted %v requests, want 101", v)
 	}
 }
 

@@ -12,16 +12,28 @@ import (
 // labels, automatic branch-offset resolution and a data-segment
 // allocator. It is the code generator used to write the workload kernels.
 //
+// The data segment is assembled once, by Build, at its final size:
+// Words, Doubles and Bytes keep the caller's slice rather than a copy,
+// so its contents must not change until Build returns.
+//
 // Errors are accumulated; Build reports the first one. This keeps kernel
 // code free of per-emit error handling.
 type Builder struct {
 	name       string
 	insts      []isa.Inst
-	data       []byte
+	dataLen    int        // data segment length so far
+	parts      []dataPart // initialized allocations, encoded by Build
 	textLabels map[string]int
 	dataLabels map[string]uint64
 	fixups     []fixup
 	errs       []error
+}
+
+// dataPart is one initialized allocation: its offset in the data
+// segment and the caller's []int64, []float64 or []byte.
+type dataPart struct {
+	off  int
+	vals any
 }
 
 type fixup struct {
@@ -61,51 +73,43 @@ func (b *Builder) Emit(in isa.Inst) {
 
 // --- data segment -----------------------------------------------------
 
-// align pads the data segment to a multiple of n bytes.
-func (b *Builder) align(n int) {
-	for len(b.data)%n != 0 {
-		b.data = append(b.data, 0)
+// place allocates size bytes of named storage at the end of the data
+// segment, aligned to align bytes, and records vals (nil for zeroed
+// storage) for Build to encode there.
+func (b *Builder) place(name string, align, size int, vals any) uint64 {
+	off := (b.dataLen + align - 1) / align * align
+	if vals != nil {
+		b.parts = append(b.parts, dataPart{off: off, vals: vals})
 	}
+	b.dataLen = off + size
+	b.bindData(name, DataBase+uint64(off))
+	return DataBase + uint64(off)
 }
 
 // Words allocates named storage holding the given 64-bit values and
-// returns its address.
+// returns its address. values must not change until Build.
 func (b *Builder) Words(name string, values ...int64) uint64 {
-	b.align(8)
-	addr := DataBase + uint64(len(b.data))
-	for _, v := range values {
-		b.data = binary.LittleEndian.AppendUint64(b.data, uint64(v))
-	}
-	b.bindData(name, addr)
-	return addr
+	return b.place(name, 8, 8*len(values), values)
 }
 
-// Doubles allocates named storage holding float64 values.
+// Doubles allocates named storage holding float64 values. values must
+// not change until Build.
 func (b *Builder) Doubles(name string, values ...float64) uint64 {
-	b.align(8)
-	addr := DataBase + uint64(len(b.data))
-	for _, v := range values {
-		b.data = binary.LittleEndian.AppendUint64(b.data, math.Float64bits(v))
-	}
-	b.bindData(name, addr)
-	return addr
+	return b.place(name, 8, 8*len(values), values)
 }
 
 // Space allocates n zeroed bytes of named storage.
 func (b *Builder) Space(name string, n int) uint64 {
-	b.align(8)
-	addr := DataBase + uint64(len(b.data))
-	b.data = append(b.data, make([]byte, n)...)
-	b.bindData(name, addr)
-	return addr
+	if n < 0 {
+		b.errorf("negative space %d for %q", n, name)
+	}
+	return b.place(name, 8, max(n, 0), nil)
 }
 
-// Bytes allocates named storage with explicit byte contents.
+// Bytes allocates named storage with explicit byte contents. raw must
+// not change until Build.
 func (b *Builder) Bytes(name string, raw []byte) uint64 {
-	addr := DataBase + uint64(len(b.data))
-	b.data = append(b.data, raw...)
-	b.bindData(name, addr)
-	return addr
+	return b.place(name, 1, len(raw), raw)
 }
 
 func (b *Builder) bindData(name string, addr uint64) {
@@ -430,13 +434,36 @@ func (b *Builder) Build() (*Program, error) {
 	p := &Program{
 		Name:   b.name,
 		Insts:  b.insts,
-		Data:   b.data,
+		Data:   b.data(),
 		Labels: labels,
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// data encodes the data segment into one slice of its final length.
+func (b *Builder) data() []byte {
+	if b.dataLen == 0 {
+		return nil
+	}
+	data := make([]byte, b.dataLen)
+	for _, p := range b.parts {
+		switch v := p.vals.(type) {
+		case []int64:
+			for i, w := range v {
+				binary.LittleEndian.PutUint64(data[p.off+8*i:], uint64(w))
+			}
+		case []float64:
+			for i, f := range v {
+				binary.LittleEndian.PutUint64(data[p.off+8*i:], math.Float64bits(f))
+			}
+		case []byte:
+			copy(data[p.off:], v)
+		}
+	}
+	return data
 }
 
 // MustBuild is Build that panics on error; for tests and fixed kernels.

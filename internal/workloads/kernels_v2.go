@@ -377,7 +377,10 @@ func (g *tokgen) factor() {
 func buildRdescent(scale int) *program.Program {
 	const perTok = 22
 	target := max(128, min(8192, scale/perTok))
-	g := &tokgen{rng: newLCG(62), budget: target}
+	// The stream holds exactly 2*target+1 (tag, value) pairs: each of
+	// the target factors ends in a number or a ')', every factor but the
+	// first follows an operator or a '(', and two tokens end the stream.
+	g := &tokgen{rng: newLCG(62), budget: target, toks: make([]int64, 0, 2*(2*target+1))}
 	for g.budget > 0 {
 		g.expr()
 		if g.budget > 0 {
